@@ -59,8 +59,11 @@ type StoreStats struct {
 	// Evictions counts entries evicted for capacity (RAM tier).
 	Evictions int64
 	// Demotions counts RAM-evicted entries written to the disk tier;
-	// Promotions counts disk entries moved back to RAM on a hit.
+	// Promotions counts disk entries copied back to RAM on a hit.
 	Demotions, Promotions int64
+	// CleanDemotions counts RAM-evicted entries whose record was still
+	// indexed unchanged, so nothing was written.
+	CleanDemotions int64
 	// DiskHits counts lookups satisfied from the disk tier (each is also
 	// counted in Hits, exactly once).
 	DiskHits int64

@@ -5,7 +5,10 @@
 // the in-memory index snapshots on shutdown so a restarted proxy re-opens
 // its segments and serves warm instead of stampeding the origin
 // (ROADMAP item 4; sizing follows the proxy-cache construction papers in
-// PAPERS.md).
+// PAPERS.md). The disk tier is inclusive: a promoted entry keeps its
+// record, so evicting it from RAM again unchanged costs an index update,
+// not a write, and the object survives even when the demotion gate would
+// refuse it.
 package tiered
 
 import (
@@ -36,9 +39,9 @@ import (
 //	url, ct, lmDate, body bytes
 //	crc     u32  IEEE over everything between magic and crc
 //
-// Records are immutable once written; replacing or promoting an entry
-// leaves a hole, and segments whose live ratio drops below the compaction
-// threshold are rewritten into the active segment.
+// Records are immutable once written; replacing, deleting or invalidating
+// an entry leaves a hole, and segments whose live ratio drops below the
+// compaction threshold are rewritten into the active segment.
 
 const (
 	recMagic  = 0x50475631 // "PGV1"
@@ -191,7 +194,8 @@ func (d *diskTier) encode(e *cache.Entry) []byte {
 }
 
 // decode parses one record. It returns false on any framing or CRC
-// mismatch; the caller drops the index entry.
+// mismatch; the caller drops the index entry. The returned Body aliases b:
+// the caller hands over the buffer and must not reuse it.
 func decode(b []byte) (cache.Entry, bool) {
 	if len(b) < recHdrLen+recTail || binary.LittleEndian.Uint32(b[0:]) != recMagic {
 		return cache.Entry{}, false
@@ -222,7 +226,7 @@ func decode(b []byte) (cache.Entry, bool) {
 	p += ctLen
 	e.LastModifiedHTTP = string(b[p : p+lmdLen])
 	p += lmdLen
-	e.Body = append([]byte(nil), b[p:p+bodyLen]...)
+	e.Body = b[p : p+bodyLen : p+bodyLen]
 	return e, true
 }
 
@@ -269,10 +273,9 @@ func (d *diskTier) dropIndexed(url string) bool {
 	return true
 }
 
-// get reads the record for url. consume removes it from the index (the
-// promotion path: the RAM tier takes ownership). A CRC or framing failure
-// drops the entry and reads as a miss — never a panic.
-func (d *diskTier) get(url string, consume bool) (cache.Entry, bool) {
+// get reads the record for url, leaving it indexed. A CRC or framing
+// failure drops the entry and reads as a miss — never a panic.
+func (d *diskTier) get(url string) (cache.Entry, bool) {
 	l, ok := d.index[url]
 	if !ok {
 		return cache.Entry{}, false
@@ -300,10 +303,19 @@ func (d *diskTier) get(url string, consume bool) (cache.Entry, bool) {
 	// rewriting the record.
 	e.Expires = l.expires
 	e.LastModified = l.lm
-	if consume {
-		d.dropIndexed(url)
-	}
 	return e, true
+}
+
+// demote stores e, an entry leaving the RAM tier. When the index already
+// holds this version — a promoted entry coming back unchanged — the record
+// is reused: only the indexed expiration is raised to the RAM copy's, and
+// clean is true. Any other entry is appended.
+func (d *diskTier) demote(e *cache.Entry) (written, clean bool) {
+	if l, ok := d.index[e.URL]; ok && l.lm == e.LastModified {
+		d.freshen(e.URL, e.Expires)
+		return false, true
+	}
+	return d.append(e), false
 }
 
 // freshen extends the indexed expiration.
@@ -415,11 +427,11 @@ func (d *diskTier) compact(s *segment) {
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].l.off < recs[j].l.off })
 	for _, r := range recs {
-		e, ok := d.get(r.url, true)
-		if !ok {
-			continue
+		// A record that cannot move (unreadable, or the append failed) is
+		// dropped with its segment.
+		if e, ok := d.get(r.url); !ok || !d.append(&e) {
+			d.dropIndexed(r.url)
 		}
-		d.append(&e)
 	}
 	d.removeSegment(s, false)
 }

@@ -64,6 +64,7 @@ type demoteItem struct {
 // (cache.tier.* when instrumented with prefix "cache").
 type tierCounters struct {
 	demotions   *obs.Counter
+	demoteClean *obs.Counter
 	promotions  *obs.Counter
 	diskHits    *obs.Counter
 	diskBytes   *obs.Counter
@@ -75,6 +76,11 @@ type tierCounters struct {
 // append-only segment-file disk tier. The RAM-hit path is a single
 // delegation with no extra allocation; only misses touch the disk tier's
 // mutex.
+//
+// The disk tier is inclusive. A promoted entry keeps its record, and a
+// key held in both tiers satisfies: equal LastModified, disk expiration
+// no later than RAM's. Whatever changes a key's version in RAM (Put,
+// Delete, a piggyback invalidation) drops the record.
 type Tiered struct {
 	ram  *cache.Sharded
 	cfg  Config
@@ -83,12 +89,12 @@ type Tiered struct {
 	mu sync.Mutex // guards disk
 
 	demoteQ chan demoteItem
-	kick    chan struct{} // wakes the writer for post-promotion maintenance
 	stop    chan struct{}
 	wg      sync.WaitGroup
 	closed  sync.Once
 
-	demotions   atomic.Int64
+	demotions   atomic.Int64 // records written
+	demoteClean atomic.Int64 // demotions that reused the indexed record
 	promotions  atomic.Int64
 	diskHits    atomic.Int64
 	compactions atomic.Int64
@@ -133,7 +139,6 @@ func New(ram *cache.Sharded, cfg Config) (*Tiered, error) {
 	}
 	t.disk = disk
 	t.demoteQ = make(chan demoteItem, cfg.QueueLen)
-	t.kick = make(chan struct{}, 1)
 	t.stop = make(chan struct{})
 	ram.SetEvictObserver(t.observeEvict)
 	t.wg.Add(1)
@@ -170,8 +175,6 @@ func (t *Tiered) writer() {
 		select {
 		case it := <-t.demoteQ:
 			t.handle(it)
-		case <-t.kick:
-			t.maintain()
 		case <-t.stop:
 			for {
 				select {
@@ -213,17 +216,36 @@ func (t *Tiered) Flush() {
 	}
 }
 
+// demoteOne moves one evicted entry to disk. An unchanged promoted entry
+// is a clean demotion: its record is still indexed, nothing is written and
+// no maintenance is due.
 func (t *Tiered) demoteOne(e *cache.Entry) {
 	t.mu.Lock()
-	ok := t.disk.append(e)
+	clean := t.demoteLocked(e)
 	t.mu.Unlock()
-	if ok {
+	if !clean {
+		t.maintain()
+	}
+}
+
+// demoteLocked stores e in the disk tier and counts the outcome. Caller
+// holds t.mu.
+func (t *Tiered) demoteLocked(e *cache.Entry) (clean bool) {
+	written, clean := t.disk.demote(e)
+	c := t.obsC.Load()
+	switch {
+	case clean:
+		t.demoteClean.Add(1)
+		if c != nil {
+			c.demoteClean.Inc()
+		}
+	case written:
 		t.demotions.Add(1)
-		if c := t.obsC.Load(); c != nil {
+		if c != nil {
 			c.demotions.Inc()
 		}
 	}
-	t.maintain()
+	return clean
 }
 
 // maintain runs disk-tier upkeep and syncs the telemetry gauges.
@@ -244,11 +266,13 @@ func (t *Tiered) maintain() {
 }
 
 // Lookup serves from RAM when possible; on a RAM miss it probes the disk
-// index, and a disk hit promotes the entry back into RAM (the Sharded
+// index, and a disk hit promotes a copy of the entry into RAM (the Sharded
 // tier re-runs its replacement policy; displaced entries may in turn
-// demote). Accounting: the RAM tier counted the miss, the disk hit
-// re-classifies it — Stats() folds the two so one logical lookup counts
-// once.
+// demote). The record stays indexed, except a Prefetched one: the
+// promotion clears the mark in RAM, so the record is consumed and
+// WasPrefetched is reported once. Accounting: the RAM tier counted the
+// miss, the disk hit re-classifies it — Stats() folds the two so one
+// logical lookup counts once.
 func (t *Tiered) Lookup(url string, now int64) (cache.View, bool) {
 	if v, ok := t.ram.Lookup(url, now); ok {
 		return v, true
@@ -257,7 +281,10 @@ func (t *Tiered) Lookup(url string, now int64) (cache.View, bool) {
 		return cache.View{}, false
 	}
 	t.mu.Lock()
-	e, ok := t.disk.get(url, true)
+	e, ok := t.disk.get(url)
+	if ok && e.Prefetched {
+		t.disk.dropIndexed(url)
+	}
 	t.mu.Unlock()
 	if !ok {
 		return cache.View{}, false
@@ -285,15 +312,7 @@ func (t *Tiered) Lookup(url string, now int64) (cache.View, bool) {
 	// Promote: the RAM tier re-runs its replacement policy on insert, so
 	// the promoted entry lands as a just-used entry.
 	t.ram.Put(e, now)
-	t.kickWriter()
 	return v, true
-}
-
-func (t *Tiered) kickWriter() {
-	select {
-	case t.kick <- struct{}{}:
-	default:
-	}
 }
 
 // PeekView checks RAM then disk without side effects (no promotion).
@@ -305,7 +324,7 @@ func (t *Tiered) PeekView(url string) (cache.View, bool) {
 		return cache.View{}, false
 	}
 	t.mu.Lock()
-	e, ok := t.disk.get(url, false)
+	e, ok := t.disk.get(url)
 	t.mu.Unlock()
 	if !ok {
 		return cache.View{}, false
@@ -335,14 +354,10 @@ func (t *Tiered) Contains(url string) bool {
 }
 
 // Put inserts into the RAM tier (demotion of displaced entries happens
-// via the eviction hook). A stale disk copy of the same URL is dropped so
+// via the eviction hook). The disk record of the same URL is dropped so
 // the tiers never disagree about a key's version.
 func (t *Tiered) Put(e cache.Entry, now int64) []string {
-	if t.disk != nil {
-		t.mu.Lock()
-		t.disk.dropIndexed(e.URL)
-		t.mu.Unlock()
-	}
+	t.dropRecord(e.URL)
 	return t.ram.Put(e, now)
 }
 
@@ -350,12 +365,17 @@ func (t *Tiered) Put(e cache.Entry, now int64) []string {
 // copy is dropped, not demoted to.
 func (t *Tiered) Delete(url string) bool {
 	ok := t.ram.Delete(url)
-	if t.disk != nil {
-		t.mu.Lock()
-		dok := t.disk.dropIndexed(url)
-		t.mu.Unlock()
-		ok = ok || dok
+	return t.dropRecord(url) || ok
+}
+
+// dropRecord removes url's disk record, reporting whether there was one.
+func (t *Tiered) dropRecord(url string) bool {
+	if t.disk == nil {
+		return false
 	}
+	t.mu.Lock()
+	ok := t.disk.dropIndexed(url)
+	t.mu.Unlock()
 	return ok
 }
 
@@ -404,15 +424,23 @@ func (t *Tiered) diskContains(url string) bool {
 
 // ApplyPiggyback applies one piggyback element to whichever tier holds
 // the entry: the RAM tier's shard-local critical section first, then the
-// disk index (invalidate an outdated record, freshen a current one).
+// disk index. An entry invalidated in RAM takes its record with it; one
+// refreshed in RAM leaves the record's older expiration alone (the next
+// clean demotion raises it); on a RAM miss the record itself is
+// invalidated or freshened.
 func (t *Tiered) ApplyPiggyback(url string, lastModified, freshenTo, pinUntil, now int64) cache.PiggybackOutcome {
 	out := t.ram.ApplyPiggyback(url, lastModified, freshenTo, pinUntil, now)
-	if out != cache.PiggybackMiss || t.disk == nil {
+	if t.disk == nil {
 		return out
 	}
-	t.mu.Lock()
-	out = t.disk.applyPiggyback(url, lastModified, freshenTo)
-	t.mu.Unlock()
+	switch out {
+	case cache.PiggybackInvalidated:
+		t.dropRecord(url)
+	case cache.PiggybackMiss:
+		t.mu.Lock()
+		out = t.disk.applyPiggyback(url, lastModified, freshenTo)
+		t.mu.Unlock()
+	}
 	return out
 }
 
@@ -426,6 +454,7 @@ func (t *Tiered) Stats() cache.StoreStats {
 	s.Misses -= dh
 	s.DiskHits = dh
 	s.Demotions = t.demotions.Load()
+	s.CleanDemotions = t.demoteClean.Load()
 	s.Promotions = t.promotions.Load()
 	s.Compactions = t.compactions.Load()
 	if t.disk != nil {
@@ -440,9 +469,9 @@ func (t *Tiered) Stats() cache.StoreStats {
 func (t *Tiered) HitRate() float64 { return t.Stats().HitRate() }
 
 // Instrument registers the RAM tier's gauges plus the tier counters:
-// prefix.tier.{demotions,promotions,disk_hits,disk_bytes,compactions,
-// demote_drops}. Safe to call again with a fresh registry (a restarted
-// proxy re-instruments the store it reopened).
+// prefix.tier.{demotions,demote_clean,promotions,disk_hits,disk_bytes,
+// compactions,demote_drops}. Safe to call again with a fresh registry (a
+// restarted proxy re-instruments the store it reopened).
 func (t *Tiered) Instrument(reg *obs.Registry, prefix string) {
 	t.ram.Instrument(reg, prefix)
 	if t.disk == nil {
@@ -450,6 +479,7 @@ func (t *Tiered) Instrument(reg *obs.Registry, prefix string) {
 	}
 	c := &tierCounters{
 		demotions:   reg.Counter(prefix + ".tier.demotions"),
+		demoteClean: reg.Counter(prefix + ".tier.demote_clean"),
 		promotions:  reg.Counter(prefix + ".tier.promotions"),
 		diskHits:    reg.Counter(prefix + ".tier.disk_hits"),
 		diskBytes:   reg.Counter(prefix + ".tier.disk_bytes"),
@@ -457,6 +487,7 @@ func (t *Tiered) Instrument(reg *obs.Registry, prefix string) {
 		drops:       reg.Counter(prefix + ".tier.demote_drops"),
 	}
 	c.demotions.Add(t.demotions.Load() - c.demotions.Load())
+	c.demoteClean.Add(t.demoteClean.Load() - c.demoteClean.Load())
 	c.promotions.Add(t.promotions.Load() - c.promotions.Load())
 	c.diskHits.Add(t.diskHits.Load() - c.diskHits.Load())
 	c.compactions.Add(t.compactions.Load() - c.compactions.Load())
@@ -468,7 +499,9 @@ func (t *Tiered) Instrument(reg *obs.Registry, prefix string) {
 	t.obsC.Store(c)
 }
 
-// Capacity is the combined byte capacity of both tiers.
+// Capacity is the combined byte capacity of both tiers — an upper bound:
+// the disk tier is inclusive, so a key resident in RAM and on disk
+// occupies both.
 func (t *Tiered) Capacity() int64 {
 	c := t.ram.Capacity()
 	if t.disk != nil {
@@ -477,29 +510,35 @@ func (t *Tiered) Capacity() int64 {
 	return c
 }
 
-// Used is the bytes held across both tiers (disk counts live record
-// bytes, not hole-laden file footprint).
+// Used is the bytes held across both tiers, a key resident in both
+// counted once, at its RAM charge (disk counts live record bytes, not
+// hole-laden file footprint).
 func (t *Tiered) Used() int64 {
-	u := t.ram.Used()
-	if t.disk != nil {
-		t.mu.Lock()
-		for _, s := range t.disk.segs {
-			u += s.live
-		}
-		t.mu.Unlock()
-	}
-	return u
+	_, bytes := t.diskOnly()
+	return t.ram.Used() + bytes
 }
 
-// Len is the number of entries across both tiers.
+// Len is the number of distinct keys across both tiers.
 func (t *Tiered) Len() int {
-	n := t.ram.Len()
-	if t.disk != nil {
-		t.mu.Lock()
-		n += len(t.disk.index)
-		t.mu.Unlock()
+	n, _ := t.diskOnly()
+	return t.ram.Len() + n
+}
+
+// diskOnly counts the indexed records, and their bytes, whose key the RAM
+// tier does not also hold.
+func (t *Tiered) diskOnly() (n int, bytes int64) {
+	if t.disk == nil {
+		return 0, 0
 	}
-	return n
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for url, l := range t.disk.index {
+		if !t.ram.Contains(url) {
+			n++
+			bytes += l.n
+		}
+	}
+	return n, bytes
 }
 
 // Close makes the store restart-warm: it detaches the eviction hook,
@@ -518,12 +557,7 @@ func (t *Tiered) Close() error {
 		t.mu.Lock()
 		defer t.mu.Unlock()
 		for _, e := range t.ram.Dump() {
-			if l, ok := t.disk.index[e.URL]; ok && l.lm == e.LastModified && l.expires >= e.Expires {
-				continue // identical copy already on disk
-			}
-			if t.disk.append(&e) {
-				t.demotions.Add(1)
-			}
+			t.demoteLocked(&e)
 		}
 		t.disk.maintain()
 		err = t.disk.writeSnapshot()

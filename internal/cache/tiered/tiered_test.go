@@ -35,8 +35,20 @@ func entry(url string, size int64, now int64) cache.Entry {
 	}
 }
 
+// evictAll empties a single-shard RAM tier through the eviction path: an
+// entry as large as the tier displaces everything, then is deleted (a
+// delete is never demoted), and the writer is drained.
+func evictAll(ts *Tiered, now int64) {
+	const filler = "http://o/filler"
+	ts.Put(cache.Entry{URL: filler, Size: ts.RAM().Capacity(), Expires: now}, now)
+	ts.Delete(filler)
+	ts.Flush()
+}
+
 // TestTieredDemotePromote: an entry with utility (a hit) demotes on
-// eviction, and a later lookup promotes it from disk without data loss.
+// eviction; a later lookup promotes a copy from disk without data loss and
+// keeps the record, so the key counts once, survives an eviction the gate
+// refuses, and goes back to disk unchanged as an index update.
 func TestTieredDemotePromote(t *testing.T) {
 	ts := newTiered(t, t.TempDir(), 1<<10, Config{})
 	defer ts.Close()
@@ -55,7 +67,8 @@ func TestTieredDemotePromote(t *testing.T) {
 	if !ts.Contains("http://o/a") {
 		t.Fatal("a should be disk-resident after demotion")
 	}
-	v, ok := ts.Lookup("http://o/a", now+1)
+	written := ts.Stats().DiskBytes
+	v, ok := ts.Lookup("http://o/a", now+1) // evicts b: never hit, not demoted
 	if !ok {
 		t.Fatal("disk-resident a should be servable")
 	}
@@ -67,12 +80,37 @@ func TestTieredDemotePromote(t *testing.T) {
 	if st.DiskHits != 1 || st.Promotions != 1 {
 		t.Fatalf("want 1 disk hit / 1 promotion, got %d/%d", st.DiskHits, st.Promotions)
 	}
-	// Promotion consumed the disk copy; the entry now lives in RAM.
-	if !ts.RAM().Contains("http://o/a") {
-		t.Fatal("promoted entry should be RAM-resident")
+	if !ts.RAM().Contains("http://o/a") || !ts.diskContains("http://o/a") {
+		t.Fatal("a promoted entry should be in RAM and keep its record")
 	}
-	if ts.diskContains("http://o/a") {
-		t.Fatal("promotion should consume the disk copy")
+	if ts.Len() != 1 || ts.Used() != a.Size {
+		t.Fatalf("a key in both tiers counts once: Len %d Used %d, want 1 and %d", ts.Len(), ts.Used(), a.Size)
+	}
+
+	// Evicted before a second hit, the promoted copy fails the gate — and
+	// the object is still on disk.
+	ts.Put(entry("http://o/c", 600, now), now)
+	ts.Flush()
+	if st := ts.Stats(); st.Demotions != 1 || st.CleanDemotions != 0 {
+		t.Fatalf("gated eviction reached the disk tier: %+v", st)
+	}
+	if _, ok := ts.Lookup("http://o/a", now+2); !ok {
+		t.Fatal("a promoted entry evicted without a hit was forgotten")
+	}
+
+	// Hit and freshened in RAM, then evicted: a clean demotion writes
+	// nothing and hands the record the RAM copy's expiration.
+	ts.Lookup("http://o/a", now+3)
+	ts.Freshen("http://o/a", now+900)
+	ts.Put(entry("http://o/d", 600, now), now)
+	ts.Flush()
+	st = ts.Stats()
+	if st.Demotions != 1 || st.CleanDemotions != 1 || st.DiskBytes != written {
+		t.Fatalf("want a clean re-demotion and %d disk bytes, got %+v", written, st)
+	}
+	v, ok = ts.PeekView("http://o/a")
+	if !ok || v.Expires != now+900 || string(v.Body) != string(a.Body) {
+		t.Fatalf("re-demoted record: ok=%v expires %d, want %d", ok, v.Expires, now+900)
 	}
 }
 
@@ -207,42 +245,96 @@ func TestTieredRestartFreshness(t *testing.T) {
 	}
 }
 
-// TestTieredCompaction: promoting (consuming) most of a sealed segment's
-// records leaves holes; maintenance rewrites the survivors and reclaims
-// the space.
+// TestTieredCloseReusesRecord: Close flushes the RAM working set through
+// the demotion path, so a promoted entry whose expiration moved in RAM
+// updates its indexed record instead of appending a second one.
+func TestTieredCloseReusesRecord(t *testing.T) {
+	dir := t.TempDir()
+	now := int64(1000)
+	ts := newTiered(t, dir, 1<<10, Config{})
+	ts.Put(entry("http://o/a", 600, now), now)
+	ts.Lookup("http://o/a", now)
+	ts.Put(entry("http://o/b", 600, now), now) // demotes a
+	ts.Flush()
+	ts.Lookup("http://o/a", now) // promotes a, evicting b for good
+	ts.Freshen("http://o/a", now+900)
+	written := ts.Stats().DiskBytes
+	if err := ts.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re := newTiered(t, dir, 1<<10, Config{})
+	defer re.Close()
+	if got := re.Stats().DiskBytes; got != written {
+		t.Fatalf("Close grew the disk tier from %d to %d bytes for an unchanged entry", written, got)
+	}
+	if v, ok := re.PeekView("http://o/a"); !ok || v.Expires != now+900 {
+		t.Fatalf("freshened expiry lost across Close: %+v %v", v, ok)
+	}
+}
+
+// TestTieredCompaction: promotion leaves a sealed segment whole; replacing,
+// deleting and invalidating most of its records leaves holes, and
+// maintenance rewrites the survivors and reclaims the space.
 func TestTieredCompaction(t *testing.T) {
-	// Tiny segments so a handful of records spans several files.
-	ts := newTiered(t, t.TempDir(), 1<<10, Config{SegmentBytes: 2048})
+	// Tiny segments (four records each) so a handful of records spans
+	// several files.
+	ts := newTiered(t, t.TempDir(), 1<<10, Config{SegmentBytes: 3000})
 	defer ts.Close()
 	now := int64(1000)
 	const n = 16
+	url := func(i int) string { return fmt.Sprintf("http://o/r%02d", i) }
 	for i := 0; i < n; i++ {
-		url := fmt.Sprintf("http://o/r%02d", i)
-		ts.Put(entry(url, 600, now), now)
-		ts.Lookup(url, now) // utility so eviction demotes
+		ts.Put(entry(url(i), 600, now), now)
+		ts.Lookup(url(i), now) // utility so eviction demotes
+	}
+	ts.Flush()
+	for i := 0; i < n-1; i++ { // the first evicts and demotes r15
+		ts.Lookup(url(i), now+int64(i))
 	}
 	ts.Flush()
 	before := ts.Stats()
-	if before.Demotions < n-1 {
-		t.Fatalf("expected ≥%d demotions, got %d", n-1, before.Demotions)
+	if before.Demotions != n || before.Promotions != n-1 {
+		t.Fatalf("want %d demotions and %d promotions, got %+v", n, n-1, before)
 	}
-	// Promote most disk entries; each promotion punches a hole (and the
-	// displaced RAM entry re-demotes into the active segment).
-	for i := 0; i < n-1; i++ {
-		ts.Lookup(fmt.Sprintf("http://o/r%02d", i), now+int64(i))
+	if before.Compactions != 0 {
+		t.Fatalf("promotion punched holes: %+v", before)
+	}
+	for i := 0; i < n; i++ {
+		if !ts.diskContains(url(i)) {
+			t.Fatalf("%s lost its record", url(i))
+		}
+	}
+
+	// Three of every four records die, one way each; r14 is also in RAM.
+	for i := 0; i < n; i++ {
+		switch i % 4 {
+		case 1:
+			if got := ts.ApplyPiggyback(url(i), now+500, now, now, now); got != cache.PiggybackInvalidated {
+				t.Fatalf("invalidating %s: got %v", url(i), got)
+			}
+		case 2:
+			if !ts.Delete(url(i)) {
+				t.Fatalf("%s not deleted", url(i))
+			}
+		case 3:
+			ts.Put(entry(url(i), 600, now+500), now+500)
+		}
 	}
 	ts.Flush()
 	st := ts.Stats()
-	if st.Compactions == 0 {
-		t.Fatalf("hole churn triggered no compactions: %+v", st)
+	if st.Compactions == 0 || st.DiskBytes >= before.DiskBytes {
+		t.Fatalf("holes were not reclaimed: before %+v after %+v", before, st)
 	}
-	// Everything still indexed must still be readable.
 	for i := 0; i < n; i++ {
-		url := fmt.Sprintf("http://o/r%02d", i)
-		if ts.Contains(url) {
-			if _, ok := ts.PeekView(url); !ok {
-				t.Fatalf("%s indexed but unreadable after compaction", url)
+		v, ok := ts.PeekView(url(i))
+		switch {
+		case i%4 == 0:
+			if want := entry(url(i), 600, now); !ok || string(v.Body) != string(want.Body) || v.LastModified != want.LastModified {
+				t.Fatalf("%s did not survive compaction: ok=%v", url(i), ok)
 			}
+		case ok && v.LastModified == now-100:
+			t.Fatalf("%s still serves the version that was replaced", url(i))
 		}
 	}
 }
@@ -280,6 +372,7 @@ func TestTieredInstrument(t *testing.T) {
 	ts.Put(entry("http://o/b", 600, now), now)
 	ts.Flush()
 	ts.Lookup("http://o/a", now) // disk hit + promotion
+	ts.Lookup("http://o/a", now) // utility again
 
 	reg := obs.NewRegistry()
 	ts.Instrument(reg, "cache")
@@ -299,10 +392,14 @@ func TestTieredInstrument(t *testing.T) {
 	// live increments must land in the new one.
 	reg2 := obs.NewRegistry()
 	ts.Instrument(reg2, "cache")
-	ts.Put(entry("http://o/c", 600, now), now) // evicts + demotes a (hit above)
+	ts.Put(entry("http://o/c", 600, now), now) // evicts a (hit above): a clean demotion
 	ts.Flush()
-	if got, want := reg2.Snapshot().Counter("cache.tier.demotions"), ts.Stats().Demotions; got != want {
+	snap = reg2.Snapshot()
+	if got, want := snap.Counter("cache.tier.demotions"), ts.Stats().Demotions; got != want {
 		t.Fatalf("re-instrumented demotions = %d, want %d", got, want)
+	}
+	if got := snap.Counter("cache.tier.demote_clean"); got != 1 || ts.Stats().CleanDemotions != 1 {
+		t.Fatalf("demote_clean = %d, stats %+v, want 1", got, ts.Stats())
 	}
 }
 

@@ -93,11 +93,12 @@ func (s *Store) Put(r Resource) {
 	s.mu.Unlock()
 }
 
-// Get returns a copy of the resource.
+// Get returns a copy of the resource, taken under the read lock: Modify
+// rewrites the stored Resource in place.
 func (s *Store) Get(url string) (Resource, bool) {
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	r, ok := s.res[url]
-	s.mu.RUnlock()
 	if !ok {
 		return Resource{}, false
 	}

@@ -176,6 +176,32 @@ func TestStoreOperations(t *testing.T) {
 	}
 }
 
+// TestStoreGetModifyRace: Modify rewrites the stored Resource in place, so
+// Get must copy it under the lock — every copy pairs a Last-Modified with
+// its own rendered date. Run with -race.
+func TestStoreGetModifyRace(t *testing.T) {
+	st := NewStore()
+	st.Put(Resource{URL: "/x", Size: 10, LastModified: 1})
+	const rounds = 2000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for lm := int64(2); lm < rounds; lm++ {
+			st.Modify("/x", lm*86400, 0)
+		}
+	}()
+	for i := 0; i < rounds; i++ {
+		r, ok := st.Get("/x")
+		if !ok {
+			t.Fatal("resource vanished")
+		}
+		if want := httpwire.FormatHTTPDate(r.LastModified); r.lmDate != want {
+			t.Fatalf("torn read: Last-Modified %d with date %q, want %q", r.LastModified, r.lmDate, want)
+		}
+	}
+	<-done
+}
+
 func TestBodySynthesisDeterministicAndSized(t *testing.T) {
 	r := &Resource{URL: "/a/x.html", Size: 1000}
 	b1, b2 := r.body(7), r.body(7)
