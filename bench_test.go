@@ -784,3 +784,85 @@ func BenchmarkWireFreshHit(b *testing.B) {
 		b.ReportMetric(float64(wm.ReadOps.Load()-reads0)/served, "reads/op")
 	}
 }
+
+// BenchmarkWireMiss is BenchmarkWireFreshHit's counterpart for the upstream
+// leg: the cache holds nothing, so every request crosses the proxy's
+// upstream client to an origin that answers at once. Eight callers, each
+// over its own connection to the proxy and its own URLs (no single-flight
+// sharing), keep several exchanges in flight on upstream connections that
+// carry four each. writes/op and reads/op are the upstream client's
+// syscalls per exchange: misses that meet on a connection share a writev
+// burst or a buffer fill, so both sit at or just below one.
+func BenchmarkWireMiss(b *testing.B) {
+	const callers, perCaller = 8, 8
+	now := int64(899637753)
+	clock := func() int64 { return now }
+	st := server.NewStore()
+	for i := 0; i < callers*perCaller; i++ {
+		st.Put(server.Resource{URL: fmt.Sprintf("/a/r%02d.html", i), Size: 2000, LastModified: now - 86400})
+	}
+	origin := server.New(st, core.NewDirVolumes(core.DirConfig{Level: 1, MTF: true}), clock)
+	ol, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	osrv := &httpwire.Server{Handler: origin}
+	go osrv.Serve(ol)
+	defer osrv.Close()
+
+	px := proxy.New(proxy.Config{
+		Delta:            1 << 30,
+		Clock:            clock,
+		Resolve:          func(string) (string, error) { return ol.Addr().String(), nil },
+		CacheBytes:       1, // too small for any body: nothing is ever a hit
+		UpstreamInflight: 4,
+	})
+	defer px.Close()
+	pl, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	psrv := &httpwire.Server{Handler: px}
+	go psrv.Serve(pl)
+	defer psrv.Close()
+
+	upstream := func() (requests, writes, reads int64) {
+		snap := px.Obs().Snapshot()
+		return snap.Counter("wire.upstream.requests"), snap.Counter("wire.upstream.syscalls.writes"),
+			snap.Counter("wire.upstream.syscalls.reads")
+	}
+	reqs0, writes0, reads0 := upstream()
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	b.ResetTimer()
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			client := httpwire.NewClient()
+			defer client.Close()
+			reqs := make([]*httpwire.Request, perCaller)
+			for i := range reqs {
+				reqs[i] = httpwire.NewRequest("GET", fmt.Sprintf("http://www.bench.test/a/r%02d.html", g*perCaller+i))
+			}
+			for i := 0; next.Add(1) <= int64(b.N); i++ {
+				resp, err := client.DoContext(context.Background(), pl.Addr().String(), reqs[i%perCaller])
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				if resp.Status != 200 || resp.Header.Get("X-Cache") != "MISS" {
+					b.Errorf("status %d X-Cache %q", resp.Status, resp.Header.Get("X-Cache"))
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	b.StopTimer()
+	reqs1, writes1, reads1 := upstream()
+	if served := float64(reqs1 - reqs0); served > 0 {
+		b.ReportMetric(float64(writes1-writes0)/served, "writes/op")
+		b.ReportMetric(float64(reads1-reads0)/served, "reads/op")
+	}
+}

@@ -48,7 +48,7 @@ func main() {
 	adaptive := flag.Bool("adaptive", false, "adapt Δ per resource from observed change rates")
 	statsEvery := flag.Duration("stats", 30*time.Second, "stats reporting interval (0 disables)")
 	uptimeout := flag.Duration("uptimeout", 0, "upstream exchange timeout (0: wire default, 30s)")
-	upInflight := flag.Int("upstream-inflight", 0, "concurrent exchanges multiplexed per upstream connection (0: default 4, 1: classic one-exchange-per-conn pool)")
+	upInflight := flag.Int("upstream-inflight", 0, "concurrent exchanges carried per upstream connection (0: default 4, 1: a connection per exchange)")
 	breakerFails := flag.Int("breaker-failures", 5, "consecutive upstream failures that trip a host's circuit open")
 	breakerBackoff := flag.Duration("breaker-backoff", 500*time.Millisecond, "initial open interval before a half-open probe")
 	breakerOff := flag.Bool("breaker-off", false, "disable the per-host circuit breaker")

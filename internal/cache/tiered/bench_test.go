@@ -57,7 +57,9 @@ func BenchmarkTieredPromote(b *testing.B) {
 	defer ts.Close()
 	now := int64(1000)
 	e := entry("http://o/cycle", 4096, now)
-	ts.demoteOne(&e)
+	ts.mu.Lock()
+	ts.demoteLocked(&e)
+	ts.mu.Unlock()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -2,6 +2,7 @@ package tiered
 
 import (
 	"log"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -54,10 +55,23 @@ func DefaultDemote(e *cache.Entry, now int64) bool {
 type demoteItem struct {
 	e   cache.Entry
 	now int64
+	// seq orders the eviction against the invalidations of its key (see
+	// demoteFloor).
+	seq uint64
 	// flush, when non-nil, marks a synchronization barrier instead of a
 	// demotion: the writer closes it once every earlier item is on disk
 	// and maintenance has run.
 	flush chan struct{}
+}
+
+// demoteFloor is what an invalidation leaves for the writer. The demotion
+// queue is asynchronous: an eviction queued before its key is replaced,
+// deleted or named stale by a piggyback would otherwise be written after,
+// and the old version served from disk. An eviction of the key stamped at
+// or below seq whose LastModified is below lm is not written.
+type demoteFloor struct {
+	seq uint64
+	lm  int64
 }
 
 // tierCounters mirrors the internal atomics into an obs registry
@@ -86,12 +100,21 @@ type Tiered struct {
 	cfg  Config
 	disk *diskTier // nil in RAM-only mode
 
-	mu sync.Mutex // guards disk
+	mu sync.Mutex // guards disk and floor
 
 	demoteQ chan demoteItem
-	stop    chan struct{}
-	wg      sync.WaitGroup
-	closed  sync.Once
+	// seq stamps evictions and queued counts those the writer has not
+	// finished, both under the evicting shard's lock — so once an
+	// operation on a key has been through the RAM tier, every earlier
+	// eviction of that key is stamped and counted.
+	seq    atomic.Uint64
+	queued atomic.Int64
+	// floor holds one entry per key invalidated while evictions were
+	// queued; the writer empties it when the queue drains.
+	floor  map[string]demoteFloor
+	stop   chan struct{}
+	wg     sync.WaitGroup
+	closed sync.Once
 
 	demotions   atomic.Int64 // records written
 	demoteClean atomic.Int64 // demotions that reused the indexed record
@@ -111,6 +134,15 @@ var _ cache.Store = (*Tiered)(nil)
 // (restart-warm), installs the demotion hook on ram, and starts the
 // background writer.
 func New(ram *cache.Sharded, cfg Config) (*Tiered, error) {
+	t, err := open(ram, cfg)
+	if err == nil && t.disk != nil {
+		t.startWriter()
+	}
+	return t, err
+}
+
+// open is New without the writer: evictions queue until startWriter.
+func open(ram *cache.Sharded, cfg Config) (*Tiered, error) {
 	if cfg.DiskBytes <= 0 {
 		cfg.DiskBytes = 256 << 20
 	}
@@ -139,11 +171,16 @@ func New(ram *cache.Sharded, cfg Config) (*Tiered, error) {
 	}
 	t.disk = disk
 	t.demoteQ = make(chan demoteItem, cfg.QueueLen)
+	t.floor = make(map[string]demoteFloor)
 	t.stop = make(chan struct{})
 	ram.SetEvictObserver(t.observeEvict)
+	return t, nil
+}
+
+// startWriter starts the goroutine that drains the demotion queue.
+func (t *Tiered) startWriter() {
 	t.wg.Add(1)
 	go t.writer()
-	return t, nil
 }
 
 // RAM exposes the RAM tier (tests and callers that need shard controls).
@@ -156,8 +193,10 @@ func (t *Tiered) observeEvict(e *cache.Entry, now int64) {
 	if !t.cfg.Demote(e, now) {
 		return
 	}
+	t.queued.Add(1)
 	select {
-	case t.demoteQ <- demoteItem{e: *e, now: now}:
+	case t.demoteQ <- demoteItem{e: *e, now: now, seq: t.seq.Add(1)}:
+		return
 	case <-t.stop:
 	default:
 		t.drops.Add(1)
@@ -165,6 +204,7 @@ func (t *Tiered) observeEvict(e *cache.Entry, now int64) {
 			c.drops.Inc()
 		}
 	}
+	t.queued.Add(-1)
 }
 
 // writer drains the demotion queue and runs disk maintenance (capacity
@@ -188,13 +228,27 @@ func (t *Tiered) writer() {
 	}
 }
 
+// handle moves one evicted entry to disk, unless its key has been
+// invalidated since it was queued. An unchanged promoted entry is a clean
+// demotion: its record is still indexed, nothing is written and no
+// maintenance is due.
 func (t *Tiered) handle(it demoteItem) {
 	if it.flush != nil {
 		t.maintain()
 		close(it.flush)
 		return
 	}
-	t.demoteOne(&it.e)
+	t.mu.Lock()
+	f := t.floor[it.e.URL]
+	stale := it.seq <= f.seq && it.e.LastModified < f.lm
+	clean := stale || t.demoteLocked(&it.e)
+	if t.queued.Add(-1) == 0 {
+		clear(t.floor)
+	}
+	t.mu.Unlock()
+	if !clean {
+		t.maintain()
+	}
 }
 
 // Flush blocks until every demotion enqueued before the call is on disk
@@ -213,18 +267,6 @@ func (t *Tiered) Flush() {
 		case <-t.stop:
 		}
 	case <-t.stop:
-	}
-}
-
-// demoteOne moves one evicted entry to disk. An unchanged promoted entry
-// is a clean demotion: its record is still indexed, nothing is written and
-// no maintenance is due.
-func (t *Tiered) demoteOne(e *cache.Entry) {
-	t.mu.Lock()
-	clean := t.demoteLocked(e)
-	t.mu.Unlock()
-	if !clean {
-		t.maintain()
 	}
 }
 
@@ -355,10 +397,12 @@ func (t *Tiered) Contains(url string) bool {
 
 // Put inserts into the RAM tier (demotion of displaced entries happens
 // via the eviction hook). The disk record of the same URL is dropped so
-// the tiers never disagree about a key's version.
+// the tiers never disagree about a key's version — after the insert, so
+// that an eviction of the version it replaces is already queued.
 func (t *Tiered) Put(e cache.Entry, now int64) []string {
+	evicted := t.ram.Put(e, now)
 	t.dropRecord(e.URL)
-	return t.ram.Put(e, now)
+	return evicted
 }
 
 // Delete removes url from both tiers. Deletion is invalidation: the disk
@@ -368,15 +412,26 @@ func (t *Tiered) Delete(url string) bool {
 	return t.dropRecord(url) || ok
 }
 
-// dropRecord removes url's disk record, reporting whether there was one.
+// dropRecord removes url's disk record, and keeps queued evictions of url
+// from becoming one. It reports whether there was a record. The caller has
+// been through the RAM tier with url first.
 func (t *Tiered) dropRecord(url string) bool {
 	if t.disk == nil {
 		return false
 	}
 	t.mu.Lock()
 	ok := t.disk.dropIndexed(url)
+	t.floorLocked(url, math.MaxInt64)
 	t.mu.Unlock()
 	return ok
+}
+
+// floorLocked keeps the evictions of url queued so far, of versions older
+// than lm, off the disk. Caller holds t.mu.
+func (t *Tiered) floorLocked(url string, lm int64) {
+	if t.queued.Load() > 0 {
+		t.floor[url] = demoteFloor{seq: t.seq.Load(), lm: max(lm, t.floor[url].lm)}
+	}
 }
 
 // Freshen extends the expiration wherever the entry lives.
@@ -439,6 +494,10 @@ func (t *Tiered) ApplyPiggyback(url string, lastModified, freshenTo, pinUntil, n
 	case cache.PiggybackMiss:
 		t.mu.Lock()
 		out = t.disk.applyPiggyback(url, lastModified, freshenTo)
+		if out != cache.PiggybackRefreshed {
+			// No record, or an outdated one: the copy may be in the queue.
+			t.floorLocked(url, lastModified)
+		}
 		t.mu.Unlock()
 	}
 	return out

@@ -531,3 +531,66 @@ func TestTieredSnapshotAtomic(t *testing.T) {
 		t.Fatal("leftover snapshot temp file broke the restart")
 	}
 }
+
+// TestTieredQueuedDemotionLosesToInvalidation: the demotion queue is
+// asynchronous, so an eviction can still be queued when its key is deleted,
+// replaced, or named stale by a piggyback that finds it in neither tier.
+// The writer must not store it afterwards — the old version would be served
+// fresh from disk. The writer is held back until both have happened.
+func TestTieredQueuedDemotionLosesToInvalidation(t *testing.T) {
+	const url = "http://o/a"
+	now := int64(1000)
+	a := entry(url, 600, now)
+	cases := []struct {
+		name       string
+		invalidate func(t *testing.T, ts *Tiered)
+		kept       bool // the queued version is still good and must reach the disk
+	}{
+		{"delete", func(t *testing.T, ts *Tiered) { ts.Delete(url) }, false},
+		{"put", func(t *testing.T, ts *Tiered) {
+			newer := entry(url, 600, now+50)
+			ts.Put(newer, now)
+			// Out of RAM again without a demotion, so that only a record
+			// could answer.
+			ts.RAM().Delete(url)
+		}, false},
+		{"piggyback names a newer version", func(t *testing.T, ts *Tiered) {
+			if out := ts.ApplyPiggyback(url, a.LastModified+1, now+600, now+600, now); out != cache.PiggybackMiss {
+				t.Fatalf("ApplyPiggyback = %v, want a miss: the copy is in the queue", out)
+			}
+		}, false},
+		{"piggyback names the same version", func(t *testing.T, ts *Tiered) {
+			ts.ApplyPiggyback(url, a.LastModified, now+600, now+600, now)
+		}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ts, err := open(cache.NewSharded(1<<10, 1, nil), Config{Dir: t.TempDir(), Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ts.Close()
+			ts.Put(a, now)
+			if _, ok := ts.Lookup(url, now); !ok { // utility: the gate passes
+				t.Fatal("a not cached")
+			}
+			ts.Put(entry("http://o/b", 600, now), now) // evicts a
+			if len(ts.demoteQ) != 1 {
+				t.Fatalf("%d evictions queued, want a's", len(ts.demoteQ))
+			}
+			tc.invalidate(t, ts)
+			ts.startWriter()
+			ts.Flush()
+			v, ok := ts.Lookup(url, now)
+			if ok != tc.kept {
+				t.Fatalf("Lookup after the queue drained: hit=%v (lm %d), want hit=%v", ok, v.LastModified, tc.kept)
+			}
+			ts.mu.Lock()
+			floors := len(ts.floor)
+			ts.mu.Unlock()
+			if floors != 0 {
+				t.Errorf("%d floors left after the queue drained", floors)
+			}
+		})
+	}
+}

@@ -1,7 +1,6 @@
 package httpwire
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"io"
@@ -10,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"piggyback/internal/httpwire/wireerr"
 	"piggyback/internal/obs"
 )
 
@@ -274,494 +272,3 @@ func (s *Server) serveConn(base context.Context, conn net.Conn) {
 // maxResponseBatchBytes caps how many serialized response bytes the serve
 // loop queues before forcing a vectored write.
 const maxResponseBatchBytes = 256 << 10
-
-// Client issues requests over a per-host pool of persistent connections (a
-// proxy multiplexes many clients onto persistent connections to each
-// server, §1). Each origin gets up to MaxConnsPerHost concurrent
-// connections; idle connections are kept in a LIFO free list and reaped
-// after IdleConnTimeout. When every connection is busy and the host is at
-// its bound, acquirers wait for a release instead of dialing — so a burst
-// of N concurrent requests coalesces onto at most MaxConnsPerHost dials.
-type Client struct {
-	// DialTimeout bounds connection establishment; zero means 5s. A
-	// sooner context deadline wins.
-	DialTimeout time.Duration
-	// RequestTimeout caps one request/response exchange; zero = 30s. The
-	// effective deadline is the sooner of this cap and the caller's
-	// context deadline.
-	RequestTimeout time.Duration
-	// MaxConnsPerHost bounds the pool size per origin address; zero
-	// means 16. Requests beyond the bound queue for a released
-	// connection rather than dialing.
-	MaxConnsPerHost int
-	// IdleConnTimeout is how long an idle pooled connection survives
-	// before being reaped; zero means 60s (the server-side idle timeout,
-	// so the two ends age connections on the same clock).
-	IdleConnTimeout time.Duration
-	// RetryBackoff is the pause before the single retry after a failure
-	// on a reused connection; zero means 2ms.
-	RetryBackoff time.Duration
-	// MaxInflightPerConn, when > 1, multiplexes that many concurrent
-	// exchanges onto each persistent connection: a writer goroutine
-	// coalesces queued requests into single writev bursts and a reader
-	// goroutine demuxes the pipelined responses in order, so N in-flight
-	// requests to one host share one read/write pair instead of N. An
-	// exchange that fails on a multiplexed connection (possibly another
-	// exchange's fault) falls back to the classic one-exchange-per-conn
-	// pool. Zero or one keeps the classic path exclusively.
-	MaxInflightPerConn int
-	// Obs, when non-nil, receives wire-level telemetry: per-exchange
-	// round-trip latency, retries, dials, body bytes, per-class failure
-	// counters, and the pool gauges (open/idle connections, waits,
-	// reaped conns).
-	Obs *obs.WireMetrics
-
-	mu       sync.Mutex
-	pools    map[string]*pool
-	muxHosts map[string]*muxHost
-	closed   bool
-}
-
-// pool is the per-origin connection pool: every open connection is in
-// live; the ones not currently carrying a request are also in idle.
-// active counts open connections plus in-flight dials and never exceeds
-// the client's MaxConnsPerHost.
-type pool struct {
-	c    *Client
-	addr string
-
-	mu     sync.Mutex
-	cond   *sync.Cond
-	idle   []*clientConn // oldest first; reused LIFO from the tail
-	live   map[*clientConn]struct{}
-	active int
-	closed bool
-}
-
-type clientConn struct {
-	pool     *pool
-	conn     net.Conn
-	br       *bufio.Reader
-	lastUsed time.Time
-}
-
-// releaseBuffers returns the connection's pooled reader (requests go out
-// as vectored writes, so there is no writer to pool). Callers must hold
-// exclusive use of the connection (its holder, or the pool for a conn on
-// the idle list); a busy connection's buffers are released by its holder
-// via discardConn, never by Close underneath it.
-func (cc *clientConn) releaseBuffers() {
-	if cc.br != nil {
-		PutReader(cc.br)
-		cc.br = nil
-	}
-}
-
-// NewClient returns a Client ready for use.
-func NewClient() *Client { return &Client{pools: make(map[string]*pool)} }
-
-func (c *Client) dialTimeout() time.Duration {
-	if c.DialTimeout > 0 {
-		return c.DialTimeout
-	}
-	return 5 * time.Second
-}
-
-func (c *Client) requestTimeout() time.Duration {
-	if c.RequestTimeout > 0 {
-		return c.RequestTimeout
-	}
-	return 30 * time.Second
-}
-
-func (c *Client) maxConnsPerHost() int {
-	if c.MaxConnsPerHost > 0 {
-		return c.MaxConnsPerHost
-	}
-	return 16
-}
-
-func (c *Client) idleConnTimeout() time.Duration {
-	if c.IdleConnTimeout > 0 {
-		return c.IdleConnTimeout
-	}
-	return 60 * time.Second
-}
-
-func (c *Client) retryBackoff() time.Duration {
-	if c.RetryBackoff > 0 {
-		return c.RetryBackoff
-	}
-	return 2 * time.Millisecond
-}
-
-// sleepBackoff pauses for d unless ctx ends first. A cancelled caller gets
-// wireerr.FromContext immediately instead of burning the full backoff — the
-// retry path must never outlive the request it serves.
-func sleepBackoff(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return wireerr.FromContext(ctx.Err())
-	}
-}
-
-// countError records a failed exchange: the total plus its taxonomy class.
-func (c *Client) countError(err error) {
-	if c.Obs == nil {
-		return
-	}
-	c.Obs.Errors.Inc()
-	c.Obs.CountErrClass(wireerr.Class(err))
-}
-
-// DoContext sends req to the server at addr ("host:port") and returns its
-// response. With MaxInflightPerConn > 1 the exchange rides a multiplexed
-// persistent connection shared with other concurrent exchanges to addr
-// (one writev burst and one reader for all of them); a failure there that
-// isn't the caller's own cancellation falls back to the classic pooled
-// one-exchange-per-connection path. The exchange is bounded by the sooner
-// of ctx's deadline and RequestTimeout; cancelling ctx interrupts the
-// exchange. Failures are classified per the wireerr taxonomy: errors.Is
-// against wireerr.ErrDialTimeout, ErrRequestTimeout, ErrCanceled, and
-// ErrTruncatedBody holds on the corresponding paths.
-func (c *Client) DoContext(ctx context.Context, addr string, req *Request) (*Response, error) {
-	if c.MaxInflightPerConn > 1 {
-		start := time.Now()
-		resp, fallback, err := c.muxDo(ctx, addr, req)
-		if err == nil {
-			if c.Obs != nil {
-				c.Obs.Requests.Inc()
-				c.Obs.BytesOut.Add(int64(len(req.Body)))
-				c.Obs.BytesIn.Add(int64(len(resp.Body)))
-				c.Obs.Latency.Observe(time.Since(start).Microseconds())
-			}
-			return resp, nil
-		}
-		if !fallback || ctx.Err() != nil {
-			c.countError(err)
-			return nil, err
-		}
-		// The multiplexed connection died under this exchange — possibly
-		// another exchange's fault — so the request itself may still be
-		// serviceable; retry it with a connection of its own.
-		if c.Obs != nil {
-			c.Obs.Retries.Inc()
-		}
-	}
-	return c.doPooled(ctx, addr, req)
-}
-
-// doPooled runs one exchange on an exclusively-held pooled connection:
-// a request that fails on a reused connection (the server may have timed
-// it out) is retried once on a fresh connection after a short backoff.
-func (c *Client) doPooled(ctx context.Context, addr string, req *Request) (*Response, error) {
-	start := time.Now()
-	cc, reused, err := c.acquire(ctx, addr)
-	if err != nil {
-		c.countError(err)
-		return nil, err
-	}
-	resp, err := c.roundTrip(ctx, cc, req)
-	// Only retry a reused-connection failure while the caller still
-	// wants the response; a cancelled context makes the retry pointless.
-	if err != nil && reused && ctx.Err() == nil {
-		if c.Obs != nil {
-			c.Obs.Retries.Inc()
-		}
-		c.discardConn(cc)
-		if serr := sleepBackoff(ctx, c.retryBackoff()); serr != nil {
-			c.countError(serr)
-			return nil, serr
-		}
-		cc, _, err = c.acquire(ctx, addr)
-		if err != nil {
-			c.countError(err)
-			return nil, err
-		}
-		resp, err = c.roundTrip(ctx, cc, req)
-	}
-	if err != nil {
-		c.discardConn(cc)
-		c.countError(err)
-		return nil, err
-	}
-	// A context that ended during the exchange may have poked the conn's
-	// deadline (see roundTrip); don't park a possibly-poisoned conn.
-	if resp.Header.WantsClose() || ctx.Err() != nil {
-		c.discardConn(cc)
-	} else {
-		c.releaseConn(cc)
-	}
-	if c.Obs != nil {
-		c.Obs.Requests.Inc()
-		c.Obs.BytesOut.Add(int64(len(req.Body)))
-		c.Obs.BytesIn.Add(int64(len(resp.Body)))
-		c.Obs.Latency.Observe(time.Since(start).Microseconds())
-	}
-	return resp, nil
-}
-
-// roundTrip runs one exchange on a connection the caller owns exclusively.
-// The connection deadline is the sooner of ctx's deadline and the flat
-// RequestTimeout; cancellation is propagated by yanking the deadline into
-// the past, which fails the blocked read/write with a net timeout that
-// wireerr.Exchange then reports as ErrCanceled.
-func (c *Client) roundTrip(ctx context.Context, cc *clientConn, req *Request) (*Response, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, wireerr.FromContext(err)
-	}
-	deadline := time.Now().Add(c.requestTimeout())
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
-	if err := cc.conn.SetDeadline(deadline); err != nil {
-		return nil, err
-	}
-	stop := context.AfterFunc(ctx, func() {
-		cc.conn.SetDeadline(time.Unix(1, 0))
-	})
-	defer stop()
-	v := getVec()
-	v.appendRequest(req)
-	err := writeVec(cc.conn, v)
-	putVec(v)
-	if c.Obs != nil {
-		c.Obs.WriteOps.Inc()
-		c.Obs.WriteBatch.Observe(1)
-	}
-	if err != nil {
-		return nil, wireerr.Exchange(ctx, err)
-	}
-	resp, err := ReadResponse(cc.br, req.Method == "HEAD")
-	if err != nil {
-		return nil, wireerr.Exchange(ctx, err)
-	}
-	return resp, nil
-}
-
-// getPool returns the pool for addr, creating it on first use.
-func (c *Client) getPool(addr string) (*pool, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, net.ErrClosed
-	}
-	if c.pools == nil {
-		c.pools = make(map[string]*pool)
-	}
-	p, ok := c.pools[addr]
-	if !ok {
-		p = &pool{c: c, addr: addr, live: make(map[*clientConn]struct{})}
-		p.cond = sync.NewCond(&p.mu)
-		c.pools[addr] = p
-	}
-	return p, nil
-}
-
-// acquire hands the caller exclusive use of a connection to addr: a pooled
-// idle one (reused), a fresh dial when the pool is under its bound, or —
-// at the bound — the next released connection. The caller must hand it
-// back via releaseConn or discardConn.
-func (c *Client) acquire(ctx context.Context, addr string) (*clientConn, bool, error) {
-	p, err := c.getPool(addr)
-	if err != nil {
-		return nil, false, err
-	}
-	return p.get(ctx)
-}
-
-func (p *pool) get(ctx context.Context) (*clientConn, bool, error) {
-	max := p.c.maxConnsPerHost()
-	// A cancelled waiter must wake from cond.Wait; broadcast on ctx done.
-	stop := context.AfterFunc(ctx, func() {
-		p.mu.Lock()
-		p.cond.Broadcast()
-		p.mu.Unlock()
-	})
-	defer stop()
-	p.mu.Lock()
-	waited := false
-	for {
-		if err := ctx.Err(); err != nil {
-			p.mu.Unlock()
-			return nil, false, wireerr.FromContext(err)
-		}
-		if p.closed {
-			p.mu.Unlock()
-			return nil, false, net.ErrClosed
-		}
-		p.reapLocked(time.Now())
-		if n := len(p.idle); n > 0 {
-			cc := p.idle[n-1]
-			p.idle = p.idle[:n-1]
-			p.mu.Unlock()
-			if p.c.Obs != nil {
-				p.c.Obs.ConnsIdle.Add(-1)
-			}
-			return cc, true, nil
-		}
-		if p.active < max {
-			p.active++
-			p.mu.Unlock()
-			return p.dial(ctx)
-		}
-		if !waited {
-			waited = true
-			if p.c.Obs != nil {
-				p.c.Obs.PoolWaits.Inc()
-			}
-		}
-		p.cond.Wait()
-	}
-}
-
-// dial establishes a new connection for a slot the caller already holds.
-func (p *pool) dial(ctx context.Context) (*clientConn, bool, error) {
-	d := net.Dialer{Timeout: p.c.dialTimeout()}
-	conn, err := d.DialContext(ctx, "tcp", p.addr)
-	if err != nil {
-		p.mu.Lock()
-		p.active--
-		p.cond.Signal()
-		p.mu.Unlock()
-		return nil, false, wireerr.Dial(ctx, err)
-	}
-	src := io.Reader(conn)
-	if p.c.Obs != nil {
-		src = &countingReader{r: conn, ops: p.c.Obs.ReadOps}
-	}
-	cc := &clientConn{pool: p, conn: conn, br: GetReader(src)}
-	p.mu.Lock()
-	if p.closed {
-		p.active--
-		p.mu.Unlock()
-		conn.Close()
-		cc.releaseBuffers()
-		return nil, false, net.ErrClosed
-	}
-	p.live[cc] = struct{}{}
-	p.mu.Unlock()
-	if p.c.Obs != nil {
-		p.c.Obs.Dials.Inc()
-		p.c.Obs.ConnsOpen.Inc()
-	}
-	return cc, false, nil
-}
-
-// reapLocked closes idle connections older than IdleConnTimeout. Caller
-// holds p.mu.
-func (p *pool) reapLocked(now time.Time) {
-	timeout := p.c.idleConnTimeout()
-	reaped := 0
-	for len(p.idle) > 0 && now.Sub(p.idle[0].lastUsed) > timeout {
-		cc := p.idle[0]
-		p.idle = p.idle[1:]
-		delete(p.live, cc)
-		p.active--
-		cc.conn.Close()
-		cc.releaseBuffers()
-		reaped++
-	}
-	if reaped > 0 {
-		if p.c.Obs != nil {
-			p.c.Obs.ConnsIdle.Add(-int64(reaped))
-			p.c.Obs.ConnsOpen.Add(-int64(reaped))
-			p.c.Obs.IdleClosed.Add(int64(reaped))
-		}
-		p.cond.Broadcast()
-	}
-}
-
-// releaseConn returns a healthy connection to its pool's idle list.
-func (c *Client) releaseConn(cc *clientConn) {
-	p := cc.pool
-	// Clear the per-request deadline so the parked connection doesn't
-	// fail its next exchange with a stale timeout.
-	cc.conn.SetDeadline(time.Time{})
-	cc.lastUsed = time.Now()
-	p.mu.Lock()
-	if p.closed {
-		p.removeLocked(cc)
-		p.mu.Unlock()
-		cc.conn.Close()
-		return
-	}
-	p.idle = append(p.idle, cc)
-	p.cond.Signal()
-	p.mu.Unlock()
-	if c.Obs != nil {
-		c.Obs.ConnsIdle.Inc()
-	}
-}
-
-// discardConn closes a connection and frees its pool slot. The caller holds
-// exclusive use of cc, so its pooled buffers go back here — even when the
-// pool was closed underneath it (Close skips busy connections' buffers for
-// exactly this handoff).
-func (c *Client) discardConn(cc *clientConn) {
-	p := cc.pool
-	p.mu.Lock()
-	removed := p.removeLocked(cc)
-	p.cond.Signal()
-	p.mu.Unlock()
-	cc.conn.Close()
-	cc.releaseBuffers()
-	if removed && c.Obs != nil {
-		c.Obs.ConnsOpen.Add(-1)
-	}
-}
-
-// removeLocked drops cc from the pool's books if still present. Caller
-// holds p.mu.
-func (p *pool) removeLocked(cc *clientConn) bool {
-	if _, ok := p.live[cc]; !ok {
-		return false
-	}
-	delete(p.live, cc)
-	p.active--
-	return true
-}
-
-// Close shuts all pooled connections and fails waiting acquirers.
-// Connections currently carrying a request are closed too; their holders
-// see the exchange fail. Multiplexed connections are torn down, failing
-// their in-flight exchanges.
-func (c *Client) Close() {
-	c.mu.Lock()
-	c.closed = true
-	pools := c.pools
-	c.pools = make(map[string]*pool)
-	hosts := c.muxHosts
-	c.muxHosts = nil
-	c.mu.Unlock()
-	for _, h := range hosts {
-		h.closeAll()
-	}
-	for _, p := range pools {
-		p.mu.Lock()
-		p.closed = true
-		open, idle := len(p.live), len(p.idle)
-		for cc := range p.live {
-			cc.conn.Close()
-		}
-		// Idle connections are held by nobody, so their buffers can be
-		// repooled; busy ones are mid-exchange — their holders return the
-		// buffers via discardConn when the exchange fails.
-		for _, cc := range p.idle {
-			cc.releaseBuffers()
-		}
-		p.live = make(map[*clientConn]struct{})
-		p.idle = nil
-		p.active = 0
-		p.cond.Broadcast()
-		p.mu.Unlock()
-		if c.Obs != nil {
-			c.Obs.ConnsOpen.Add(-int64(open))
-			c.Obs.ConnsIdle.Add(-int64(idle))
-		}
-	}
-}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -46,16 +45,7 @@ func TestClientServerBasic(t *testing.T) {
 }
 
 func TestPersistentConnectionReuse(t *testing.T) {
-	var conns int32
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	counting := &countingListener{Listener: l, n: &conns}
-	srv := &Server{Handler: HandlerFunc(echoHandler)}
-	go srv.Serve(counting)
-	defer srv.Close()
-
+	l := startTrackedServer(t, HandlerFunc(echoHandler))
 	c := NewClient()
 	defer c.Close()
 	for i := 0; i < 10; i++ {
@@ -67,22 +57,9 @@ func TestPersistentConnectionReuse(t *testing.T) {
 			t.Fatalf("status = %d", resp.Status)
 		}
 	}
-	if got := atomic.LoadInt32(&conns); got != 1 {
+	if got := l.accepted(); got != 1 {
 		t.Errorf("10 requests used %d connections, want 1 (persistent)", got)
 	}
-}
-
-type countingListener struct {
-	net.Listener
-	n *int32
-}
-
-func (c *countingListener) Accept() (net.Conn, error) {
-	conn, err := c.Listener.Accept()
-	if err == nil {
-		atomic.AddInt32(c.n, 1)
-	}
-	return conn, err
 }
 
 func TestConnectionCloseHonored(t *testing.T) {
@@ -102,21 +79,6 @@ func TestConnectionCloseHonored(t *testing.T) {
 	resp, err = c.DoContext(context.Background(), addr, NewRequest("GET", "/again"))
 	if err != nil || resp.Status != 200 {
 		t.Fatalf("redial failed: %v", err)
-	}
-}
-
-func TestClientRetriesStaleConnection(t *testing.T) {
-	addr := startServer(t, HandlerFunc(echoHandler))
-	c := NewClient()
-	defer c.Close()
-	if _, err := c.DoContext(context.Background(), addr, NewRequest("GET", "/a")); err != nil {
-		t.Fatal(err)
-	}
-	// Kill the pooled idle connection behind the client's back.
-	closeIdleConns(c)
-	resp, err := c.DoContext(context.Background(), addr, NewRequest("GET", "/b"))
-	if err != nil || resp.Status != 200 {
-		t.Fatalf("retry on stale connection failed: %v", err)
 	}
 }
 

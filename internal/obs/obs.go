@@ -467,11 +467,11 @@ type WireMetrics struct {
 	BytesOut *Counter // message body bytes sent
 	Latency  *Histogram
 
-	// Connection-pool gauges (client side; a server leaves them zero).
-	ConnsOpen  *Counter // gauge: open pooled connections (idle + in use)
-	ConnsIdle  *Counter // gauge: connections parked on the idle list
-	PoolWaits  *Counter // acquisitions that blocked on the per-host bound
-	IdleClosed *Counter // idle connections reaped past IdleConnTimeout
+	// Connection gauges (client side; a server leaves them zero).
+	ConnsOpen  *Counter // gauge: open connections (idle + in use)
+	ConnsIdle  *Counter // gauge: open connections with no exchange in flight
+	PoolWaits  *Counter // requests that waited for a slot at the per-host bound
+	IdleClosed *Counter // connections reaped after IdleConnTimeout with no exchange in flight
 
 	// Syscall-budget counters (prefix.syscalls.*): WriteOps counts write
 	// syscalls issued (one per writev batch), ReadOps counts read syscalls

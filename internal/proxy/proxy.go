@@ -79,12 +79,11 @@ type Config struct {
 	// UpstreamTimeout caps one upstream exchange (the client's
 	// RequestTimeout); zero keeps the wire default (30s).
 	UpstreamTimeout time.Duration
-	// UpstreamInflight is how many concurrent exchanges share one
-	// multiplexed upstream connection (writev-batched requests, one
-	// reader demuxing pipelined responses — httpwire's
-	// MaxInflightPerConn). Zero means 4; 1 disables multiplexing and
-	// keeps the classic one-exchange-per-connection pool. The peer
-	// client is unaffected either way.
+	// UpstreamInflight is how many concurrent exchanges one upstream
+	// connection carries (httpwire's MaxInflightPerConn: requests that
+	// meet on a connection go out as one writev, responses are read in
+	// order). Zero means 4; 1 gives every exchange a connection to
+	// itself. The peer client is unaffected either way.
 	UpstreamInflight int
 	// BreakerFailures is the consecutive-failure threshold that trips a
 	// host's circuit open; zero means 5.
