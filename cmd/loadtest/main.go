@@ -1,68 +1,34 @@
-// Command loadtest stands up a live server→proxy stack (optionally routed
-// through a transparent volume center) on loopback and drives it with the
-// concurrent load generator across a scenario matrix — piggybacking on and
-// off, a concurrency sweep — reporting end-to-end throughput, latency
-// percentiles, and hit ratios, both as a human-readable table and as
-// machine-readable BENCH_loadtest.json so successive PRs accumulate a
-// performance trajectory.
+// Command loadtest stands up a live origin→proxy stack on loopback, drives
+// it with the concurrent load generator, and checks what CI needs to hold
+// of it. It runs the scenarios named on the command line (all six when none
+// is named) and exits non-zero if any check fails:
 //
-// Usage:
+//	loadtest [-cpuprofile file] [smoke|syscalls|brownout|restart-warm|mesh|killpeer]...
 //
-//	loadtest [-profile aiusa] [-scale 0.02] [-mode closed|open]
-//	         [-workers 1,4,16,64] [-requests 2000] [-warmup 200]
-//	         [-piggyback on,off] [-maxpiggy 10] [-delta 900]
-//	         [-think 0] [-rate 500] [-center] [-prefetch]
-//	         [-proxies 1,3] [-peering on,off] [-cachemb 64]
-//	         [-hotkey 0.3] [-killpeer]
-//	         [-fault none,brownout] [-faultseed 1] [-uptimeout 250ms]
-//	         [-maxstale 3600] [-breaker-failures 5] [-breaker-backoff 500ms]
-//	         [-breaker-off] [-json BENCH_loadtest.json] [-seed 1]
-//
-// Each scenario gets a fresh stack (empty proxy cache, fresh volumes) so
-// rows are comparable. The proxies' live /.piggy/stats endpoints are
-// snapshotted around every run; their merged deltas supply the proxy-side
-// hit ratio and piggyback counts in the report.
-//
-// The -proxies axis stands up a fleet: closed-loop workers pin to members
-// round-robin, and with -peering on the members form a consistent-hash
-// cooperative mesh (misses route to the key's ring owner before the
-// origin; X-Cache: PEER, the peerhit% column). -peering off is the
-// independent-caches baseline: same fleet, same aggregate -cachemb
-// capacity, but every member fetches from the origin itself — the origin
-// column shows what the mesh saves. -hotkey skews the workload onto one
-// URL; -killpeer kills the last member mid-run to demonstrate
-// fallback-to-origin with zero client-visible errors.
-//
-// The -fault axis wraps the origin's listener in a faultconn schedule
-// (seeded by -faultseed, so runs replay) and reports the proxy's failure
-// telemetry per scenario: stale serves, breaker opens and short-circuits,
-// and the wire.upstream.err.* class counters — p99 under brownout sits in
-// the same row for comparison against the healthy sweep.
+// Each scenario gets a fresh stack (empty proxy caches, fresh volumes) over
+// the same synthetic workload. The proxies' live /.piggy/stats endpoints
+// are snapshotted around every run; the merged deltas are what the checks
+// read. This is a smoke test of behaviour under load, not a yardstick:
+// performance is measured by bench/ (see BENCHMARK.json).
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"math/rand"
 	"net"
 	"os"
-	"runtime"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 	"time"
 
 	"piggyback/internal/cache"
 	"piggyback/internal/cache/tiered"
-	"piggyback/internal/center"
 	"piggyback/internal/core"
 	"piggyback/internal/faultconn"
 	"piggyback/internal/httpwire"
 	"piggyback/internal/loadgen"
-	"piggyback/internal/metrics"
 	"piggyback/internal/obs"
 	"piggyback/internal/proxy"
 	"piggyback/internal/server"
@@ -70,394 +36,222 @@ import (
 	"piggyback/internal/tracegen"
 )
 
-const host = "www.load.test"
+const (
+	host     = "www.load.test"
+	seed     = 1
+	maxPiggy = 10
+	// cacheBytes is the fleet's aggregate RAM cache and diskBytes its
+	// aggregate disk tier, split evenly across the members.
+	cacheBytes = 64 << 20
+	diskBytes  = 256 << 20
+)
 
-type options struct {
-	profile   string
-	scale     float64
-	mode      string
-	workers   []int
-	requests  int
-	warmup    int
-	piggyback []bool
-	maxPiggy  int
+// load is one stack and the traffic driven through it. The zero value of
+// every field but requests, warmup and workers is the plain case: one
+// healthy proxy, closed loop, Δ = 900 s, RAM cache only.
+type load struct {
+	requests, warmup, workers int
+	// rate > 0 switches to an open loop at that many arrivals a second.
+	rate float64
+	// fault names a faultconn profile on the origin's listener, seeded by
+	// faultSeed (so runs replay); delta and upTimeout override the proxy's
+	// Δ and upstream exchange timeout, to make entries expire and failures
+	// surface inside a short run.
+	fault     string
+	faultSeed int64
 	delta     int64
-	think     time.Duration
-	rate      float64
-	center    bool
-	prefetch  bool
-	jsonPath  string
-	seed      int64
-
-	faults          []string
-	faultSeed       int64
-	upTimeout       time.Duration
-	maxStale        int64
-	breakerFailures int
-	breakerBackoff  time.Duration
-	breakerOff      bool
-
-	proxies  []int
-	peering  []bool
-	cacheMB  int64
+	upTimeout time.Duration
+	// proxies > 1 stands up a cooperative mesh, closed-loop workers pinned
+	// to members round-robin. hotKey redirects that fraction of the
+	// requests to one URL: a flash crowd on one ring owner. killPeer keeps
+	// clients off the last member — it serves only as a ring owner — and
+	// kills it once half the requests have completed.
+	proxies  int
 	hotKey   float64
 	killPeer bool
-
-	disk    bool
-	diskCap int64
-	restart []bool
-
-	cpuprofile string
-	memprofile string
+	// restart closes the whole fleet once half the requests have completed
+	// and launches a successor; with disk each member has a disk tier in a
+	// temporary directory, which the successor reopens.
+	restart, disk bool
 }
 
-// scenario is one cell of the matrix plus its outcome.
+// outcome is what the checks read off one run.
+type outcome struct {
+	rep            *loadgen.Report // of the post-restart half under restart, errors summed
+	originRequests int64
+	upstreamConns  int64   // origin connections open at the end, fleet-wide
+	writesPerOp    float64 // write syscalls per request on the proxies' server side
+	upstreamErrs   int64   // wire.upstream.err.*, all classes
+	staleServes    int64
+	peerForwards   int64
+	peerFallbacks  int64
+	diskHits       int64 // across both generations under restart
+}
+
+type check struct {
+	ok   bool
+	what string
+}
+
+func noErrors(o outcome) check {
+	return check{o.rep.Errors == 0, fmt.Sprintf("every request got a response (%d errors)", o.rep.Errors)}
+}
+
+// scenario is one named load and what must be true of its outcome.
 type scenario struct {
-	Name      string          `json:"name"`
-	Piggyback bool            `json:"piggyback"`
-	Workers   int             `json:"workers"`
-	Proxies   int             `json:"proxies"`
-	Peering   bool            `json:"peering"`
-	HotKey    float64         `json:"hot_key,omitempty"`
-	KillPeer  bool            `json:"kill_peer,omitempty"`
-	Report    *loadgen.Report `json:"report"`
-	// Proxy-side windowed counters for the run (from /.piggy/stats).
-	ProxyPiggybacks int64 `json:"proxy_piggybacks"`
-	ProxyElements   int64 `json:"proxy_elements"`
-	ProxyRefreshes  int64 `json:"proxy_refreshes"`
-	OriginRequests  int64 `json:"origin_requests"`
-	// Upstream connection-pool counters (wire.upstream.* in the proxy's
-	// registry): how many origin connections the run dialed, how often a
-	// request had to wait at the per-host bound, and how many pooled
-	// connections were open when the run finished.
-	UpstreamDials int64 `json:"upstream_dials"`
-	PoolWaits     int64 `json:"pool_waits"`
-	UpstreamConns int64 `json:"upstream_conns_open"`
-	// Syscall budget of the proxies' client-facing servers for the run
-	// window: write/read syscalls per request served
-	// (wire.server.syscalls.* ÷ wire.server.requests). Vectored writes
-	// keep wr/op at ~1 regardless of concurrency; CI asserts the
-	// workers=64 fresh-hit row stays ≤ 2.
-	ServerWritesPerOp float64 `json:"server_writes_per_op"`
-	ServerReadsPerOp  float64 `json:"server_reads_per_op"`
-	// Failure telemetry (nonzero only under a -fault profile): expired
-	// entries served on upstream failure, breaker activity, and upstream
-	// errors by wireerr class.
-	Fault                string           `json:"fault"`
-	StaleServes          int64            `json:"stale_serves"`
-	BreakerOpens         int64            `json:"breaker_opens"`
-	BreakerShortCircuits int64            `json:"breaker_short_circuits"`
-	UpstreamErrs         int64            `json:"upstream_errs"`
-	UpstreamErrsByClass  map[string]int64 `json:"upstream_errs_by_class,omitempty"`
-	// Mesh telemetry (fleet-merged peer.* counters, nonzero only with
-	// -proxies > 1 and peering on): forwards routed to ring owners, the
-	// subset answered by the peer, forwards that fell back to the origin,
-	// and piggyback messages re-propagated across the fleet.
-	PeerForwards     int64 `json:"peer_forwards"`
-	PeerServes       int64 `json:"peer_serves"`
-	PeerFallbacks    int64 `json:"peer_fallbacks"`
-	PeerPropagations int64 `json:"peer_propagations"`
-	// Disk-tier telemetry (fleet-merged across proxy generations when the
-	// scenario restarts): with -disk, RAM evictions demoted to segment
-	// files, disk lookups served and promoted back to RAM, and the
-	// closing disk footprint. Restart marks scenarios whose fleet was
-	// killed and relaunched mid-run; with -disk the relaunch reopens the
-	// same directories, so origin fetches stay near the no-restart run —
-	// CI compares this row's OriginRequests against the diskless restart.
-	Disk           bool  `json:"disk,omitempty"`
-	Restart        bool  `json:"restart,omitempty"`
-	TierDemotions  int64 `json:"tier_demotions,omitempty"`
-	TierPromotions int64 `json:"tier_promotions,omitempty"`
-	TierDiskHits   int64 `json:"tier_disk_hits,omitempty"`
-	TierDiskBytes  int64 `json:"tier_disk_bytes,omitempty"`
+	name string
+	load
+	checks func(l load, o outcome) []check
 }
 
-// benchOutput is the BENCH_loadtest.json schema.
-type benchOutput struct {
-	Benchmark string     `json:"benchmark"` // "loadtest"
-	Timestamp string     `json:"timestamp"` // RFC 3339
-	Profile   string     `json:"profile"`
-	Scale     float64    `json:"scale"`
-	Mode      string     `json:"mode"`
-	Requests  int        `json:"requests_per_scenario"`
-	Warmup    int        `json:"warmup"`
-	Center    bool       `json:"via_center"`
-	Scenarios []scenario `json:"scenarios"`
+var scenarios = []scenario{
+	{
+		name: "smoke",
+		load: load{requests: 400, warmup: 50, workers: 16},
+		checks: func(_ load, o outcome) []check {
+			return []check{noErrors(o),
+				{o.upstreamConns > 1, fmt.Sprintf("16 workers spread over more than one upstream connection (%d open)", o.upstreamConns)}}
+		},
+	},
+	{
+		// The writev-batched serve path answers a fresh hit in one
+		// vectored write, however many clients there are.
+		name: "syscalls",
+		load: load{requests: 4000, warmup: 400, workers: 64},
+		checks: func(_ load, o outcome) []check {
+			return []check{noErrors(o),
+				{o.writesPerOp <= 2, fmt.Sprintf("at most 2 server write syscalls per request at 64 workers (%.2f)", o.writesPerOp)}}
+		},
+	},
+	{
+		// The proxy absorbs a brownout: upstream failures are seen and
+		// classified, and expired entries are served stale, not 5xx.
+		name: "brownout",
+		load: load{requests: 1000, warmup: 100, workers: 16, rate: 400,
+			fault: "brownout", faultSeed: 7, delta: 1, upTimeout: 250 * time.Millisecond},
+		checks: func(_ load, o outcome) []check {
+			return []check{noErrors(o),
+				{o.upstreamErrs > 0, fmt.Sprintf("upstream failures seen and classified (%d)", o.upstreamErrs)},
+				{o.staleServes > 0, fmt.Sprintf("expired entries served stale (%d)", o.staleServes)}}
+		},
+	},
+	{
+		// A fleet relaunched over its disk tier serves the first
+		// generation's working set without going back to the origin; the
+		// same restart without a disk tier is what that is compared to.
+		name: "restart-warm",
+		load: load{requests: 1000, warmup: 100, workers: 4, restart: true, disk: true},
+		checks: func(l load, warm outcome) []check {
+			l.disk = false
+			cold := drive("restart-cold", l)
+			return []check{noErrors(warm),
+				{warm.diskHits > 0, fmt.Sprintf("the relaunched proxy served disk hits (%d)", warm.diskHits)},
+				{2*warm.originRequests <= cold.originRequests, fmt.Sprintf("warm restart costs at most half the origin fetches of a cold one (%d vs %d)",
+					warm.originRequests, cold.originRequests)}}
+		},
+	},
+	{
+		name: "mesh",
+		load: load{requests: 1000, warmup: 100, workers: 16, proxies: 3, hotKey: 0.3},
+		checks: func(_ load, o outcome) []check {
+			return []check{noErrors(o),
+				{o.rep.PeerHits > 0, fmt.Sprintf("misses came back peer-served (%d)", o.rep.PeerHits)},
+				{o.peerForwards > 0, fmt.Sprintf("misses were routed to ring owners (%d)", o.peerForwards)}}
+		},
+	},
+	{
+		// A member's death stays invisible to clients: forwards to the
+		// dead owner fall back to the origin.
+		name: "killpeer",
+		load: load{requests: 1000, warmup: 100, workers: 16, proxies: 3, killPeer: true},
+		checks: func(_ load, o outcome) []check {
+			return []check{noErrors(o),
+				{o.peerFallbacks > 0, fmt.Sprintf("forwards to the dead owner fell back to the origin (%d)", o.peerFallbacks)}}
+		},
+	},
 }
+
+// The workload every scenario replays, and the site it browses.
+var (
+	workload trace.Log
+	site     *tracegen.Site
+)
 
 func main() {
 	log.SetFlags(0)
-	opt := parseFlags()
-
-	if opt.cpuprofile != "" {
-		f, err := os.Create(opt.cpuprofile)
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+	flag.Parse()
+	var run []scenario
+	for _, name := range flag.Args() {
+		run = append(run, named(name))
+	}
+	if len(run) == 0 {
+		run = scenarios
+	}
+	if *cpuprofile != "" {
+		f, err := os.Create(*cpuprofile)
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
 			log.Fatal(err)
 		}
-		defer pprof.StopCPUProfile()
 	}
-	defer writeMemProfile(opt.memprofile)
 
-	workload, site := buildWorkload(opt)
-	fmt.Printf("workload: profile %s ×%.3g → %d requests over %d resources\n",
-		opt.profile, opt.scale, len(workload), len(site.Resources))
+	cfg := tracegen.ProfileAIUSA(0.01)
+	cfg.Seed = seed
+	var raw trace.Log
+	raw, site = tracegen.GenerateServerLog(cfg)
+	workload = raw.Clean()
+	fmt.Printf("workload: aiusa ×0.01 → %d requests over %d resources\n", len(workload), len(site.Resources))
 
-	out := benchOutput{
-		Benchmark: "loadtest",
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
-		Profile:   opt.profile,
-		Scale:     opt.scale,
-		Mode:      opt.mode,
-		Requests:  opt.requests,
-		Warmup:    opt.warmup,
-		Center:    opt.center,
-	}
-	tbl := &metrics.Table{Header: []string{
-		"scenario", "piggy", "workers", "proxies", "peer", "fault", "restart", "reqs", "errs", "rps",
-		"p50ms", "p90ms", "p99ms", "maxms", "hit%", "peerhit%", "proxyhit%",
-		"piggybacks", "elems", "origin", "dials", "poolwaits", "upconns",
-		"wr/op", "rd/op",
-		"stale", "bropen", "uperr", "pfwd", "pfall", "prop",
-		"demote", "promote", "dhit",
-	}}
-	for _, fault := range opt.faults {
-		for _, piggy := range opt.piggyback {
-			for _, nproxies := range opt.proxies {
-				// A single proxy has no mesh: the peering axis collapses
-				// to one (identical) row.
-				peerAxis := opt.peering
-				if nproxies == 1 {
-					peerAxis = opt.peering[:1]
-				}
-				for _, peering := range peerAxis {
-					for _, restart := range opt.restart {
-						for _, workers := range opt.workers {
-							sc := runScenario(opt, workload, site, cell{
-								piggy: piggy, workers: workers, fault: fault,
-								proxies: nproxies, peering: peering,
-								restart: restart,
-							})
-							out.Scenarios = append(out.Scenarios, sc)
-							r := sc.Report
-							tbl.AddRow(sc.Name, onOff(piggy), workers, sc.Proxies, onOff(sc.Peering),
-								fault, onOff(sc.Restart), r.Requests, r.Errors,
-								r.ThroughputRPS, ms(r.P50us), ms(r.P90us), ms(r.P99us),
-								ms(float64(r.MaxUs)), metrics.Pct(r.HitRatio),
-								metrics.Pct(r.PeerHitRatio), pctOrDash(r.ProxyHitRatio),
-								sc.ProxyPiggybacks, sc.ProxyElements, sc.OriginRequests,
-								sc.UpstreamDials, sc.PoolWaits, sc.UpstreamConns,
-								fmt.Sprintf("%.2f", sc.ServerWritesPerOp),
-								fmt.Sprintf("%.2f", sc.ServerReadsPerOp),
-								sc.StaleServes, sc.BreakerOpens, sc.UpstreamErrs,
-								sc.PeerForwards, sc.PeerFallbacks, sc.PeerPropagations,
-								sc.TierDemotions, sc.TierPromotions, sc.TierDiskHits)
-						}
-					}
-				}
+	failed := 0
+	for _, sc := range run {
+		for _, c := range sc.checks(sc.load, drive(sc.name, sc.load)) {
+			verdict := "ok  "
+			if !c.ok {
+				verdict = "FAIL"
+				failed++
 			}
+			fmt.Printf("  %s %s\n", verdict, c.what)
 		}
 	}
-	fmt.Println()
-	fmt.Print(tbl.String())
-
-	buf, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := os.WriteFile(opt.jsonPath, append(buf, '\n'), 0o644); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nwrote %s (%d scenarios)\n", opt.jsonPath, len(out.Scenarios))
-}
-
-// writeMemProfile dumps a post-GC heap profile, so allocation audits see
-// retained memory rather than collectable garbage.
-func writeMemProfile(path string) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		log.Fatal(err)
+	// Not deferred: a failed run still leaves a readable profile.
+	pprof.StopCPUProfile()
+	if failed > 0 {
+		log.Fatalf("loadtest: %d checks failed", failed)
 	}
 }
 
-func parseFlags() options {
-	var opt options
-	var workers, piggy, faults string
-	flag.StringVar(&opt.profile, "profile", "aiusa", "tracegen profile: aiusa|apache|sun")
-	flag.Float64Var(&opt.scale, "scale", 0.02, "workload scale factor")
-	flag.StringVar(&opt.mode, "mode", "closed", "load discipline: closed|open")
-	flag.StringVar(&workers, "workers", "1,4,16,64", "comma-separated concurrency sweep")
-	flag.IntVar(&opt.requests, "requests", 2000, "requests per scenario")
-	flag.IntVar(&opt.warmup, "warmup", 200, "leading completions excluded from the report")
-	flag.StringVar(&piggy, "piggyback", "on,off", "piggybacking axis: on, off, or on,off")
-	flag.IntVar(&opt.maxPiggy, "maxpiggy", 10, "filter maxpiggy attribute")
-	flag.Int64Var(&opt.delta, "delta", 900, "proxy freshness interval Δ (seconds)")
-	flag.DurationVar(&opt.think, "think", 0, "closed-loop mean think time")
-	flag.Float64Var(&opt.rate, "rate", 500, "open-loop arrival rate (req/s)")
-	flag.BoolVar(&opt.center, "center", false, "route through a transparent volume center")
-	flag.BoolVar(&opt.prefetch, "prefetch", false, "enable proxy prefetching")
-	flag.StringVar(&opt.jsonPath, "json", "BENCH_loadtest.json", "machine-readable output path")
-	flag.Int64Var(&opt.seed, "seed", 1, "workload seed")
-	flag.StringVar(&faults, "fault", "none",
-		"comma-separated fault-profile axis: none|latency|truncate|blackhole|reset|brownout")
-	flag.Int64Var(&opt.faultSeed, "faultseed", 1, "fault schedule seed")
-	flag.DurationVar(&opt.upTimeout, "uptimeout", 0,
-		"proxy upstream exchange timeout (0 = client default)")
-	flag.Int64Var(&opt.maxStale, "maxstale", 3600,
-		"serve-stale-on-error window in seconds (negative disables)")
-	flag.IntVar(&opt.breakerFailures, "breaker-failures", 5,
-		"consecutive upstream failures that trip the proxy's circuit breaker")
-	flag.DurationVar(&opt.breakerBackoff, "breaker-backoff", 500*time.Millisecond,
-		"initial breaker open interval")
-	flag.BoolVar(&opt.breakerOff, "breaker-off", false, "disable the circuit breaker")
-	var proxies, peering string
-	flag.StringVar(&proxies, "proxies", "1", "comma-separated fleet-size axis (e.g. 1,3)")
-	flag.StringVar(&peering, "peering", "on",
-		"cooperative-mesh axis for multi-proxy fleets: on, off, or on,off")
-	flag.Int64Var(&opt.cacheMB, "cachemb", 64,
-		"aggregate fleet cache capacity in MiB, split evenly across -proxies")
-	flag.Float64Var(&opt.hotKey, "hotkey", 0,
-		"hot-key skew: fraction of requests redirected to one popular URL (e.g. 0.3)")
-	flag.BoolVar(&opt.killPeer, "killpeer", false,
-		"kill the last fleet member once half the requests have completed (requires -proxies > 1)")
-	var restart string
-	flag.BoolVar(&opt.disk, "disk", false,
-		"give each proxy a disk cache tier (temp directory, removed after the run)")
-	flag.Int64Var(&opt.diskCap, "disk-cap", 256<<20, "disk tier capacity in bytes per proxy")
-	flag.StringVar(&restart, "restart", "off",
-		"restart axis: off, on, or on,off — on kills and relaunches the fleet once half the requests have completed (with -disk the relaunch reopens the same directories and serves warm)")
-	flag.StringVar(&opt.cpuprofile, "cpuprofile", "", "write a CPU profile of the whole run to this file")
-	flag.StringVar(&opt.memprofile, "memprofile", "", "write a post-run heap profile to this file")
-	flag.Parse()
-
-	for _, w := range strings.Split(workers, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(w))
-		if err != nil || n <= 0 {
-			log.Fatalf("loadtest: bad -workers element %q", w)
-		}
-		opt.workers = append(opt.workers, n)
-	}
-	for _, p := range strings.Split(proxies, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || n <= 0 {
-			log.Fatalf("loadtest: bad -proxies element %q", p)
-		}
-		opt.proxies = append(opt.proxies, n)
-	}
-	for _, p := range strings.Split(peering, ",") {
-		switch strings.TrimSpace(p) {
-		case "on":
-			opt.peering = append(opt.peering, true)
-		case "off":
-			opt.peering = append(opt.peering, false)
-		default:
-			log.Fatalf("loadtest: bad -peering element %q", p)
+func named(name string) scenario {
+	for _, sc := range scenarios {
+		if sc.name == name {
+			return sc
 		}
 	}
-	if opt.hotKey < 0 || opt.hotKey >= 1 {
-		log.Fatalf("loadtest: -hotkey %g must be in [0, 1)", opt.hotKey)
-	}
-	for _, r := range strings.Split(restart, ",") {
-		switch strings.TrimSpace(r) {
-		case "on":
-			opt.restart = append(opt.restart, true)
-		case "off":
-			opt.restart = append(opt.restart, false)
-		default:
-			log.Fatalf("loadtest: bad -restart element %q", r)
-		}
-	}
-	for _, p := range strings.Split(piggy, ",") {
-		switch strings.TrimSpace(p) {
-		case "on":
-			opt.piggyback = append(opt.piggyback, true)
-		case "off":
-			opt.piggyback = append(opt.piggyback, false)
-		default:
-			log.Fatalf("loadtest: bad -piggyback element %q", p)
-		}
-	}
-	for _, f := range strings.Split(faults, ",") {
-		f = strings.TrimSpace(f)
-		if _, ok := faultconn.Profiles(f); !ok {
-			log.Fatalf("loadtest: unknown -fault profile %q", f)
-		}
-		if f == "" {
-			f = "none"
-		}
-		opt.faults = append(opt.faults, f)
-	}
-	if opt.mode != "closed" && opt.mode != "open" {
-		log.Fatalf("loadtest: bad -mode %q", opt.mode)
-	}
-	if opt.warmup >= opt.requests {
-		log.Fatalf("loadtest: -warmup %d must be < -requests %d", opt.warmup, opt.requests)
-	}
-	return opt
+	log.Fatalf("loadtest: no scenario %q", name)
+	return scenario{}
 }
 
-// buildWorkload generates the synthetic trace and site for the profile.
-func buildWorkload(opt options) (trace.Log, *tracegen.Site) {
-	var cfg tracegen.SiteConfig
-	switch opt.profile {
-	case "aiusa":
-		cfg = tracegen.ProfileAIUSA(opt.scale)
-	case "apache":
-		cfg = tracegen.ProfileApache(opt.scale)
-	case "sun":
-		cfg = tracegen.ProfileSun(opt.scale)
-	default:
-		log.Fatalf("loadtest: unknown profile %q", opt.profile)
+// skew redirects a hotKey fraction of the records (seeded, reproducible)
+// to the trace's first URL.
+func skew(records trace.Log, hotKey float64) trace.Log {
+	if hotKey <= 0 {
+		return records
 	}
-	cfg.Seed = opt.seed
-	workload, site := tracegen.GenerateServerLog(cfg)
-	return applyHotKey(workload.Clean(), opt), site
-}
-
-// applyHotKey skews the workload: a -hotkey fraction of the records are
-// redirected (seeded, reproducible) to the trace's first URL, modeling a
-// flash-crowd resource. On a mesh this concentrates the hot key on one
-// ring owner; every other fleet member should absorb it as a local cache
-// hit after its first peer fetch.
-func applyHotKey(workload trace.Log, opt options) trace.Log {
-	if opt.hotKey <= 0 || len(workload) == 0 {
-		return workload
-	}
-	hot := workload[0].URL
-	rng := rand.New(rand.NewSource(opt.seed * 31))
-	out := make(trace.Log, len(workload))
-	copy(out, workload)
+	rng := rand.New(rand.NewSource(seed * 31))
+	out := make(trace.Log, len(records))
+	copy(out, records)
 	for i := range out {
-		if rng.Float64() < opt.hotKey {
-			out[i].URL = hot
+		if rng.Float64() < hotKey {
+			out[i].URL = records[0].URL
 		}
 	}
 	return out
 }
 
-// cell is one coordinate of the scenario matrix.
-type cell struct {
-	piggy   bool
-	workers int
-	proxies int
-	peering bool
-	fault   string
-	restart bool
-}
-
-// fleet is one generation of proxies: a restart scenario tears one down
-// mid-run and launches a successor over the same disk directories.
+// fleet is one generation of proxies: a restart tears one down mid-run
+// and launches a successor over the same disk directories.
 type fleet struct {
 	pls   []net.Listener
 	addrs []string
@@ -465,11 +259,59 @@ type fleet struct {
 	psrvs []*httpwire.Server
 }
 
+// launch starts one proxy per directory (an empty name means no disk
+// tier), meshed when there is more than one.
+func launch(l load, upstream string, diskDirs []string) *fleet {
+	n := len(diskDirs)
+	f := &fleet{
+		pls:   make([]net.Listener, n),
+		addrs: make([]string, n),
+		pxs:   make([]*proxy.Proxy, n),
+		psrvs: make([]*httpwire.Server, n),
+	}
+	for i := range f.pls {
+		f.pls[i] = listen()
+		f.addrs[i] = f.pls[i].Addr().String()
+	}
+	for i := range f.pxs {
+		pcfg := proxy.Config{
+			CacheBytes:      cacheBytes / int64(n),
+			Delta:           l.delta,
+			Clock:           clock,
+			Resolve:         func(string) (string, error) { return upstream, nil },
+			BaseFilter:      core.Filter{MaxPiggy: maxPiggy},
+			UpstreamTimeout: l.upTimeout,
+			BreakerSeed:     l.faultSeed,
+		}
+		if pcfg.Delta == 0 {
+			pcfg.Delta = 900
+		}
+		if diskDirs[i] != "" {
+			ram := cache.NewSharded(pcfg.CacheBytes, 0, cache.PolicyFactory(cache.PiggybackLRU{}))
+			ts, err := tiered.New(ram, tiered.Config{Dir: diskDirs[i], DiskBytes: diskBytes / int64(n)})
+			if err != nil {
+				log.Fatalf("loadtest: disk tier: %v", err)
+			}
+			pcfg.Store = ts
+		}
+		if n > 1 {
+			pcfg.PeerSelf = f.addrs[i]
+			pcfg.Peers = f.addrs
+		}
+		f.pxs[i] = proxy.New(pcfg)
+		f.psrvs[i] = &httpwire.Server{Handler: f.pxs[i],
+			Obs: obs.NewWireMetrics(f.pxs[i].Obs(), "wire.server")}
+		go f.psrvs[i].Serve(f.pls[i])
+	}
+	return f
+}
+
 // close tears the generation down — servers first so no request races the
 // proxy Close, then the proxies themselves (a disk-tiered proxy flushes
 // its RAM working set and snapshots its index here, exactly like a real
-// process handling SIGTERM).
-func (f *fleet) close() {
+// process handling SIGTERM) — and returns the disk hits it served, which
+// live in the stores' process memory and die with them.
+func (f *fleet) close() (diskHits int64) {
 	for _, s := range f.psrvs {
 		s.Close()
 	}
@@ -477,15 +319,14 @@ func (f *fleet) close() {
 		l.Close()
 	}
 	for _, p := range f.pxs {
+		diskHits += p.CacheStats().DiskHits
 		p.Close()
 	}
+	return diskHits
 }
 
-// runScenario stands up a fresh stack and drives one load run through it.
-func runScenario(opt options, workload trace.Log, site *tracegen.Site, c cell) scenario {
-	piggy, workers, fault := c.piggy, c.workers, c.fault
-	clock := func() int64 { return time.Now().Unix() }
-
+// drive stands up a fresh stack for l and runs its traffic through it.
+func drive(name string, l load) outcome {
 	// Origin: the site's resources, last modified well before the run.
 	st := server.NewStore()
 	for _, r := range site.ResourceTable() {
@@ -493,26 +334,29 @@ func runScenario(opt options, workload trace.Log, site *tracegen.Site, c cell) s
 			LastModified: r.LastModifiedAt(site.Config.StartTime)})
 	}
 	vols := core.NewDirVolumes(core.DirConfig{
-		Level: 1, MTF: true, ServerMaxPiggy: opt.maxPiggy, PartitionByType: true,
+		Level: 1, MTF: true, ServerMaxPiggy: maxPiggy, PartitionByType: true,
 	})
 	origin := server.New(st, vols, clock)
 	ol := listen()
-	// The fault profile sits on the origin's listener, so the proxy (or
-	// center) dials through the degraded path.
-	profile, _ := faultconn.Profiles(fault)
-	fl := faultconn.NewListener(ol, profile, opt.faultSeed)
+	// The fault profile sits on the origin's listener, so the proxies dial
+	// through the degraded path.
+	profile, ok := faultconn.Profiles(l.fault)
+	if !ok {
+		log.Fatalf("loadtest: scenario %s: no fault profile %q", name, l.fault)
+	}
+	fl := faultconn.NewListener(ol, profile, l.faultSeed)
 	osrv := &httpwire.Server{Handler: origin,
 		Obs: obs.NewWireMetrics(origin.Obs(), "wire.server")}
 	go osrv.Serve(fl)
 	defer osrv.Close()
 
 	// Under a fault profile, churn upstream connections during the run:
-	// persistent pooled connections only consult the fault schedule at
-	// dial time, so a run that rode one lucky healthy connection would
-	// measure nothing. Periodic aborts model the flaky-network half of a
-	// brownout (exchanges die mid-flight) and force redials through the
-	// seeded schedule.
-	if fault != "none" {
+	// persistent connections only consult the fault schedule at dial time,
+	// so a run that rode one lucky healthy connection would measure
+	// nothing. Periodic aborts model the flaky-network half of a brownout
+	// (exchanges die mid-flight) and force redials through the seeded
+	// schedule.
+	if l.fault != "" {
 		churnStop := make(chan struct{})
 		defer close(churnStop)
 		go func() {
@@ -527,41 +371,12 @@ func runScenario(opt options, workload trace.Log, site *tracegen.Site, c cell) s
 		}()
 	}
 
-	// Optional transparent volume center between proxy and origin.
-	upstream := ol.Addr().String()
-	if opt.center {
-		ctr := center.New(center.Config{
-			Clock:   clock,
-			Resolve: func(string) (string, error) { return ol.Addr().String(), nil },
-		})
-		defer ctr.Close()
-		cl := listen()
-		csrv := &httpwire.Server{Handler: ctr,
-			Obs: obs.NewWireMetrics(ctr.Obs(), "wire.server")}
-		go csrv.Serve(cl)
-		defer csrv.Close()
-		upstream = cl.Addr().String()
+	n := l.proxies
+	if n == 0 {
+		n = 1
 	}
-
-	filter := core.Filter{MaxPiggy: opt.maxPiggy}
-	if !piggy {
-		filter = core.Filter{Disabled: true}
-	}
-
-	// The fleet: -proxies members, each with an equal slice of the
-	// aggregate -cachemb capacity so fleet sizes compare at constant total
-	// cache. With peering on, every member advertises its own listener
-	// address and the full member list; with peering off the members are
-	// independent caches (the "N separate proxies" baseline). With -disk,
-	// each member slot gets a persistent temp directory for its disk
-	// tier; a restart relaunches the fleet over the same directories, so
-	// the successor generation serves the predecessor's working set warm.
-	nproxies := c.proxies
-	if nproxies <= 0 {
-		nproxies = 1
-	}
-	diskDirs := make([]string, nproxies)
-	if opt.disk {
+	diskDirs := make([]string, n)
+	if l.disk {
 		for i := range diskDirs {
 			d, err := os.MkdirTemp("", "loadtest-tier-")
 			if err != nil {
@@ -571,72 +386,16 @@ func runScenario(opt options, workload trace.Log, site *tracegen.Site, c cell) s
 			defer os.RemoveAll(d)
 		}
 	}
-	// Tier counters live in the store's process memory, so a restart
-	// scenario must bank the first generation's numbers before closing it.
-	var tierBanked cache.StoreStats
-	launchFleet := func() *fleet {
-		f := &fleet{
-			pls:   make([]net.Listener, nproxies),
-			addrs: make([]string, nproxies),
-			pxs:   make([]*proxy.Proxy, nproxies),
-			psrvs: make([]*httpwire.Server, nproxies),
-		}
-		for i := range f.pls {
-			f.pls[i] = listen()
-			f.addrs[i] = f.pls[i].Addr().String()
-		}
-		for i := range f.pxs {
-			pcfg := proxy.Config{
-				CacheBytes: opt.cacheMB << 20 / int64(nproxies),
-				Delta:      opt.delta, Clock: clock,
-				Resolve:         func(string) (string, error) { return upstream, nil },
-				BaseFilter:      filter,
-				Prefetch:        opt.prefetch,
-				UpstreamTimeout: opt.upTimeout,
-				MaxStaleOnError: opt.maxStale,
-				BreakerFailures: opt.breakerFailures,
-				BreakerBackoff:  opt.breakerBackoff,
-				BreakerDisabled: opt.breakerOff,
-				BreakerSeed:     opt.faultSeed,
-			}
-			if opt.disk {
-				ram := cache.NewSharded(pcfg.CacheBytes, 0, cache.PolicyFactory(cache.PiggybackLRU{}))
-				ts, err := tiered.New(ram, tiered.Config{
-					Dir: diskDirs[i], DiskBytes: opt.diskCap / int64(nproxies),
-				})
-				if err != nil {
-					log.Fatalf("loadtest: disk tier: %v", err)
-				}
-				pcfg.Store = ts
-			}
-			if c.peering && nproxies > 1 {
-				pcfg.PeerSelf = f.addrs[i]
-				pcfg.Peers = f.addrs
-			}
-			f.pxs[i] = proxy.New(pcfg)
-			f.psrvs[i] = &httpwire.Server{Handler: f.pxs[i],
-				Obs: obs.NewWireMetrics(f.pxs[i].Obs(), "wire.server")}
-			go f.psrvs[i].Serve(f.pls[i])
-		}
-		return f
-	}
-	cur := launchFleet()
+	cur := launch(l, ol.Addr().String(), diskDirs)
 	defer func() { cur.close() }()
-	pxs, psrvs, pls, addrs := cur.pxs, cur.psrvs, cur.pls, cur.addrs
 
-	// With -killpeer, clients drive every member except the victim (the
-	// last one), which participates only as a ring owner; once half the
-	// requests have completed it is killed, and the survivors' forwards
-	// into its partition must fall back to the origin with no
-	// client-visible errors.
-	targetAddrs := addrs
-	killPeer := opt.killPeer && nproxies > 1
-	if killPeer {
-		targetAddrs = addrs[:nproxies-1]
+	targets := cur.addrs
+	if l.killPeer {
+		targets = cur.addrs[:n-1]
+		victim, survivors := cur.psrvs[n-1], cur.pxs[:n-1]
 		done := make(chan struct{})
 		defer close(done)
 		go func() {
-			half := opt.requests / 2
 			for {
 				select {
 				case <-done:
@@ -644,148 +403,76 @@ func runScenario(opt options, workload trace.Log, site *tracegen.Site, c cell) s
 				case <-time.After(10 * time.Millisecond):
 				}
 				total := 0
-				for _, p := range pxs[:nproxies-1] {
+				for _, p := range survivors {
 					total += p.Stats().ClientRequests
 				}
-				if total >= half {
-					psrvs[nproxies-1].Close()
-					pls[nproxies-1].Close()
+				if total >= l.requests/2 {
+					victim.Close()
 					return
 				}
 			}
 		}()
 	}
 
-	mode := loadgen.Closed
-	if opt.mode == "open" {
-		mode = loadgen.Open
-	}
-	name := fmt.Sprintf("piggy=%s/workers=%d", onOff(piggy), workers)
-	if nproxies > 1 {
-		name += fmt.Sprintf("/proxies=%d/peering=%s", nproxies, onOff(c.peering))
-	}
-	if opt.hotKey > 0 {
-		name += fmt.Sprintf("/hotkey=%.2g", opt.hotKey)
-	}
-	if killPeer {
-		name += "/killpeer"
-	}
-	if fault != "none" {
-		name += "/fault=" + fault
-	}
-	if opt.disk {
-		name += "/disk"
-	}
-	if c.restart {
-		name += "/restart"
-	}
-	if c.restart && killPeer {
-		log.Fatalf("loadtest: -restart and -killpeer are mutually exclusive")
-	}
-	fmt.Printf("running %-48s ... ", name)
-	runHalf := func(requests, warmup int) *loadgen.Report {
+	fmt.Printf("running %-13s ... ", name)
+	records := skew(workload, l.hotKey)
+	half := func(requests, warmup int) *loadgen.Report {
+		mode := loadgen.Closed
+		if l.rate > 0 {
+			mode = loadgen.Open
+		}
 		rep, err := loadgen.RunContext(context.Background(), loadgen.Config{
-			Addrs:      targetAddrs,
-			Records:    workload,
+			Addrs:      targets,
+			Records:    records,
 			Host:       host,
 			Mode:       mode,
-			Workers:    workers,
-			Think:      opt.think,
-			Rate:       opt.rate,
+			Workers:    l.workers,
+			Rate:       l.rate,
 			Requests:   requests,
 			Warmup:     warmup,
-			Seed:       opt.seed,
-			StatsAddrs: targetAddrs,
+			Seed:       seed,
+			StatsAddrs: targets,
 		})
 		if err != nil {
 			log.Fatalf("loadtest: scenario %s: %v", name, err)
 		}
 		return rep
 	}
-	var rep *loadgen.Report
-	if c.restart {
-		// First half populates the fleet, then the whole fleet is killed
-		// and relaunched (with -disk, over the same directories). The
-		// reported latency/throughput is the post-restart half — the run
-		// that shows whether the restart was warm; requests and errors
-		// are summed so the row covers the whole scenario.
-		firstHalf := runHalf(opt.requests/2, opt.warmup)
-		for _, p := range pxs {
-			tierBanked = addTier(tierBanked, p.CacheStats())
-		}
-		cur.close()
-		cur = launchFleet()
-		pxs, psrvs, pls, addrs = cur.pxs, cur.psrvs, cur.pls, cur.addrs
-		_, _ = psrvs, pls
-		targetAddrs = addrs
-		rep = runHalf(opt.requests-opt.requests/2, 0)
-		rep.Requests += firstHalf.Requests
-		rep.Errors += firstHalf.Errors
+	var o outcome
+	if l.restart {
+		first := half(l.requests/2, l.warmup)
+		o.diskHits = cur.close()
+		cur = launch(l, ol.Addr().String(), diskDirs)
+		targets = cur.addrs
+		o.rep = half(l.requests-l.requests/2, 0)
+		o.rep.Errors += first.Errors
 	} else {
-		rep = runHalf(opt.requests, opt.warmup)
+		o.rep = half(l.requests, l.warmup)
 	}
-	fmt.Printf("%6.0f req/s, p99 %s\n", rep.ThroughputRPS, ms(rep.P99us))
+	fmt.Printf("%6.0f req/s, p99 %.2f ms\n", o.rep.ThroughputRPS, o.rep.P99us/1000)
 
-	sc := scenario{Name: name, Piggyback: piggy, Workers: workers, Fault: fault,
-		Proxies: nproxies, Peering: c.peering && nproxies > 1,
-		HotKey: opt.hotKey, KillPeer: killPeer,
-		Disk: opt.disk, Restart: c.restart,
-		Report: rep, OriginRequests: int64(origin.Stats().Requests)}
-	tier := tierBanked
-	for _, p := range pxs {
-		tier = addTier(tier, p.CacheStats())
+	o.originRequests = int64(origin.Stats().Requests)
+	for _, p := range cur.pxs {
+		o.diskHits += p.CacheStats().DiskHits
+		// conns_open is a gauge, so read the live value rather than the
+		// run-window delta.
+		o.upstreamConns += p.Obs().Snapshot().Counter("wire.upstream.conns_open")
 	}
-	sc.TierDemotions = tier.Demotions
-	sc.TierPromotions = tier.Promotions
-	sc.TierDiskHits = tier.DiskHits
-	sc.TierDiskBytes = tier.DiskBytes
-	if d := rep.StatsDelta; d != nil {
-		sc.ProxyPiggybacks = d.Counter("proxy.piggybacks_received")
-		sc.ProxyElements = d.Counter("proxy.piggyback_elements")
-		sc.ProxyRefreshes = d.Counter("proxy.refreshes")
-		sc.UpstreamDials = d.Counter("wire.upstream.dials")
-		sc.PoolWaits = d.Counter("wire.upstream.pool_waits")
+	if d := o.rep.StatsDelta; d != nil {
 		if served := d.Counter("wire.server.requests"); served > 0 {
-			sc.ServerWritesPerOp = float64(d.Counter("wire.server.syscalls.writes")) / float64(served)
-			sc.ServerReadsPerOp = float64(d.Counter("wire.server.syscalls.reads")) / float64(served)
+			o.writesPerOp = float64(d.Counter("wire.server.syscalls.writes")) / float64(served)
 		}
-		sc.StaleServes = d.Counter("proxy.stale_serves")
-		sc.BreakerOpens = d.Counter("proxy.breaker.opens")
-		sc.BreakerShortCircuits = d.Counter("proxy.breaker.short_circuits")
-		sc.PeerForwards = d.Counter("peer.forwards")
-		sc.PeerServes = d.Counter("peer.serves")
-		sc.PeerFallbacks = d.Counter("peer.fallbacks")
-		sc.PeerPropagations = d.Counter("peer.propagations_sent")
+		o.staleServes = d.Counter("proxy.stale_serves")
+		o.peerForwards = d.Counter("peer.forwards")
+		o.peerFallbacks = d.Counter("peer.fallbacks")
 		for _, class := range []string{"dial_timeout", "request_timeout", "canceled", "circuit_open", "truncated", "other"} {
-			if n := d.Counter("wire.upstream.err." + class); n > 0 {
-				if sc.UpstreamErrsByClass == nil {
-					sc.UpstreamErrsByClass = make(map[string]int64)
-				}
-				sc.UpstreamErrsByClass[class] = n
-				sc.UpstreamErrs += n
-			}
+			o.upstreamErrs += d.Counter("wire.upstream.err." + class)
 		}
 	}
-	// conns_open is a gauge, so read the live value rather than the
-	// run-window delta: it is the fleet's origin fan-out at the end of the
-	// sweep.
-	for _, p := range pxs {
-		sc.UpstreamConns += p.Obs().Snapshot().Counter("wire.upstream.conns_open")
-	}
-	return sc
+	return o
 }
 
-// addTier accumulates the tier-side counters across fleet members and
-// proxy generations (the per-lookup hit/miss fields are left alone: the
-// report's proxy hit ratio already covers those).
-func addTier(a, b cache.StoreStats) cache.StoreStats {
-	a.Demotions += b.Demotions
-	a.Promotions += b.Promotions
-	a.DiskHits += b.DiskHits
-	a.DiskBytes += b.DiskBytes
-	a.Compactions += b.Compactions
-	return a
-}
+func clock() int64 { return time.Now().Unix() }
 
 func listen() net.Listener {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -793,21 +480,4 @@ func listen() net.Listener {
 		log.Fatal(err)
 	}
 	return l
-}
-
-func onOff(b bool) string {
-	if b {
-		return "on"
-	}
-	return "off"
-}
-
-// ms renders microseconds as a millisecond string.
-func ms(us float64) string { return fmt.Sprintf("%.2f", us/1000) }
-
-func pctOrDash(v float64) string {
-	if v < 0 {
-		return "-"
-	}
-	return metrics.Pct(v)
 }

@@ -100,3 +100,35 @@ func TestDeltaValidationStillWorksUnchanged(t *testing.T) {
 		t.Errorf("stats = %+v", ps)
 	}
 }
+
+// TestCorruptDeltaRefetchesWholeBody: a 226 whose patch does not apply
+// must not leave the client, or the cache, with the version the origin has
+// just said is outdated. The proxy drops its copy and asks again without
+// A-IM in the same request, so the next validation cannot fail the same
+// way.
+func TestCorruptDeltaRefetchesWholeBody(t *testing.T) {
+	sb := newSeamBed(t, Config{Delta: 600, DeltaEncoding: true})
+	old := sb.get(seamKey)
+	sb.store.Modify(seamPath, 5000, 0)
+	sb.now.Add(700)
+	sb.mode.Store(originCorrupt)
+
+	r := sb.get(seamKey)
+	if r.Status != 200 || r.Header.Get("X-Cache") != "MISS" {
+		t.Fatalf("answer %d %s, want 200 MISS", r.Status, r.Header.Get("X-Cache"))
+	}
+	if lm, _ := r.LastModified(); lm != 5000 || string(r.Body) == string(old.Body) {
+		t.Fatalf("served Last-Modified %d (body changed: %v), want the new version",
+			lm, string(r.Body) != string(old.Body))
+	}
+	if ps := sb.proxy.Stats(); ps.UpstreamErrors != 1 || ps.DeltaUpdates != 0 {
+		t.Errorf("UpstreamErrors %d DeltaUpdates %d, want 1 and 0", ps.UpstreamErrors, ps.DeltaUpdates)
+	}
+
+	sb.now.Add(10)
+	again := sb.get(seamKey)
+	if again.Header.Get("X-Cache") != "HIT" || string(again.Body) != string(r.Body) {
+		t.Errorf("next request: X-Cache %s, same body %v; want a fresh hit on the new version",
+			again.Header.Get("X-Cache"), string(again.Body) == string(r.Body))
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"piggyback/internal/cache"
 	"piggyback/internal/core"
 	"piggyback/internal/httpwire"
 	"piggyback/internal/obs"
@@ -30,14 +29,13 @@ import (
 // in the fleet without extra origin traffic.
 
 // mesh holds the proxy's peer-tier state: the ring, the recent-requester
-// tracker, a dedicated wire client and circuit breaker for peer traffic,
-// the async propagation queue, and the peer.* counters.
+// tracker, a leg of its own (wire client and per-peer circuit breaker) for
+// peer traffic, the async propagation queue, and the peer.* counters.
 type mesh struct {
+	leg
 	self    string
 	ring    *peer.Ring
 	tracker *peer.Tracker
-	client  *httpwire.Client
-	breaker *breaker
 	timeout time.Duration
 
 	// Propagation runs off the request path: jobs queue here and one
@@ -84,14 +82,9 @@ func newMesh(cfg Config, reg *obs.Registry) *mesh {
 	if cfg.PeerSelf == "" {
 		return nil
 	}
-	peers := cfg.Peers
-	ring := peer.NewRing(append(append([]string{}, peers...), cfg.PeerSelf), cfg.PeerVNodes)
+	ring := peer.NewRing(append(append([]string{}, cfg.Peers...), cfg.PeerSelf), peer.DefaultVNodes)
 	if ring.Size() < 2 {
 		return nil
-	}
-	window := cfg.PeerWindow
-	if window <= 0 {
-		window = cfg.RPVTimeout
 	}
 	timeout := cfg.PeerTimeout
 	if timeout <= 0 {
@@ -99,10 +92,12 @@ func newMesh(cfg Config, reg *obs.Registry) *mesh {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &mesh{
-		self:    cfg.PeerSelf,
-		ring:    ring,
-		tracker: peer.NewTracker(window),
-		client:  httpwire.NewClient(),
+		leg:  newLeg(cfg, reg, "wire.peer", "peer.breaker"),
+		self: cfg.PeerSelf,
+		ring: ring,
+		// A peer stays a propagation target for as long as a volume stays
+		// on an RPV list.
+		tracker: peer.NewTracker(cfg.RPVTimeout),
 		timeout: timeout,
 		jobs:    make(chan propagation, propagationQueueLen),
 		ctx:     ctx,
@@ -123,18 +118,6 @@ func newMesh(cfg Config, reg *obs.Registry) *mesh {
 		},
 	}
 	m.c.peersGauge.Add(int64(ring.Size()))
-	if !cfg.BreakerDisabled {
-		seed := cfg.BreakerSeed
-		if seed == 0 {
-			seed = 1
-		}
-		m.breaker = newBreaker(breakerSettings{
-			failures:   cfg.BreakerFailures,
-			backoff:    cfg.BreakerBackoff,
-			maxBackoff: cfg.BreakerMaxBackoff,
-		}, reg, "peer.breaker", seed)
-	}
-	m.client.Obs = obs.NewWireMetrics(reg, "wire.peer")
 	m.client.RequestTimeout = timeout
 	go m.propagateLoop()
 	return m
@@ -154,49 +137,23 @@ func (m *mesh) owner(key string) (string, bool) {
 }
 
 // forwardToPeer routes one request to the owner peer and returns the
-// response to serve, or nil when the caller should fall back to the origin
-// (owner circuit open, wire failure, or an unusable status). A usable peer
-// response is cached locally — the mesh is an L1 everywhere with the owner
-// as its partition's L2 — and tagged X-Cache: PEER.
+// response to serve, or nil when the caller should fall back to the origin:
+// owner circuit open, wire failure, or a status other than 200 (the owner's
+// own origin leg failed, or the resource is gone — let the local origin
+// path decide). A usable peer response is cached locally — the mesh is an
+// L1 everywhere with the owner as its partition's L2 — and tagged
+// X-Cache: PEER.
 func (p *Proxy) forwardToPeer(ctx context.Context, owner string, st upstreamState, now int64) *httpwire.Response {
 	m := p.mesh
 	m.c.forwards.Inc()
-	if !m.breaker.Allow(owner) {
-		m.client.Obs.CountErrClass("circuit_open")
-		m.c.fallbacks.Inc()
-		return nil
-	}
 	req := httpwire.NewRequest("GET", "http://"+st.host+st.path)
 	httpwire.SetPeerFrom(req, m.self)
-	resp, err := m.client.DoContext(ctx, owner, req)
-	if err != nil {
-		if qualifyingFailure(err) {
-			m.breaker.Failure(owner)
-		}
+	resp, err := m.exchange(ctx, owner, owner, req)
+	if err != nil || resp.Status != 200 {
 		m.c.fallbacks.Inc()
 		return nil
 	}
-	m.breaker.Success(owner)
-	if resp.Status != 200 {
-		// The owner could not produce a body (its own origin leg failed,
-		// or the resource is gone). Let the local origin path decide.
-		m.c.fallbacks.Inc()
-		return nil
-	}
-	lm, _ := resp.LastModified()
-	ct := resp.Header.Get("Content-Type")
-	lmDate := resp.Header.Get("Last-Modified")
-	p.cache.Put(cache.Entry{
-		URL:              st.key,
-		Size:             int64(len(resp.Body)),
-		LastModified:     lm,
-		LastModifiedHTTP: lmDate,
-		Expires:          now + p.delta(st.key),
-		FetchedAt:        now,
-		Body:             resp.Body,
-		ContentType:      ct,
-	}, now)
-	out := serveCopy(resp.Body, lm, lmDate, ct)
+	out := p.admit(st.key, resp, now, false)
 	out.Header.Set("X-Cache", "PEER")
 	m.c.serves.Inc()
 	return out
@@ -250,7 +207,7 @@ func (p *Proxy) enqueuePropagation(originHost string, msg core.Message, now int6
 
 // propagateLoop is the mesh's single background sender: it drains queued
 // piggybacks and POSTs each to its targets, bounded per send by the peer
-// timeout. Failed sends count as drops and feed the per-peer breaker so a
+// timeout. Failed sends count as drops; the leg's breaker sees to it that a
 // dead peer stops costing dials.
 func (m *mesh) propagateLoop() {
 	defer close(m.done)
@@ -263,23 +220,14 @@ func (m *mesh) propagateLoop() {
 				if m.ctx.Err() != nil {
 					return
 				}
-				if !m.breaker.Allow(target) {
-					m.client.Obs.CountErrClass("circuit_open")
-					m.c.propagationDrops.Inc()
-					continue
-				}
 				req := httpwire.NewPeerPiggybackRequest(job.originHost, m.self, job.msg)
 				ctx, cancel := context.WithTimeout(m.ctx, m.timeout)
-				resp, err := m.client.DoContext(ctx, target, req)
+				resp, err := m.exchange(ctx, target, target, req)
 				cancel()
 				if err != nil || resp.Status != 200 {
-					if qualifyingFailure(err) {
-						m.breaker.Failure(target)
-					}
 					m.c.propagationDrops.Inc()
 					continue
 				}
-				m.breaker.Success(target)
 				m.c.propagationsSent.Inc()
 				m.c.elementsPropagated.Add(int64(len(job.msg.Elements)))
 			}

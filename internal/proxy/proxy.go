@@ -49,10 +49,11 @@ type Config struct {
 	// BaseFilter is attached to upstream requests (the per-server RPV
 	// list is added per request).
 	BaseFilter core.Filter
-	// RPVTimeout and RPVMaxLen configure the per-server RPV lists
-	// (§2.2); timeout zero means Delta (its upper bound).
+	// RPVTimeout is how long a volume stays on a server's RPV list
+	// (§2.2); zero means Delta (its upper bound). It is also how long a
+	// mesh peer keeps receiving re-propagated piggybacks after its last
+	// forwarded request.
 	RPVTimeout int64
-	RPVMaxLen  int
 	// Resolve maps a host name to a dialable address. Required: the
 	// testbed has no DNS.
 	Resolve func(host string) (string, error)
@@ -89,10 +90,9 @@ type Config struct {
 	// host's circuit open; zero means 5.
 	BreakerFailures int
 	// BreakerBackoff is the initial open interval before a half-open
-	// probe (jittered 0.5×–1.5×, doubling per failed probe up to
-	// BreakerMaxBackoff); zeros mean 500ms and 30s.
-	BreakerBackoff    time.Duration
-	BreakerMaxBackoff time.Duration
+	// probe (jittered 0.5×–1.5×, doubling per failed probe up to 30s);
+	// zero means 500ms.
+	BreakerBackoff time.Duration
 	// BreakerDisabled turns the per-host circuit breaker off.
 	BreakerDisabled bool
 	// BreakerSeed seeds the breaker's backoff jitter; zero means 1
@@ -111,16 +111,9 @@ type Config struct {
 	// consistent-hash ring is built over Peers ∪ {PeerSelf}. A ring of
 	// fewer than two members disables the mesh.
 	Peers []string
-	// PeerVNodes is the virtual-node count per peer on the ring; zero
-	// means peer.DefaultVNodes.
-	PeerVNodes int
 	// PeerTimeout caps one peer exchange — a forwarded request or a
 	// piggyback propagation; zero means 5s.
 	PeerTimeout time.Duration
-	// PeerWindow is how long (seconds) after a peer's last forwarded
-	// request it keeps receiving re-propagated piggybacks; zero means
-	// RPVTimeout.
-	PeerWindow int64
 }
 
 // Stats counts proxy-side protocol activity.
@@ -187,7 +180,7 @@ type Stats struct {
 // Proxy is a caching piggybacking proxy, served over httpwire.
 type Proxy struct {
 	cfg    Config
-	client *httpwire.Client
+	origin leg
 	rpv    *core.RPVTable
 	fresh  *FreshnessEstimator
 	queue  *InformedQueue
@@ -209,11 +202,6 @@ type Proxy struct {
 	// origin exchange.
 	sfMu    sync.Mutex
 	flights map[string]*flight
-
-	// breaker is the per-host circuit breaker (nil when disabled): it
-	// trips after consecutive upstream failures so a dead origin costs a
-	// map lookup instead of a dial timeout per request.
-	breaker *breaker
 
 	// mesh is the cooperative peer tier (nil when not configured): the
 	// consistent-hash ring, peer wire client, per-peer breaker, and the
@@ -283,8 +271,8 @@ func New(cfg Config) *Proxy {
 	reg := obs.NewRegistry()
 	p := &Proxy{
 		cfg:     cfg,
-		client:  httpwire.NewClient(),
-		rpv:     core.NewRPVTable(cfg.RPVTimeout, cfg.RPVMaxLen),
+		origin:  newLeg(cfg, reg, "wire.upstream", "proxy.breaker"),
+		rpv:     core.NewRPVTable(cfg.RPVTimeout, 0), // 0: core's 32 volumes per server
 		cache:   store,
 		queue:   NewInformedQueue(),
 		hits:    newHostHits(),
@@ -311,31 +299,18 @@ func New(cfg Config) *Proxy {
 			staleServes:        reg.Counter("proxy.stale_serves"),
 		},
 	}
-	if !cfg.BreakerDisabled {
-		seed := cfg.BreakerSeed
-		if seed == 0 {
-			seed = 1
-		}
-		p.breaker = newBreaker(breakerSettings{
-			failures:   cfg.BreakerFailures,
-			backoff:    cfg.BreakerBackoff,
-			maxBackoff: cfg.BreakerMaxBackoff,
-		}, reg, "", seed)
-	}
 	p.mesh = newMesh(cfg, reg)
 	if cfg.UpstreamTimeout > 0 {
-		p.client.RequestTimeout = cfg.UpstreamTimeout
+		p.origin.client.RequestTimeout = cfg.UpstreamTimeout
 	}
 	switch {
 	case cfg.UpstreamInflight == 0:
-		p.client.MaxInflightPerConn = 4
+		p.origin.client.MaxInflightPerConn = 4
 	case cfg.UpstreamInflight > 1:
-		p.client.MaxInflightPerConn = cfg.UpstreamInflight
+		p.origin.client.MaxInflightPerConn = cfg.UpstreamInflight
 	}
-	// The upstream client's wire metrics (round-trip latency, retries,
-	// dials) land in the same registry under wire.upstream.*, and the
-	// cache's shard-occupancy and eviction gauges under cache.*.
-	p.client.Obs = obs.NewWireMetrics(reg, "wire.upstream")
+	// The cache's shard-occupancy and eviction gauges land in the same
+	// registry as the legs' wire metrics, under cache.*.
 	p.cache.Instrument(reg, "cache")
 	if cfg.AdaptiveFreshness {
 		p.fresh = NewFreshnessEstimator(cfg.Delta, cfg.MinDelta, cfg.MaxDelta)
@@ -365,9 +340,9 @@ func (p *Proxy) Stats() Stats {
 		UpstreamErrors:     int(p.c.upstreamErrors.Load()),
 		StaleServes:        int(p.c.staleServes.Load()),
 	}
-	if p.breaker != nil {
-		s.BreakerOpens = int(p.breaker.opens.Load())
-		s.BreakerShortCircuits = int(p.breaker.shortCircuits.Load())
+	if b := p.origin.breaker; b != nil {
+		s.BreakerOpens = int(b.opens.Load())
+		s.BreakerShortCircuits = int(b.shortCircuits.Load())
 	}
 	if m := p.mesh; m != nil {
 		s.PeerForwards = int(m.c.forwards.Load())
@@ -391,7 +366,7 @@ func (p *Proxy) PeerRing() *peer.Ring {
 
 // BreakerOpenHosts returns how many upstream hosts currently have a
 // tripped circuit (the proxy.breaker.open gauge).
-func (p *Proxy) BreakerOpenHosts() int { return p.breaker.OpenHosts() }
+func (p *Proxy) BreakerOpenHosts() int { return p.origin.breaker.OpenHosts() }
 
 // Obs returns the proxy's telemetry registry (also served live on
 // obs.StatsPath).
@@ -418,7 +393,7 @@ func (p *Proxy) Close() {
 	if p.mesh != nil {
 		p.mesh.close()
 	}
-	p.client.Close()
+	p.origin.client.Close()
 	if err := p.cache.Close(); err != nil {
 		log.Printf("proxy: cache close: %v", err)
 	}
@@ -598,29 +573,58 @@ func (p *Proxy) finishFlight(key string, out *httpwire.Response) {
 	close(f.done)
 }
 
-// fetch runs the upstream exchange for st — conditional when a stale copy
-// exists (§2.1) — and the per-shard cache update that follows. On an open
-// circuit or a qualifying upstream failure it degrades to the expired
-// cached copy (X-Cache: STALE) when one is within MaxStaleOnError.
+// fetch is the miss path: ask the origin — conditionally when a stale copy
+// exists (§2.1) — act on the outcome, then on the piggyback that rode
+// along. Only a delta that does not apply leaves out nil; it costs one more
+// pass, unconditional, which cannot end that way.
 func (p *Proxy) fetch(ctx context.Context, st upstreamState, now int64) *httpwire.Response {
-	if !p.breaker.Allow(st.host) {
-		p.client.Obs.CountErrClass("circuit_open")
-		return p.degrade(st, now, wireerr.ErrCircuitOpen)
+	for cond := st.hit; ; cond = false {
+		resp, err := p.askOrigin(ctx, st.host, p.originRequest(st, cond, now))
+		if err != nil {
+			return p.degrade(st, now, err)
+		}
+		var out *httpwire.Response
+		switch {
+		case resp.Status == 200:
+			out = p.fetched(st, resp, now)
+		case resp.Status == 304 && cond:
+			out = p.notModified(st, now)
+		case resp.Status == 226 && cond:
+			out = p.patched(st, resp, now)
+		case resp.Status == 304 || resp.Status == 226:
+			// Conditional-only statuses for a request that carried no
+			// condition: the origin is confused; a client that sent a
+			// plain GET cannot interpret them, so surface a gateway error
+			// instead of forwarding.
+			p.c.upstreamErrors.Inc()
+			out = httpwire.NewResponse(502)
+		default:
+			out = passThrough(resp)
+		}
+		if m, ok := httpwire.ExtractPiggyback(resp); ok {
+			p.processPiggyback(st.host, m, now)
+			if p.mesh != nil {
+				// We just heard fresh volume state from the origin for a
+				// partition we (mostly) own: push it to the peers that
+				// recently requested into it, so one proxy's piggyback
+				// freshens the whole fleet.
+				p.enqueuePropagation(st.host, m, now)
+			}
+		}
+		if out != nil {
+			out.Header.Set("X-Cache", "MISS")
+			return out
+		}
 	}
+}
 
-	// Snapshot the filter state (the RPV table locks internally) and
-	// drain this host's pending hit reports from its stripe.
-	filter := p.cfg.BaseFilter
-	filter.RPV = p.rpv.Snapshot(st.host, now)
-	var reportHits []string
-	if p.cfg.ReportHits {
-		reportHits = p.hits.take(st.host)
-		p.c.hitsReported.Add(int64(len(reportHits)))
-	}
-
+// originRequest builds the GET for st: If-Modified-Since (and A-IM when
+// deltas are on) when cond, the filter with this host's RPV list, and the
+// hit reports pending for the host, which it drains.
+func (p *Proxy) originRequest(st upstreamState, cond bool, now int64) *httpwire.Request {
 	oreq := httpwire.NewRequest("GET", st.path)
 	oreq.Header.Set("Host", st.host)
-	if st.hit {
+	if cond {
 		ims := st.cachedLMDate
 		if ims == "" {
 			ims = httpwire.FormatHTTPDate(st.cachedLM)
@@ -630,138 +634,118 @@ func (p *Proxy) fetch(ctx context.Context, st upstreamState, now int64) *httpwir
 			oreq.Header.Set("A-IM", "blockdiff")
 		}
 	}
+	filter := p.cfg.BaseFilter
+	filter.RPV = p.rpv.Snapshot(st.host, now)
 	httpwire.SetFilter(oreq, filter)
-	httpwire.SetHits(oreq, reportHits)
-
-	addr, err := p.cfg.Resolve(st.host)
-	if err != nil {
-		p.countUpstreamError()
-		return httpwire.NewResponse(502)
+	if p.cfg.ReportHits {
+		hits := p.hits.take(st.host)
+		p.c.hitsReported.Add(int64(len(hits)))
+		httpwire.SetHits(oreq, hits)
 	}
-	resp, err := p.client.DoContext(ctx, addr, oreq)
-	if err != nil {
-		p.countUpstreamError()
-		if qualifyingFailure(err) {
-			p.breaker.Failure(st.host)
-		}
-		return p.degrade(st, now, err)
+	return oreq
+}
+
+// askOrigin resolves host and runs the exchange on the origin leg. Every
+// failure but a refusal by the open circuit is an upstream error.
+func (p *Proxy) askOrigin(ctx context.Context, host string, req *httpwire.Request) (*httpwire.Response, error) {
+	addr, err := p.cfg.Resolve(host)
+	var resp *httpwire.Response
+	if err == nil {
+		resp, err = p.origin.exchange(ctx, host, addr, req)
 	}
-	p.breaker.Success(st.host)
-
-	key := st.key
-
-	var out *httpwire.Response
-	switch {
-	case resp.Status == 226 && st.hit:
-		// Delta response: reconstruct the new version from the cached
-		// body and the patch (§4, ref [23]).
-		newBody, lm, err := applyDelta(st.cachedBody, resp)
-		if err != nil {
-			// A malformed delta falls back to a plain refetch next
-			// time; serve the stale copy rather than failing the
-			// client.
-			p.c.upstreamErrors.Inc()
-			out = serveCopy(st.cachedBody, st.cachedLM, st.cachedLMDate, st.cachedCT)
-			break
-		}
-		p.c.validations.Inc()
-		p.c.deltaUpdates.Inc()
-		p.c.deltaBytesSaved.Add(int64(len(newBody) - len(resp.Body)))
-		ct := resp.Header.Get("Content-Type")
-		if ct == "" {
-			// The delta carries the patched body of the same resource:
-			// its type is the cached copy's.
-			ct = st.cachedCT
-		}
-		lmDate := resp.Header.Get("Last-Modified")
-		e := cache.Entry{
-			URL:              key,
-			Size:             int64(len(newBody)),
-			LastModified:     lm,
-			LastModifiedHTTP: lmDate,
-			Expires:          now + p.delta(key),
-			FetchedAt:        now,
-			Body:             newBody,
-			ContentType:      ct,
-		}
-		if p.fresh != nil {
-			p.fresh.Observe(key, lm)
-		}
-		p.cache.Put(e, now)
-		out = serveCopy(newBody, lm, lmDate, ct)
-	case resp.Status == 304 && st.hit:
-		p.c.validations.Inc()
-		p.c.notModified.Inc()
-		p.cache.Freshen(key, now+p.delta(key))
-		// Serve the validated copy, not whatever the cache holds now —
-		// a concurrent fetch may have replaced the entry since lookup.
-		out = serveCopy(st.cachedBody, st.cachedLM, st.cachedLMDate, st.cachedCT)
-	case resp.Status == 200:
-		if st.hit {
-			p.c.validations.Inc()
-		} else {
-			p.c.missFetches.Inc()
-		}
-		lm, _ := resp.LastModified()
-		ct := resp.Header.Get("Content-Type")
-		lmDate := resp.Header.Get("Last-Modified")
-		e := cache.Entry{
-			URL:              key,
-			Size:             int64(len(resp.Body)),
-			LastModified:     lm,
-			LastModifiedHTTP: lmDate,
-			Expires:          now + p.delta(key),
-			FetchedAt:        now,
-			Body:             resp.Body,
-			ContentType:      ct,
-		}
-		if p.fresh != nil {
-			p.fresh.Observe(key, lm)
-		}
-		p.cache.Put(e, now)
-		out = serveCopy(resp.Body, lm, lmDate, ct)
-	case resp.Status == 304 || resp.Status == 226:
-		// Conditional-only statuses for a request that carried no
-		// condition (or no cached base for a delta): the origin is
-		// confused; a client that sent a plain GET cannot interpret
-		// them, so surface a gateway error instead of forwarding.
+	if err != nil && !errors.Is(err, wireerr.ErrCircuitOpen) {
 		p.c.upstreamErrors.Inc()
-		out = httpwire.NewResponse(502)
-	default:
-		// Pass other statuses through without caching.
-		out = httpwire.NewResponse(resp.Status)
-		out.Body = resp.Body
 	}
-	out.Header.Set("X-Cache", "MISS")
+	return resp, err
+}
 
-	if m, ok := httpwire.ExtractPiggyback(resp); ok {
-		p.processPiggyback(st.host, m, now)
-		if p.mesh != nil {
-			// We just heard fresh volume state from the origin for a
-			// partition we (mostly) own: push it to the peers that
-			// recently requested into it, so one proxy's piggyback
-			// freshens the whole fleet.
-			p.enqueuePropagation(st.host, m, now)
-		}
+// fetched is the 200 outcome: a body for a cold key, or a new version for
+// a stale one.
+func (p *Proxy) fetched(st upstreamState, resp *httpwire.Response, now int64) *httpwire.Response {
+	if st.hit {
+		p.c.validations.Inc()
+	} else {
+		p.c.missFetches.Inc()
 	}
+	return p.admit(st.key, resp, now, false)
+}
+
+// notModified is the 304 outcome. It serves the validated copy, not
+// whatever the cache holds now — a concurrent fetch may have replaced the
+// entry since lookup.
+func (p *Proxy) notModified(st upstreamState, now int64) *httpwire.Response {
+	p.c.validations.Inc()
+	p.c.notModified.Inc()
+	p.cache.Freshen(st.key, now+p.delta(st.key))
+	return serveCopy(st.cachedBody, st.cachedLM, st.cachedLMDate, st.cachedCT)
+}
+
+// patched is the 226 outcome: the new version is the cached body plus the
+// origin's patch (§4, ref [23]), and resp is rewritten into the full
+// response it stands for. When the patch does not apply, the cached copy —
+// which the origin has just said is outdated — is dropped and nil sends
+// fetch round again for the whole body.
+func (p *Proxy) patched(st upstreamState, resp *httpwire.Response, now int64) *httpwire.Response {
+	body, err := applyDelta(st.cachedBody, resp)
+	if err != nil {
+		p.c.upstreamErrors.Inc()
+		p.cache.Delete(st.key)
+		return nil
+	}
+	p.c.validations.Inc()
+	p.c.deltaUpdates.Inc()
+	p.c.deltaBytesSaved.Add(int64(len(body) - len(resp.Body)))
+	if resp.Header.Get("Content-Type") == "" && st.cachedCT != "" {
+		// The delta carries the patched body of the same resource: its
+		// type is the cached copy's.
+		resp.Header.Set("Content-Type", st.cachedCT)
+	}
+	resp.Body = body
+	return p.admit(st.key, resp, now, false)
+}
+
+// admit is the only way a body enters the cache: resp's body becomes key's
+// current version, with the Last-Modified and Content-Type resp carries,
+// and a copy to serve comes back. Every admitted version feeds the
+// freshness estimator, whichever leg it arrived on.
+func (p *Proxy) admit(key string, resp *httpwire.Response, now int64, prefetched bool) *httpwire.Response {
+	lm, _ := resp.LastModified()
+	lmDate := resp.Header.Get("Last-Modified")
+	ct := resp.Header.Get("Content-Type")
+	if p.fresh != nil {
+		p.fresh.Observe(key, lm)
+	}
+	p.cache.Put(cache.Entry{
+		URL:              key,
+		Size:             int64(len(resp.Body)),
+		LastModified:     lm,
+		LastModifiedHTTP: lmDate,
+		Expires:          now + p.delta(key),
+		FetchedAt:        now,
+		Body:             resp.Body,
+		ContentType:      ct,
+		Prefetched:       prefetched,
+	}, now)
+	return serveCopy(resp.Body, lm, lmDate, ct)
+}
+
+// passThrough relays a status the proxy neither caches nor interprets.
+func passThrough(resp *httpwire.Response) *httpwire.Response {
+	out := httpwire.NewResponse(resp.Status)
+	out.Body = resp.Body
 	return out
 }
 
 // applyDelta reconstructs the new body from a 226 response.
-func applyDelta(cachedBody []byte, resp *httpwire.Response) (body []byte, lastModified int64, err error) {
+func applyDelta(cachedBody []byte, resp *httpwire.Response) ([]byte, error) {
 	if !strings.EqualFold(strings.TrimSpace(resp.Header.Get("IM")), "blockdiff") {
-		return nil, 0, fmt.Errorf("proxy: 226 without IM: blockdiff")
+		return nil, fmt.Errorf("proxy: 226 without IM: blockdiff")
 	}
 	patch, err := delta.Decode(resp.Body)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	body, err = delta.Apply(cachedBody, patch)
-	if err != nil {
-		return nil, 0, err
-	}
-	lm, _ := resp.LastModified()
-	return body, lm, nil
+	return delta.Apply(cachedBody, patch)
 }
 
 // serveCopy builds a 200 response from a body, Last-Modified, and
@@ -782,15 +766,6 @@ func serveCopy(body []byte, lastModified int64, lmDate, contentType string) *htt
 		resp.Header.Set("Content-Type", contentType)
 	}
 	return resp
-}
-
-func (p *Proxy) countUpstreamError() { p.c.upstreamErrors.Inc() }
-
-// qualifyingFailure reports whether an upstream error should feed the
-// circuit breaker. Caller cancellation is the client's fault, not the
-// origin's.
-func qualifyingFailure(err error) bool {
-	return err != nil && !errors.Is(err, wireerr.ErrCanceled)
 }
 
 // degrade answers a request whose upstream exchange failed (err carries
@@ -908,49 +883,18 @@ func (p *Proxy) DrainPrefetchesContext(ctx context.Context, max int) int {
 // always returns a response for the flight's waiters (a joined client miss
 // is served the prefetched body) and reports whether a 200 was cached.
 func (p *Proxy) prefetchOne(ctx context.Context, it FetchItem, key string, now int64) (*httpwire.Response, bool) {
-	if !p.breaker.Allow(it.Host) {
-		// Don't burn speculative fetches against a tripped host.
-		p.client.Obs.CountErrClass("circuit_open")
-		return httpwire.NewResponse(502), false
-	}
-	addr, err := p.cfg.Resolve(it.Host)
-	if err != nil {
-		p.countUpstreamError()
-		return httpwire.NewResponse(502), false
-	}
 	oreq := httpwire.NewRequest("GET", it.URL)
 	oreq.Header.Set("Host", it.Host)
 	httpwire.SetFilter(oreq, core.Filter{Disabled: true})
-	resp, err := p.client.DoContext(ctx, addr, oreq)
+	resp, err := p.askOrigin(ctx, it.Host, oreq)
 	if err != nil {
-		p.countUpstreamError()
-		if qualifyingFailure(err) {
-			p.breaker.Failure(it.Host)
-		}
-		return httpwire.NewResponse(502), false
+		return p.degrade(upstreamState{}, now, err), false
 	}
-	p.breaker.Success(it.Host)
 	if resp.Status != 200 {
-		out := httpwire.NewResponse(resp.Status)
-		out.Body = resp.Body
-		return out, false
+		return passThrough(resp), false
 	}
-	lm, _ := resp.LastModified()
-	ct := resp.Header.Get("Content-Type")
-	lmDate := resp.Header.Get("Last-Modified")
 	p.c.prefetches.Inc()
-	p.cache.Put(cache.Entry{
-		URL:              key,
-		Size:             int64(len(resp.Body)),
-		LastModified:     lm,
-		LastModifiedHTTP: lmDate,
-		Expires:          now + p.delta(key),
-		FetchedAt:        now,
-		Body:             resp.Body,
-		ContentType:      ct,
-		Prefetched:       true,
-	}, now)
-	out := serveCopy(resp.Body, lm, lmDate, ct)
+	out := p.admit(key, resp, now, true)
 	out.Header.Set("X-Cache", "MISS")
 	return out, true
 }
