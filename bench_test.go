@@ -22,7 +22,6 @@ import (
 	"piggyback/internal/core"
 	"piggyback/internal/delta"
 	"piggyback/internal/httpwire"
-	"piggyback/internal/loadgen"
 	"piggyback/internal/obs"
 	"piggyback/internal/proxy"
 	"piggyback/internal/server"
@@ -315,70 +314,6 @@ func BenchmarkE2EProxyServer(b *testing.B) {
 	}
 }
 
-// BenchmarkLoadgenE2E drives the same loopback stack through the
-// concurrent load generator — closed loop, 4 workers — and reports the
-// generator's own throughput and p99 alongside the usual ns/op. One
-// iteration is one full load run.
-func BenchmarkLoadgenE2E(b *testing.B) {
-	now := time.Now().Unix()
-	clock := func() int64 { return time.Now().Unix() }
-	const nRes = 20
-	st := server.NewStore()
-	log := make(trace.Log, nRes)
-	for i := 0; i < nRes; i++ {
-		url := fmt.Sprintf("/a/r%02d.html", i)
-		st.Put(server.Resource{URL: url, Size: 2000, LastModified: now - 86400})
-		log[i] = trace.Record{Method: "GET", URL: url}
-	}
-	vols := core.NewDirVolumes(core.DirConfig{Level: 1, MTF: true, ServerMaxPiggy: 10})
-	origin := server.New(st, vols, clock)
-	ol, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	osrv := &httpwire.Server{Handler: origin}
-	go osrv.Serve(ol)
-	defer osrv.Close()
-
-	px := proxy.New(proxy.Config{
-		Delta: 3600, Clock: clock,
-		Resolve:    func(string) (string, error) { return ol.Addr().String(), nil },
-		BaseFilter: core.Filter{MaxPiggy: 10},
-	})
-	defer px.Close()
-	pl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	psrv := &httpwire.Server{Handler: px}
-	go psrv.Serve(pl)
-	defer psrv.Close()
-
-	b.ResetTimer()
-	var rps, p99 float64
-	for i := 0; i < b.N; i++ {
-		rep, err := loadgen.RunContext(context.Background(), loadgen.Config{
-			Addr:     pl.Addr().String(),
-			Records:  log,
-			Mode:     loadgen.Closed,
-			Workers:  4,
-			Requests: 400,
-			Warmup:   50,
-			Seed:     1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Errors != 0 {
-			b.Fatalf("load run had %d errors", rep.Errors)
-		}
-		rps += rep.ThroughputRPS
-		p99 += rep.P99us
-	}
-	b.ReportMetric(rps/float64(b.N), "req/s")
-	b.ReportMetric(p99/float64(b.N), "p99-µs")
-}
-
 // BenchmarkProxyUpstreamPoolParallel drives ServeWire from many
 // goroutines with an expired cache (Δ=0), so every request revalidates
 // upstream and the proxy's per-host connection pool carries the
@@ -648,38 +583,6 @@ func BenchmarkExtDeltaEncoding(b *testing.B) {
 		}
 		b.ReportMetric(float64(len(enc)), "patchBytes")
 	}
-}
-
-func BenchmarkPipelineThroughput(b *testing.B) {
-	addr := benchEchoServer(b)
-	client := httpwire.NewClient()
-	defer client.Close()
-	reqs := make([]*httpwire.Request, 8)
-	for i := range reqs {
-		reqs[i] = httpwire.NewRequest("GET", fmt.Sprintf("/r%d", i))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := client.DoAllContext(context.Background(), addr, reqs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchEchoServer(b *testing.B) string {
-	b.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv := &httpwire.Server{Handler: httpwire.HandlerFunc(func(_ context.Context, req *httpwire.Request) *httpwire.Response {
-		resp := httpwire.NewResponse(200)
-		resp.Body = []byte(req.Path)
-		return resp
-	})}
-	go srv.Serve(l)
-	b.Cleanup(func() { srv.Close() })
-	return l.Addr().String()
 }
 
 // TestProxyFreshHitAllocBudget pins the serving path's allocation count:

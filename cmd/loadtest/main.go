@@ -1,15 +1,16 @@
 // Command loadtest stands up a live origin→proxy stack on loopback, drives
-// it with the concurrent load generator, and checks what CI needs to hold
-// of it. It runs the scenarios named on the command line (all six when none
-// is named) and exits non-zero if any check fails:
+// it with concurrent clients, and checks what CI needs to hold of it. It
+// runs the scenarios named on the command line (all six when none is
+// named) and exits non-zero if any check fails:
 //
 //	loadtest [-cpuprofile file] [smoke|syscalls|brownout|restart-warm|mesh|killpeer]...
 //
 // Each scenario gets a fresh stack (empty proxy caches, fresh volumes) over
-// the same synthetic workload. The proxies' live /.piggy/stats endpoints
-// are snapshotted around every run; the merged deltas are what the checks
-// read. This is a smoke test of behaviour under load, not a yardstick:
-// performance is measured by bench/ (see BENCHMARK.json).
+// the same synthetic workload. The proxies' counters are read in-process
+// around every run and summed across the fleet, as bench/ reads them; the
+// deltas are what the checks read. This is a smoke test of behaviour under
+// load, not a yardstick: performance is measured by bench/ (see
+// BENCHMARK.json).
 package main
 
 import (
@@ -21,6 +22,8 @@ import (
 	"net"
 	"os"
 	"runtime/pprof"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"piggyback/internal/cache"
@@ -28,11 +31,9 @@ import (
 	"piggyback/internal/core"
 	"piggyback/internal/faultconn"
 	"piggyback/internal/httpwire"
-	"piggyback/internal/loadgen"
 	"piggyback/internal/obs"
 	"piggyback/internal/proxy"
 	"piggyback/internal/server"
-	"piggyback/internal/trace"
 	"piggyback/internal/tracegen"
 )
 
@@ -47,12 +48,14 @@ const (
 )
 
 // load is one stack and the traffic driven through it. The zero value of
-// every field but requests, warmup and workers is the plain case: one
-// healthy proxy, closed loop, Δ = 900 s, RAM cache only.
+// every field but requests and workers is the plain case: one healthy
+// proxy, closed loop, Δ = 900 s, RAM cache only.
 type load struct {
-	requests, warmup, workers int
-	// rate > 0 switches to an open loop at that many arrivals a second.
-	rate float64
+	// requests is how many the run sends: from workers clients in a closed
+	// loop, or, when rate > 0, as arrivals paced at rate a second on at
+	// most workers clients.
+	requests, workers int
+	rate              float64
 	// fault names a faultconn profile on the origin's listener, seeded by
 	// faultSeed (so runs replay); delta and upTimeout override the proxy's
 	// Δ and upstream exchange timeout, to make entries expire and failures
@@ -75,9 +78,11 @@ type load struct {
 	restart, disk bool
 }
 
-// outcome is what the checks read off one run.
+// outcome is what the checks read off one run; under restart, of the
+// relaunched generation, with errors and disk hits summed over both.
 type outcome struct {
-	rep            *loadgen.Report // of the post-restart half under restart, errors summed
+	errors         int64
+	peerHits       int64 // X-Cache: PEER responses
 	originRequests int64
 	upstreamConns  int64   // origin connections open at the end, fleet-wide
 	writesPerOp    float64 // write syscalls per request on the proxies' server side
@@ -94,7 +99,7 @@ type check struct {
 }
 
 func noErrors(o outcome) check {
-	return check{o.rep.Errors == 0, fmt.Sprintf("every request got a response (%d errors)", o.rep.Errors)}
+	return check{o.errors == 0, fmt.Sprintf("every request got a response (%d errors)", o.errors)}
 }
 
 // scenario is one named load and what must be true of its outcome.
@@ -107,7 +112,7 @@ type scenario struct {
 var scenarios = []scenario{
 	{
 		name: "smoke",
-		load: load{requests: 400, warmup: 50, workers: 16},
+		load: load{requests: 400, workers: 16},
 		checks: func(_ load, o outcome) []check {
 			return []check{noErrors(o),
 				{o.upstreamConns > 1, fmt.Sprintf("16 workers spread over more than one upstream connection (%d open)", o.upstreamConns)}}
@@ -117,7 +122,7 @@ var scenarios = []scenario{
 		// The writev-batched serve path answers a fresh hit in one
 		// vectored write, however many clients there are.
 		name: "syscalls",
-		load: load{requests: 4000, warmup: 400, workers: 64},
+		load: load{requests: 4000, workers: 64},
 		checks: func(_ load, o outcome) []check {
 			return []check{noErrors(o),
 				{o.writesPerOp <= 2, fmt.Sprintf("at most 2 server write syscalls per request at 64 workers (%.2f)", o.writesPerOp)}}
@@ -127,7 +132,7 @@ var scenarios = []scenario{
 		// The proxy absorbs a brownout: upstream failures are seen and
 		// classified, and expired entries are served stale, not 5xx.
 		name: "brownout",
-		load: load{requests: 1000, warmup: 100, workers: 16, rate: 400,
+		load: load{requests: 1000, workers: 16, rate: 400,
 			fault: "brownout", faultSeed: 7, delta: 1, upTimeout: 250 * time.Millisecond},
 		checks: func(_ load, o outcome) []check {
 			return []check{noErrors(o),
@@ -140,7 +145,7 @@ var scenarios = []scenario{
 		// generation's working set without going back to the origin; the
 		// same restart without a disk tier is what that is compared to.
 		name: "restart-warm",
-		load: load{requests: 1000, warmup: 100, workers: 4, restart: true, disk: true},
+		load: load{requests: 1000, workers: 4, restart: true, disk: true},
 		checks: func(l load, warm outcome) []check {
 			l.disk = false
 			cold := drive("restart-cold", l)
@@ -152,10 +157,10 @@ var scenarios = []scenario{
 	},
 	{
 		name: "mesh",
-		load: load{requests: 1000, warmup: 100, workers: 16, proxies: 3, hotKey: 0.3},
+		load: load{requests: 1000, workers: 16, proxies: 3, hotKey: 0.3},
 		checks: func(_ load, o outcome) []check {
 			return []check{noErrors(o),
-				{o.rep.PeerHits > 0, fmt.Sprintf("misses came back peer-served (%d)", o.rep.PeerHits)},
+				{o.peerHits > 0, fmt.Sprintf("misses came back peer-served (%d)", o.peerHits)},
 				{o.peerForwards > 0, fmt.Sprintf("misses were routed to ring owners (%d)", o.peerForwards)}}
 		},
 	},
@@ -163,7 +168,7 @@ var scenarios = []scenario{
 		// A member's death stays invisible to clients: forwards to the
 		// dead owner fall back to the origin.
 		name: "killpeer",
-		load: load{requests: 1000, warmup: 100, workers: 16, proxies: 3, killPeer: true},
+		load: load{requests: 1000, workers: 16, proxies: 3, killPeer: true},
 		checks: func(_ load, o outcome) []check {
 			return []check{noErrors(o),
 				{o.peerFallbacks > 0, fmt.Sprintf("forwards to the dead owner fell back to the origin (%d)", o.peerFallbacks)}}
@@ -171,9 +176,10 @@ var scenarios = []scenario{
 	},
 }
 
-// The workload every scenario replays, and the site it browses.
+// The workload every scenario replays, as proxy-form request URLs, and the
+// site it browses.
 var (
-	workload trace.Log
+	workload []string
 	site     *tracegen.Site
 )
 
@@ -200,9 +206,11 @@ func main() {
 
 	cfg := tracegen.ProfileAIUSA(0.01)
 	cfg.Seed = seed
-	var raw trace.Log
-	raw, site = tracegen.GenerateServerLog(cfg)
-	workload = raw.Clean()
+	raw, s := tracegen.GenerateServerLog(cfg)
+	site = s
+	for _, r := range raw.Clean() {
+		workload = append(workload, "http://"+host+r.URL)
+	}
 	fmt.Printf("workload: aiusa ×0.01 → %d requests over %d resources\n", len(workload), len(site.Resources))
 
 	failed := 0
@@ -233,21 +241,96 @@ func named(name string) scenario {
 	return scenario{}
 }
 
-// skew redirects a hotKey fraction of the records (seeded, reproducible)
-// to the trace's first URL.
-func skew(records trace.Log, hotKey float64) trace.Log {
+// skew redirects a hotKey fraction of the requests (seeded, reproducible)
+// to the workload's first URL.
+func skew(urls []string, hotKey float64) []string {
 	if hotKey <= 0 {
-		return records
+		return urls
 	}
 	rng := rand.New(rand.NewSource(seed * 31))
-	out := make(trace.Log, len(records))
-	copy(out, records)
+	out := append([]string(nil), urls...)
 	for i := range out {
 		if rng.Float64() < hotKey {
-			out[i].URL = records[0].URL
+			out[i] = urls[0]
 		}
 	}
 	return out
+}
+
+// clients is what the requests of one run got back.
+type clients struct {
+	done, errors, peerHits atomic.Int64
+}
+
+func (cs *clients) get(c *httpwire.Client, addr, url string) {
+	resp, err := c.DoContext(context.Background(), addr, httpwire.NewRequest("GET", url))
+	if err != nil {
+		cs.errors.Add(1)
+		return
+	}
+	cs.done.Add(1)
+	if resp.Header.Get("X-Cache") == "PEER" {
+		cs.peerHits.Add(1)
+	}
+}
+
+// send issues the first n of urls (cycling) to targets: workers clients in a
+// closed loop, each pinned to a target round-robin, or, when rate > 0,
+// arrivals paced at rate, spread round-robin over the targets and carried
+// by at most workers clients — an arrival that finds them all busy is shed.
+func send(l load, targets, urls []string, n int) *clients {
+	cs := &clients{}
+	var wg sync.WaitGroup
+	if l.rate > 0 {
+		idle := make(chan *httpwire.Client, l.workers)
+		for i := 0; i < l.workers; i++ {
+			c := httpwire.NewClient()
+			defer c.Close()
+			idle <- c
+		}
+		interval := time.Duration(float64(time.Second) / l.rate)
+		next := time.Now()
+		for i := 0; i < n; i++ {
+			time.Sleep(time.Until(next))
+			next = next.Add(interval)
+			select {
+			case c := <-idle:
+				wg.Add(1)
+				go func(c *httpwire.Client, i int) {
+					defer wg.Done()
+					cs.get(c, targets[i%len(targets)], urls[i%len(urls)])
+					idle <- c
+				}(c, i)
+			default: // every client busy: the arrival is shed
+			}
+		}
+	} else {
+		var issued atomic.Int64
+		for w := 0; w < l.workers; w++ {
+			wg.Add(1)
+			go func(addr string) {
+				defer wg.Done()
+				c := httpwire.NewClient()
+				defer c.Close()
+				for i := issued.Add(1) - 1; i < int64(n); i = issued.Add(1) - 1 {
+					cs.get(c, addr, urls[i%int64(len(urls))])
+				}
+			}(targets[w%len(targets)])
+		}
+	}
+	wg.Wait()
+	return cs
+}
+
+// counters sums the proxies' counters.
+func counters(pxs []*proxy.Proxy) obs.Snapshot {
+	sum := obs.Snapshot{Counters: make(map[string]int64)}
+	for _, p := range pxs {
+		for name, v := range p.Obs().Snapshot().Counters {
+			sum.Counters[name] += v
+		}
+	}
+	return sum
 }
 
 // fleet is one generation of proxies: a restart tears one down mid-run
@@ -415,59 +498,42 @@ func drive(name string, l load) outcome {
 	}
 
 	fmt.Printf("running %-13s ... ", name)
-	records := skew(workload, l.hotKey)
-	half := func(requests, warmup int) *loadgen.Report {
-		mode := loadgen.Closed
-		if l.rate > 0 {
-			mode = loadgen.Open
-		}
-		rep, err := loadgen.RunContext(context.Background(), loadgen.Config{
-			Addrs:      targets,
-			Records:    records,
-			Host:       host,
-			Mode:       mode,
-			Workers:    l.workers,
-			Rate:       l.rate,
-			Requests:   requests,
-			Warmup:     warmup,
-			Seed:       seed,
-			StatsAddrs: targets,
-		})
-		if err != nil {
-			log.Fatalf("loadtest: scenario %s: %v", name, err)
-		}
-		return rep
-	}
+	urls := skew(workload, l.hotKey)
 	var o outcome
+	reqs := l.requests
 	if l.restart {
-		first := half(l.requests/2, l.warmup)
+		// The relaunched generation replays the first one's requests.
+		o.errors = send(l, targets, urls, reqs/2).errors.Load()
 		o.diskHits = cur.close()
 		cur = launch(l, ol.Addr().String(), diskDirs)
 		targets = cur.addrs
-		o.rep = half(l.requests-l.requests/2, 0)
-		o.rep.Errors += first.Errors
-	} else {
-		o.rep = half(l.requests, l.warmup)
+		reqs -= reqs / 2
 	}
-	fmt.Printf("%6.0f req/s, p99 %.2f ms\n", o.rep.ThroughputRPS, o.rep.P99us/1000)
+	before := counters(cur.pxs)
+	start := time.Now()
+	cs := send(l, targets, urls, reqs)
+	rps := float64(cs.done.Load()) / time.Since(start).Seconds()
+	after := counters(cur.pxs)
+	o.errors += cs.errors.Load()
+	o.peerHits = cs.peerHits.Load()
+	fmt.Printf("%6.0f req/s, %d errors\n", rps, o.errors)
 
 	o.originRequests = int64(origin.Stats().Requests)
 	for _, p := range cur.pxs {
 		o.diskHits += p.CacheStats().DiskHits
-		// conns_open is a gauge, so read the live value rather than the
-		// run-window delta.
-		o.upstreamConns += p.Obs().Snapshot().Counter("wire.upstream.conns_open")
 	}
-	if d := o.rep.StatsDelta; d != nil {
-		if served := d.Counter("wire.server.requests"); served > 0 {
-			o.writesPerOp = float64(d.Counter("wire.server.syscalls.writes")) / float64(served)
-		}
-		o.staleServes = d.Counter("proxy.stale_serves")
-		o.peerForwards = d.Counter("peer.forwards")
-		o.peerFallbacks = d.Counter("peer.fallbacks")
-		for _, class := range []string{"dial_timeout", "request_timeout", "canceled", "circuit_open", "truncated", "other"} {
-			o.upstreamErrs += d.Counter("wire.upstream.err." + class)
-		}
+	// conns_open is a gauge, so read the live value rather than the
+	// run-window delta.
+	o.upstreamConns = after.Counter("wire.upstream.conns_open")
+	d := after.Sub(before)
+	if served := d.Counter("wire.server.requests"); served > 0 {
+		o.writesPerOp = float64(d.Counter("wire.server.syscalls.writes")) / float64(served)
+	}
+	o.staleServes = d.Counter("proxy.stale_serves")
+	o.peerForwards = d.Counter("peer.forwards")
+	o.peerFallbacks = d.Counter("peer.fallbacks")
+	for _, class := range []string{"dial_timeout", "request_timeout", "canceled", "circuit_open", "truncated", "other"} {
+		o.upstreamErrs += d.Counter("wire.upstream.err." + class)
 	}
 	return o
 }

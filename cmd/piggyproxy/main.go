@@ -88,9 +88,9 @@ func main() {
 	// With -disk-dir, serve from a tiered store: the RAM tier demotes
 	// eviction-worthy entries to segment files there, and the proxy's
 	// Close (on SIGTERM) snapshots the index so the next run serves warm.
-	var store piggyback.CacheStore
+	ram := piggyback.NewShardedCache(*cacheBytes, *shards, nil)
+	var store piggyback.CacheStore = ram
 	if *diskDir != "" {
-		ram := piggyback.NewShardedCache(*cacheBytes, *shards, nil)
 		ts, err := piggyback.NewTieredCache(ram, piggyback.TieredCacheConfig{
 			Dir: *diskDir, DiskBytes: *diskCap,
 		})
@@ -102,8 +102,6 @@ func main() {
 
 	px := piggyback.NewProxy(piggyback.ProxyConfig{
 		Store:             store,
-		CacheBytes:        *cacheBytes,
-		CacheShards:       *shards,
 		Delta:             *delta,
 		BaseFilter:        piggyback.Filter{MaxPiggy: *maxPiggy},
 		Clock:             func() int64 { return time.Now().Unix() },

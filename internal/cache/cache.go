@@ -122,9 +122,6 @@ func (c *Cache) Used() int64 { return c.used }
 // Len returns the number of cached entries.
 func (c *Cache) Len() int { return len(c.entries) }
 
-// Policy returns the replacement policy.
-func (c *Cache) Policy() Policy { return c.policy }
-
 // Get returns the entry for url, counting a hit or miss and updating
 // replacement state.
 func (c *Cache) Get(url string, now int64) (*Entry, bool) {
@@ -291,21 +288,13 @@ func (c *Cache) reprioritize(e *Entry, now int64) {
 	heap.Fix(&c.h, e.heapIdx)
 }
 
-// URLs returns the cached URLs (unspecified order).
-func (c *Cache) URLs() []string {
-	out := make([]string, 0, len(c.entries))
-	for u := range c.entries {
-		out = append(out, u)
-	}
-	return out
-}
-
 // --- Store conformance -------------------------------------------------
 //
 // The plain Cache satisfies Store so differential tests (and simulators
 // that want the interface) can drive it interchangeably with Sharded and
-// tiered.Tiered. Lookup/ApplyPiggyback mirror Sharded's semantics exactly;
-// they are the single-threaded reference implementations.
+// tiered.Tiered. Its Lookup, PeekView, Contains and ApplyPiggyback are the
+// only implementations: a Sharded shard is a Cache, and Sharded calls
+// them under the shard lock.
 
 // Lookup returns the entry's servable state, counting a hit or miss,
 // updating replacement recency, and clearing the prefetch mark.

@@ -158,32 +158,14 @@ func (v View) Fresh(now int64) bool { return now < v.Expires }
 func (s *Sharded) Lookup(url string, now int64) (View, bool) {
 	sh := s.shard(url)
 	sh.mu.Lock()
-	e, ok := sh.c.Get(url, now)
-	if !ok {
-		sh.mu.Unlock()
-		s.misses.Add(1)
-		return View{}, false
-	}
-	v := viewOf(e)
-	if e.Prefetched {
-		e.Prefetched = false
-		v.WasPrefetched = true
-	}
+	v, ok := sh.c.Lookup(url, now)
 	sh.mu.Unlock()
-	s.hits.Add(1)
-	return v, true
-}
-
-// Peek returns the entry's state without side effects.
-func (s *Sharded) Peek(url string) (View, bool) {
-	sh := s.shard(url)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.c.Peek(url)
-	if !ok {
-		return View{}, false
+	if ok {
+		s.hits.Add(1)
+	} else {
+		s.misses.Add(1)
 	}
-	return viewOf(e), true
+	return v, ok
 }
 
 func viewOf(e *Entry) View {
@@ -197,16 +179,20 @@ func viewOf(e *Entry) View {
 	}
 }
 
-// PeekView is Peek under its Store name.
-func (s *Sharded) PeekView(url string) (View, bool) { return s.Peek(url) }
+// PeekView returns the entry's state without side effects.
+func (s *Sharded) PeekView(url string) (View, bool) {
+	sh := s.shard(url)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.c.PeekView(url)
+}
 
 // Contains reports whether url is cached.
 func (s *Sharded) Contains(url string) bool {
 	sh := s.shard(url)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	_, ok := sh.c.Peek(url)
-	return ok
+	return sh.c.Contains(url)
 }
 
 // Put inserts or replaces the entry for e.URL in its shard, evicting
@@ -281,18 +267,11 @@ func (s *Sharded) ApplyPiggyback(url string, lastModified, freshenTo, pinUntil, 
 	sh := s.shard(url)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e, ok := sh.c.Peek(url)
-	if !ok {
-		return PiggybackMiss
-	}
-	if lastModified > e.LastModified {
-		sh.c.Delete(url)
+	o := sh.c.ApplyPiggyback(url, lastModified, freshenTo, pinUntil, now)
+	if o == PiggybackInvalidated {
 		s.noteMutation(sh, 0)
-		return PiggybackInvalidated
 	}
-	sh.c.Freshen(url, freshenTo)
-	sh.c.Hint(url, pinUntil, now)
-	return PiggybackRefreshed
+	return o
 }
 
 // noteMutation refreshes the shard's occupancy gauges and the aggregate
@@ -358,24 +337,6 @@ func (s *Sharded) Len() int {
 	return n
 }
 
-// Hits returns the number of Lookup hits.
-func (s *Sharded) Hits() int { return int(s.hits.Load()) }
-
-// Misses returns the number of Lookup misses.
-func (s *Sharded) Misses() int { return int(s.misses.Load()) }
-
-// Evictions returns the number of entries evicted for capacity.
-func (s *Sharded) Evictions() int { return int(s.evictions.Load()) }
-
-// HitRate returns hits/(hits+misses).
-func (s *Sharded) HitRate() float64 {
-	h, m := s.hits.Load(), s.misses.Load()
-	if h+m == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+m)
-}
-
 // Stats returns the aggregate lookup and eviction counters.
 func (s *Sharded) Stats() StoreStats {
 	return StoreStats{
@@ -416,27 +377,6 @@ func (s *Sharded) Dump() []Entry {
 		sh.mu.Unlock()
 	}
 	return out
-}
-
-// URLs returns the cached URLs (unspecified order). Concurrent mutations
-// may or may not be reflected; the snapshot is per-shard consistent.
-func (s *Sharded) URLs() []string {
-	var out []string
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		out = append(out, sh.c.URLs()...)
-		sh.mu.Unlock()
-	}
-	return out
-}
-
-// PolicyName returns the replacement policy's name.
-func (s *Sharded) PolicyName() string {
-	sh := &s.shards[0]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.c.Policy().Name()
 }
 
 // PolicyFactory derives a per-shard policy constructor from a prototype

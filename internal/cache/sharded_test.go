@@ -9,37 +9,6 @@ import (
 	"piggyback/internal/obs"
 )
 
-// refPiggyback mirrors Sharded.ApplyPiggyback against a plain Cache, so the
-// differential test can drive both with one op sequence.
-func refPiggyback(c *Cache, url string, lastModified, freshenTo, pinUntil, now int64) PiggybackOutcome {
-	e, ok := c.Peek(url)
-	if !ok {
-		return PiggybackMiss
-	}
-	if lastModified > e.LastModified {
-		c.Delete(url)
-		return PiggybackInvalidated
-	}
-	c.Freshen(url, freshenTo)
-	c.Hint(url, pinUntil, now)
-	return PiggybackRefreshed
-}
-
-// refLookup mirrors Sharded.Lookup (Get + clear the prefetch mark) against
-// a plain Cache.
-func refLookup(c *Cache, url string, now int64) (View, bool) {
-	e, ok := c.Get(url, now)
-	if !ok {
-		return View{}, false
-	}
-	v := viewOf(e)
-	if e.Prefetched {
-		e.Prefetched = false
-		v.WasPrefetched = true
-	}
-	return v, true
-}
-
 // compareState deep-compares the reference Cache against the single shard
 // of a shards==1 Sharded: every entry field that influences observable
 // behaviour or future eviction decisions must match exactly.
@@ -50,9 +19,8 @@ func compareState(t *testing.T, step int, ref *Cache, s *Sharded) {
 		t.Fatalf("step %d: len/used diverged: ref %d/%d sharded %d/%d",
 			step, ref.Len(), ref.Used(), sc.Len(), sc.Used())
 	}
-	if ref.Hits != s.Hits() || ref.Misses != s.Misses() || ref.Evictions != s.Evictions() {
-		t.Fatalf("step %d: stats diverged: ref %d/%d/%d sharded %d/%d/%d",
-			step, ref.Hits, ref.Misses, ref.Evictions, s.Hits(), s.Misses(), s.Evictions())
+	if rs, ss := ref.Stats(), s.Stats(); rs != ss {
+		t.Fatalf("step %d: stats diverged: ref %+v sharded %+v", step, rs, ss)
 	}
 	for url, re := range ref.entries {
 		se, ok := sc.entries[url]
@@ -126,7 +94,7 @@ func TestShardedDifferential(t *testing.T) {
 						t.Fatalf("step %d: evicted diverged: ref %v sharded %v", step, ev1, ev2)
 					}
 				case op < 65: // Lookup
-					v1, ok1 := refLookup(ref, url, now)
+					v1, ok1 := ref.Lookup(url, now)
 					v2, ok2 := s.Lookup(url, now)
 					if ok1 != ok2 || v1.Expires != v2.Expires ||
 						v1.WasPrefetched != v2.WasPrefetched ||
@@ -155,7 +123,7 @@ func TestShardedDifferential(t *testing.T) {
 					}
 				default: // piggyback element
 					lm := now - int64(rng.Intn(600))
-					o1 := refPiggyback(ref, url, lm, now+300, now+600, now)
+					o1 := ref.ApplyPiggyback(url, lm, now+300, now+600, now)
 					o2 := s.ApplyPiggyback(url, lm, now+300, now+600, now)
 					if o1 != o2 {
 						t.Fatalf("step %d: piggyback outcome diverged: %v vs %v", step, o1, o2)
@@ -225,7 +193,7 @@ func TestShardedInvariants(t *testing.T) {
 	if totalCap != capacity {
 		t.Fatalf("partitioned capacity %d != configured %d", totalCap, capacity)
 	}
-	if s.Evictions() == 0 {
+	if s.Stats().Evictions == 0 {
 		t.Fatal("churn produced no evictions — test is vacuous")
 	}
 }
@@ -278,9 +246,9 @@ func TestShardedConcurrentHammer(t *testing.T) {
 		wantHits += hits[w]
 		wantMisses += misses[w]
 	}
-	if s.Hits() != wantHits || s.Misses() != wantMisses {
+	if st := s.Stats(); st.Hits != int64(wantHits) || st.Misses != int64(wantMisses) {
 		t.Fatalf("aggregate stats lost updates: got %d/%d, want %d/%d",
-			s.Hits(), s.Misses(), wantHits, wantMisses)
+			st.Hits, st.Misses, wantHits, wantMisses)
 	}
 	if wantHits == 0 {
 		t.Fatal("hammer produced no hits — test is vacuous")
@@ -296,8 +264,8 @@ func TestShardedConcurrentHammer(t *testing.T) {
 		t.Fatalf("occupancy gauges drifted: %d/%d vs %d/%d",
 			gaugeBytes, gaugeEntries, s.Used(), s.Len())
 	}
-	if got := snap.Counter("cache.evictions"); got != int64(s.Evictions()) {
-		t.Fatalf("eviction gauge %d != evictions %d", got, s.Evictions())
+	if got, want := snap.Counter("cache.evictions"), s.Stats().Evictions; got != want {
+		t.Fatalf("eviction gauge %d != evictions %d", got, want)
 	}
 }
 
@@ -377,7 +345,7 @@ func TestShardedApplyPiggyback(t *testing.T) {
 	if got := s.ApplyPiggyback("http://o/a", 50, now+30, now+40, now); got != PiggybackRefreshed {
 		t.Fatalf("current copy: want PiggybackRefreshed, got %v", got)
 	}
-	v, ok := s.Peek("http://o/a")
+	v, ok := s.PeekView("http://o/a")
 	if !ok || v.Expires != now+30 {
 		t.Fatalf("refresh should extend expiration to %d, got %+v %v", now+30, v, ok)
 	}
@@ -399,7 +367,7 @@ func TestEntryContentTypeRoundTrip(t *testing.T) {
 		t.Fatalf("content type lost on insert: %+v %v", v, ok)
 	}
 	s.Put(Entry{URL: "u", Size: 5, Expires: 10, Body: []byte("bytes"), ContentType: "image/gif"}, 2)
-	v, _ = s.Peek("u")
+	v, _ = s.PeekView("u")
 	if v.ContentType != "image/gif" {
 		t.Fatalf("content type not updated on replace: %+v", v)
 	}

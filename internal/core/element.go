@@ -155,7 +155,7 @@ func ParseMessage(s string) (Message, error) {
 		return m, fmt.Errorf("core: malformed P-Volume value %q: missing volume id", s)
 	}
 	id, err := strconv.Atoi(strings.TrimSpace(vol))
-	if err != nil || id < 0 || VolumeID(id) > MaxVolumeID {
+	if err != nil || id < 0 || id > int(MaxVolumeID) {
 		return m, fmt.Errorf("core: bad volume id %q", vol)
 	}
 	m.Volume = VolumeID(id)

@@ -76,6 +76,7 @@ func TestParseMessageErrors(t *testing.T) {
 		"",
 		"noid",
 		"99999; /a 1 2",
+		"65539; /a 1 2", // not volume 3: the id is not truncated to 16 bits
 		"-3; /a 1 2",
 		"5; /a 1",
 		"5; /a one 2",

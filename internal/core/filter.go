@@ -158,7 +158,7 @@ func ParseFilter(s string) (Filter, error) {
 			}
 			for _, idStr := range strings.Split(val, ",") {
 				id, err := strconv.Atoi(strings.TrimSpace(idStr))
-				if err != nil || id < 0 || VolumeID(id) > MaxVolumeID {
+				if err != nil || id < 0 || id > int(MaxVolumeID) {
 					return f, fmt.Errorf("core: bad rpv id %q", idStr)
 				}
 				f.RPV = append(f.RPV, VolumeID(id))
@@ -177,7 +177,7 @@ func ParseFilter(s string) (Filter, error) {
 			f.MaxSize = n
 		case "pt":
 			p, err := strconv.ParseFloat(val, 64)
-			if err != nil || p < 0 || p > 1 {
+			if err != nil || !(p >= 0 && p <= 1) { // NaN too
 				return f, fmt.Errorf("core: bad pt %q", val)
 			}
 			f.ProbThreshold = p

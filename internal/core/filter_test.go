@@ -74,11 +74,13 @@ func TestFilterParseErrors(t *testing.T) {
 		"maxpiggy=abc",
 		"rpv=\"x\"",
 		"rpv=\"99999\"",
+		"rpv=\"65539\"", // not volume 3: the id is not truncated to 16 bits
 		"minaccess=no",
 		"maxsize=-5",
 		"pt=1.5",
 		"pt=-0.1",
 		"pt=xx",
+		"pt=NaN",
 		"garbage",
 	}
 	for _, s := range bad {

@@ -5,8 +5,8 @@ import "piggyback/internal/obs"
 // StatsResponse serializes a live telemetry snapshot of reg as the
 // GET /.piggy/stats payload: a 200 application/json response. The server,
 // proxy, and volume center all answer the reserved origin-form path
-// obs.StatsPath with this, so the load generator (or an operator with
-// netcat) can watch counters move under live traffic.
+// obs.StatsPath with this, so an operator with curl or netcat can watch
+// counters move under live traffic.
 func StatsResponse(reg *obs.Registry) *Response {
 	resp := NewResponse(200)
 	resp.Body = reg.Snapshot().JSON()

@@ -193,62 +193,27 @@ func sleepBackoff(ctx context.Context, d time.Duration) error {
 // ErrRequestTimeout, ErrCanceled, and ErrTruncatedBody holds on the
 // corresponding paths.
 func (c *Client) DoContext(ctx context.Context, addr string, req *Request) (*Response, error) {
-	calls := []call{{req: req}}
-	if _, err := c.do(ctx, addr, calls); err != nil {
-		return nil, err
-	}
-	return calls[0].resp, nil
-}
-
-// DoAllContext pipelines the requests to addr over one persistent
-// connection (§1: persistent connections "enable pipelining of multiple
-// requests and responses" — the embedded images of a page without
-// per-request round trips) and returns the responses in order; responses
-// received before a failure are returned alongside the error. The requests
-// are queued together, so they go out as one write, and each gets its own
-// budget from when the response before it has been read: a slow early
-// response cannot starve the later ones of theirs.
-func (c *Client) DoAllContext(ctx context.Context, addr string, reqs []*Request) ([]*Response, error) {
-	if len(reqs) == 0 {
-		return nil, nil
-	}
-	calls := make([]call, len(reqs))
-	for i, req := range reqs {
-		calls[i].req = req
-	}
-	done, err := c.do(ctx, addr, calls)
-	resps := make([]*Response, done)
-	for i := range resps {
-		resps[i] = calls[i].resp
-	}
-	return resps, err
-}
-
-// do runs calls, in order, on one connection to addr and reports how many
-// were answered. What is left after a connection-level failure is sent
-// once more, on another connection.
-func (c *Client) do(ctx context.Context, addr string, calls []call) (done int, err error) {
 	start := time.Now()
+	call := &call{req: req}
 	h, err := c.host(addr)
 	if err == nil {
-		done, err = h.do(ctx, calls)
+		err = h.do(ctx, call)
 	}
 	if c.Obs != nil {
-		// A batch shares one wire round trip, so it contributes one
-		// latency sample; counts and bytes are per exchange.
-		c.Obs.Requests.Add(int64(done))
-		for i := range calls[:done] {
-			c.Obs.BytesOut.Add(int64(len(calls[i].req.Body)))
-			c.Obs.BytesIn.Add(int64(len(calls[i].resp.Body)))
-		}
 		if err == nil {
+			c.Obs.Requests.Inc()
+			c.Obs.BytesOut.Add(int64(len(req.Body)))
+			c.Obs.BytesIn.Add(int64(len(call.resp.Body)))
 			c.Obs.Latency.Observe(time.Since(start).Microseconds())
 		} else {
 			c.Obs.Errors.Inc()
 			c.Obs.CountErrClass(wireerr.Class(err))
 		}
 	}
-	return done, err
+	if err != nil {
+		return nil, err
+	}
+	return call.resp, nil
 }
 
 // host returns the connection set for addr, creating it on first use.
@@ -270,45 +235,28 @@ func (c *Client) host(addr string) (*host, error) {
 	return h, nil
 }
 
-func (h *host) do(ctx context.Context, calls []call) (done int, err error) {
+// do runs call on one of the host's connections. A call that fails with
+// its connection is sent once more, on another one.
+func (h *host) do(ctx context.Context, call *call) (err error) {
 	c := h.c
 	// One hook serves every place the caller can be when ctx ends.
-	stop := context.AfterFunc(ctx, func() { h.interrupt(calls) })
+	stop := context.AfterFunc(ctx, func() { h.interrupt(call) })
 	defer stop()
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for retried := false; ; retried = true {
 		var cn *conn
 		if cn, err = h.pickLocked(ctx); err != nil {
-			return done, err
+			return err
 		}
-		rest := calls[done:]
-		cn.enqueueLocked(rest, c.budget(ctx))
-		if err = cn.flushLocked(&rest[0]); err != nil {
+		cn.enqueueLocked(call, c.budget(ctx))
+		if err = cn.flushLocked(call); err != nil {
 			err = wireerr.Exchange(ctx, err)
+		} else if call.resp, err = cn.awaitLocked(ctx, call); err == nil {
+			return nil
 		}
-		for i := 0; err == nil && i < len(rest); i++ {
-			call := &rest[i]
-			if i > 0 && !cn.dead {
-				// The exchange before it has just been answered, so this
-				// one holds the turn; its budget starts here.
-				call.deadline = c.budget(ctx)
-				cn.nc.SetReadDeadline(call.deadline)
-			}
-			if call.resp, err = cn.awaitLocked(ctx, call); err == nil {
-				done++
-			}
-		}
-		if err == nil {
-			return done, nil
-		}
-		if !cn.dead {
-			for i := done + 1; i < len(calls); i++ {
-				cn.abandonLocked(&calls[i])
-			}
-		}
-		if retried || ctx.Err() != nil || !time.Now().Before(calls[done].deadline) {
-			return done, err
+		if retried || ctx.Err() != nil || !time.Now().Before(call.deadline) {
+			return err
 		}
 		if c.Obs != nil {
 			c.Obs.Retries.Inc()
@@ -317,25 +265,20 @@ func (h *host) do(ctx context.Context, calls []call) (done int, err error) {
 		err = sleepBackoff(ctx, c.retryBackoff())
 		h.mu.Lock()
 		if err != nil {
-			return done, err
+			return err
 		}
 	}
 }
 
-// interrupt runs when the context of calls ends: it wakes the caller if it
+// interrupt runs when the context of call ends: it wakes the caller if it
 // waits for a slot and fails the I/O it is blocked in, if any. (A caller
 // waiting for the read turn watches its context itself.) Deadlines are set
 // under h.mu only, so this one cannot be overwritten by the deadline of the
 // I/O it is meant to fail, nor land on the next caller's.
-func (h *host) interrupt(calls []call) {
+func (h *host) interrupt(call *call) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for i := range calls {
-		call := &calls[i]
-		cn := call.cn
-		if cn == nil || cn.dead {
-			continue
-		}
+	if cn := call.cn; cn != nil && !cn.dead {
 		if cn.writer == call {
 			cn.nc.SetWriteDeadline(aLongTimeAgo)
 		}
@@ -424,14 +367,11 @@ func (h *host) reapLocked(now time.Time) {
 	}
 }
 
-// enqueueLocked queues calls, together, behind whatever cn carries.
-func (cn *conn) enqueueLocked(calls []call, deadline time.Time) {
-	idle := len(cn.q) == 0
-	for i := range calls {
-		calls[i] = call{req: calls[i].req, cn: cn, deadline: deadline}
-		cn.q = append(cn.q, &calls[i])
-	}
-	if idle {
+// enqueueLocked queues x, afresh, behind whatever cn carries.
+func (cn *conn) enqueueLocked(x *call, deadline time.Time) {
+	*x = call{req: x.req, cn: cn, deadline: deadline}
+	cn.q = append(cn.q, x)
+	if len(cn.q) == 1 {
 		if m := cn.h.c.Obs; m != nil {
 			m.ConnsIdle.Add(-1)
 		}
@@ -440,9 +380,9 @@ func (cn *conn) enqueueLocked(calls []call, deadline time.Time) {
 }
 
 // flushLocked makes call's goroutine the connection's writer unless it has
-// one: it writes what is queued and not yet written — call, the calls
-// queued with it and those that arrive while it writes — one writev per
-// round, releasing h.mu for each. A failed write closes the connection.
+// one: it writes what is queued and not yet written — call and the calls
+// that arrive while it writes — one writev per round, releasing h.mu for
+// each. A failed write closes the connection.
 func (cn *conn) flushLocked(call *call) (err error) {
 	if cn.writer != nil {
 		return nil // the writer takes call on its next round

@@ -128,11 +128,16 @@ type outcome struct {
 	err  error
 }
 
-// doAsync starts one DoContext and delivers its outcome.
+// doAsync starts one GET and delivers its outcome.
 func doAsync(ctx context.Context, c *Client, addr, path string) <-chan outcome {
+	return sendAsync(ctx, c, addr, NewRequest("GET", path))
+}
+
+// sendAsync starts one DoContext and delivers its outcome.
+func sendAsync(ctx context.Context, c *Client, addr string, req *Request) <-chan outcome {
 	ch := make(chan outcome, 1)
 	go func() {
-		resp, err := c.DoContext(ctx, addr, NewRequest("GET", path))
+		resp, err := c.DoContext(ctx, addr, req)
 		ch <- outcome{resp, err}
 	}()
 	return ch
@@ -161,15 +166,6 @@ func TestTransportRetriesServerClosedConn(t *testing.T) {
 		}
 		if got := c.Obs.ConnsOpen.Load(); got != 1 {
 			t.Errorf("conns_open = %d, want 1 after the dead conn was dropped", got)
-		}
-		// A batch is retried the same way.
-		l.closeConns()
-		resps, err := c.DoAllContext(context.Background(), addr, []*Request{NewRequest("GET", "/x"), NewRequest("GET", "/y")})
-		if err != nil || len(resps) != 2 {
-			t.Fatalf("pipeline retry failed: %v (%d responses)", err, len(resps))
-		}
-		if got := c.Obs.Retries.Load(); got != 2 {
-			t.Errorf("retries = %d after the batch, want 2", got)
 		}
 	})
 }
@@ -706,59 +702,58 @@ func TestTransportCancelAtHeadFailsOnlyThatCall(t *testing.T) {
 }
 
 func TestTransportCollateralErrorIsConnectionLevel(t *testing.T) {
-	// A batch's second exchange starts its budget when the first has been
-	// answered, so it can outlast a call queued behind it. When it then
-	// times out and takes the connection with it, that call — its own
-	// budget spent, so not retried — must not report the batch's timeout
-	// as its own.
+	// A timeout at the head of a shared connection costs the connection,
+	// and the calls behind it fail with it. Each is sent once more; when
+	// the replacement goes the same way, what they report is the loss of
+	// the connection — net.ErrClosed — never the head's timeout.
 	if testing.Short() {
 		t.Skip("timing-dependent")
 	}
-	var seen atomic.Int32
-	release := make(chan struct{})
-	defer close(release)
-	addr := startServer(t, HandlerFunc(func(ctx context.Context, req *Request) *Response {
-		seen.Add(1)
-		resp := echoHandler(ctx, req)
-		switch req.Path {
-		case "/b0":
-			time.Sleep(100 * time.Millisecond)
-			// Past the size up to which the server holds a response back
-			// for the next one, which is not coming.
-			resp.Body = make([]byte, maxResponseBatchBytes+1)
-		case "/b1":
-			<-release
-		}
-		return resp
-	}))
+	g := newGate()
+	defer g.open()
+	addr := startServer(t, g)
 	c := newTestClient(4)
 	c.MaxConnsPerHost = 1
-	c.RequestTimeout = 150 * time.Millisecond
+	// Long enough that the caller waiting for a slot dials the replacement
+	// and is first on it before the retries arrive.
+	c.RetryBackoff = 50 * time.Millisecond
 	defer c.Close()
 
-	type batch struct {
-		resps []*Response
-		err   error
+	ctx1, cancel1 := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel1()
+	head1 := doAsync(ctx1, c, addr, "/head1")
+	waitFor(t, "the head to be written", func() bool { return c.Obs.WriteOps.Load() == 1 })
+	var behind []<-chan outcome
+	for i := 0; i < 3; i++ {
+		behind = append(behind, doAsync(context.Background(), c, addr, fmt.Sprintf("/behind%d", i)))
+		waitFor(t, "the request to be written", func() bool { return c.Obs.WriteOps.Load() == int64(i+2) })
 	}
-	batchDone := make(chan batch, 1)
-	go func() {
-		resps, err := c.DoAllContext(context.Background(), addr, []*Request{NewRequest("GET", "/b0"), NewRequest("GET", "/b1")})
-		batchDone <- batch{resps, err}
-	}()
-	waitFor(t, "the batch to reach the server", func() bool { return seen.Load() == 1 })
-	behind := <-doAsync(context.Background(), c, addr, "/behind")
-	if b := <-batchDone; len(b.resps) != 1 || !errors.Is(b.err, wireerr.ErrRequestTimeout) {
-		t.Fatalf("batch: %d responses, %v; want 1 and ErrRequestTimeout", len(b.resps), b.err)
+	ctx2, cancel2 := context.WithTimeout(context.Background(), 600*time.Millisecond)
+	defer cancel2()
+	head2 := doAsync(ctx2, c, addr, "/head2")
+	waitFor(t, "the next caller to wait for a slot", func() bool { return c.Obs.PoolWaits.Load() == 1 })
+
+	for name, out := range map[string]<-chan outcome{"/head1": head1, "/head2": head2} {
+		if o := <-out; !errors.Is(o.err, wireerr.ErrRequestTimeout) {
+			t.Fatalf("%s got %v, want ErrRequestTimeout", name, o.err)
+		}
 	}
-	if !errors.Is(behind.err, net.ErrClosed) || errors.Is(behind.err, wireerr.ErrRequestTimeout) {
-		t.Fatalf("collateral call got %v, want a net.ErrClosed that is no timeout", behind.err)
+	for i, out := range behind {
+		if o := <-out; !errors.Is(o.err, net.ErrClosed) || errors.Is(o.err, wireerr.ErrRequestTimeout) {
+			t.Fatalf("collateral call %d got %v, want a net.ErrClosed that is no timeout", i, o.err)
+		}
 	}
-	if got := c.Obs.Retries.Load(); got != 0 {
-		t.Errorf("retries = %d, want 0", got)
+	if got := c.Obs.Retries.Load(); got != 3 {
+		t.Errorf("retries = %d, want 3: each collateral call sent once more", got)
+	}
+	if got := c.Obs.Dials.Load(); got != 2 {
+		t.Errorf("dials = %d, want 2", got)
 	}
 }
 
 func TestPipelineRacesSingleCalls(t *testing.T) {
+	// Callers that meet on shared connections, GETs and HEADs mixed, each
+	// get their own response, whatever the interleaving.
 	eachInflight(t, func(t *testing.T, k int) {
 		addr := startServer(t, HandlerFunc(echoHandler))
 		c := newTestClient(k)
@@ -767,81 +762,57 @@ func TestPipelineRacesSingleCalls(t *testing.T) {
 
 		const rounds = 20
 		var wg sync.WaitGroup
-		for g := 0; g < 8; g++ {
+		for g := 0; g < 12; g++ {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
 				for i := 0; i < rounds; i++ {
-					method, want := "GET", fmt.Sprintf("echo:/s%d-%d", g, i)
-					if i%4 == 0 {
+					path := fmt.Sprintf("/s%d-%d", g, i)
+					method, want := "GET", "echo:"+path
+					if (g+i)%4 == 0 {
 						method, want = "HEAD", ""
 					}
-					resp, err := c.DoContext(context.Background(), addr, NewRequest(method, fmt.Sprintf("/s%d-%d", g, i)))
+					resp, err := c.DoContext(context.Background(), addr, NewRequest(method, path))
 					if err != nil || string(resp.Body) != want {
-						t.Errorf("single %d-%d: %v %q", g, i, err, resp)
+						t.Errorf("%s %s: %v %q", method, path, err, resp)
 						return
 					}
 				}
 			}(g)
-		}
-		for i := 0; i < rounds; i++ {
-			reqs := []*Request{
-				NewRequest("GET", fmt.Sprintf("/b%d-0", i)),
-				NewRequest("HEAD", fmt.Sprintf("/b%d-1", i)),
-				NewRequest("GET", fmt.Sprintf("/b%d-2", i)),
-				NewRequest("GET", fmt.Sprintf("/b%d-3", i)),
-			}
-			resps, err := c.DoAllContext(context.Background(), addr, reqs)
-			if err != nil || len(resps) != len(reqs) {
-				t.Fatalf("batch %d: %v (%d responses)", i, err, len(resps))
-			}
-			for j, r := range resps {
-				want := "echo:" + reqs[j].Path
-				if reqs[j].Method == "HEAD" {
-					want = ""
-				}
-				if string(r.Body) != want {
-					t.Fatalf("batch %d response %d = %q, want %q", i, j, r.Body, want)
-				}
-			}
 		}
 		wg.Wait()
 	})
 }
 
 func TestPipelineBasic(t *testing.T) {
+	// k callers at once share one connection of capacity k: their requests
+	// reach the server pipelined, and each caller gets its own response, in
+	// order — a HEAD's without a body. The connection is left for the next.
 	eachInflight(t, func(t *testing.T, k int) {
-		l := startTrackedServer(t, HandlerFunc(echoHandler))
+		g := newGate()
+		l := startTrackedServer(t, g)
 		addr := l.Addr().String()
 		c := newTestClient(k)
 		defer c.Close()
 
-		if resps, err := c.DoAllContext(context.Background(), addr, nil); err != nil || resps != nil {
-			t.Fatalf("empty pipeline: %v, %v", resps, err)
+		var outs []<-chan outcome
+		for i := 0; i < k; i++ {
+			method := "GET"
+			if i == 0 {
+				method = "HEAD"
+			}
+			outs = append(outs, sendAsync(context.Background(), c, addr, NewRequest(method, fmt.Sprintf("/p%d", i))))
+			waitFor(t, "the request to be written", func() bool { return c.Obs.WriteOps.Load() == int64(i+1) })
 		}
-		// A batch reuses the connection a single exchange left, and leaves
-		// it for the next.
-		if _, err := c.DoContext(context.Background(), addr, NewRequest("GET", "/warm")); err != nil {
-			t.Fatal(err)
-		}
-		reqs := []*Request{NewRequest("HEAD", "/p0")}
-		for i := 1; i < 8; i++ {
-			reqs = append(reqs, NewRequest("GET", fmt.Sprintf("/p%d", i)))
-		}
-		resps, err := c.DoAllContext(context.Background(), addr, reqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(resps) != len(reqs) {
-			t.Fatalf("got %d responses", len(resps))
-		}
-		if len(resps[0].Body) != 0 {
-			t.Errorf("HEAD response carried a body: %q", resps[0].Body)
-		}
-		for i, r := range resps[1:] {
-			want := fmt.Sprintf("echo:/p%d", i+1)
-			if string(r.Body) != want {
-				t.Fatalf("response %d = %q, want %q (ordering!)", i+1, r.Body, want)
+		g.open()
+		for i, out := range outs {
+			o := <-out
+			want := fmt.Sprintf("echo:/p%d", i)
+			if i == 0 {
+				want = ""
+			}
+			if o.err != nil || string(o.resp.Body) != want {
+				t.Fatalf("caller %d: %v %q, want %q (ordering!)", i, o.err, o.resp, want)
 			}
 		}
 		if _, err := c.DoContext(context.Background(), addr, NewRequest("GET", "/after")); err != nil {
@@ -850,16 +821,18 @@ func TestPipelineBasic(t *testing.T) {
 		if got := l.accepted(); got != 1 {
 			t.Errorf("used %d connections, want 1", got)
 		}
-		if got := c.Obs.WriteOps.Load(); got != 3 {
-			t.Errorf("%d writes, want 3: the batch goes out as one", got)
-		}
 	})
 }
 
 func TestPipelineWithTrailers(t *testing.T) {
 	// Piggyback trailers must frame correctly under pipelining: each
 	// chunked response terminates before the next begins.
-	h := HandlerFunc(func(_ context.Context, req *Request) *Response {
+	release := make(chan struct{})
+	h := HandlerFunc(func(ctx context.Context, req *Request) *Response {
+		select {
+		case <-release:
+		case <-ctx.Done():
+		}
 		resp := NewResponse(200)
 		resp.Body = []byte("body:" + req.Path)
 		if f, ok := GetFilter(req); ok && f.MaxPiggy > 0 {
@@ -870,73 +843,82 @@ func TestPipelineWithTrailers(t *testing.T) {
 		return resp
 	})
 	addr := startServer(t, h)
-	c := NewClient()
+	c := newTestClient(4)
+	c.MaxConnsPerHost = 1
 	defer c.Close()
-	var reqs []*Request
-	for i := 0; i < 5; i++ {
+	var outs []<-chan outcome
+	for i := 0; i < 4; i++ {
 		req := NewRequest("GET", fmt.Sprintf("/r%d", i))
 		SetFilter(req, core.Filter{MaxPiggy: 5})
-		reqs = append(reqs, req)
+		outs = append(outs, sendAsync(context.Background(), c, addr, req))
+		waitFor(t, "the request to be written", func() bool { return c.Obs.WriteOps.Load() == int64(i+1) })
 	}
-	resps, err := c.DoAllContext(context.Background(), addr, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range resps {
-		if string(r.Body) != fmt.Sprintf("body:/r%d", i) {
-			t.Fatalf("response %d body %q", i, r.Body)
+	close(release)
+	for i, out := range outs {
+		o := <-out
+		if o.err != nil {
+			t.Fatalf("response %d: %v", i, o.err)
 		}
-		m, ok := ExtractPiggyback(r)
+		if string(o.resp.Body) != fmt.Sprintf("body:/r%d", i) {
+			t.Fatalf("response %d body %q", i, o.resp.Body)
+		}
+		m, ok := ExtractPiggyback(o.resp)
 		if !ok || m.Elements[0].URL != fmt.Sprintf("/r%d.sibling", i) {
 			t.Fatalf("response %d piggyback %+v %v", i, m, ok)
 		}
 	}
+	if got := c.Obs.Dials.Load(); got != 1 {
+		t.Errorf("dials = %d, want the four on one connection", got)
+	}
 }
 
 func TestPipelinePerExchangeDeadlines(t *testing.T) {
-	// Three responses that each take ~100ms must survive a 200ms
-	// RequestTimeout, because every exchange of a batch gets its own
-	// budget from when the one before it has been answered; a single
-	// deadline for the whole batch would expire before the third. Bodies
-	// are sized past maxResponseBatchBytes so the server flushes each
-	// response as it finishes instead of coalescing the batch — the
-	// arrivals must be spread in time to discriminate.
+	// Three callers share one connection to a server that takes 150ms per
+	// request and answers them in turn. Each is bounded by its own budget,
+	// RequestTimeout from when it started waiting: the first two are
+	// answered inside theirs; the third, due at ~450ms, is past its 375ms
+	// and times out alone. Bodies are sized past maxResponseBatchBytes so
+	// the server flushes each response as it finishes instead of
+	// coalescing them — the arrivals must be spread in time to
+	// discriminate.
 	if testing.Short() {
 		t.Skip("timing-dependent")
 	}
 	body := bytes.Repeat([]byte("x"), maxResponseBatchBytes+1024)
 	h := HandlerFunc(func(_ context.Context, req *Request) *Response {
-		time.Sleep(100 * time.Millisecond)
+		time.Sleep(150 * time.Millisecond)
 		resp := NewResponse(200)
 		resp.Header.Set("X-Path", req.Path)
 		resp.Body = body
 		return resp
 	})
 	addr := startServer(t, h)
-	c := NewClient()
-	c.RequestTimeout = 200 * time.Millisecond
+	c := newTestClient(4)
+	c.RequestTimeout = 375 * time.Millisecond
 	defer c.Close()
 
-	reqs := []*Request{
-		NewRequest("GET", "/d0"),
-		NewRequest("GET", "/d1"),
-		NewRequest("GET", "/d2"),
+	var outs []<-chan outcome
+	for i := 0; i < 3; i++ {
+		outs = append(outs, doAsync(context.Background(), c, addr, fmt.Sprintf("/d%d", i)))
+		waitFor(t, "the request to be written", func() bool { return c.Obs.WriteOps.Load() == int64(i+1) })
 	}
-	resps, err := c.DoAllContext(context.Background(), addr, reqs)
-	if err != nil {
-		t.Fatalf("pipeline with per-exchange budgets: %v (%d responses)", err, len(resps))
-	}
-	for i, r := range resps {
-		if r.Header.Get("X-Path") != fmt.Sprintf("/d%d", i) {
-			t.Fatalf("response %d answered %q", i, r.Header.Get("X-Path"))
+	for i, out := range outs[:2] {
+		if o := <-out; o.err != nil || o.resp.Header.Get("X-Path") != fmt.Sprintf("/d%d", i) {
+			t.Fatalf("exchange %d inside its budget: %v %v", i, o.err, o.resp)
 		}
+	}
+	if o := <-outs[2]; !errors.Is(o.err, wireerr.ErrRequestTimeout) {
+		t.Fatalf("exchange past its budget got %v, want ErrRequestTimeout", o.err)
+	}
+	if got := c.Obs.Retries.Load(); got != 0 {
+		t.Errorf("retries = %d, want 0: a spent budget is not retried", got)
 	}
 }
 
 func TestPipelineContextDeadlineStillBounds(t *testing.T) {
-	// The per-exchange budget must not extend past the caller's own
-	// context deadline: a batch that cannot finish in time fails with the
-	// timeout taxonomy instead of running RequestTimeout-per-read long.
+	// A long RequestTimeout does not outlast the callers' context: callers
+	// queued behind slow responses on one connection end with the timeout
+	// taxonomy when their context does, not RequestTimeout later.
 	if testing.Short() {
 		t.Skip("timing-dependent")
 	}
@@ -945,20 +927,34 @@ func TestPipelineContextDeadlineStillBounds(t *testing.T) {
 		return echoHandler(ctx, req)
 	})
 	addr := startServer(t, h)
-	c := NewClient()
+	c := newTestClient(4)
+	c.MaxConnsPerHost = 1
 	c.RequestTimeout = 5 * time.Second
 	defer c.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := c.DoAllContext(ctx, addr, []*Request{
-		NewRequest("GET", "/a"), NewRequest("GET", "/b"), NewRequest("GET", "/c"),
-	})
-	if !errors.Is(err, wireerr.ErrRequestTimeout) {
-		t.Fatalf("got %v, want ErrRequestTimeout", err)
+	var outs []<-chan outcome
+	for _, path := range []string{"/a", "/b", "/c"} {
+		outs = append(outs, doAsync(ctx, c, addr, path))
+	}
+	timedOut := 0
+	for _, out := range outs {
+		switch o := <-out; {
+		case errors.Is(o.err, wireerr.ErrRequestTimeout):
+			timedOut++
+		case o.err != nil && !errors.Is(o.err, net.ErrClosed):
+			// net.ErrClosed: a caller behind the head, whose connection the
+			// head's timeout took in the instant before its own context
+			// ended.
+			t.Fatalf("got %v, want a response or ErrRequestTimeout", o.err)
+		}
+	}
+	if timedOut == 0 {
+		t.Error("three 80ms responses in turn all fit a 100ms context")
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("batch outlived its context by %v", elapsed)
+		t.Fatalf("callers outlived their context by %v", elapsed)
 	}
 }

@@ -256,6 +256,9 @@ func TestServerCoalescesPipelinedResponses(t *testing.T) {
 		}
 	}
 
+	// The server records a write after writeVec returns, which can be
+	// after the client has read what it wrote.
+	waitFor(t, "the server to record its writes", func() bool { return srv.Obs.WriteBatch.Snapshot().Sum == 3 })
 	writes := srv.Obs.WriteOps.Load()
 	if writes >= 3 {
 		t.Errorf("3 pipelined responses took %d write syscalls; coalescing inactive", writes)

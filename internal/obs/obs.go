@@ -1,21 +1,23 @@
 // Package obs provides lock-free runtime telemetry for the live
 // server/proxy/center stack: atomic counters and fixed-bucket histograms
-// with snapshot, merge, and percentile support. Every hot-path operation
+// with snapshots and windowed differences. Every hot-path operation
 // (Counter.Add, Histogram.Observe) is a handful of atomic instructions —
 // no locks, no allocation — so instrumentation stays cheap enough to leave
 // on under full load.
 //
 // A Registry names a set of counters and histograms and produces immutable
 // Snapshots that serialize to JSON; the reserved path StatsPath exposes a
-// live snapshot over the wire protocol, which the load generator reads
-// before and after a run to attribute cache hits, piggyback traffic, and
-// upstream activity to the measured window (Snapshot.Sub).
+// live snapshot over the wire protocol. Histograms publish their raw
+// bounds and counts: no quantile is computed here, because one read off a
+// doubling bucket is only known to within a factor of two. Two snapshots
+// taken around a run give its window (Snapshot.Sub).
 package obs
 
 import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -43,8 +45,7 @@ func (c *Counter) Load() int64 { return c.v.Load() }
 // Histogram is a fixed-bucket histogram over int64 observations (latencies
 // in microseconds, sizes in bytes). Bucket i counts observations v with
 // bounds[i-1] < v <= bounds[i]; a final overflow bucket catches the rest.
-// Count, sum, min, and max are tracked exactly; quantiles are estimated by
-// linear interpolation within the containing bucket. All operations are
+// Count, sum, min, and max are tracked exactly. All operations are
 // lock-free.
 type Histogram struct {
 	bounds  []int64
@@ -160,110 +161,12 @@ type HistSnapshot struct {
 	Max    int64   `json:"max"`
 }
 
-// Mean returns the average observation, or NaN when empty.
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return math.NaN()
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
-// lowerEdge returns bucket i's exclusive lower bound (0 for the first).
-func (s HistSnapshot) lowerEdge(i int) int64 {
-	if i == 0 {
-		return 0
-	}
-	return s.Bounds[i-1]
-}
-
-// upperEdge returns bucket i's inclusive upper bound (Max for overflow).
-func (s HistSnapshot) upperEdge(i int) int64 {
-	if i < len(s.Bounds) {
-		return s.Bounds[i]
-	}
-	return s.Max
-}
-
-// Quantile estimates the q-quantile (0 <= q <= 1) by locating the bucket
-// containing the target rank and interpolating linearly inside it, clamped
-// to the exact observed [Min, Max]. Empty snapshots yield NaN.
-func (s HistSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 {
-		return math.NaN()
-	}
-	if q <= 0 {
-		return float64(s.Min)
-	}
-	if q >= 1 {
-		return float64(s.Max)
-	}
-	rank := q * float64(s.Count)
-	var cum int64
-	for i, c := range s.Counts {
-		if c == 0 {
-			continue
-		}
-		if float64(cum+c) >= rank {
-			lo, hi := float64(s.lowerEdge(i)), float64(s.upperEdge(i))
-			frac := (rank - float64(cum)) / float64(c)
-			v := lo + frac*(hi-lo)
-			if v < float64(s.Min) {
-				v = float64(s.Min)
-			}
-			if v > float64(s.Max) {
-				v = float64(s.Max)
-			}
-			return v
-		}
-		cum += c
-	}
-	return float64(s.Max)
-}
-
-// Merge returns the element-wise sum of two snapshots of histograms with
-// identical bounds (e.g. per-worker histograms combined into a run total).
-func (s HistSnapshot) Merge(o HistSnapshot) (HistSnapshot, error) {
-	if len(o.Counts) == 0 {
-		return s, nil
-	}
-	if len(s.Counts) == 0 {
-		return o, nil
-	}
-	if !boundsEqual(s.Bounds, o.Bounds) {
-		return HistSnapshot{}, fmt.Errorf("obs: merge of histograms with different bounds")
-	}
-	out := HistSnapshot{
-		Bounds: append([]int64(nil), s.Bounds...),
-		Counts: make([]int64, len(s.Counts)),
-		Count:  s.Count + o.Count,
-		Sum:    s.Sum + o.Sum,
-		Min:    s.Min,
-		Max:    s.Max,
-	}
-	for i := range s.Counts {
-		out.Counts[i] = s.Counts[i] + o.Counts[i]
-	}
-	switch {
-	case s.Count == 0:
-		out.Min, out.Max = o.Min, o.Max
-	case o.Count == 0:
-	default:
-		if o.Min < out.Min {
-			out.Min = o.Min
-		}
-		if o.Max > out.Max {
-			out.Max = o.Max
-		}
-	}
-	return out, nil
-}
-
 // Sub returns the per-bucket difference s - prev, for windowing a live
 // histogram between two snapshots. Min and Max cannot be recovered for the
 // window, so the later snapshot's values are kept (they bound the window's
 // true extremes).
 func (s HistSnapshot) Sub(prev HistSnapshot) HistSnapshot {
-	if len(prev.Counts) == 0 || !boundsEqual(s.Bounds, prev.Bounds) {
+	if len(prev.Counts) == 0 || !slices.Equal(s.Bounds, prev.Bounds) {
 		return s
 	}
 	out := HistSnapshot{
@@ -278,18 +181,6 @@ func (s HistSnapshot) Sub(prev HistSnapshot) HistSnapshot {
 		out.Counts[i] = s.Counts[i] - prev.Counts[i]
 	}
 	return out
-}
-
-func boundsEqual(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Registry is a named collection of counters and histograms. Metric
@@ -374,12 +265,6 @@ type Snapshot struct {
 // Counter returns the named counter value, or 0 when absent.
 func (s Snapshot) Counter(name string) int64 { return s.Counters[name] }
 
-// Hist returns the named histogram snapshot.
-func (s Snapshot) Hist(name string) (HistSnapshot, bool) {
-	h, ok := s.Histograms[name]
-	return h, ok
-}
-
 // Sub returns the windowed difference s - prev: counter deltas and
 // histogram bucket deltas. Metrics absent from prev pass through unchanged.
 func (s Snapshot) Sub(prev Snapshot) Snapshot {
@@ -399,34 +284,6 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 	return out
 }
 
-// Merge returns the element-wise sum of two snapshots (counters added,
-// same-name histograms merged; mismatched histogram bounds keep s's).
-func (s Snapshot) Merge(o Snapshot) Snapshot {
-	out := Snapshot{
-		Counters:   make(map[string]int64, len(s.Counters)+len(o.Counters)),
-		Histograms: make(map[string]HistSnapshot, len(s.Histograms)+len(o.Histograms)),
-	}
-	for name, v := range s.Counters {
-		out.Counters[name] = v
-	}
-	for name, v := range o.Counters {
-		out.Counters[name] += v
-	}
-	for name, h := range s.Histograms {
-		out.Histograms[name] = h
-	}
-	for name, h := range o.Histograms {
-		if cur, ok := out.Histograms[name]; ok {
-			if m, err := cur.Merge(h); err == nil {
-				out.Histograms[name] = m
-			}
-		} else {
-			out.Histograms[name] = h
-		}
-	}
-	return out
-}
-
 // JSON serializes the snapshot.
 func (s Snapshot) JSON() []byte {
 	b, err := json.Marshal(s)
@@ -435,22 +292,6 @@ func (s Snapshot) JSON() []byte {
 		panic(err)
 	}
 	return b
-}
-
-// ParseSnapshot decodes a snapshot produced by JSON (or the stats
-// endpoint).
-func ParseSnapshot(b []byte) (Snapshot, error) {
-	var s Snapshot
-	if err := json.Unmarshal(b, &s); err != nil {
-		return Snapshot{}, fmt.Errorf("obs: parse snapshot: %v", err)
-	}
-	if s.Counters == nil {
-		s.Counters = make(map[string]int64)
-	}
-	if s.Histograms == nil {
-		s.Histograms = make(map[string]HistSnapshot)
-	}
-	return s, nil
 }
 
 // WireMetrics bundles the metrics one side of the wire protocol maintains:

@@ -27,22 +27,14 @@ import (
 // Config parameterizes a Proxy.
 type Config struct {
 	// Store is the cache the proxy serves from. Nil means a fresh
-	// cache.Sharded built from CacheBytes/CacheShards/Policy below; set
-	// it explicitly to serve from a tiered (RAM+disk) store or any other
-	// cache.Store implementation. When Store is set, CacheBytes,
-	// CacheShards, and Policy are ignored. The proxy owns the store and
-	// closes it in Close.
+	// PiggybackLRU cache.Sharded of CacheBytes with the default shard
+	// count; set it to choose the policy or the shard count, or to serve
+	// from a tiered (RAM+disk) store or any other cache.Store
+	// implementation, and CacheBytes is ignored. The proxy owns the store
+	// and closes it in Close.
 	Store cache.Store
 	// CacheBytes is the cache capacity; zero means 64 MiB.
 	CacheBytes int64
-	// Policy is the replacement policy; nil means PiggybackLRU. Each
-	// cache shard gets its own instance (stateful policies carry
-	// per-shard state; see cache.PolicyFactory).
-	Policy cache.Policy
-	// CacheShards is the number of cache shards, rounded up to a power
-	// of two; zero means cache.DefaultShards() (the smallest power of
-	// two covering the machine's CPUs, clamped to [8, 64]).
-	CacheShards int
 	// Delta is the default freshness interval in seconds (§2.1); zero
 	// means 3600.
 	Delta int64
@@ -244,9 +236,6 @@ func New(cfg Config) *Proxy {
 	if cfg.CacheBytes <= 0 {
 		cfg.CacheBytes = 64 << 20
 	}
-	if cfg.Policy == nil {
-		cfg.Policy = cache.PiggybackLRU{}
-	}
 	if cfg.Delta <= 0 {
 		cfg.Delta = 3600
 	}
@@ -266,7 +255,7 @@ func New(cfg Config) *Proxy {
 	}
 	store := cfg.Store
 	if store == nil {
-		store = cache.NewSharded(cfg.CacheBytes, cfg.CacheShards, cache.PolicyFactory(cfg.Policy))
+		store = cache.NewSharded(cfg.CacheBytes, 0, nil)
 	}
 	reg := obs.NewRegistry()
 	p := &Proxy{

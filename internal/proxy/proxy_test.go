@@ -1,7 +1,10 @@
 package proxy
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"encoding/json"
 	"net"
 	"testing"
 	"time"
@@ -9,6 +12,7 @@ import (
 	"piggyback/internal/cache"
 	"piggyback/internal/core"
 	"piggyback/internal/httpwire"
+	"piggyback/internal/obs"
 	"piggyback/internal/server"
 )
 
@@ -273,6 +277,30 @@ func TestProxyHostHeaderForm(t *testing.T) {
 	}
 }
 
+func TestProxyAnswersStatsPathItself(t *testing.T) {
+	// The origin-form stats path has no host to forward to: the proxy
+	// answers with its own telemetry.
+	tb := newTestbed(t, Config{})
+	tb.get(t, "www.site.com/a/x.html")
+	resp, err := tb.client.DoContext(context.Background(), tb.prxAddr, httpwire.NewRequest("GET", obs.StatsPath))
+	if err != nil || resp.Status != 200 {
+		t.Fatalf("stats request: %v %v", err, resp)
+	}
+	var s obs.Snapshot
+	if err := json.Unmarshal(resp.Body, &s); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Counter("proxy.client_requests"); got != 1 {
+		t.Errorf("proxy.client_requests = %d, want 1: %v", got, s.Counters)
+	}
+	if h, ok := s.Histograms["wire.upstream.latency_us"]; !ok || h.Count != 1 {
+		t.Errorf("upstream wire histogram = %+v, %v; want the one exchange", h, ok)
+	}
+	if got := tb.origin.Stats().Requests; got != 1 {
+		t.Errorf("origin saw %d requests, want 1: the stats request was forwarded", got)
+	}
+}
+
 func TestProxyUpstreamErrorIs502(t *testing.T) {
 	clock := func() int64 { return 1 }
 	p := New(Config{
@@ -291,7 +319,7 @@ func TestProxyUpstreamErrorIs502(t *testing.T) {
 }
 
 func TestProxyEvictionUnderPressure(t *testing.T) {
-	tb := newTestbed(t, Config{Delta: 600, CacheBytes: 150, Policy: cache.LRU{}})
+	tb := newTestbed(t, Config{Delta: 600, Store: cache.NewSharded(150, 0, cache.PolicyFactory(cache.LRU{}))})
 	tb.get(t, "www.site.com/a/x.html") // 100 bytes
 	tb.now++
 	tb.get(t, "www.site.com/a/y.gif") // 50 bytes: fits alongside
@@ -311,21 +339,32 @@ func TestProxyServesPipelinedClients(t *testing.T) {
 	tb := newTestbed(t, Config{Delta: 600})
 	tb.get(t, "www.site.com/a/y.gif") // warm one entry
 
-	reqs := []*httpwire.Request{
-		httpwire.NewRequest("GET", "http://www.site.com/a/x.html"),
-		httpwire.NewRequest("GET", "http://www.site.com/a/y.gif"),
-		httpwire.NewRequest("GET", "http://www.site.com/a/big.pdf"),
-	}
-	resps, err := tb.client.DoAllContext(context.Background(), tb.prxAddr, reqs)
+	conn, err := net.Dial("tcp", tb.prxAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resps) != 3 {
-		t.Fatalf("got %d responses", len(resps))
+	defer conn.Close()
+	// All three requests in one write, before any response is read.
+	var pipelined bytes.Buffer
+	bw := bufio.NewWriter(&pipelined)
+	for _, path := range []string{"/a/x.html", "/a/y.gif", "/a/big.pdf"} {
+		if err := httpwire.WriteRequest(bw, httpwire.NewRequest("GET", "http://www.site.com"+path)); err != nil {
+			t.Fatal(err)
+		}
 	}
+	bw.Flush()
+	if _, err := conn.Write(pipelined.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	br := bufio.NewReader(conn)
 	wantLen := []int{100, 50, 5000}
 	wantCache := []string{"MISS", "HIT", "MISS"}
-	for i, r := range resps {
+	for i := range wantLen {
+		r, err := httpwire.ReadResponse(br, false)
+		if err != nil {
+			t.Fatalf("response %d: %v", i, err)
+		}
 		if r.Status != 200 || len(r.Body) != wantLen[i] {
 			t.Errorf("response %d: %d, %d bytes (want %d)", i, r.Status, len(r.Body), wantLen[i])
 		}
