@@ -74,7 +74,14 @@ func BenchmarkTieredPromote(b *testing.B) {
 // the public paths: promote on a disk hit, hit again in RAM (so the
 // demotion gate passes), evict, and demote the unchanged entry through
 // the writer. The disk tier must not grow by a byte.
-func BenchmarkTieredRedemote(b *testing.B) {
+func BenchmarkTieredRedemote(b *testing.B) { benchRedemote(b, false) }
+
+// BenchmarkTieredRedemotePrefetched runs the same cycle on an entry that
+// reached the disk as a prefetch: the first promotion reports it, no later
+// one does, and the record is kept rather than rewritten.
+func BenchmarkTieredRedemotePrefetched(b *testing.B) { benchRedemote(b, true) }
+
+func benchRedemote(b *testing.B, prefetched bool) {
 	ts, err := New(cache.NewSharded(64<<10, 1, nil), Config{Dir: b.TempDir()})
 	if err != nil {
 		b.Fatal(err)
@@ -82,15 +89,23 @@ func BenchmarkTieredRedemote(b *testing.B) {
 	defer ts.Close()
 	now := int64(1000)
 	e := entry("http://o/cycle", 4096, now)
+	e.Prefetched = prefetched
 	ts.Put(e, now)
-	ts.Lookup(e.URL, now)
+	if !prefetched {
+		ts.Lookup(e.URL, now) // utility: the gate passes
+	}
 	evictAll(ts, now)
 	before := ts.Stats()
+	reports := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := ts.Lookup(e.URL, now); !ok {
+		v, ok := ts.Lookup(e.URL, now)
+		if !ok {
 			b.Fatal("promotion missed")
+		}
+		if v.WasPrefetched {
+			reports++
 		}
 		ts.Lookup(e.URL, now)
 		evictAll(ts, now)
@@ -100,5 +115,12 @@ func BenchmarkTieredRedemote(b *testing.B) {
 	if st.DiskBytes != before.DiskBytes || st.Demotions != before.Demotions ||
 		st.CleanDemotions-before.CleanDemotions != int64(b.N) {
 		b.Fatalf("%d re-demotions of an unchanged entry: %+v -> %+v", b.N, before, st)
+	}
+	want := 0
+	if prefetched {
+		want = 1
+	}
+	if reports != want {
+		b.Fatalf("%d prefetch reports over %d promotions, want %d", reports, b.N, want)
 	}
 }

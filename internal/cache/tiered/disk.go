@@ -58,6 +58,10 @@ type loc struct {
 	size    int64 // Entry.Size (capacity charge)
 	lm      int64
 	expires int64
+	// reported: a promotion has reported the record's prefetch mark, so
+	// get hands the record out unmarked. Kept in memory only; entries
+	// loaded from a snapshot start with it set.
+	reported bool
 }
 
 // segment is one append-only file. live tracks the bytes of records still
@@ -303,7 +307,18 @@ func (d *diskTier) get(url string) (cache.Entry, bool) {
 	// rewriting the record.
 	e.Expires = l.expires
 	e.LastModified = l.lm
+	if l.reported {
+		e.Prefetched = false
+	}
 	return e, true
+}
+
+// report marks url's prefetch as reported (see loc.reported).
+func (d *diskTier) report(url string) {
+	if l, ok := d.index[url]; ok {
+		l.reported = true
+		d.index[url] = l
+	}
 }
 
 // demote stores e, an entry leaving the RAM tier. When the index already
@@ -545,6 +560,10 @@ func (d *diskTier) loadSnapshot() {
 				fail("bad S line %q", s)
 				return
 			}
+			if _, dup := d.segs[id]; dup {
+				fail("segment %d declared twice", id)
+				return
+			}
 			path := filepath.Join(d.dir, segName(id))
 			st, err := os.Stat(path)
 			if err != nil {
@@ -571,7 +590,9 @@ func (d *diskTier) loadSnapshot() {
 				fail("bad E line %q", s)
 				return
 			}
-			var l loc
+			// The reported bits were not saved: count every prefetch as
+			// reported, so none is counted twice.
+			l := loc{reported: true}
 			var errs [6]error
 			l.seg, errs[0] = strconv.Atoi(parts[1])
 			l.off, errs[1] = strconv.ParseInt(parts[2], 10, 64)
@@ -594,7 +615,11 @@ func (d *diskTier) loadSnapshot() {
 			if !ok {
 				continue // segment quarantined or missing
 			}
-			if l.off+l.n > sizes[l.seg] {
+			if _, dup := d.index[url]; dup {
+				fail("%s indexed twice", url)
+				return
+			}
+			if l.n > sizes[l.seg]-l.off { // l.off+l.n could overflow
 				d.logf("tiered: entry %s points past %s end, dropped", url, segName(l.seg))
 				continue
 			}

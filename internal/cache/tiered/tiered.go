@@ -100,7 +100,10 @@ type Tiered struct {
 	cfg  Config
 	disk *diskTier // nil in RAM-only mode
 
-	mu sync.Mutex // guards disk and floor
+	// mu guards disk and floor. A promotion, Put and Delete also hold it
+	// across their RAM operation, so each is one step across both tiers;
+	// a RAM hit never takes it.
+	mu sync.Mutex
 
 	demoteQ chan demoteItem
 	// seq stamps evictions and queued counts those the writer has not
@@ -124,6 +127,11 @@ type Tiered struct {
 	drops       atomic.Int64
 
 	obsC atomic.Pointer[tierCounters]
+
+	// promoting, set only by tests, runs between a promotion's record read
+	// and its RAM insert, so a test can try to run another operation on
+	// the key there.
+	promoting func()
 }
 
 var _ cache.Store = (*Tiered)(nil)
@@ -310,11 +318,14 @@ func (t *Tiered) maintain() {
 // Lookup serves from RAM when possible; on a RAM miss it probes the disk
 // index, and a disk hit promotes a copy of the entry into RAM (the Sharded
 // tier re-runs its replacement policy; displaced entries may in turn
-// demote). The record stays indexed, except a Prefetched one: the
-// promotion clears the mark in RAM, so the record is consumed and
-// WasPrefetched is reported once. Accounting: the RAM tier counted the
-// miss, the disk hit re-classifies it — Stats() folds the two so one
-// logical lookup counts once.
+// demote). The record stays indexed. A Prefetched record reports
+// WasPrefetched on its first promotion only: the promotion sets the index
+// entry's reported bit, and neither the RAM copy nor a later promotion
+// carries the mark. The record is read and its copy inserted in one t.mu
+// section, so a Put, Delete or piggyback invalidation of the key is wholly
+// before the promotion or wholly after it. Accounting: the RAM tier
+// counted the miss, the disk hit re-classifies it — Stats() folds the two
+// so one logical lookup counts once.
 func (t *Tiered) Lookup(url string, now int64) (cache.View, bool) {
 	if v, ok := t.ram.Lookup(url, now); ok {
 		return v, true
@@ -323,11 +334,8 @@ func (t *Tiered) Lookup(url string, now int64) (cache.View, bool) {
 		return cache.View{}, false
 	}
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	e, ok := t.disk.get(url)
-	if ok && e.Prefetched {
-		t.disk.dropIndexed(url)
-	}
-	t.mu.Unlock()
 	if !ok {
 		return cache.View{}, false
 	}
@@ -350,6 +358,10 @@ func (t *Tiered) Lookup(url string, now int64) (cache.View, bool) {
 		// tier's semantics: report it once and clear the mark.
 		v.WasPrefetched = true
 		e.Prefetched = false
+		t.disk.report(url)
+	}
+	if t.promoting != nil {
+		t.promoting()
 	}
 	// Promote: the RAM tier re-runs its replacement policy on insert, so
 	// the promoted entry lands as a just-used entry.
@@ -397,32 +409,39 @@ func (t *Tiered) Contains(url string) bool {
 
 // Put inserts into the RAM tier (demotion of displaced entries happens
 // via the eviction hook). The disk record of the same URL is dropped so
-// the tiers never disagree about a key's version — after the insert, so
-// that an eviction of the version it replaces is already queued.
+// the tiers never disagree about a key's version — in the same t.mu
+// section as the insert, so no promotion of the record falls between the
+// two, and after the insert, so that an eviction of the version it
+// replaces is already queued.
 func (t *Tiered) Put(e cache.Entry, now int64) []string {
+	if t.disk == nil {
+		return t.ram.Put(e, now)
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	evicted := t.ram.Put(e, now)
-	t.dropRecord(e.URL)
+	t.dropLocked(e.URL)
 	return evicted
 }
 
-// Delete removes url from both tiers. Deletion is invalidation: the disk
-// copy is dropped, not demoted to.
+// Delete removes url from both tiers, in one t.mu section as Put does.
+// Deletion is invalidation: the disk copy is dropped, not demoted to.
 func (t *Tiered) Delete(url string) bool {
-	ok := t.ram.Delete(url)
-	return t.dropRecord(url) || ok
-}
-
-// dropRecord removes url's disk record, and keeps queued evictions of url
-// from becoming one. It reports whether there was a record. The caller has
-// been through the RAM tier with url first.
-func (t *Tiered) dropRecord(url string) bool {
 	if t.disk == nil {
-		return false
+		return t.ram.Delete(url)
 	}
 	t.mu.Lock()
+	defer t.mu.Unlock()
+	ok := t.ram.Delete(url)
+	return t.dropLocked(url) || ok
+}
+
+// dropLocked removes url's disk record, and keeps queued evictions of url
+// from becoming one. It reports whether there was a record. The caller
+// holds t.mu and has been through the RAM tier with url first.
+func (t *Tiered) dropLocked(url string) bool {
 	ok := t.disk.dropIndexed(url)
 	t.floorLocked(url, math.MaxInt64)
-	t.mu.Unlock()
 	return ok
 }
 
@@ -482,23 +501,29 @@ func (t *Tiered) diskContains(url string) bool {
 // disk index. An entry invalidated in RAM takes its record with it; one
 // refreshed in RAM leaves the record's older expiration alone (the next
 // clean demotion raises it); on a RAM miss the record itself is
-// invalidated or freshened.
+// invalidated or freshened. Between the two halves a promotion may have
+// copied the record into RAM, so whenever the disk half finds a record
+// it applies the element to RAM again, under the same t.mu section.
 func (t *Tiered) ApplyPiggyback(url string, lastModified, freshenTo, pinUntil, now int64) cache.PiggybackOutcome {
 	out := t.ram.ApplyPiggyback(url, lastModified, freshenTo, pinUntil, now)
-	if t.disk == nil {
+	if t.disk == nil || out == cache.PiggybackRefreshed {
 		return out
 	}
-	switch out {
-	case cache.PiggybackInvalidated:
-		t.dropRecord(url)
-	case cache.PiggybackMiss:
-		t.mu.Lock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var found bool
+	if out == cache.PiggybackInvalidated {
+		found = t.dropLocked(url)
+	} else {
 		out = t.disk.applyPiggyback(url, lastModified, freshenTo)
+		found = out != cache.PiggybackMiss
 		if out != cache.PiggybackRefreshed {
 			// No record, or an outdated one: the copy may be in the queue.
 			t.floorLocked(url, lastModified)
 		}
-		t.mu.Unlock()
+	}
+	if found {
+		t.ram.ApplyPiggyback(url, lastModified, freshenTo, pinUntil, now)
 	}
 	return out
 }

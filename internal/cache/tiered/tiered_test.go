@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"piggyback/internal/cache"
 	"piggyback/internal/obs"
@@ -592,5 +593,115 @@ func TestTieredQueuedDemotionLosesToInvalidation(t *testing.T) {
 				t.Errorf("%d floors left after the queue drained", floors)
 			}
 		})
+	}
+}
+
+// TestTieredPromotionIsOneStep: a promotion reads the record and inserts
+// its copy into RAM in one t.mu section, so another operation on the key is
+// wholly before it or wholly after it. Each case starts that operation on
+// its own goroutine from inside the promotion (the promoting hook, between
+// the read and the insert) and lets it run for up to 50 ms there: where the
+// section is not one step it completes in that window, and the insert then
+// brings back the version it removed. Where it is, the operation waits for
+// t.mu — a piggyback after its RAM half has missed — and must still leave
+// no trace of the old version once it is done.
+func TestTieredPromotionIsOneStep(t *testing.T) {
+	const url = "http://o/a"
+	now := int64(1000)
+	old, newer := entry(url, 600, now), entry(url, 600, now+50)
+	for _, tc := range []struct {
+		name   string
+		op     func(t *testing.T, ts *Tiered)
+		wantLM int64 // what the next Lookup serves; 0: a miss
+	}{
+		{"piggyback names a newer version", func(t *testing.T, ts *Tiered) {
+			if out := ts.ApplyPiggyback(url, old.LastModified+1, now+600, now+600, now); out != cache.PiggybackInvalidated {
+				t.Errorf("ApplyPiggyback = %v, want %v", out, cache.PiggybackInvalidated)
+			}
+		}, 0},
+		{"put", func(t *testing.T, ts *Tiered) { ts.Put(newer, now) }, newer.LastModified},
+		{"delete", func(t *testing.T, ts *Tiered) {
+			if !ts.Delete(url) {
+				t.Error("Delete found nothing")
+			}
+		}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := newTiered(t, t.TempDir(), 1<<10, Config{})
+			defer ts.Close()
+			ts.Put(old, now)
+			ts.Lookup(url, now) // utility: the gate passes
+			evictAll(ts, now)
+			done := make(chan struct{})
+			ts.promoting = func() {
+				ts.promoting = nil
+				go func() {
+					defer close(done)
+					tc.op(t, ts)
+				}()
+				select {
+				case <-done:
+				case <-time.After(50 * time.Millisecond):
+				}
+			}
+			if v, ok := ts.Lookup(url, now); !ok || v.LastModified != old.LastModified {
+				t.Fatalf("promotion: hit=%v lm %d, want lm %d", ok, v.LastModified, old.LastModified)
+			}
+			<-done
+			v, ok := ts.Lookup(url, now)
+			if !ok {
+				v.LastModified = 0
+			}
+			if v.LastModified != tc.wantLM {
+				t.Fatalf("Lookup after %s: hit=%v lm %d, want lm %d (0: a miss)", tc.name, ok, v.LastModified, tc.wantLM)
+			}
+		})
+	}
+}
+
+// TestTieredPrefetchReportedOnceAcrossRestart: a promoted prefetched record
+// keeps its mark on disk, and only the in-memory reported bit stops a second
+// report. A reopened store starts every record reported, so the prefetch
+// reported before the restart is not reported again — nor is the one never
+// touched: a restart may lose a report but never doubles one.
+func TestTieredPrefetchReportedOnceAcrossRestart(t *testing.T) {
+	dir := t.TempDir()
+	now := int64(1000)
+	const touched, untouched = "http://o/touched", "http://o/untouched"
+	reported := func(ts *Tiered, url string) bool {
+		t.Helper()
+		v, ok := ts.Lookup(url, now)
+		if !ok {
+			t.Fatalf("%s is not cached", url)
+		}
+		evictAll(ts, now) // the copy has no hit: the gate refuses it, the record stays
+		return v.WasPrefetched
+	}
+	ts := newTiered(t, dir, 1<<10, Config{})
+	for _, url := range []string{touched, untouched} {
+		e := entry(url, 600, now)
+		e.Prefetched = true
+		ts.Put(e, now)
+		evictAll(ts, now) // the mark passes the gate
+	}
+	if !reported(ts, touched) {
+		t.Fatal("the first promotion did not report the prefetch")
+	}
+	if reported(ts, touched) {
+		t.Fatal("the second promotion reported the prefetch again")
+	}
+	if err := ts.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re := newTiered(t, dir, 1<<10, Config{})
+	defer re.Close()
+	for _, url := range []string{touched, untouched} {
+		if reported(re, url) {
+			t.Fatalf("%s: the prefetch was reported after the restart", url)
+		}
+	}
+	if st := re.Stats(); st.Demotions != 0 || st.DiskHits != 2 {
+		t.Fatalf("reopened store: %+v, want 2 disk hits and nothing written", st)
 	}
 }
