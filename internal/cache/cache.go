@@ -214,9 +214,9 @@ func (c *Cache) evict(e *Entry, now int64) {
 }
 
 // SetEvictObserver installs fn to observe capacity evictions (nil
-// removes it). fn runs inside the eviction path — under the shard lock
-// when the Cache is a Sharded shard — so it must be fast and must not
-// call back into the cache.
+// removes it). fn runs inside the insert that evicts — under the shard
+// lock when the Cache is a Sharded shard — before Put returns, so it must
+// be fast and must not call back into the cache.
 func (c *Cache) SetEvictObserver(fn func(e *Entry, now int64)) { c.evictObserver = fn }
 
 // Delete removes url, returning whether it was present.

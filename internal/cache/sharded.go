@@ -350,9 +350,12 @@ func (s *Sharded) Stats() StoreStats {
 func (s *Sharded) Close() error { return nil }
 
 // SetEvictObserver installs fn on every shard to observe capacity
-// evictions (nil removes it). fn runs under the evicting shard's lock:
-// it must be fast, must not call back into the cache, and must copy
-// anything it keeps from the entry.
+// evictions (nil removes it). fn runs inside the insert that evicts,
+// under the evicting shard's lock: it must be fast, must not call back
+// into the cache, and must copy anything it keeps from the entry.
+// tiered.New installs one; from then on the Sharded belongs to the tiered
+// store, and a Put made on the Sharded directly bypasses the store's drop
+// of the key's disk record.
 func (s *Sharded) SetEvictObserver(fn func(e *Entry, now int64)) {
 	for i := range s.shards {
 		sh := &s.shards[i]

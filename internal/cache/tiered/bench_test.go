@@ -66,14 +66,14 @@ func BenchmarkTieredPromote(b *testing.B) {
 		if _, ok := ts.Lookup(e.URL, now); !ok {
 			b.Fatal("promotion missed")
 		}
-		ts.RAM().Delete(e.URL)
+		ts.ram.Delete(e.URL)
 	}
 }
 
 // BenchmarkTieredRedemote measures the whole inclusive round trip through
 // the public paths: promote on a disk hit, hit again in RAM (so the
-// demotion gate passes), evict, and demote the unchanged entry through
-// the writer. The disk tier must not grow by a byte.
+// demotion gate passes), and evict, which demotes the unchanged entry in
+// the evicting Put. The disk tier must not grow by a byte.
 func BenchmarkTieredRedemote(b *testing.B) { benchRedemote(b, false) }
 
 // BenchmarkTieredRedemotePrefetched runs the same cycle on an entry that

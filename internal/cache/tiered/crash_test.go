@@ -233,7 +233,6 @@ func TestCrashOrphanSegment(t *testing.T) {
 		ts.Put(entry(u, 512, now), now)
 		ts.Lookup(u, now)
 	}
-	ts.Flush()
 }
 
 // TestCrashMissingSegment: the snapshot names a segment whose file was

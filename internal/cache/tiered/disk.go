@@ -47,6 +47,9 @@ const (
 	recMagic  = 0x50475631 // "PGV1"
 	recHdrLen = 4 + 4*4 + 8*4 + 1
 	recTail   = 4 // trailing CRC
+	// compactLiveRatio: a sealed segment whose live bytes fall below this
+	// fraction of its size is rewritten into the active segment.
+	compactLiveRatio = 0.5
 )
 
 // loc is one index entry: where a record lives and the freshness state
@@ -77,21 +80,17 @@ type segment struct {
 // disk operations are off the RAM-hit path, and serializing them keeps
 // the append-only invariants trivial.
 type diskTier struct {
-	dir          string
-	capBytes     int64
-	segBytes     int64
-	compactRatio float64
-	logf         func(format string, args ...interface{})
+	dir      string
+	capBytes int64
+	segBytes int64
+	logf     func(format string, args ...interface{})
 
 	index  map[string]loc
 	segs   map[int]*segment
 	cur    *segment
 	nextID int
 	bytes  int64 // sum of segment sizes (the disk footprint)
-
-	compactions int64
-	corrupt     int64 // records dropped on CRC/decode failure
-	enc         []byte
+	enc    []byte
 }
 
 func segName(id int) string { return fmt.Sprintf("seg-%06d.dat", id) }
@@ -100,18 +99,17 @@ func segName(id int) string { return fmt.Sprintf("seg-%06d.dat", id) }
 // when a valid one exists. Corruption never fails the open: a truncated
 // segment is quarantined, a corrupt snapshot is logged and ignored, and
 // the proxy serves cold for whatever was lost.
-func openDisk(dir string, capBytes, segBytes int64, ratio float64, logf func(string, ...interface{})) (*diskTier, error) {
+func openDisk(dir string, capBytes, segBytes int64, logf func(string, ...interface{})) (*diskTier, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	d := &diskTier{
-		dir:          dir,
-		capBytes:     capBytes,
-		segBytes:     segBytes,
-		compactRatio: ratio,
-		logf:         logf,
-		index:        make(map[string]loc),
-		segs:         make(map[int]*segment),
+		dir:      dir,
+		capBytes: capBytes,
+		segBytes: segBytes,
+		logf:     logf,
+		index:    make(map[string]loc),
+		segs:     make(map[int]*segment),
 	}
 	// Any existing segment bumps the id floor, referenced by the
 	// snapshot or not, so a fresh active segment never collides.
@@ -291,14 +289,12 @@ func (d *diskTier) get(url string) (cache.Entry, bool) {
 	}
 	buf := make([]byte, l.n)
 	if _, err := s.f.ReadAt(buf, l.off); err != nil {
-		d.corrupt++
 		d.dropIndexed(url)
 		d.logf("tiered: read %s@%d+%d failed: %v", segName(l.seg), l.off, l.n, err)
 		return cache.Entry{}, false
 	}
 	e, ok := decode(buf)
 	if !ok || e.URL != url {
-		d.corrupt++
 		d.dropIndexed(url)
 		d.logf("tiered: corrupt record for %s in %s@%d", url, segName(l.seg), l.off)
 		return cache.Entry{}, false
@@ -384,7 +380,7 @@ func (d *diskTier) maintain() int {
 			if s == d.cur {
 				continue
 			}
-			if float64(s.live) < float64(s.size)*d.compactRatio {
+			if float64(s.live) < float64(s.size)*compactLiveRatio {
 				target = s
 				break
 			}
@@ -395,7 +391,6 @@ func (d *diskTier) maintain() int {
 		d.compact(target)
 		compacted++
 	}
-	d.compactions += int64(compacted)
 	return compacted
 }
 

@@ -24,11 +24,9 @@ type keyModel struct {
 // a key in both tiers has one version and the record expires no later than
 // the RAM copy; neither tier holds a version that was replaced, deleted or
 // invalidated; a version Put as a prefetch is reported by its first hit and
-// by no other, whichever tier answers and through promotions, evictions,
-// compactions and flushes; and an unchanged promoted entry, prefetched or
-// not, goes back to disk without a byte written. The writer is drained
-// after every operation but one — the invalidation that races the
-// demotions queued just before it, whose two orders leave the same keys.
+// by no other, whichever tier answers and through promotions, evictions
+// and compactions; and an unchanged promoted entry, prefetched or
+// not, goes back to disk without a byte written.
 func TestTieredInvariants(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) { runInvariants(t, seed) })
@@ -65,7 +63,6 @@ func runInvariants(t *testing.T, seed int64) {
 	}
 	lookup := func(k int) (cache.View, bool) {
 		v, ok := ts.Lookup(url(k), now)
-		ts.Flush()
 		if !ok {
 			return v, false
 		}
@@ -102,7 +99,6 @@ func runInvariants(t *testing.T, seed int64) {
 				Expires: now + int64(rng.Intn(300)), FetchedAt: now, Body: b,
 				ContentType: "text/html", Prefetched: m.prefetched,
 			}, now)
-			ts.Flush()
 		case op < 60:
 			lookup(k)
 		case op < 72: // piggyback element: equal, older or newer Last-Modified
@@ -125,13 +121,11 @@ func runInvariants(t *testing.T, seed int64) {
 		case op < 88:
 			ts.Delete(url(k))
 			m.gone = true
-		case op < 94:
-			evictAll(ts, now)
 		case op < 95:
-			ts.Flush()
-		case op < 97: // an invalidation overtakes the demotions it races: no drain in between
+			evictAll(ts, now)
+		case op < 97: // an invalidation of a key the filler just evicted
 			const filler = "http://o/filler"
-			ts.Put(cache.Entry{URL: filler, Size: ts.RAM().Capacity(), Expires: now}, now)
+			ts.Put(cache.Entry{URL: filler, Size: ts.ram.Capacity(), Expires: now}, now)
 			switch rng.Intn(3) {
 			case 0:
 				ts.Delete(url(k))
@@ -142,12 +136,11 @@ func runInvariants(t *testing.T, seed int64) {
 					URL: url(k), Size: 300, LastModified: m.lm + 1, Expires: now + 100,
 					FetchedAt: now, Body: body(k, m.lm+1),
 				}, now)
-				ts.RAM().Delete(url(k)) // what is left of k is what the disk holds
+				ts.ram.Delete(url(k)) // what is left of k is what the disk holds
 				*m = keyModel{lm: m.lm + 1}
 			}
 			m.gone = true
 			ts.Delete(filler)
-			ts.Flush()
 		default: // promote, hit, evict unchanged: the re-demotion is free, prefetched or not
 			evictAll(ts, now)
 			if _, ok := record(url(k)); !ok {
@@ -178,7 +171,7 @@ func runInvariants(t *testing.T, seed int64) {
 
 		for k := range model {
 			m := model[k]
-			rv, inRAM := ts.RAM().PeekView(url(k))
+			rv, inRAM := ts.ram.PeekView(url(k))
 			l, onDisk := record(url(k))
 			if inRAM && (m.gone || rv.LastModified != m.lm) {
 				fail("RAM holds %s lm %d; model %+v", url(k), rv.LastModified, m)
@@ -243,7 +236,6 @@ func TestTieredConcurrent(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		<-done
 	}
-	ts.Flush()
 	if st := ts.Stats(); st.Promotions == 0 || st.Demotions == 0 {
 		t.Fatalf("hammer never reached the disk tier: %+v", st)
 	}

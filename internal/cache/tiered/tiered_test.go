@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -38,12 +39,11 @@ func entry(url string, size int64, now int64) cache.Entry {
 
 // evictAll empties a single-shard RAM tier through the eviction path: an
 // entry as large as the tier displaces everything, then is deleted (a
-// delete is never demoted), and the writer is drained.
+// delete is never demoted).
 func evictAll(ts *Tiered, now int64) {
 	const filler = "http://o/filler"
-	ts.Put(cache.Entry{URL: filler, Size: ts.RAM().Capacity(), Expires: now}, now)
+	ts.Put(cache.Entry{URL: filler, Size: ts.ram.Capacity(), Expires: now}, now)
 	ts.Delete(filler)
-	ts.Flush()
 }
 
 // TestTieredDemotePromote: an entry with utility (a hit) demotes on
@@ -61,7 +61,6 @@ func TestTieredDemotePromote(t *testing.T) {
 		t.Fatal("a not cached")
 	}
 	ts.Put(entry("http://o/b", 600, now), now) // evicts a
-	ts.Flush()
 	if got := ts.Stats().Demotions; got != 1 {
 		t.Fatalf("want 1 demotion, got %d", got)
 	}
@@ -81,7 +80,7 @@ func TestTieredDemotePromote(t *testing.T) {
 	if st.DiskHits != 1 || st.Promotions != 1 {
 		t.Fatalf("want 1 disk hit / 1 promotion, got %d/%d", st.DiskHits, st.Promotions)
 	}
-	if !ts.RAM().Contains("http://o/a") || !ts.diskContains("http://o/a") {
+	if !ts.ram.Contains("http://o/a") || !ts.diskContains("http://o/a") {
 		t.Fatal("a promoted entry should be in RAM and keep its record")
 	}
 	if ts.Len() != 1 || ts.Used() != a.Size {
@@ -91,7 +90,6 @@ func TestTieredDemotePromote(t *testing.T) {
 	// Evicted before a second hit, the promoted copy fails the gate — and
 	// the object is still on disk.
 	ts.Put(entry("http://o/c", 600, now), now)
-	ts.Flush()
 	if st := ts.Stats(); st.Demotions != 1 || st.CleanDemotions != 0 {
 		t.Fatalf("gated eviction reached the disk tier: %+v", st)
 	}
@@ -104,7 +102,6 @@ func TestTieredDemotePromote(t *testing.T) {
 	ts.Lookup("http://o/a", now+3)
 	ts.Freshen("http://o/a", now+900)
 	ts.Put(entry("http://o/d", 600, now), now)
-	ts.Flush()
 	st = ts.Stats()
 	if st.Demotions != 1 || st.CleanDemotions != 1 || st.DiskBytes != written {
 		t.Fatalf("want a clean re-demotion and %d disk bytes, got %+v", written, st)
@@ -127,7 +124,6 @@ func TestTieredDemoteGate(t *testing.T) {
 	ts.Put(entry("http://o/warm", 600, now), now) // evicts cold
 	ts.Lookup("http://o/warm", now)               // utility for warm
 	ts.Put(entry("http://o/next", 600, now), now) // evicts warm
-	ts.Flush()
 	if ts.Contains("http://o/cold") {
 		t.Fatal("cold entry (no utility) must not demote")
 	}
@@ -154,8 +150,7 @@ func TestTieredStatsFold(t *testing.T) {
 	ts.Lookup("http://o/a", now) // RAM hit
 	lookups++
 	ts.Put(entry("http://o/b", 600, now), now) // evicts + demotes a
-	ts.Flush()
-	ts.Lookup("http://o/a", now) // disk hit
+	ts.Lookup("http://o/a", now)               // disk hit
 	lookups++
 	ts.Lookup("http://o/missing", now) // miss
 	lookups++
@@ -222,14 +217,12 @@ func TestTieredRestartFreshness(t *testing.T) {
 	ts.Put(entry("http://o/a", 600, now), now)
 	ts.Lookup("http://o/a", now)
 	ts.Put(entry("http://o/b", 600, now), now) // demote a
-	ts.Flush()
 	if got := ts.ApplyPiggyback("http://o/a", now-100, now+9999, now+9999, now); got != cache.PiggybackRefreshed {
 		t.Fatalf("disk-resident refresh: got %v", got)
 	}
 	// Invalidation of a disk-resident copy deletes it.
 	ts.Lookup("http://o/b", now)
 	ts.Put(entry("http://o/c", 600, now), now) // demote b
-	ts.Flush()
 	if got := ts.ApplyPiggyback("http://o/b", now+500, now, now, now); got != cache.PiggybackInvalidated {
 		t.Fatalf("disk-resident invalidation: got %v", got)
 	}
@@ -256,8 +249,7 @@ func TestTieredCloseReusesRecord(t *testing.T) {
 	ts.Put(entry("http://o/a", 600, now), now)
 	ts.Lookup("http://o/a", now)
 	ts.Put(entry("http://o/b", 600, now), now) // demotes a
-	ts.Flush()
-	ts.Lookup("http://o/a", now) // promotes a, evicting b for good
+	ts.Lookup("http://o/a", now)               // promotes a, evicting b for good
 	ts.Freshen("http://o/a", now+900)
 	written := ts.Stats().DiskBytes
 	if err := ts.Close(); err != nil {
@@ -289,11 +281,9 @@ func TestTieredCompaction(t *testing.T) {
 		ts.Put(entry(url(i), 600, now), now)
 		ts.Lookup(url(i), now) // utility so eviction demotes
 	}
-	ts.Flush()
 	for i := 0; i < n-1; i++ { // the first evicts and demotes r15
 		ts.Lookup(url(i), now+int64(i))
 	}
-	ts.Flush()
 	before := ts.Stats()
 	if before.Demotions != n || before.Promotions != n-1 {
 		t.Fatalf("want %d demotions and %d promotions, got %+v", n, n-1, before)
@@ -322,7 +312,13 @@ func TestTieredCompaction(t *testing.T) {
 			ts.Put(entry(url(i), 600, now+500), now+500)
 		}
 	}
-	ts.Flush()
+	if st := ts.Stats(); st.Compactions != 0 || st.Demotions != n {
+		t.Fatalf("maintenance ran with no record written: %+v", st)
+	}
+	// Maintenance runs after a demotion that writes a record.
+	ts.Put(entry("http://o/last", 600, now), now)
+	ts.Lookup("http://o/last", now)
+	evictAll(ts, now)
 	st := ts.Stats()
 	if st.Compactions == 0 || st.DiskBytes >= before.DiskBytes {
 		t.Fatalf("holes were not reclaimed: before %+v after %+v", before, st)
@@ -351,7 +347,6 @@ func TestTieredDiskCapacity(t *testing.T) {
 		ts.Put(entry(url, 600, now), now)
 		ts.Lookup(url, now)
 	}
-	ts.Flush()
 	st := ts.Stats()
 	if st.DiskBytes > 8<<10 {
 		t.Fatalf("disk footprint %d exceeds cap %d", st.DiskBytes, 8<<10)
@@ -371,7 +366,6 @@ func TestTieredInstrument(t *testing.T) {
 	ts.Put(entry("http://o/a", 600, now), now)
 	ts.Lookup("http://o/a", now)
 	ts.Put(entry("http://o/b", 600, now), now)
-	ts.Flush()
 	ts.Lookup("http://o/a", now) // disk hit + promotion
 	ts.Lookup("http://o/a", now) // utility again
 
@@ -394,13 +388,48 @@ func TestTieredInstrument(t *testing.T) {
 	reg2 := obs.NewRegistry()
 	ts.Instrument(reg2, "cache")
 	ts.Put(entry("http://o/c", 600, now), now) // evicts a (hit above): a clean demotion
-	ts.Flush()
 	snap = reg2.Snapshot()
 	if got, want := snap.Counter("cache.tier.demotions"), ts.Stats().Demotions; got != want {
 		t.Fatalf("re-instrumented demotions = %d, want %d", got, want)
 	}
 	if got := snap.Counter("cache.tier.demote_clean"); got != 1 || ts.Stats().CleanDemotions != 1 {
 		t.Fatalf("demote_clean = %d, stats %+v, want 1", got, ts.Stats())
+	}
+}
+
+// TestTieredStartsNoGoroutines: demotion, maintenance and promotion run
+// inside the operations that cause them, so a disk-backed store runs no
+// goroutine of its own, open or closed.
+func TestTieredStartsNoGoroutines(t *testing.T) {
+	start := runtime.NumGoroutine()
+	ts := newTiered(t, t.TempDir(), 1<<10, Config{SegmentBytes: 3000})
+	now := int64(1000)
+	url := func(i int) string { return fmt.Sprintf("http://o/r%02d", i) }
+	for i := 0; i < 16; i++ {
+		ts.Put(entry(url(i), 600, now), now)
+		ts.Lookup(url(i), now) // a hit: the next insert demotes it
+	}
+	for i := 0; i < 16; i++ {
+		if i%4 == 0 {
+			ts.Lookup(url(i), now) // a promotion
+		} else {
+			ts.Delete(url(i)) // a hole
+		}
+	}
+	ts.Put(entry("http://o/last", 600, now), now)
+	ts.Lookup("http://o/last", now)
+	evictAll(ts, now) // a written demotion: maintenance compacts the holes
+	if st := ts.Stats(); st.Demotions == 0 || st.Promotions == 0 || st.Compactions == 0 {
+		t.Fatalf("the store was not driven through the disk tier: %+v", st)
+	}
+	if n := runtime.NumGoroutine(); n > start {
+		t.Fatalf("%d goroutines with the store open, %d before it", n, start)
+	}
+	if err := ts.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := runtime.NumGoroutine(); n > start {
+		t.Fatalf("%d goroutines after Close, %d before the store", n, start)
 	}
 }
 
@@ -416,7 +445,6 @@ func TestTieredRAMOnly(t *testing.T) {
 	ts.Put(entry("http://o/a", 600, now), now)
 	ts.Lookup("http://o/a", now)
 	ts.Put(entry("http://o/b", 600, now), now) // evicts a — nowhere to go
-	ts.Flush()                                 // must not block
 	if ts.Contains("http://o/a") {
 		t.Fatal("RAM-only store resurrected an evicted entry")
 	}
@@ -533,31 +561,35 @@ func TestTieredSnapshotAtomic(t *testing.T) {
 	}
 }
 
-// TestTieredQueuedDemotionLosesToInvalidation: the demotion queue is
-// asynchronous, so an eviction can still be queued when its key is deleted,
-// replaced, or named stale by a piggyback that finds it in neither tier.
-// The writer must not store it afterwards — the old version would be served
-// fresh from disk. The writer is held back until both have happened.
-func TestTieredQueuedDemotionLosesToInvalidation(t *testing.T) {
+// TestTieredEvictionThenInvalidation: an eviction is on disk before the
+// insert that caused it returns, so a delete, a newer Put or a piggyback
+// naming a newer version that follows it finds the record and drops it —
+// the old version is never served fresh from disk. A piggyback naming the
+// same version leaves it servable.
+func TestTieredEvictionThenInvalidation(t *testing.T) {
 	const url = "http://o/a"
 	now := int64(1000)
 	a := entry(url, 600, now)
 	cases := []struct {
 		name       string
 		invalidate func(t *testing.T, ts *Tiered)
-		kept       bool // the queued version is still good and must reach the disk
+		kept       bool // the evicted version is still good and must be served
 	}{
-		{"delete", func(t *testing.T, ts *Tiered) { ts.Delete(url) }, false},
+		{"delete", func(t *testing.T, ts *Tiered) {
+			if !ts.Delete(url) {
+				t.Error("Delete found nothing")
+			}
+		}, false},
 		{"put", func(t *testing.T, ts *Tiered) {
 			newer := entry(url, 600, now+50)
 			ts.Put(newer, now)
 			// Out of RAM again without a demotion, so that only a record
 			// could answer.
-			ts.RAM().Delete(url)
+			ts.ram.Delete(url)
 		}, false},
 		{"piggyback names a newer version", func(t *testing.T, ts *Tiered) {
-			if out := ts.ApplyPiggyback(url, a.LastModified+1, now+600, now+600, now); out != cache.PiggybackMiss {
-				t.Fatalf("ApplyPiggyback = %v, want a miss: the copy is in the queue", out)
+			if out := ts.ApplyPiggyback(url, a.LastModified+1, now+600, now+600, now); out != cache.PiggybackInvalidated {
+				t.Errorf("ApplyPiggyback = %v, want %v: the record is on disk", out, cache.PiggybackInvalidated)
 			}
 		}, false},
 		{"piggyback names the same version", func(t *testing.T, ts *Tiered) {
@@ -566,31 +598,20 @@ func TestTieredQueuedDemotionLosesToInvalidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ts, err := open(cache.NewSharded(1<<10, 1, nil), Config{Dir: t.TempDir(), Logf: t.Logf})
-			if err != nil {
-				t.Fatal(err)
-			}
+			ts := newTiered(t, t.TempDir(), 1<<10, Config{})
 			defer ts.Close()
 			ts.Put(a, now)
 			if _, ok := ts.Lookup(url, now); !ok { // utility: the gate passes
 				t.Fatal("a not cached")
 			}
 			ts.Put(entry("http://o/b", 600, now), now) // evicts a
-			if len(ts.demoteQ) != 1 {
-				t.Fatalf("%d evictions queued, want a's", len(ts.demoteQ))
+			if st := ts.Stats(); st.Demotions != 1 {
+				t.Fatalf("the eviction wrote %d records, want a's", st.Demotions)
 			}
 			tc.invalidate(t, ts)
-			ts.startWriter()
-			ts.Flush()
 			v, ok := ts.Lookup(url, now)
-			if ok != tc.kept {
-				t.Fatalf("Lookup after the queue drained: hit=%v (lm %d), want hit=%v", ok, v.LastModified, tc.kept)
-			}
-			ts.mu.Lock()
-			floors := len(ts.floor)
-			ts.mu.Unlock()
-			if floors != 0 {
-				t.Errorf("%d floors left after the queue drained", floors)
+			if ok != tc.kept || ok && v.LastModified != a.LastModified {
+				t.Fatalf("Lookup after %s: hit=%v (lm %d), want hit=%v", tc.name, ok, v.LastModified, tc.kept)
 			}
 		})
 	}

@@ -3,6 +3,7 @@ package httpwire
 import (
 	"bufio"
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -25,6 +26,48 @@ func FuzzReadRequest(f *testing.F) {
 		var buf bytes.Buffer
 		if werr := WriteRequest(bufio.NewWriter(&buf), req); werr != nil {
 			t.Fatalf("reserialize: %v", werr)
+		}
+	})
+}
+
+// FuzzHits reads its input both as a Piggy-Hits value and as a list of
+// URLs, one per line. GetHits never panics and never returns an element
+// that is empty, holds a comma or has whitespace at either end; and
+// GetHits(SetHits(urls)) is exactly what SetHits encoded, a subsequence of
+// urls newest first, in at most maxHitsHeader bytes.
+func FuzzHits(f *testing.F) {
+	f.Add("/a/one.html, /a/two.gif")
+	f.Add("/ok.html\n/bad url.html\n/with,comma\n\n/last.html")
+	f.Add(" ,, /padded.html ,\t")
+	f.Fuzz(func(t *testing.T, s string) {
+		req := NewRequest("GET", "/x")
+		req.Header.Set(FieldPiggyHits, s)
+		for _, h := range GetHits(req) {
+			if h == "" || strings.Contains(h, ",") || strings.TrimSpace(h) != h {
+				t.Fatalf("GetHits(%q) returned %q", s, h)
+			}
+		}
+
+		urls := strings.Split(s, "\n")
+		req = NewRequest("GET", "/x")
+		SetHits(req, urls)
+		v := req.Header.Get(FieldPiggyHits)
+		if len(v) > maxHitsHeader {
+			t.Fatalf("SetHits wrote %d bytes, budget %d", len(v), maxHitsHeader)
+		}
+		got := GetHits(req)
+		if strings.Join(got, ",") != v {
+			t.Fatalf("SetHits encoded %q, GetHits returned %q", v, got)
+		}
+		i := len(urls) - 1
+		for _, h := range got {
+			for i >= 0 && urls[i] != h {
+				i--
+			}
+			if i < 0 {
+				t.Fatalf("GetHits returned %q out of newest-first order in %q", got, urls)
+			}
+			i--
 		}
 	})
 }

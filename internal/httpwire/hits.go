@@ -21,7 +21,9 @@ const maxHitsHeader = 2048
 
 // SetHits attaches cache-hit URLs to the request, dropping entries that
 // would overflow the header budget (most recent first, so the freshest
-// hits survive).
+// hits survive). A URL GetHits would not return unchanged — empty, with a
+// comma, space or tab, or with other whitespace at either end — is
+// skipped.
 func SetHits(req *Request, urls []string) {
 	if len(urls) == 0 {
 		return
@@ -32,7 +34,7 @@ func SetHits(req *Request, urls []string) {
 	var b strings.Builder
 	for i := len(urls) - 1; i >= 0; i-- {
 		u := urls[i]
-		if u == "" || strings.ContainsAny(u, ", \t") {
+		if u == "" || strings.ContainsAny(u, ", \t") || strings.TrimSpace(u) != u {
 			continue
 		}
 		if b.Len()+len(u)+1 > maxHitsHeader {
