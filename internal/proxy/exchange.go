@@ -9,32 +9,38 @@ import (
 	"piggyback/internal/obs"
 )
 
-// leg is one direction the proxy sends requests in — the origin leg or the
-// mesh's peer leg: a wire client and the circuit breaker that guards it
-// (nil when disabled), which trips after consecutive failures so a dead
-// host costs a map lookup instead of a dial timeout per request.
+// leg is one direction the proxy sends requests in — demand fetches to the
+// origin, speculative fetches to the origin, or the mesh's peer leg: a wire
+// client and the circuit breaker that guards it (nil when disabled), which
+// trips after consecutive failures so a dead host costs a map lookup
+// instead of a dial timeout per request. Two legs may share one breaker.
 type leg struct {
 	client  *httpwire.Client
 	breaker *breaker
 }
 
-// newLeg builds a leg whose wire metrics (round-trip latency, retries,
-// dials, error classes) and breaker counters land in reg under the two
-// prefixes.
-func newLeg(cfg Config, reg *obs.Registry, wirePrefix, breakerPrefix string) leg {
-	l := leg{client: httpwire.NewClient()}
+// newLeg builds a leg guarded by b whose wire metrics (round-trip latency,
+// retries, dials, error classes) land in reg under wirePrefix.
+func newLeg(reg *obs.Registry, wirePrefix string, b *breaker) leg {
+	l := leg{client: httpwire.NewClient(), breaker: b}
 	l.client.Obs = obs.NewWireMetrics(reg, wirePrefix)
-	if !cfg.BreakerDisabled {
-		seed := cfg.BreakerSeed
-		if seed == 0 {
-			seed = 1
-		}
-		l.breaker = newBreaker(breakerSettings{
-			failures: cfg.BreakerFailures,
-			backoff:  cfg.BreakerBackoff,
-		}, reg, breakerPrefix, seed)
-	}
 	return l
+}
+
+// legBreaker returns the breaker cfg asks for, its counters in reg under
+// prefix, or nil when cfg disables breakers.
+func legBreaker(cfg Config, reg *obs.Registry, prefix string) *breaker {
+	if cfg.BreakerDisabled {
+		return nil
+	}
+	seed := cfg.BreakerSeed
+	if seed == 0 {
+		seed = 1
+	}
+	return newBreaker(breakerSettings{
+		failures: cfg.BreakerFailures,
+		backoff:  cfg.BreakerBackoff,
+	}, reg, prefix, seed)
 }
 
 // exchange is the only way the proxy talks upstream: one request to addr,

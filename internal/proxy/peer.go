@@ -92,7 +92,7 @@ func newMesh(cfg Config, reg *obs.Registry) *mesh {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &mesh{
-		leg:  newLeg(cfg, reg, "wire.peer", "peer.breaker"),
+		leg:  newLeg(reg, "wire.peer", legBreaker(cfg, reg, "peer.breaker")),
 		self: cfg.PeerSelf,
 		ring: ring,
 		// A peer stays a propagation target for as long as a volume stays

@@ -72,11 +72,14 @@ type Config struct {
 	// UpstreamTimeout caps one upstream exchange (the client's
 	// RequestTimeout); zero keeps the wire default (30s).
 	UpstreamTimeout time.Duration
-	// UpstreamInflight is how many concurrent exchanges one upstream
-	// connection carries (httpwire's MaxInflightPerConn: requests that
-	// meet on a connection go out as one writev, responses are read in
-	// order). Zero means 4; 1 gives every exchange a connection to
-	// itself. The peer client is unaffected either way.
+	// UpstreamInflight is how many concurrent demand exchanges (client
+	// misses and validations) one upstream connection carries (httpwire's
+	// MaxInflightPerConn: requests that meet on a connection go out as one
+	// writev, responses are read in order). Zero means 4; 1 gives every
+	// exchange a connection to itself. The peer client is unaffected
+	// either way, and speculative fetches always carry one exchange per
+	// connection, on connections of their own: a demand exchange never
+	// queues behind or ahead of one.
 	UpstreamInflight int
 	// BreakerFailures is the consecutive-failure threshold that trips a
 	// host's circuit open; zero means 5.
@@ -171,13 +174,18 @@ type Stats struct {
 
 // Proxy is a caching piggybacking proxy, served over httpwire.
 type Proxy struct {
-	cfg    Config
-	origin leg
-	rpv    *core.RPVTable
-	fresh  *FreshnessEstimator
-	queue  *InformedQueue
-	obs    *obs.Registry
-	c      proxyCounters
+	cfg Config
+	// origin carries demand exchanges, prefetch speculative ones on
+	// connections of their own: httpwire.Server answers one connection's
+	// requests in order, so a shared connection would make a client miss
+	// wait out a prefetch. The two share origin's breaker.
+	origin   leg
+	prefetch leg
+	rpv      *core.RPVTable
+	fresh    *FreshnessEstimator
+	queue    *InformedQueue
+	obs      *obs.Registry
+	c        proxyCounters
 
 	// cache is the store the proxy serves from — a cache.Sharded by
 	// default (every operation locks only the shard owning its key, so
@@ -258,15 +266,17 @@ func New(cfg Config) *Proxy {
 		store = cache.NewSharded(cfg.CacheBytes, 0, nil)
 	}
 	reg := obs.NewRegistry()
+	originBreaker := legBreaker(cfg, reg, "proxy.breaker")
 	p := &Proxy{
-		cfg:     cfg,
-		origin:  newLeg(cfg, reg, "wire.upstream", "proxy.breaker"),
-		rpv:     core.NewRPVTable(cfg.RPVTimeout, 0), // 0: core's 32 volumes per server
-		cache:   store,
-		queue:   NewInformedQueue(),
-		hits:    newHostHits(),
-		flights: make(map[string]*flight),
-		obs:     reg,
+		cfg:      cfg,
+		origin:   newLeg(reg, "wire.upstream", originBreaker),
+		prefetch: newLeg(reg, "wire.prefetch", originBreaker),
+		rpv:      core.NewRPVTable(cfg.RPVTimeout, 0), // 0: core's 32 volumes per server
+		cache:    store,
+		queue:    NewInformedQueue(),
+		hits:     newHostHits(),
+		flights:  make(map[string]*flight),
+		obs:      reg,
 		c: proxyCounters{
 			clientRequests:     reg.Counter("proxy.client_requests"),
 			freshHits:          reg.Counter("proxy.fresh_hits"),
@@ -289,9 +299,9 @@ func New(cfg Config) *Proxy {
 		},
 	}
 	p.mesh = newMesh(cfg, reg)
-	if cfg.UpstreamTimeout > 0 {
-		p.origin.client.RequestTimeout = cfg.UpstreamTimeout
-	}
+	p.origin.client.RequestTimeout = cfg.UpstreamTimeout // zero keeps the wire default
+	p.prefetch.client.RequestTimeout = cfg.UpstreamTimeout
+	p.prefetch.client.MaxInflightPerConn = 1
 	switch {
 	case cfg.UpstreamInflight == 0:
 		p.origin.client.MaxInflightPerConn = 4
@@ -375,14 +385,15 @@ func (p *Proxy) Queue() *InformedQueue { return p.queue }
 func (p *Proxy) Freshness() *FreshnessEstimator { return p.fresh }
 
 // Close stops the mesh's propagation worker (when one is running),
-// releases upstream and peer connections, and closes the cache store —
-// a tiered store flushes its RAM working set to disk and snapshots its
-// index here, which is what makes a restart warm.
+// releases upstream (demand and prefetch) and peer connections, and closes
+// the cache store — a tiered store flushes its RAM working set to disk and
+// snapshots its index here, which is what makes a restart warm.
 func (p *Proxy) Close() {
 	if p.mesh != nil {
 		p.mesh.close()
 	}
 	p.origin.client.Close()
+	p.prefetch.client.Close()
 	if err := p.cache.Close(); err != nil {
 		log.Printf("proxy: cache close: %v", err)
 	}
@@ -568,7 +579,7 @@ func (p *Proxy) finishFlight(key string, out *httpwire.Response) {
 // pass, unconditional, which cannot end that way.
 func (p *Proxy) fetch(ctx context.Context, st upstreamState, now int64) *httpwire.Response {
 	for cond := st.hit; ; cond = false {
-		resp, err := p.askOrigin(ctx, st.host, p.originRequest(st, cond, now))
+		resp, err := p.askOrigin(ctx, p.origin, st.host, p.originRequest(st, cond, now))
 		if err != nil {
 			return p.degrade(st, now, err)
 		}
@@ -634,13 +645,14 @@ func (p *Proxy) originRequest(st upstreamState, cond bool, now int64) *httpwire.
 	return oreq
 }
 
-// askOrigin resolves host and runs the exchange on the origin leg. Every
-// failure but a refusal by the open circuit is an upstream error.
-func (p *Proxy) askOrigin(ctx context.Context, host string, req *httpwire.Request) (*httpwire.Response, error) {
+// askOrigin resolves host and runs the exchange on l — p.origin for
+// demand, p.prefetch for speculation. Every failure but a refusal by the
+// open circuit is an upstream error.
+func (p *Proxy) askOrigin(ctx context.Context, l leg, host string, req *httpwire.Request) (*httpwire.Response, error) {
 	addr, err := p.cfg.Resolve(host)
 	var resp *httpwire.Response
 	if err == nil {
-		resp, err = p.origin.exchange(ctx, host, addr, req)
+		resp, err = l.exchange(ctx, host, addr, req)
 	}
 	if err != nil && !errors.Is(err, wireerr.ErrCircuitOpen) {
 		p.c.upstreamErrors.Inc()
@@ -834,11 +846,15 @@ func (p *Proxy) processPiggyback(host string, m core.Message, now int64) {
 // DrainPrefetchesContext synchronously services up to max queued
 // prefetches (smallest first), returning how many were fetched; it stops
 // early when ctx ends. Prefetch requests disable piggybacking to avoid
-// speculative cascades. Each fetch goes through the same single-flight map
-// as client misses, closing the Peek-then-fetch window where two
-// concurrent drains — or a drain racing a client miss — would both fetch
-// one key: the loser joins the winner's flight (or skips) instead of
-// issuing its own origin exchange.
+// speculative cascades. They travel on the proxy's speculative connections
+// (wire.prefetch.*), one exchange per connection and one connection per
+// concurrent drain caller, never on a connection that carries client
+// misses, so a miss never waits behind a prefetch; the origin's circuit
+// breaker gates them and counts their failures as it does a miss's. Each
+// fetch goes through the same single-flight map as client misses, closing
+// the Peek-then-fetch window where two concurrent drains — or a drain
+// racing a client miss — would both fetch one key: the loser joins the
+// winner's flight (or skips) instead of issuing its own origin exchange.
 func (p *Proxy) DrainPrefetchesContext(ctx context.Context, max int) int {
 	fetched := 0
 	for fetched < max {
@@ -875,7 +891,7 @@ func (p *Proxy) prefetchOne(ctx context.Context, it FetchItem, key string, now i
 	oreq := httpwire.NewRequest("GET", it.URL)
 	oreq.Header.Set("Host", it.Host)
 	httpwire.SetFilter(oreq, core.Filter{Disabled: true})
-	resp, err := p.askOrigin(ctx, it.Host, oreq)
+	resp, err := p.askOrigin(ctx, p.prefetch, it.Host, oreq)
 	if err != nil {
 		return p.degrade(upstreamState{}, now, err), false
 	}
