@@ -18,7 +18,10 @@ import (
 	"syscall"
 	"time"
 
-	"piggyback"
+	"piggyback/internal/center"
+	"piggyback/internal/core"
+	"piggyback/internal/httpwire"
+	"piggyback/internal/obs"
 )
 
 func main() {
@@ -28,9 +31,9 @@ func main() {
 	level := flag.Int("level", 1, "directory-volume prefix level (host-qualified)")
 	maxPiggy := flag.Int("maxpiggy", 10, "piggyback element cap")
 	statsEvery := flag.Duration("stats", 30*time.Second, "stats reporting interval (0 disables)")
-	pprofOn := flag.Bool("pprof", false, "serve runtime profiles on "+piggyback.PprofPathPrefix)
+	pprofOn := flag.Bool("pprof", false, "serve runtime profiles on "+httpwire.PprofPathPrefix)
 	flag.Parse()
-	piggyback.EnablePprof(*pprofOn)
+	httpwire.EnablePprof(*pprofOn)
 
 	upstreams := make(map[string]string)
 	if *hostMap != "" {
@@ -43,8 +46,8 @@ func main() {
 		}
 	}
 
-	ctr := piggyback.NewVolumeCenter(piggyback.CenterConfig{
-		Volumes: piggyback.NewDirVolumes(piggyback.DirConfig{
+	ctr := center.New(center.Config{
+		Volumes: core.NewDirVolumes(core.DirConfig{
 			Level: *level, MTF: true, ServerMaxPiggy: *maxPiggy, PartitionByType: true,
 		}),
 		Resolve: func(host string) (string, error) {
@@ -68,8 +71,8 @@ func main() {
 		}()
 	}
 
-	srv := &piggyback.WireServer{Handler: ctr, ErrorLog: log.New(os.Stderr, "volumecenter: ", 0),
-		Obs: piggyback.NewWireMetrics(ctr.Obs(), "wire.server")}
+	srv := &httpwire.Server{Handler: ctr, ErrorLog: log.New(os.Stderr, "volumecenter: ", 0),
+		Obs: obs.NewWireMetrics(ctr.Obs(), "wire.server")}
 	go func() {
 		ch := make(chan os.Signal, 1)
 		signal.Notify(ch, os.Interrupt, syscall.SIGTERM)

@@ -15,7 +15,10 @@ import (
 	"net"
 	"time"
 
-	"piggyback"
+	"piggyback/internal/core"
+	"piggyback/internal/httpwire"
+	"piggyback/internal/proxy"
+	"piggyback/internal/server"
 )
 
 func main() {
@@ -23,8 +26,8 @@ func main() {
 	clock := func() int64 { return now }
 
 	// Origin: a "software" section with a page and its downloads.
-	store := piggyback.NewStore()
-	section := []piggyback.Resource{
+	store := server.NewStore()
+	section := []server.Resource{
 		{URL: "/software/index.html", Size: 3000, LastModified: now - 86400},
 		{URL: "/software/shot1.gif", Size: 18000, LastModified: now - 86400},
 		{URL: "/software/shot2.gif", Size: 22000, LastModified: now - 86400},
@@ -34,29 +37,29 @@ func main() {
 	for _, r := range section {
 		store.Put(r)
 	}
-	vols := piggyback.NewDirVolumes(piggyback.DirConfig{Level: 1, MTF: true, ServerMaxPiggy: 10})
-	origin := piggyback.NewOriginServer(store, vols, clock)
+	vols := core.NewDirVolumes(core.DirConfig{Level: 1, MTF: true, ServerMaxPiggy: 10})
+	origin := server.New(store, vols, clock)
 	ol, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	osrv := &piggyback.WireServer{Handler: origin}
+	osrv := &httpwire.Server{Handler: origin}
 	go osrv.Serve(ol)
 	defer osrv.Close()
 
-	newProxy := func() (*piggyback.Proxy, string) {
-		px := piggyback.NewProxy(piggyback.ProxyConfig{
+	newProxy := func() (*proxy.Proxy, string) {
+		px := proxy.New(proxy.Config{
 			Delta:      900,
 			Clock:      clock,
 			Resolve:    func(string) (string, error) { return ol.Addr().String(), nil },
-			BaseFilter: piggyback.Filter{MaxPiggy: 10},
+			BaseFilter: core.Filter{MaxPiggy: 10},
 			Prefetch:   true,
 		})
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			log.Fatal(err)
 		}
-		srv := &piggyback.WireServer{Handler: px}
+		srv := &httpwire.Server{Handler: px}
 		go srv.Serve(l)
 		return px, l.Addr().String()
 	}
@@ -65,10 +68,10 @@ func main() {
 	defer proxyA.Close()
 	defer proxyB.Close()
 
-	client := piggyback.NewWireClient()
+	client := httpwire.NewClient()
 	defer client.Close()
 	get := func(addr, url string) string {
-		resp, err := client.DoContext(context.Background(), addr, piggyback.NewWireRequest("GET", "http://www.sw.example"+url))
+		resp, err := client.DoContext(context.Background(), addr, httpwire.NewRequest("GET", "http://www.sw.example"+url))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -87,7 +90,7 @@ func main() {
 	fmt.Println("-- B's piggyback named the section's resources; its informed queue")
 	fmt.Println("   holds them smallest-first: --")
 	q := proxyB.Queue()
-	order := []piggyback.FetchItem{}
+	order := []proxy.FetchItem{}
 	for q.Len() > 0 {
 		it, _ := q.Pop()
 		order = append(order, it)
@@ -113,4 +116,8 @@ func main() {
 	st := proxyB.Stats()
 	fmt.Printf("\nproxy B: %d prefetches, %d useful, %d/%d section requests served from cache\n",
 		st.Prefetches, st.UsefulPrefetches, hits, len(section)-1)
+	if hits != len(section)-1 || st.UsefulPrefetches != st.Prefetches {
+		log.Fatalf("%d of %d section requests hit and %d of %d prefetches were useful; want all of both",
+			hits, len(section)-1, st.UsefulPrefetches, st.Prefetches)
+	}
 }

@@ -16,7 +16,10 @@ import (
 	"net"
 	"time"
 
-	"piggyback"
+	"piggyback/internal/core"
+	"piggyback/internal/httpwire"
+	"piggyback/internal/proxy"
+	"piggyback/internal/server"
 )
 
 func main() {
@@ -24,8 +27,8 @@ func main() {
 	clock := func() int64 { return now }
 
 	// --- Origin server: a small site with two directories. ---
-	store := piggyback.NewStore()
-	for _, r := range []piggyback.Resource{
+	store := server.NewStore()
+	for _, r := range []server.Resource{
 		{URL: "/news/index.html", Size: 4096, LastModified: now - 7200},
 		{URL: "/news/logo.gif", Size: 1024, LastModified: now - 86400},
 		{URL: "/news/story1.html", Size: 8192, LastModified: now - 3600},
@@ -33,46 +36,47 @@ func main() {
 	} {
 		store.Put(r)
 	}
-	vols := piggyback.NewDirVolumes(piggyback.DirConfig{Level: 1, MTF: true, ServerMaxPiggy: 10})
-	origin := piggyback.NewOriginServer(store, vols, clock)
+	vols := core.NewDirVolumes(core.DirConfig{Level: 1, MTF: true, ServerMaxPiggy: 10})
+	origin := server.New(store, vols, clock)
 
 	ol, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	osrv := &piggyback.WireServer{Handler: origin}
+	osrv := &httpwire.Server{Handler: origin}
 	go osrv.Serve(ol)
 	defer osrv.Close()
 	fmt.Println("origin server on", ol.Addr())
 
 	// --- Caching proxy. ---
-	px := piggyback.NewProxy(piggyback.ProxyConfig{
+	px := proxy.New(proxy.Config{
 		Delta:      600, // freshness interval Δ
 		Clock:      clock,
 		Resolve:    func(host string) (string, error) { return ol.Addr().String(), nil },
-		BaseFilter: piggyback.Filter{MaxPiggy: 10},
+		BaseFilter: core.Filter{MaxPiggy: 10},
 	})
 	defer px.Close()
 	pl, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	psrv := &piggyback.WireServer{Handler: px}
+	psrv := &httpwire.Server{Handler: px}
 	go psrv.Serve(pl)
 	defer psrv.Close()
 	fmt.Println("caching proxy on", pl.Addr())
 
 	// --- A client browsing through the proxy. ---
-	client := piggyback.NewWireClient()
+	client := httpwire.NewClient()
 	defer client.Close()
-	get := func(url string) {
-		req := piggyback.NewWireRequest("GET", "http://"+url)
+	get := func(url string) string {
+		req := httpwire.NewRequest("GET", "http://"+url)
 		resp, err := client.DoContext(context.Background(), pl.Addr().String(), req)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("GET %-34s -> %d, %5d bytes, X-Cache=%s\n",
 			url, resp.Status, len(resp.Body), resp.Header.Get("X-Cache"))
+		return resp.Header.Get("X-Cache")
 	}
 
 	fmt.Println("\n-- first visit: misses populate cache and volumes --")
@@ -85,19 +89,19 @@ func main() {
 	// Show the raw exchange a cooperating proxy performs (§2.3): filter
 	// on the request, P-Volume in the response trailer.
 	fmt.Println("\n-- the raw piggyback exchange (direct to origin) --")
-	req := piggyback.NewWireRequest("GET", "/news/index.html")
-	filter := piggyback.Filter{MaxPiggy: 10}
-	piggyback.SetFilter(req, filter)
+	req := httpwire.NewRequest("GET", "/news/index.html")
+	filter := core.Filter{MaxPiggy: 10}
+	httpwire.SetFilter(req, filter)
 	fmt.Printf("request:  GET /news/index.html\n")
 	fmt.Printf("          TE: chunked\n")
 	fmt.Printf("          Piggy-Filter: %s\n", filter.Header())
-	direct := piggyback.NewWireClient()
+	direct := httpwire.NewClient()
 	defer direct.Close()
 	resp, err := direct.DoContext(context.Background(), ol.Addr().String(), req)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if m, ok := piggyback.ExtractPiggyback(resp); ok {
+	if m, ok := httpwire.ExtractPiggyback(resp); ok {
 		fmt.Printf("response: %d with trailer\n", resp.Status)
 		fmt.Printf("          P-Volume: %s\n", m.Encode())
 		fmt.Printf("          (%d elements, %d wire bytes)\n", len(m.Elements), m.WireBytes())
@@ -108,12 +112,16 @@ func main() {
 	fmt.Println("\n-- second visit 10 minutes later: entries are stale, but the piggyback")
 	fmt.Println("   on the first request refreshes the rest of the volume --")
 	now += 600
-	get("www.example.com/news/index.html")  // validates; piggyback refreshes siblings
-	get("www.example.com/news/logo.gif")    // fresh again without contacting origin
-	get("www.example.com/news/story1.html") // fresh again without contacting origin
+	get("www.example.com/news/index.html")           // validates; piggyback refreshes siblings
+	logo := get("www.example.com/news/logo.gif")     // fresh again without contacting origin
+	story := get("www.example.com/news/story1.html") // fresh again without contacting origin
 
 	st := px.Stats()
 	fmt.Printf("\nproxy: %d client requests, %d fresh hits, %d validations, %d piggybacks, %d refreshes\n",
 		st.ClientRequests, st.FreshHits, st.Validations, st.PiggybacksReceived, st.Refreshes)
 	fmt.Printf("origin saw %d requests\n", origin.Stats().Requests)
+	if logo != "HIT" || story != "HIT" || st.Refreshes == 0 {
+		log.Fatalf("second visit: siblings answered %s and %s after %d refreshes; want both HIT through a piggyback refresh",
+			logo, story, st.Refreshes)
+	}
 }

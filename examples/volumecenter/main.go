@@ -17,7 +17,11 @@ import (
 	"net"
 	"time"
 
-	"piggyback"
+	"piggyback/internal/center"
+	"piggyback/internal/core"
+	"piggyback/internal/httpwire"
+	"piggyback/internal/proxy"
+	"piggyback/internal/server"
 )
 
 func main() {
@@ -25,15 +29,15 @@ func main() {
 	clock := func() int64 { return now }
 
 	// --- A plain origin hosting two sites, no volume engine at all. ---
-	stores := map[string]*piggyback.Store{
-		"www.alpha.example": piggyback.NewStore(),
-		"www.beta.example":  piggyback.NewStore(),
+	stores := map[string]*server.Store{
+		"www.alpha.example": server.NewStore(),
+		"www.beta.example":  server.NewStore(),
 	}
-	stores["www.alpha.example"].Put(piggyback.Resource{URL: "/docs/guide.html", Size: 5000, LastModified: now - 5000})
-	stores["www.alpha.example"].Put(piggyback.Resource{URL: "/docs/figure.gif", Size: 2500, LastModified: now - 5000})
-	stores["www.beta.example"].Put(piggyback.Resource{URL: "/docs/other.html", Size: 1000, LastModified: now - 9999})
+	stores["www.alpha.example"].Put(server.Resource{URL: "/docs/guide.html", Size: 5000, LastModified: now - 5000})
+	stores["www.alpha.example"].Put(server.Resource{URL: "/docs/figure.gif", Size: 2500, LastModified: now - 5000})
+	stores["www.beta.example"].Put(server.Resource{URL: "/docs/other.html", Size: 1000, LastModified: now - 9999})
 
-	plain := piggyback.WireHandlerFunc(func(ctx context.Context, req *piggyback.WireRequest) *piggyback.WireResponse {
+	plain := httpwire.HandlerFunc(func(ctx context.Context, req *httpwire.Request) *httpwire.Response {
 		if req.Header.Has("Piggy-Filter") {
 			log.Fatal("piggyback header reached the plain origin — the center must strip it")
 		}
@@ -41,19 +45,19 @@ func main() {
 		if !ok {
 			return nil
 		}
-		return piggyback.NewOriginServer(st, nil, clock).ServeWire(ctx, req)
+		return server.New(st, nil, clock).ServeWire(ctx, req)
 	})
 	ol, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	osrv := &piggyback.WireServer{Handler: plain}
+	osrv := &httpwire.Server{Handler: plain}
 	go osrv.Serve(ol)
 	defer osrv.Close()
 	fmt.Println("plain origin (two sites) on", ol.Addr())
 
 	// --- Transparent volume center on the path. ---
-	ctr := piggyback.NewVolumeCenter(piggyback.CenterConfig{
+	ctr := center.New(center.Config{
 		Resolve: func(host string) (string, error) { return ol.Addr().String(), nil },
 		Clock:   clock,
 	})
@@ -62,35 +66,36 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	csrv := &piggyback.WireServer{Handler: ctr}
+	csrv := &httpwire.Server{Handler: ctr}
 	go csrv.Serve(cl)
 	defer csrv.Close()
 	fmt.Println("transparent volume center on", cl.Addr())
 
 	// --- Caching proxy pointed at the center. ---
-	px := piggyback.NewProxy(piggyback.ProxyConfig{
+	px := proxy.New(proxy.Config{
 		Delta:      600,
 		Clock:      clock,
 		Resolve:    func(host string) (string, error) { return cl.Addr().String(), nil },
-		BaseFilter: piggyback.Filter{MaxPiggy: 10},
+		BaseFilter: core.Filter{MaxPiggy: 10},
 	})
 	defer px.Close()
 	pl, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	psrv := &piggyback.WireServer{Handler: px}
+	psrv := &httpwire.Server{Handler: px}
 	go psrv.Serve(pl)
 	defer psrv.Close()
 
-	client := piggyback.NewWireClient()
+	client := httpwire.NewClient()
 	defer client.Close()
-	get := func(url string) {
-		resp, err := client.DoContext(context.Background(), pl.Addr().String(), piggyback.NewWireRequest("GET", "http://"+url))
+	get := func(url string) string {
+		resp, err := client.DoContext(context.Background(), pl.Addr().String(), httpwire.NewRequest("GET", "http://"+url))
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("GET %-36s -> %d X-Cache=%s\n", url, resp.Status, resp.Header.Get("X-Cache"))
+		return resp.Header.Get("X-Cache")
 	}
 
 	fmt.Println("\n-- browse both sites; the center observes and builds volumes --")
@@ -103,7 +108,7 @@ func main() {
 	fmt.Println("\n-- 10 minutes later: one request to alpha refreshes its sibling --")
 	now += 600
 	get("www.alpha.example/docs/guide.html")
-	get("www.alpha.example/docs/figure.gif") // refreshed by the piggyback
+	sibling := get("www.alpha.example/docs/figure.gif") // refreshed by the piggyback
 
 	ps := px.Stats()
 	cs := ctr.Stats()
@@ -111,4 +116,8 @@ func main() {
 		ps.PiggybacksReceived, ps.Refreshes, ps.FreshHits)
 	fmt.Printf("center: %d relayed, %d piggybacks injected on the origin's behalf\n",
 		cs.Relayed, cs.PiggybacksSent)
+	if cs.PiggybacksSent == 0 || sibling != "HIT" {
+		log.Fatalf("center injected %d piggybacks and the sibling answered %s; want at least one and HIT",
+			cs.PiggybacksSent, sibling)
+	}
 }

@@ -319,6 +319,11 @@ func TestAccessorsAndPolicyNames(t *testing.T) {
 		if p.Name() == "" {
 			t.Error("empty policy name")
 		}
+		pc := New(1000, p)
+		put(pc, "/x", 100, 1)
+		if _, ok := pc.Get("/x", 2); !ok {
+			t.Errorf("%s: miss after put", p.Name())
+		}
 		p.OnEvict(&Entry{}) // must not panic for stateless policies
 	}
 	put(c, "/a", 10, 5)

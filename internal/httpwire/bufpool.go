@@ -10,21 +10,20 @@ import (
 
 // Pools for the wire layer's recurring scratch allocations. A proxy under
 // load opens and drops connections constantly; without reuse every accepted
-// or dialed connection allocates a fresh 4 KiB bufio.Reader and Writer, and
-// every serialized message allocates a sorted-key slice — churn that
-// dominated the heap profile at 64 concurrent workers. Bodies are NOT
+// or dialed connection allocates a fresh 4 KiB bufio.Reader, and every
+// serialized message allocates a sorted-key slice — churn that dominated
+// the heap profile at 64 concurrent workers. Writes need no buffered writer:
+// messages go out as pooled segment vectors (writev.go). Bodies are NOT
 // pooled: they outlive the exchange (cached, returned to callers), so only
 // ownership-bounded scratch lives here.
 
-// readerSize/writerSize match bufio's default; one pool class keeps Put/Get
-// type-stable.
+// bufioSize matches bufio's default.
 const bufioSize = 4096
 
 var (
 	readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, bufioSize) }}
-	writerPool = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, bufioSize) }}
 
-	// keyScratchPool holds the sorted-key slices writeHeader uses; the
+	// keyScratchPool holds the sorted-key slices appendHeaderX uses; the
 	// indirection through a pointer avoids allocating a slice header on
 	// every Put.
 	keyScratchPool = sync.Pool{New: func() any {
@@ -33,33 +32,18 @@ var (
 	}}
 )
 
-// GetReader returns a pooled bufio.Reader reset to read from r.
-func GetReader(r io.Reader) *bufio.Reader {
+// getReader returns a pooled bufio.Reader reset to read from r.
+func getReader(r io.Reader) *bufio.Reader {
 	br := readerPool.Get().(*bufio.Reader)
 	br.Reset(r)
 	return br
 }
 
-// PutReader returns a reader to the pool. The caller must be done with it;
+// putReader returns a reader to the pool. The caller must be done with it;
 // any buffered-but-unread bytes are discarded.
-func PutReader(br *bufio.Reader) {
+func putReader(br *bufio.Reader) {
 	br.Reset(nil)
 	readerPool.Put(br)
-}
-
-// GetWriter returns a pooled bufio.Writer reset to write to w.
-func GetWriter(w io.Writer) *bufio.Writer {
-	bw := writerPool.Get().(*bufio.Writer)
-	bw.Reset(w)
-	return bw
-}
-
-// PutWriter returns a writer to the pool without flushing; callers flush as
-// part of the exchange (WriteRequest/WriteResponse always flush), so
-// anything still buffered belongs to a failed exchange nobody will read.
-func PutWriter(bw *bufio.Writer) {
-	bw.Reset(nil)
-	writerPool.Put(bw)
 }
 
 // countingReader wraps a connection to count read syscalls: a bufio

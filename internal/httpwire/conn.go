@@ -170,8 +170,8 @@ func (s *Server) serveConn(base context.Context, conn net.Conn) {
 	if s.Obs != nil {
 		src = &countingReader{r: conn, ops: s.Obs.ReadOps}
 	}
-	br := GetReader(src)
-	defer PutReader(br)
+	br := getReader(src)
+	defer putReader(br)
 	// Responses accumulate as writev segments and go to the socket in one
 	// vectored write per coalesced batch — a pipelined burst of requests
 	// costs one read and one write syscall for the whole burst.

@@ -8,6 +8,7 @@
 package httpwire
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -189,6 +190,29 @@ func (r *Request) AcceptsChunkedTrailer() bool {
 		}
 	}
 	return false
+}
+
+var errNoTarget = errors.New("httpwire: request has neither absolute URI nor Host header")
+
+// Target returns the host and origin-form path a proxy-bound request
+// names: from the absolute URI "http://host/path" (an empty path is "/"),
+// or else from the Host header and the request path, given a leading "/".
+func (r *Request) Target() (host, path string, err error) {
+	t := r.Path
+	if rest, ok := strings.CutPrefix(t, "http://"); ok {
+		if i := strings.IndexByte(rest, '/'); i >= 0 {
+			return rest[:i], rest[i:], nil
+		}
+		return rest, "/", nil
+	}
+	host = r.Header.Get("Host")
+	if host == "" {
+		return "", "", errNoTarget
+	}
+	if !strings.HasPrefix(t, "/") {
+		t = "/" + t
+	}
+	return host, t, nil
 }
 
 // IfModifiedSince returns the request's If-Modified-Since time, if present

@@ -1,6 +1,8 @@
 package httpwire
 
 import (
+	"errors"
+
 	"piggyback/internal/core"
 )
 
@@ -76,9 +78,4 @@ func ParsePeerPiggyback(req *Request) (originHost string, m core.Message, err er
 	return originHost, m, nil
 }
 
-var errPeerNoHost = errorString("httpwire: peer piggyback request has no Host header")
-
-// errorString is a tiny constant-error helper.
-type errorString string
-
-func (e errorString) Error() string { return string(e) }
+var errPeerNoHost = errors.New("httpwire: peer piggyback request has no Host header")

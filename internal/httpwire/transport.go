@@ -348,7 +348,7 @@ func (h *host) dialLocked(ctx context.Context) (*conn, error) {
 		c.Obs.ConnsOpen.Inc()
 		c.Obs.ConnsIdle.Inc()
 	}
-	cn := &conn{h: h, nc: nc, br: GetReader(src), idleSince: time.Now()}
+	cn := &conn{h: h, nc: nc, br: getReader(src), idleSince: time.Now()}
 	h.conns = append(h.conns, cn)
 	return cn, nil
 }
@@ -467,7 +467,7 @@ func (cn *conn) endTurnLocked(resp *Response, err error) {
 	cn.reading = false
 	switch {
 	case cn.dead: // closed under the reader, which kept br
-		PutReader(cn.br)
+		putReader(cn.br)
 	case err != nil:
 		cn.closeLocked(err)
 	case resp.Header.WantsClose():
@@ -547,7 +547,7 @@ func (cn *conn) closeLocked(cause error) {
 	}
 	cn.nc.Close()
 	if !cn.reading {
-		PutReader(cn.br)
+		putReader(cn.br)
 	}
 	if m := h.c.Obs; m != nil {
 		m.ConnsOpen.Add(-1)

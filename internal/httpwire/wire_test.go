@@ -40,6 +40,32 @@ func TestHeaderSetGet(t *testing.T) {
 	}
 }
 
+func TestRequestTarget(t *testing.T) {
+	cases := []struct {
+		path, hostHeader   string
+		wantHost, wantPath string
+		wantErr            bool
+	}{
+		{path: "http://h/p", wantHost: "h", wantPath: "/p"},
+		{path: "http://h", wantHost: "h", wantPath: "/"},
+		{path: "http://h/p", hostHeader: "other", wantHost: "h", wantPath: "/p"},
+		{path: "p", hostHeader: "h", wantHost: "h", wantPath: "/p"},
+		{path: "/p", hostHeader: "h", wantHost: "h", wantPath: "/p"},
+		{path: "/p", wantErr: true},
+	}
+	for _, c := range cases {
+		req := NewRequest("GET", c.path)
+		if c.hostHeader != "" {
+			req.Header.Set("Host", c.hostHeader)
+		}
+		host, path, err := req.Target()
+		if (err != nil) != c.wantErr || host != c.wantHost || path != c.wantPath {
+			t.Errorf("Target(%q, Host %q) = %q, %q, %v; want %q, %q, error %v",
+				c.path, c.hostHeader, host, path, err, c.wantHost, c.wantPath, c.wantErr)
+		}
+	}
+}
+
 func TestHTTPDateRoundTrip(t *testing.T) {
 	const unix = 899637753 // 1998-07-05 11:22:33 UTC
 	s := FormatHTTPDate(unix)

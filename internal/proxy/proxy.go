@@ -399,27 +399,6 @@ func (p *Proxy) Close() {
 	}
 }
 
-// splitTarget extracts (host, path) from a proxy request: absolute-URI
-// form "http://host/path", or Host header + origin-form path.
-func splitTarget(req *httpwire.Request) (host, path string, err error) {
-	t := req.Path
-	if strings.HasPrefix(t, "http://") {
-		rest := strings.TrimPrefix(t, "http://")
-		if i := strings.IndexByte(rest, '/'); i >= 0 {
-			return rest[:i], rest[i:], nil
-		}
-		return rest, "/", nil
-	}
-	host = req.Header.Get("Host")
-	if host == "" {
-		return "", "", fmt.Errorf("proxy: request has neither absolute URI nor Host header")
-	}
-	if !strings.HasPrefix(t, "/") {
-		t = "/" + t
-	}
-	return host, t, nil
-}
-
 // upstreamState carries what one request needs across the upstream
 // exchange: the target, and — when a stale copy exists — the cached body,
 // Last-Modified, and Content-Type, copied out under the shard lock (a
@@ -449,7 +428,7 @@ func (p *Proxy) ServeWire(ctx context.Context, req *httpwire.Request) *httpwire.
 		return p.servePeerPiggyback(req)
 	}
 	now := p.cfg.Clock()
-	host, path, err := splitTarget(req)
+	host, path, err := req.Target()
 	if err != nil || req.Method != "GET" {
 		if err == nil && req.Method != "GET" {
 			return httpwire.NewResponse(501)

@@ -159,6 +159,9 @@ func TestProxyPiggybackRefreshesCachedEntry(t *testing.T) {
 	if tb.origin.Stats().Requests != origin {
 		t.Error("refreshed entry still validated at origin")
 	}
+	if tb.proxy.CacheHitRate() <= 0 {
+		t.Error("cache hit rate is 0 after a hit")
+	}
 }
 
 func TestProxyPiggybackInvalidatesStaleEntry(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 
 	"piggyback/internal/core"
 	"piggyback/internal/trace"
+	"piggyback/internal/tracegen"
 )
 
 // stubProvider piggybacks a fixed element list per URL, honoring RPV and
@@ -250,6 +251,26 @@ func TestSimulatorEndToEndWithDirVolumes(t *testing.T) {
 	}
 	if res.PiggybackMessages == 0 {
 		t.Error("no piggybacks generated")
+	}
+}
+
+func TestSimulatorEndToEndWithProbVolumes(t *testing.T) {
+	// Integration: probability volumes built offline from a generated
+	// session workload predict some of that workload's requests.
+	log, _ := tracegen.GenerateServerLog(tracegen.SiteConfig{
+		Name: "sim-test", Seed: 5, Pages: 30, Dirs: 4, MaxDepth: 2,
+		MeanImagesPerPage: 2, Clients: 8, Requests: 800, Duration: 3600 * 6,
+	})
+	b := core.NewProbBuilder(core.ProbConfig{T: 300, Pt: 0.1})
+	for _, r := range log {
+		b.Observe(r)
+	}
+	res := New(Config{T: 300, Provider: b.Build(0)}).Run(log)
+	if res.Requests != len(log) {
+		t.Fatalf("Requests = %d, want %d", res.Requests, len(log))
+	}
+	if res.FractionPredicted() <= 0 {
+		t.Error("no predictions on a session workload")
 	}
 }
 
