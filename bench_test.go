@@ -714,11 +714,10 @@ func BenchmarkWireMiss(b *testing.B) {
 	defer osrv.Close()
 
 	px := proxy.New(proxy.Config{
-		Delta:            1 << 30,
-		Clock:            clock,
-		Resolve:          func(string) (string, error) { return ol.Addr().String(), nil },
-		CacheBytes:       1, // too small for any body: nothing is ever a hit
-		UpstreamInflight: 4,
+		Delta:      1 << 30,
+		Clock:      clock,
+		Resolve:    func(string) (string, error) { return ol.Addr().String(), nil },
+		CacheBytes: 1, // too small for any body: nothing is ever a hit
 	})
 	defer px.Close()
 	pl, err := net.Listen("tcp", "127.0.0.1:0")

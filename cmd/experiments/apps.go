@@ -145,7 +145,7 @@ func runE2E(l *lab) {
 			fmt.Println("listen:", err)
 			return
 		}
-		psrv := &httpwire.Server{Handler: px, IdleTimeout: 5 * time.Second}
+		psrv := &httpwire.Server{Handler: px}
 		go psrv.Serve(pl)
 		defer psrv.Close()
 		proxies[i] = px

@@ -364,7 +364,6 @@ func launch(l load, upstream string, diskDirs []string) *fleet {
 			Resolve:         func(string) (string, error) { return upstream, nil },
 			BaseFilter:      core.Filter{MaxPiggy: maxPiggy},
 			UpstreamTimeout: l.upTimeout,
-			BreakerSeed:     l.faultSeed,
 		}
 		if pcfg.Delta == 0 {
 			pcfg.Delta = 900

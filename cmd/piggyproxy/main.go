@@ -17,8 +17,16 @@
 // Usage:
 //
 //	piggyproxy [-addr :8081] -origin 127.0.0.1:8080 [-cache 64MiB-bytes]
-//	           [-shards N] [-delta 900] [-maxpiggy 10] [-prefetch] [-adaptive]
+//	           [-delta 900] [-maxpiggy 10] [-prefetch] [-adaptive]
+//	           [-uptimeout 30s] [-maxstale 3600] [-stats 30s]
 //	           [-peers host:port,host:port,...] [-peer-id host:port]
+//	           [-disk-dir DIR] [-disk-cap 256MiB-bytes] [-pprof]
+//
+// Fixed, not flags: the cache's shard count is the smallest power of two
+// covering GOMAXPROCS, clamped to [8, 64]; a host's circuit trips after 5
+// consecutive upstream failures and admits a probe after 500 ms
+// (jittered, doubling per failed probe up to 30 s); an upstream connection
+// carries 4 demand exchanges; a peer exchange times out after 5 s.
 package main
 
 import (
@@ -46,21 +54,15 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8081", "listen address")
 	origin := flag.String("origin", "127.0.0.1:8080", "upstream address every host resolves to")
 	cacheBytes := flag.Int64("cache", 64<<20, "cache capacity in bytes")
-	shards := flag.Int("shards", 0, "cache shard count, rounded up to a power of two (0: smallest power of two covering the CPUs, clamped to [8, 64])")
 	delta := flag.Int64("delta", 900, "freshness interval Δ in seconds")
 	maxPiggy := flag.Int("maxpiggy", 10, "filter maxpiggy attribute")
 	prefetch := flag.Bool("prefetch", false, "prefetch piggybacked resources")
 	adaptive := flag.Bool("adaptive", false, "adapt Δ per resource from observed change rates")
 	statsEvery := flag.Duration("stats", 30*time.Second, "stats reporting interval (0 disables)")
 	uptimeout := flag.Duration("uptimeout", 0, "upstream exchange timeout (0: wire default, 30s)")
-	upInflight := flag.Int("upstream-inflight", 0, "concurrent demand exchanges carried per upstream connection (0: default 4, 1: a connection per exchange); prefetches always run one exchange per connection, on connections of their own")
-	breakerFails := flag.Int("breaker-failures", 5, "consecutive upstream failures that trip a host's circuit open")
-	breakerBackoff := flag.Duration("breaker-backoff", 500*time.Millisecond, "initial open interval before a half-open probe")
-	breakerOff := flag.Bool("breaker-off", false, "disable the per-host circuit breaker")
 	maxStale := flag.Int64("maxstale", 3600, "serve expired entries up to this many seconds past expiry on upstream failure (negative disables)")
 	peers := flag.String("peers", "", "comma-separated fleet member addresses for the cooperative mesh (empty disables)")
 	peerID := flag.String("peer-id", "", "this proxy's advertised peer address (default: -addr)")
-	peerTimeout := flag.Duration("peer-timeout", 0, "peer exchange timeout (0: 5s)")
 	diskDir := flag.String("disk-dir", "", "directory for the disk cache tier (empty: RAM only); reopening the same directory restarts warm")
 	diskCap := flag.Int64("disk-cap", 256<<20, "disk tier capacity in bytes")
 	pprofOn := flag.Bool("pprof", false, "serve runtime profiles on "+httpwire.PprofPathPrefix)
@@ -93,7 +95,7 @@ func main() {
 	// With -disk-dir, serve from a tiered store: the RAM tier demotes
 	// eviction-worthy entries to segment files there, and the proxy's
 	// Close (on SIGTERM) snapshots the index so the next run serves warm.
-	ram := cache.NewSharded(*cacheBytes, *shards, nil)
+	ram := cache.NewSharded(*cacheBytes, 0, nil)
 	var store cache.Store = ram
 	if *diskDir != "" {
 		ts, err := tiered.New(ram, tiered.Config{
@@ -114,14 +116,9 @@ func main() {
 		Prefetch:          *prefetch,
 		AdaptiveFreshness: *adaptive,
 		UpstreamTimeout:   *uptimeout,
-		UpstreamInflight:  *upInflight,
-		BreakerFailures:   *breakerFails,
-		BreakerBackoff:    *breakerBackoff,
-		BreakerDisabled:   *breakerOff,
 		MaxStaleOnError:   *maxStale,
 		PeerSelf:          self,
 		Peers:             peerList,
-		PeerTimeout:       *peerTimeout,
 	})
 	defer px.Close()
 

@@ -49,7 +49,7 @@ func BenchmarkTieredRAMHit(b *testing.B) {
 // left, so the cycle appends nothing.
 func BenchmarkTieredPromote(b *testing.B) {
 	ts, err := New(cache.NewSharded(64<<20, 4, nil), Config{
-		Dir: b.TempDir(), DiskBytes: 1 << 30, SegmentBytes: 64 << 20,
+		Dir: b.TempDir(), DiskBytes: 1 << 30, segmentBytes: 64 << 20,
 	})
 	if err != nil {
 		b.Fatal(err)

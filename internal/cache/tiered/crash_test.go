@@ -18,7 +18,7 @@ import (
 // populate fills dir with n disk-resident entries and returns their URLs.
 func populate(t *testing.T, dir string, n int) []string {
 	t.Helper()
-	ts := newTiered(t, dir, 1<<20, Config{SegmentBytes: 4096})
+	ts := newTiered(t, dir, 1<<20, Config{segmentBytes: 4096})
 	now := int64(1000)
 	urls := make([]string, n)
 	for i := range urls {
@@ -81,8 +81,8 @@ func reopenLogged(t *testing.T, dir string) (*Tiered, *[]string) {
 	t.Helper()
 	var logs []string
 	ts := newTiered(t, dir, 1<<20, Config{
-		SegmentBytes: 4096,
-		Logf: func(format string, args ...interface{}) {
+		segmentBytes: 4096,
+		logf: func(format string, args ...interface{}) {
 			logs = append(logs, fmt.Sprintf(format, args...))
 		},
 	})

@@ -66,7 +66,7 @@ func FuzzRecordDecode(f *testing.F) {
 func FuzzLoadSnapshot(f *testing.F) {
 	src := f.TempDir()
 	now := int64(1000)
-	ts := newTiered(f, src, 1<<20, Config{SegmentBytes: 4096})
+	ts := newTiered(f, src, 1<<20, Config{segmentBytes: 4096})
 	bodies := make(map[string][]byte)
 	for i := 0; i < 8; i++ {
 		e := entry(fmt.Sprintf("http://o/c%02d", i), 512, now)
@@ -114,7 +114,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 			t.Fatal(err)
 		}
 		ts, err := New(cache.NewSharded(1<<20, 1, nil), Config{
-			Dir: dir, SegmentBytes: 4096, Logf: func(string, ...interface{}) {},
+			Dir: dir, segmentBytes: 4096, logf: func(string, ...interface{}) {},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -41,7 +41,7 @@ func runInvariants(t *testing.T, seed int64) {
 	)
 	// Small segments and a disk smaller than the key set's footprint, so
 	// rotation, compaction and whole-segment eviction all happen.
-	ts := newTiered(t, t.TempDir(), ramBytes, Config{SegmentBytes: 4 << 10, DiskBytes: 12 << 10})
+	ts := newTiered(t, t.TempDir(), ramBytes, Config{segmentBytes: 4 << 10, DiskBytes: 12 << 10})
 	defer ts.Close()
 	rng := rand.New(rand.NewSource(seed))
 	model := make([]keyModel, keys)
@@ -197,7 +197,7 @@ func runInvariants(t *testing.T, seed int64) {
 // lookup may return a body that is not its URL's.
 func TestTieredConcurrent(t *testing.T) {
 	ts, err := New(cache.NewSharded(64<<10, 1, nil), Config{
-		Dir: t.TempDir(), SegmentBytes: 32 << 10, DiskBytes: 256 << 10, Logf: t.Logf,
+		Dir: t.TempDir(), segmentBytes: 32 << 10, DiskBytes: 256 << 10, logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -17,11 +17,11 @@ type Config struct {
 	Dir string
 	// DiskBytes caps the on-disk segment footprint; zero means 256 MiB.
 	DiskBytes int64
-	// SegmentBytes is the rotation size of one append-only segment file;
-	// zero means 4 MiB.
-	SegmentBytes int64
-	// Logf reports quarantines and I/O degradations; nil means log.Printf.
-	Logf func(format string, args ...interface{})
+	// Set by tests: segmentBytes (zero means 4 MiB) is a segment file's
+	// rotation size; logf (nil means log.Printf) reports quarantines and
+	// I/O degradations.
+	segmentBytes int64
+	logf         func(format string, args ...interface{})
 }
 
 // worthDisk is the demotion gate. It keeps an evicted entry when the
@@ -96,17 +96,17 @@ func New(ram *cache.Sharded, cfg Config) (*Tiered, error) {
 	if cfg.DiskBytes <= 0 {
 		cfg.DiskBytes = 256 << 20
 	}
-	if cfg.SegmentBytes <= 0 {
-		cfg.SegmentBytes = 4 << 20
+	if cfg.segmentBytes <= 0 {
+		cfg.segmentBytes = 4 << 20
 	}
-	if cfg.Logf == nil {
-		cfg.Logf = log.Printf
+	if cfg.logf == nil {
+		cfg.logf = log.Printf
 	}
 	t := &Tiered{ram: ram, cfg: cfg}
 	if cfg.Dir == "" {
 		return t, nil
 	}
-	disk, err := openDisk(cfg.Dir, cfg.DiskBytes, cfg.SegmentBytes, cfg.Logf)
+	disk, err := openDisk(cfg.Dir, cfg.DiskBytes, cfg.segmentBytes, cfg.logf)
 	if err != nil {
 		return nil, err
 	}

@@ -19,8 +19,8 @@ import (
 func newTiered(t testing.TB, dir string, ramBytes int64, cfg Config) *Tiered {
 	t.Helper()
 	cfg.Dir = dir
-	if cfg.Logf == nil {
-		cfg.Logf = t.Logf
+	if cfg.logf == nil {
+		cfg.logf = t.Logf
 	}
 	ts, err := New(cache.NewSharded(ramBytes, 1, nil), cfg)
 	if err != nil {
@@ -272,7 +272,7 @@ func TestTieredCloseReusesRecord(t *testing.T) {
 func TestTieredCompaction(t *testing.T) {
 	// Tiny segments (four records each) so a handful of records spans
 	// several files.
-	ts := newTiered(t, t.TempDir(), 1<<10, Config{SegmentBytes: 3000})
+	ts := newTiered(t, t.TempDir(), 1<<10, Config{segmentBytes: 3000})
 	defer ts.Close()
 	now := int64(1000)
 	const n = 16
@@ -339,7 +339,7 @@ func TestTieredCompaction(t *testing.T) {
 // TestTieredDiskCapacity: the disk footprint stays bounded; overflow
 // drops whole oldest segments.
 func TestTieredDiskCapacity(t *testing.T) {
-	ts := newTiered(t, t.TempDir(), 1<<10, Config{SegmentBytes: 2048, DiskBytes: 8 << 10})
+	ts := newTiered(t, t.TempDir(), 1<<10, Config{segmentBytes: 2048, DiskBytes: 8 << 10})
 	defer ts.Close()
 	now := int64(1000)
 	for i := 0; i < 64; i++ {
@@ -402,7 +402,7 @@ func TestTieredInstrument(t *testing.T) {
 // goroutine of its own, open or closed.
 func TestTieredStartsNoGoroutines(t *testing.T) {
 	start := runtime.NumGoroutine()
-	ts := newTiered(t, t.TempDir(), 1<<10, Config{SegmentBytes: 3000})
+	ts := newTiered(t, t.TempDir(), 1<<10, Config{segmentBytes: 3000})
 	now := int64(1000)
 	url := func(i int) string { return fmt.Sprintf("http://o/r%02d", i) }
 	for i := 0; i < 16; i++ {

@@ -31,14 +31,12 @@ func (f HandlerFunc) ServeWire(ctx context.Context, req *Request) *Response {
 
 // Server serves HTTP/1.1 over a listener with persistent connections:
 // requests on one connection are handled in order, and the connection
-// stays open until the client sends Connection: close, the idle timeout
-// fires, or either side closes (§1: persistent connections avoid the
-// round-trip delays of establishing a TCP connection per transfer).
+// stays open until the client sends Connection: close, idleTimeout passes
+// with no request, or either side closes (§1: persistent connections
+// avoid the round-trip delays of establishing a TCP connection per
+// transfer).
 type Server struct {
 	Handler Handler
-	// IdleTimeout closes connections with no request activity. Zero
-	// means 60 seconds, the uniform timeout the paper mentions.
-	IdleTimeout time.Duration
 	// ErrorLog receives connection-level errors; nil discards them.
 	ErrorLog *log.Logger
 	// Obs, when non-nil, receives wire-level telemetry: per-request
@@ -139,13 +137,6 @@ func (s *Server) Close() error {
 	return err
 }
 
-func (s *Server) idleTimeout() time.Duration {
-	if s.IdleTimeout > 0 {
-		return s.IdleTimeout
-	}
-	return 60 * time.Second
-}
-
 func (s *Server) logf(format string, args ...interface{}) {
 	if s.ErrorLog != nil {
 		s.ErrorLog.Printf(format, args...)
@@ -203,7 +194,7 @@ func (s *Server) serveConn(base context.Context, conn net.Conn) {
 				s.logf("httpwire: write response to %s: %v", conn.RemoteAddr(), err)
 				return
 			}
-			if err := conn.SetReadDeadline(time.Now().Add(s.idleTimeout())); err != nil {
+			if err := conn.SetReadDeadline(time.Now().Add(idleTimeout)); err != nil {
 				return
 			}
 		}

@@ -19,7 +19,7 @@ func startServer(t *testing.T, h Handler) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &Server{Handler: h, IdleTimeout: 2 * time.Second}
+	srv := &Server{Handler: h}
 	go srv.Serve(l)
 	t.Cleanup(func() { srv.Close() })
 	return l.Addr().String()

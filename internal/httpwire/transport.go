@@ -28,9 +28,6 @@ import (
 // whose request is oldest holds the read turn, reads its own response
 // under its own deadline and passes the turn on.
 type Client struct {
-	// DialTimeout bounds connection establishment; zero means 5s. A
-	// sooner context deadline wins.
-	DialTimeout time.Duration
 	// RequestTimeout caps one request/response exchange; zero = 30s. The
 	// effective deadline is the sooner of this cap and the caller's
 	// context deadline.
@@ -39,13 +36,6 @@ type Client struct {
 	// means 16. Requests beyond the bound wait for a slot on one of them
 	// rather than dialing.
 	MaxConnsPerHost int
-	// IdleConnTimeout is how long a connection with no exchange in flight
-	// survives before being reaped; zero means 60s (the server-side idle
-	// timeout, so the two ends age connections on the same clock).
-	IdleConnTimeout time.Duration
-	// RetryBackoff is the pause before the single retry of an exchange
-	// whose connection failed; zero means 2ms.
-	RetryBackoff time.Duration
 	// MaxInflightPerConn is how many concurrent exchanges one persistent
 	// connection carries: requests queued together go out as one writev
 	// burst and the pipelined responses are read in order, so N in-flight
@@ -58,10 +48,27 @@ type Client struct {
 	// waits, reaped conns).
 	Obs *obs.WireMetrics
 
+	// idleConnTimeout and retryBackoff, when set (by tests), replace
+	// idleTimeout and defaultRetryBackoff.
+	idleConnTimeout, retryBackoff time.Duration
+
 	mu     sync.Mutex
 	hosts  map[string]*host
 	closed bool
 }
+
+const (
+	// dialTimeout bounds connection establishment; a sooner context
+	// deadline wins.
+	dialTimeout = 5 * time.Second
+	// idleTimeout is how long a connection with nothing in flight stays
+	// open — the 60 s uniform timeout the paper mentions, on both ends, so
+	// a client and a server age connections on the same clock.
+	idleTimeout = 60 * time.Second
+	// defaultRetryBackoff is the pause before the single retry of an
+	// exchange whose connection failed.
+	defaultRetryBackoff = 2 * time.Millisecond
+)
 
 // host is the set of connections to one address. Its mutex guards every
 // field of the host, of its connections and of the calls queued on them;
@@ -125,13 +132,6 @@ var (
 // NewClient returns a Client ready for use.
 func NewClient() *Client { return &Client{} }
 
-func (c *Client) dialTimeout() time.Duration {
-	if c.DialTimeout > 0 {
-		return c.DialTimeout
-	}
-	return 5 * time.Second
-}
-
 func (c *Client) requestTimeout() time.Duration {
 	if c.RequestTimeout > 0 {
 		return c.RequestTimeout
@@ -144,20 +144,6 @@ func (c *Client) maxConnsPerHost() int {
 		return c.MaxConnsPerHost
 	}
 	return 16
-}
-
-func (c *Client) idleConnTimeout() time.Duration {
-	if c.IdleConnTimeout > 0 {
-		return c.IdleConnTimeout
-	}
-	return 60 * time.Second
-}
-
-func (c *Client) retryBackoff() time.Duration {
-	if c.RetryBackoff > 0 {
-		return c.RetryBackoff
-	}
-	return 2 * time.Millisecond
 }
 
 // budget is the deadline of an exchange whose caller starts waiting now.
@@ -262,7 +248,11 @@ func (h *host) do(ctx context.Context, call *call) (err error) {
 			c.Obs.Retries.Inc()
 		}
 		h.mu.Unlock()
-		err = sleepBackoff(ctx, c.retryBackoff())
+		pause := c.retryBackoff
+		if pause == 0 {
+			pause = defaultRetryBackoff
+		}
+		err = sleepBackoff(ctx, pause)
 		h.mu.Lock()
 		if err != nil {
 			return err
@@ -329,7 +319,7 @@ func (h *host) dialLocked(ctx context.Context) (*conn, error) {
 	c := h.c
 	h.dials++
 	h.mu.Unlock()
-	d := net.Dialer{Timeout: c.dialTimeout()}
+	d := net.Dialer{Timeout: dialTimeout}
 	nc, err := d.DialContext(ctx, "tcp", h.addr)
 	h.mu.Lock()
 	h.dials--
@@ -354,9 +344,12 @@ func (h *host) dialLocked(ctx context.Context) (*conn, error) {
 }
 
 // reapLocked closes the connections that have had no exchange in flight
-// for IdleConnTimeout.
+// for the idle timeout.
 func (h *host) reapLocked(now time.Time) {
-	timeout := h.c.idleConnTimeout()
+	timeout := h.c.idleConnTimeout
+	if timeout == 0 {
+		timeout = idleTimeout
+	}
 	for i := len(h.conns) - 1; i >= 0; i-- {
 		if cn := h.conns[i]; len(cn.q) == 0 && now.Sub(cn.idleSince) > timeout {
 			cn.closeLocked(nil)

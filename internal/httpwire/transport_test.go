@@ -331,7 +331,7 @@ func TestTransportReapsIdleConns(t *testing.T) {
 	eachInflight(t, func(t *testing.T, k int) {
 		addr := startServer(t, HandlerFunc(echoHandler))
 		c := newTestClient(k)
-		c.IdleConnTimeout = 20 * time.Millisecond
+		c.idleConnTimeout = 20 * time.Millisecond
 		defer c.Close()
 		if _, err := c.DoContext(context.Background(), addr, NewRequest("GET", "/a")); err != nil {
 			t.Fatal(err)
@@ -716,7 +716,7 @@ func TestTransportCollateralErrorIsConnectionLevel(t *testing.T) {
 	c.MaxConnsPerHost = 1
 	// Long enough that the caller waiting for a slot dials the replacement
 	// and is first on it before the retries arrive.
-	c.RetryBackoff = 50 * time.Millisecond
+	c.retryBackoff = 50 * time.Millisecond
 	defer c.Close()
 
 	ctx1, cancel1 := context.WithTimeout(context.Background(), 300*time.Millisecond)

@@ -11,10 +11,17 @@ import (
 // The paper's piggyback exchange is best-effort (§2.1): a proxy must keep
 // serving when an origin stalls or disappears. The per-host circuit
 // breaker turns repeated upstream failures into fast local refusals —
-// after breakerSettings.failures consecutive qualifying failures the host
-// trips open and requests short-circuit without dialing; after a jittered
+// after breakerFailures consecutive qualifying failures the host trips
+// open and requests short-circuit without dialing; after a jittered
 // backoff a single half-open probe is let through, and its outcome either
 // closes the circuit or re-opens it with doubled backoff.
+
+const (
+	breakerFailures   = 5                      // consecutive failures to trip
+	breakerBackoff    = 500 * time.Millisecond // initial open interval
+	breakerMaxBackoff = 30 * time.Second       // backoff doubling cap
+	breakerSeed       = 1                      // jitter seed: runs replay
+)
 
 type breakerState int
 
@@ -24,17 +31,12 @@ const (
 	breakerHalfOpen
 )
 
-// breakerSettings are the proxy's breaker knobs after defaulting.
-type breakerSettings struct {
-	failures   int           // consecutive failures to trip
-	backoff    time.Duration // initial open interval
-	maxBackoff time.Duration // backoff doubling cap
-}
-
-// breaker tracks one state machine per upstream host. A nil *breaker
-// (breaker disabled) allows everything and counts nothing.
+// breaker tracks one state machine per upstream host.
 type breaker struct {
-	cfg breakerSettings
+	// failures, backoff and maxBackoff start at the breaker* constants;
+	// tests change them.
+	failures            int
+	backoff, maxBackoff time.Duration
 	// now is injectable for deterministic state-machine tests.
 	now func() time.Time
 
@@ -56,28 +58,18 @@ type hostBreaker struct {
 }
 
 // newBreaker wires a breaker's counters into the proxy registry under
-// prefix ("proxy.breaker" for the upstream breaker, "peer.breaker" for the
-// mesh's per-peer one); empty means "proxy.breaker".
-func newBreaker(cfg breakerSettings, reg *obs.Registry, prefix string, seed int64) *breaker {
-	if prefix == "" {
-		prefix = "proxy.breaker"
-	}
-	if cfg.failures <= 0 {
-		cfg.failures = 5
-	}
-	if cfg.backoff <= 0 {
-		cfg.backoff = 500 * time.Millisecond
-	}
-	if cfg.maxBackoff <= 0 {
-		cfg.maxBackoff = 30 * time.Second
-	}
+// prefix ("proxy.breaker" for the origin legs' breaker, "peer.breaker" for
+// the mesh's per-peer one).
+func newBreaker(reg *obs.Registry, prefix string) *breaker {
 	return &breaker{
-		cfg:           cfg,
+		failures:      breakerFailures,
+		backoff:       breakerBackoff,
+		maxBackoff:    breakerMaxBackoff,
 		now:           time.Now,
 		opens:         reg.Counter(prefix + ".opens"),
 		openGauge:     reg.Counter(prefix + ".open"),
 		shortCircuits: reg.Counter(prefix + ".short_circuits"),
-		rng:           rand.New(rand.NewSource(seed)),
+		rng:           rand.New(rand.NewSource(breakerSeed)),
 		hosts:         make(map[string]*hostBreaker),
 	}
 }
@@ -86,9 +78,6 @@ func newBreaker(cfg breakerSettings, reg *obs.Registry, prefix string, seed int6
 // circuit past its backoff admits exactly one half-open probe; refusals
 // are counted as short-circuits.
 func (b *breaker) Allow(host string) bool {
-	if b == nil {
-		return true
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	hb, ok := b.hosts[host]
@@ -117,9 +106,6 @@ func (b *breaker) Allow(host string) bool {
 // Success records a completed exchange with host: the circuit closes and
 // the failure run resets.
 func (b *breaker) Success(host string) {
-	if b == nil {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	hb, ok := b.hosts[host]
@@ -135,20 +121,17 @@ func (b *breaker) Success(host string) {
 // Failure records a qualifying upstream failure (anything but caller
 // cancellation) for host.
 func (b *breaker) Failure(host string) {
-	if b == nil {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	hb, ok := b.hosts[host]
 	if !ok {
-		hb = &hostBreaker{backoff: b.cfg.backoff}
+		hb = &hostBreaker{backoff: b.backoff}
 		b.hosts[host] = hb
 	}
 	switch hb.state {
 	case breakerClosed:
 		hb.fails++
-		if hb.fails >= b.cfg.failures {
+		if hb.fails >= b.failures {
 			b.openGauge.Inc()
 			b.tripLocked(hb)
 		}
@@ -157,8 +140,8 @@ func (b *breaker) Failure(host string) {
 		// already counts this host (half-open is still tripped).
 		hb.probing = false
 		hb.backoff *= 2
-		if hb.backoff > b.cfg.maxBackoff {
-			hb.backoff = b.cfg.maxBackoff
+		if hb.backoff > b.maxBackoff {
+			hb.backoff = b.maxBackoff
 		}
 		b.tripLocked(hb)
 	case breakerOpen:
@@ -180,8 +163,5 @@ func (b *breaker) tripLocked(hb *hostBreaker) {
 // OpenHosts returns how many hosts are currently tripped (the
 // proxy.breaker.open gauge).
 func (b *breaker) OpenHosts() int {
-	if b == nil {
-		return 0
-	}
 	return int(b.openGauge.Load())
 }

@@ -1,36 +1,27 @@
 package proxy
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
 	"piggyback/internal/obs"
 )
 
-// testBreaker returns a breaker with an injectable clock. The returned
-// advance function moves the clock forward.
-func testBreaker(t *testing.T, cfg breakerSettings) (*breaker, func(time.Duration)) {
+// testBreaker returns a breaker that trips after failures consecutive
+// failures into a backoff-long open window, with an injectable clock. The
+// returned advance function moves the clock forward.
+func testBreaker(t *testing.T, failures int, backoff time.Duration) (*breaker, func(time.Duration)) {
 	t.Helper()
-	b := newBreaker(cfg, obs.NewRegistry(), "", 1)
+	b := newBreaker(obs.NewRegistry(), "proxy.breaker")
+	b.failures, b.backoff = failures, backoff
 	now := time.Unix(1_000_000, 0)
 	b.now = func() time.Time { return now }
 	return b, func(d time.Duration) { now = now.Add(d) }
 }
 
-func TestBreakerNilIsTransparent(t *testing.T) {
-	var b *breaker
-	if !b.Allow("h") {
-		t.Fatal("nil breaker denied a request")
-	}
-	b.Success("h")
-	b.Failure("h")
-	if b.OpenHosts() != 0 {
-		t.Fatal("nil breaker reports open hosts")
-	}
-}
-
 func TestBreakerTripsAfterThreshold(t *testing.T) {
-	b, _ := testBreaker(t, breakerSettings{failures: 3, backoff: time.Second})
+	b, _ := testBreaker(t, 3, time.Second)
 	for i := 0; i < 2; i++ {
 		if !b.Allow("h") {
 			t.Fatalf("denied while closed after %d failures", i)
@@ -60,7 +51,7 @@ func TestBreakerTripsAfterThreshold(t *testing.T) {
 }
 
 func TestBreakerSuccessResetsFailureRun(t *testing.T) {
-	b, _ := testBreaker(t, breakerSettings{failures: 3, backoff: time.Second})
+	b, _ := testBreaker(t, 3, time.Second)
 	b.Failure("h")
 	b.Failure("h")
 	b.Success("h") // breaks the consecutive run
@@ -76,7 +67,7 @@ func TestBreakerSuccessResetsFailureRun(t *testing.T) {
 }
 
 func TestBreakerHalfOpenProbeRecovers(t *testing.T) {
-	b, advance := testBreaker(t, breakerSettings{failures: 1, backoff: time.Second})
+	b, advance := testBreaker(t, 1, time.Second)
 	b.Failure("h")
 	if b.Allow("h") {
 		t.Fatal("allowed during open window")
@@ -100,7 +91,8 @@ func TestBreakerHalfOpenProbeRecovers(t *testing.T) {
 }
 
 func TestBreakerFailedProbeDoublesBackoff(t *testing.T) {
-	b, advance := testBreaker(t, breakerSettings{failures: 1, backoff: time.Second, maxBackoff: 3 * time.Second})
+	b, advance := testBreaker(t, 1, time.Second)
+	b.maxBackoff = 3 * time.Second
 	b.Failure("h")
 	advance(1500 * time.Millisecond)
 	if !b.Allow("h") {
@@ -141,7 +133,7 @@ func TestBreakerFailedProbeDoublesBackoff(t *testing.T) {
 func TestBreakerStragglerFailureWhileOpen(t *testing.T) {
 	// A failure reported by an exchange that was already in flight when the
 	// circuit tripped must not extend or double the window.
-	b, _ := testBreaker(t, breakerSettings{failures: 1, backoff: time.Second})
+	b, _ := testBreaker(t, 1, time.Second)
 	b.Failure("h")
 	until := b.hosts["h"].openUntil
 	b.Failure("h") // straggler
@@ -159,11 +151,11 @@ func TestBreakerStragglerFailureWhileOpen(t *testing.T) {
 func TestBreakerJitterWithinBounds(t *testing.T) {
 	// The open window must land in [0.5×, 1.5×) of the nominal backoff.
 	for seed := int64(1); seed <= 20; seed++ {
-		b := newBreaker(breakerSettings{failures: 1, backoff: time.Second}, obs.NewRegistry(), "", seed)
-		now := time.Unix(1_000_000, 0)
-		b.now = func() time.Time { return now }
+		b, _ := testBreaker(t, 1, time.Second)
+		b.rng = rand.New(rand.NewSource(seed))
+		start := b.now()
 		b.Failure("h")
-		win := b.hosts["h"].openUntil.Sub(now)
+		win := b.hosts["h"].openUntil.Sub(start)
 		if win < 500*time.Millisecond || win >= 1500*time.Millisecond {
 			t.Fatalf("seed %d: open window %v outside [0.5s, 1.5s)", seed, win)
 		}

@@ -11,9 +11,9 @@ import (
 
 // leg is one direction the proxy sends requests in — demand fetches to the
 // origin, speculative fetches to the origin, or the mesh's peer leg: a wire
-// client and the circuit breaker that guards it (nil when disabled), which
-// trips after consecutive failures so a dead host costs a map lookup
-// instead of a dial timeout per request. Two legs may share one breaker.
+// client and the circuit breaker that guards it, which trips after
+// consecutive failures so a dead host costs a map lookup instead of a dial
+// timeout per request. Two legs may share one breaker.
 type leg struct {
 	client  *httpwire.Client
 	breaker *breaker
@@ -25,22 +25,6 @@ func newLeg(reg *obs.Registry, wirePrefix string, b *breaker) leg {
 	l := leg{client: httpwire.NewClient(), breaker: b}
 	l.client.Obs = obs.NewWireMetrics(reg, wirePrefix)
 	return l
-}
-
-// legBreaker returns the breaker cfg asks for, its counters in reg under
-// prefix, or nil when cfg disables breakers.
-func legBreaker(cfg Config, reg *obs.Registry, prefix string) *breaker {
-	if cfg.BreakerDisabled {
-		return nil
-	}
-	seed := cfg.BreakerSeed
-	if seed == 0 {
-		seed = 1
-	}
-	return newBreaker(breakerSettings{
-		failures: cfg.BreakerFailures,
-		backoff:  cfg.BreakerBackoff,
-	}, reg, prefix, seed)
 }
 
 // exchange is the only way the proxy talks upstream: one request to addr,

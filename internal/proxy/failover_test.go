@@ -49,7 +49,7 @@ func newFaultBed(t *testing.T, cfg Config) *faultBed {
 		t.Fatal(err)
 	}
 	fb.fl = faultconn.NewListener(inner, faultconn.Profile{}, 1)
-	osrv := &httpwire.Server{Handler: origin, IdleTimeout: time.Minute}
+	osrv := &httpwire.Server{Handler: origin}
 	go osrv.Serve(fb.fl)
 	t.Cleanup(func() { osrv.Close() })
 	addr := inner.Addr().String()
@@ -59,6 +59,13 @@ func newFaultBed(t *testing.T, cfg Config) *faultBed {
 	fb.proxy = New(cfg)
 	t.Cleanup(fb.proxy.Close)
 	return fb
+}
+
+// tripAfter sets p's origin breaker, which its demand and prefetch legs
+// share, to trip after failures consecutive failures into a backoff-long
+// (jittered) open window. Call it before p sends anything.
+func tripAfter(p *Proxy, failures int, backoff time.Duration) {
+	p.origin.breaker.failures, p.origin.breaker.backoff = failures, backoff
 }
 
 func (fb *faultBed) get(ctx context.Context, url string) *httpwire.Response {
@@ -74,10 +81,9 @@ func TestProxyServesStaleOnBlackhole(t *testing.T) {
 	fb := newFaultBed(t, Config{
 		Delta:           100,
 		UpstreamTimeout: 150 * time.Millisecond,
-		BreakerFailures: 3,
-		BreakerBackoff:  50 * time.Millisecond,
 		MaxStaleOnError: 100000,
 	})
+	tripAfter(fb.proxy, 3, 50*time.Millisecond)
 
 	// Healthy warm-up fills the cache.
 	warm := fb.get(context.Background(), "www.site.com/a/x.html")
@@ -173,9 +179,9 @@ func TestProxyCanceledCallerNoStaleNoBreaker(t *testing.T) {
 	// breaker feed.
 	fb := newFaultBed(t, Config{
 		Delta:           10,
-		BreakerFailures: 2,
 		MaxStaleOnError: 100000,
 	})
+	tripAfter(fb.proxy, 2, breakerBackoff)
 	if resp := fb.get(context.Background(), "www.site.com/a/x.html"); resp.Status != 200 {
 		t.Fatalf("warm-up: %d", resp.Status)
 	}
@@ -209,9 +215,9 @@ func TestProxyChaosBrownout(t *testing.T) {
 	fb := newFaultBed(t, Config{
 		Delta:           100,
 		UpstreamTimeout: 100 * time.Millisecond,
-		BreakerFailures: 50, // keep traffic flowing through the fault schedule
 		MaxStaleOnError: 1 << 30,
 	})
+	tripAfter(fb.proxy, 50, breakerBackoff) // keep traffic flowing through the fault schedule
 	urls := []string{"www.site.com/a/x.html", "www.site.com/a/y.gif"}
 
 	// Warm both entries while healthy and record the authoritative bodies.

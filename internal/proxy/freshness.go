@@ -10,15 +10,14 @@ import "sync"
 //
 // For each resource it tracks an exponentially weighted mean of the
 // observed intervals between Last-Modified changes and derives Δ as a
-// configurable fraction of that interval, clamped to [Min, Max].
+// fraction of that interval, clamped to [min, max].
 type FreshnessEstimator struct {
-	// Default is Δ for resources with no change observations yet.
-	Default int64
-	// Min and Max clamp the adaptive interval.
-	Min, Max int64
-	// Fraction of the mean change interval used as Δ; zero means 0.5 —
-	// validate roughly twice per expected change.
-	Fraction float64
+	// def is Δ for resources with no change observations yet; min and max
+	// (when positive) clamp the adaptive interval.
+	def, min, max int64
+	// fraction of the mean change interval used as Δ: 0.5, validate roughly
+	// twice per expected change (tests change it).
+	fraction float64
 
 	mu  sync.Mutex
 	obs map[string]*freshObs
@@ -33,7 +32,7 @@ type freshObs struct {
 // NewFreshnessEstimator returns an estimator with the given default Δ and
 // clamp range (seconds).
 func NewFreshnessEstimator(def, min, max int64) *FreshnessEstimator {
-	return &FreshnessEstimator{Default: def, Min: min, Max: max, obs: make(map[string]*freshObs)}
+	return &FreshnessEstimator{def: def, min: min, max: max, fraction: 0.5, obs: make(map[string]*freshObs)}
 }
 
 // Observe records a Last-Modified value seen for url (from a response or a
@@ -69,24 +68,20 @@ func (f *FreshnessEstimator) Delta(url string) int64 {
 	defer f.mu.Unlock()
 	o, ok := f.obs[url]
 	if !ok || o.changes == 0 {
-		return f.Default
+		return f.def
 	}
-	frac := f.Fraction
-	if frac <= 0 {
-		frac = 0.5
+	d := int64(o.ewma * f.fraction)
+	if f.min > 0 && d < f.min {
+		d = f.min
 	}
-	d := int64(o.ewma * frac)
-	if f.Min > 0 && d < f.Min {
-		d = f.Min
-	}
-	if f.Max > 0 && d > f.Max {
-		d = f.Max
+	if f.max > 0 && d > f.max {
+		d = f.max
 	}
 	return d
 }
 
-// ChangeCount returns how many modifications have been observed for url.
-func (f *FreshnessEstimator) ChangeCount(url string) int {
+// changeCount returns how many modifications have been observed for url.
+func (f *FreshnessEstimator) changeCount(url string) int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if o, ok := f.obs[url]; ok {
@@ -95,8 +90,8 @@ func (f *FreshnessEstimator) ChangeCount(url string) int {
 	return 0
 }
 
-// Tracked returns the number of resources with observations.
-func (f *FreshnessEstimator) Tracked() int {
+// tracked returns the number of resources with observations.
+func (f *FreshnessEstimator) tracked() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return len(f.obs)

@@ -17,8 +17,8 @@ func TestFreshnessDefaultUntilFirstChange(t *testing.T) {
 	if got := f.Delta("/a"); got != 900 {
 		t.Errorf("Delta after first observation = %d, want default 900", got)
 	}
-	if f.Tracked() != 1 || f.ChangeCount("/a") != 0 {
-		t.Errorf("tracked/changes = %d/%d, want 1/0", f.Tracked(), f.ChangeCount("/a"))
+	if f.tracked() != 1 || f.changeCount("/a") != 0 {
+		t.Errorf("tracked/changes = %d/%d, want 1/0", f.tracked(), f.changeCount("/a"))
 	}
 }
 
@@ -26,7 +26,7 @@ func TestFreshnessFirstChangeSetsInterval(t *testing.T) {
 	f := NewFreshnessEstimator(900, 0, 0)
 	f.Observe("/a", 1000)
 	f.Observe("/a", 3000) // changed after 2000s
-	if got := f.ChangeCount("/a"); got != 1 {
+	if got := f.changeCount("/a"); got != 1 {
 		t.Fatalf("changes = %d, want 1", got)
 	}
 	// Default fraction 0.5: validate twice per expected change.
@@ -37,7 +37,7 @@ func TestFreshnessFirstChangeSetsInterval(t *testing.T) {
 
 func TestFreshnessEWMA(t *testing.T) {
 	f := NewFreshnessEstimator(900, 0, 0)
-	f.Fraction = 1 // expose the mean directly
+	f.fraction = 1 // expose the mean directly
 	f.Observe("/a", 1000)
 	f.Observe("/a", 2000) // interval 1000 → ewma = 1000
 	f.Observe("/a", 2500) // interval 500  → ewma = 0.3*500 + 0.7*1000 = 850
@@ -52,7 +52,7 @@ func TestFreshnessIgnoresStaleLastModified(t *testing.T) {
 	f.Observe("/a", 5000) // same version
 	f.Observe("/a", 4000) // older version (e.g. stale piggyback)
 	f.Observe("/a", 0)    // absent Last-Modified
-	if got := f.ChangeCount("/a"); got != 0 {
+	if got := f.changeCount("/a"); got != 0 {
 		t.Errorf("changes = %d, want 0: non-increasing LM is not a change", got)
 	}
 	if got := f.Delta("/a"); got != 900 {
@@ -89,7 +89,7 @@ func TestFreshnessConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if f.Tracked() != 4 {
-		t.Errorf("tracked = %d, want 4", f.Tracked())
+	if f.tracked() != 4 {
+		t.Errorf("tracked = %d, want 4", f.tracked())
 	}
 }

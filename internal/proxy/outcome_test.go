@@ -134,7 +134,7 @@ func TestFetchOutcomes(t *testing.T) {
 			moved: Stats{UpstreamErrors: 1, StaleServes: 1}, cached: staleOld},
 		{name: "timeout, stale copy too old", cfg: Config{MaxStaleOnError: 60}, primed: true, origin: originHangs,
 			status: 504, moved: Stats{UpstreamErrors: 1}, cached: staleOld},
-		{name: "open circuit", cfg: Config{BreakerFailures: 1, BreakerBackoff: time.Hour},
+		{name: "open circuit",
 			primed: true, tripped: true, origin: originHonest,
 			status: 200, xcache: "STALE", lm: oldLM,
 			moved: Stats{StaleServes: 1, BreakerShortCircuits: 1}, cached: staleOld},
@@ -155,6 +155,7 @@ func TestFetchOutcomes(t *testing.T) {
 				sb.store.Modify(seamPath, newLM, 0)
 			}
 			if tc.tripped {
+				tripAfter(sb.proxy, 1, time.Hour)
 				sb.mode.Store(originHangs)
 				if r := sb.get("www.site.com/a/other.html"); r.Status != 504 {
 					t.Fatalf("tripping fetch: %d", r.Status)
@@ -219,7 +220,7 @@ func TestEveryAdmittedVersionFeedsFreshness(t *testing.T) {
 		if n := tb.proxy.DrainPrefetchesContext(context.Background(), 1); n != 1 {
 			t.Fatalf("drained %d prefetches, want 1", n)
 		}
-		if got := tb.proxy.Freshness().Tracked(); got != 1 {
+		if got := tb.proxy.fresh.tracked(); got != 1 {
 			t.Errorf("estimator tracks %d resources after a prefetch, want 1", got)
 		}
 	})
@@ -231,7 +232,7 @@ func TestEveryAdmittedVersionFeedsFreshness(t *testing.T) {
 		if resp := f.get(t, r, key); resp.Header.Get("X-Cache") != "PEER" {
 			t.Fatalf("X-Cache %q, want PEER", resp.Header.Get("X-Cache"))
 		}
-		if got := f.px[r].Freshness().Tracked(); got != 1 {
+		if got := f.px[r].fresh.tracked(); got != 1 {
 			t.Errorf("estimator tracks %d resources after a peer-served response, want 1", got)
 		}
 	})

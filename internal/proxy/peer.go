@@ -36,7 +36,6 @@ type mesh struct {
 	self    string
 	ring    *peer.Ring
 	tracker *peer.Tracker
-	timeout time.Duration
 
 	// Propagation runs off the request path: jobs queue here and one
 	// worker drains them; a full queue drops (and counts) rather than
@@ -76,6 +75,10 @@ type meshCounters struct {
 // piggybacks are dropped (and counted) instead of blocking the fetch path.
 const propagationQueueLen = 256
 
+// peerTimeout caps one peer exchange — a forwarded request or a piggyback
+// propagation.
+const peerTimeout = 5 * time.Second
+
 // newMesh wires the peer tier for cfg; returns nil when the config does
 // not describe a mesh (fewer than two peers or no self identity).
 func newMesh(cfg Config, reg *obs.Registry) *mesh {
@@ -86,19 +89,14 @@ func newMesh(cfg Config, reg *obs.Registry) *mesh {
 	if ring.Size() < 2 {
 		return nil
 	}
-	timeout := cfg.PeerTimeout
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &mesh{
-		leg:  newLeg(reg, "wire.peer", legBreaker(cfg, reg, "peer.breaker")),
+		leg:  newLeg(reg, "wire.peer", newBreaker(reg, "peer.breaker")),
 		self: cfg.PeerSelf,
 		ring: ring,
 		// A peer stays a propagation target for as long as a volume stays
 		// on an RPV list.
 		tracker: peer.NewTracker(cfg.RPVTimeout),
-		timeout: timeout,
 		jobs:    make(chan propagation, propagationQueueLen),
 		ctx:     ctx,
 		cancel:  cancel,
@@ -118,7 +116,7 @@ func newMesh(cfg Config, reg *obs.Registry) *mesh {
 		},
 	}
 	m.c.peersGauge.Add(int64(ring.Size()))
-	m.client.RequestTimeout = timeout
+	m.client.RequestTimeout = peerTimeout
 	go m.propagateLoop()
 	return m
 }
@@ -221,7 +219,7 @@ func (m *mesh) propagateLoop() {
 					return
 				}
 				req := httpwire.NewPeerPiggybackRequest(job.originHost, m.self, job.msg)
-				ctx, cancel := context.WithTimeout(m.ctx, m.timeout)
+				ctx, cancel := context.WithTimeout(m.ctx, peerTimeout)
 				resp, err := m.exchange(ctx, target, target, req)
 				cancel()
 				if err != nil || resp.Status != 200 {

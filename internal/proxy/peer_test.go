@@ -72,7 +72,7 @@ func newFleet(t *testing.T, n int, cfg Config) *fleet {
 		p := New(c)
 		f.px = append(f.px, p)
 		t.Cleanup(p.Close)
-		srv := &httpwire.Server{Handler: p, IdleTimeout: 5 * time.Second}
+		srv := &httpwire.Server{Handler: p}
 		f.srvs = append(f.srvs, srv)
 		go srv.Serve(f.ls[i])
 		t.Cleanup(func() { srv.Close() })

@@ -28,22 +28,18 @@ type InformedQueue struct {
 	mu     sync.Mutex
 	h      fetchHeap
 	queued map[string]bool
-	// MaxLen bounds the queue; zero means 1024. Overflow drops the
-	// largest queued item (smallest-first service order means largest
-	// items are the least likely to be serviced anyway).
-	MaxLen int
+	// maxLen bounds the queue: prefetchQueueLen unless a test sets another.
+	maxLen int
 }
+
+// prefetchQueueLen bounds an InformedQueue. Overflow drops the largest
+// queued item (smallest-first service order means largest items are the
+// least likely to be serviced anyway).
+const prefetchQueueLen = 1024
 
 // NewInformedQueue returns an empty queue.
 func NewInformedQueue() *InformedQueue {
-	return &InformedQueue{queued: make(map[string]bool)}
-}
-
-func (q *InformedQueue) maxLen() int {
-	if q.MaxLen <= 0 {
-		return 1024
-	}
-	return q.MaxLen
+	return &InformedQueue{queued: make(map[string]bool), maxLen: prefetchQueueLen}
 }
 
 // Push enqueues an item unless an equal key is already queued.
@@ -54,7 +50,7 @@ func (q *InformedQueue) Push(it FetchItem) bool {
 	if q.queued[it.Key()] {
 		return false
 	}
-	if len(q.h) >= q.maxLen() {
+	if len(q.h) >= q.maxLen {
 		// Drop the largest queued item to admit the new one — unless
 		// the new item is itself the largest.
 		li := q.largestIdx()
@@ -101,8 +97,8 @@ func (q *InformedQueue) Len() int {
 	return len(q.h)
 }
 
-// Contains reports whether a key is queued.
-func (q *InformedQueue) Contains(key string) bool {
+// contains reports whether a key is queued.
+func (q *InformedQueue) contains(key string) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.queued[key]

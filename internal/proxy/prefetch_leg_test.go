@@ -157,21 +157,21 @@ func TestPrefetchSharesOriginBreaker(t *testing.T) {
 	cfg := Config{
 		Delta:           100,
 		Prefetch:        true,
-		BreakerFailures: 2,
-		BreakerBackoff:  time.Minute,
 		MaxStaleOnError: -1,
 	}
+	const failures = 2
 
 	t.Run("demand failures refuse prefetches", func(t *testing.T) {
 		fb := newFaultBed(t, cfg)
+		tripAfter(fb.proxy, failures, time.Minute)
 		fb.fl.SetFault(&faultconn.Fault{Reset: true})
-		for i := 0; i < cfg.BreakerFailures; i++ {
+		for i := 0; i < failures; i++ {
 			if resp := fb.get(context.Background(), "www.site.com/a/x.html"); resp.Status != 502 {
 				t.Fatalf("miss %d against a resetting origin: %d, want 502", i, resp.Status)
 			}
 		}
 		if fb.proxy.BreakerOpenHosts() != 1 {
-			t.Fatalf("circuit not open after %d demand failures", cfg.BreakerFailures)
+			t.Fatalf("circuit not open after %d demand failures", failures)
 		}
 		accepted := fb.fl.Accepted()
 		fb.proxy.queue.Push(FetchItem{Host: "www.site.com", URL: "/a/y.gif", Size: 200})
@@ -192,6 +192,7 @@ func TestPrefetchSharesOriginBreaker(t *testing.T) {
 
 	t.Run("prefetch failures refuse demand", func(t *testing.T) {
 		fb := newFaultBed(t, cfg)
+		tripAfter(fb.proxy, failures, time.Minute)
 		fb.fl.SetFault(&faultconn.Fault{Reset: true})
 		fb.proxy.queue.Push(FetchItem{Host: "www.site.com", URL: "/a/x.html", Size: 400})
 		fb.proxy.queue.Push(FetchItem{Host: "www.site.com", URL: "/a/y.gif", Size: 200})
@@ -199,7 +200,7 @@ func TestPrefetchSharesOriginBreaker(t *testing.T) {
 			t.Fatalf("drain fetched %d from a resetting origin, want 0", n)
 		}
 		if fb.proxy.BreakerOpenHosts() != 1 {
-			t.Fatalf("circuit not open after %d prefetch failures", cfg.BreakerFailures)
+			t.Fatalf("circuit not open after %d prefetch failures", failures)
 		}
 		accepted := fb.fl.Accepted()
 		if resp := fb.get(context.Background(), "www.site.com/a/x.html"); resp.Status != 502 {

@@ -32,7 +32,7 @@ func TestInformedQueueDedup(t *testing.T) {
 	if q.Push(FetchItem{Host: "h", URL: "/x", Size: 1}) {
 		t.Fatal("duplicate push accepted")
 	}
-	if q.Len() != 1 || !q.Contains("h/x") {
+	if q.Len() != 1 || !q.contains("h/x") {
 		t.Errorf("len=%d", q.Len())
 	}
 	q.Pop()
@@ -43,7 +43,7 @@ func TestInformedQueueDedup(t *testing.T) {
 
 func TestInformedQueueOverflowDropsLargest(t *testing.T) {
 	q := NewInformedQueue()
-	q.MaxLen = 3
+	q.maxLen = 3
 	q.Push(FetchItem{Host: "h", URL: "/a", Size: 100})
 	q.Push(FetchItem{Host: "h", URL: "/b", Size: 300})
 	q.Push(FetchItem{Host: "h", URL: "/c", Size: 200})
@@ -51,7 +51,7 @@ func TestInformedQueueOverflowDropsLargest(t *testing.T) {
 	if !q.Push(FetchItem{Host: "h", URL: "/d", Size: 50}) {
 		t.Fatal("small item rejected on overflow")
 	}
-	if q.Contains("h/b") {
+	if q.contains("h/b") {
 		t.Error("largest item not dropped")
 	}
 	// A larger-than-everything item is rejected.
@@ -66,7 +66,7 @@ func TestInformedQueueOverflowDropsLargest(t *testing.T) {
 func TestInformedQueueHeapProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	q := NewInformedQueue()
-	q.MaxLen = 4096
+	q.maxLen = 4096
 	for i := 0; i < 1000; i++ {
 		q.Push(FetchItem{Host: "h", URL: "/r" + strconv.Itoa(i), Size: int64(rng.Intn(10000))})
 	}
@@ -120,13 +120,13 @@ func TestFreshnessEstimatorLearnsChangeRate(t *testing.T) {
 	if d := f.Delta("/x"); d != 100 {
 		t.Errorf("Delta = %d, want 100 (half of 200)", d)
 	}
-	if f.ChangeCount("/x") != 1 {
-		t.Errorf("ChangeCount = %d", f.ChangeCount("/x"))
+	if f.changeCount("/x") != 1 {
+		t.Errorf("changeCount = %d", f.changeCount("/x"))
 	}
 	// Stale or equal Last-Modified values are ignored.
 	f.Observe("/x", 1100)
 	f.Observe("/x", 1200)
-	if f.ChangeCount("/x") != 1 {
+	if f.changeCount("/x") != 1 {
 		t.Error("non-increasing LM counted as change")
 	}
 }
@@ -143,8 +143,8 @@ func TestFreshnessEstimatorClamps(t *testing.T) {
 	if d := f.Delta("/slow"); d != 1000 {
 		t.Errorf("Delta = %d, want clamped 1000", d)
 	}
-	if f.Tracked() != 2 {
-		t.Errorf("Tracked = %d", f.Tracked())
+	if f.tracked() != 2 {
+		t.Errorf("tracked = %d", f.tracked())
 	}
 }
 
@@ -161,7 +161,7 @@ func TestFreshnessEstimatorEWMA(t *testing.T) {
 func TestFreshnessEstimatorIgnoresZero(t *testing.T) {
 	f := NewFreshnessEstimator(600, 1, 1<<40)
 	f.Observe("/x", 0)
-	if f.Tracked() != 0 {
+	if f.tracked() != 0 {
 		t.Error("zero Last-Modified tracked")
 	}
 }

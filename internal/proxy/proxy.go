@@ -55,7 +55,8 @@ type Config struct {
 	// not in the cache (§4), via the informed (smallest-first) queue.
 	Prefetch bool
 	// AdaptiveFreshness enables per-resource Δ from observed
-	// modification rates (§4); off, every entry gets the default Δ.
+	// modification rates (§4), clamped to [Delta/10, 24·Delta]; off, every
+	// entry gets the default Δ.
 	AdaptiveFreshness bool
 	// ReportHits piggybacks the URLs served from cache since the last
 	// upstream request onto the next request to that server (Piggy-Hits
@@ -66,33 +67,9 @@ type Config struct {
 	// validating stale entries, reconstructing the new version from the
 	// cached body plus the server's patch (§4, ref [23]).
 	DeltaEncoding bool
-	// MinDelta/MaxDelta clamp adaptive Δ; zero means Delta/10 and
-	// Delta*24.
-	MinDelta, MaxDelta int64
 	// UpstreamTimeout caps one upstream exchange (the client's
 	// RequestTimeout); zero keeps the wire default (30s).
 	UpstreamTimeout time.Duration
-	// UpstreamInflight is how many concurrent demand exchanges (client
-	// misses and validations) one upstream connection carries (httpwire's
-	// MaxInflightPerConn: requests that meet on a connection go out as one
-	// writev, responses are read in order). Zero means 4; 1 gives every
-	// exchange a connection to itself. The peer client is unaffected
-	// either way, and speculative fetches always carry one exchange per
-	// connection, on connections of their own: a demand exchange never
-	// queues behind or ahead of one.
-	UpstreamInflight int
-	// BreakerFailures is the consecutive-failure threshold that trips a
-	// host's circuit open; zero means 5.
-	BreakerFailures int
-	// BreakerBackoff is the initial open interval before a half-open
-	// probe (jittered 0.5×–1.5×, doubling per failed probe up to 30s);
-	// zero means 500ms.
-	BreakerBackoff time.Duration
-	// BreakerDisabled turns the per-host circuit breaker off.
-	BreakerDisabled bool
-	// BreakerSeed seeds the breaker's backoff jitter; zero means 1
-	// (deterministic by default).
-	BreakerSeed int64
 	// MaxStaleOnError bounds serve-stale-on-error: on a qualifying
 	// upstream failure (or an open circuit) an expired cache entry is
 	// still served — marked X-Cache: STALE with Warning: 110 — if it
@@ -106,10 +83,16 @@ type Config struct {
 	// consistent-hash ring is built over Peers ∪ {PeerSelf}. A ring of
 	// fewer than two members disables the mesh.
 	Peers []string
-	// PeerTimeout caps one peer exchange — a forwarded request or a
-	// piggyback propagation; zero means 5s.
-	PeerTimeout time.Duration
 }
+
+// originInflight is how many concurrent demand exchanges (client misses
+// and validations) one origin connection carries (httpwire's
+// MaxInflightPerConn: requests that meet on a connection go out as one
+// writev, responses are read in order). Speculative fetches carry one
+// exchange per connection, on connections of their own, so a demand
+// exchange never queues behind or ahead of one; the peer leg keeps the
+// wire default of one.
+const originInflight = 4
 
 // Stats counts proxy-side protocol activity.
 type Stats struct {
@@ -252,12 +235,6 @@ func New(cfg Config) *Proxy {
 		// interval Δ.
 		cfg.RPVTimeout = cfg.Delta
 	}
-	if cfg.MinDelta <= 0 {
-		cfg.MinDelta = cfg.Delta / 10
-	}
-	if cfg.MaxDelta <= 0 {
-		cfg.MaxDelta = cfg.Delta * 24
-	}
 	if cfg.MaxStaleOnError == 0 {
 		cfg.MaxStaleOnError = 3600
 	}
@@ -266,7 +243,7 @@ func New(cfg Config) *Proxy {
 		store = cache.NewSharded(cfg.CacheBytes, 0, nil)
 	}
 	reg := obs.NewRegistry()
-	originBreaker := legBreaker(cfg, reg, "proxy.breaker")
+	originBreaker := newBreaker(reg, "proxy.breaker")
 	p := &Proxy{
 		cfg:      cfg,
 		origin:   newLeg(reg, "wire.upstream", originBreaker),
@@ -301,18 +278,13 @@ func New(cfg Config) *Proxy {
 	p.mesh = newMesh(cfg, reg)
 	p.origin.client.RequestTimeout = cfg.UpstreamTimeout // zero keeps the wire default
 	p.prefetch.client.RequestTimeout = cfg.UpstreamTimeout
+	p.origin.client.MaxInflightPerConn = originInflight
 	p.prefetch.client.MaxInflightPerConn = 1
-	switch {
-	case cfg.UpstreamInflight == 0:
-		p.origin.client.MaxInflightPerConn = 4
-	case cfg.UpstreamInflight > 1:
-		p.origin.client.MaxInflightPerConn = cfg.UpstreamInflight
-	}
 	// The cache's shard-occupancy and eviction gauges land in the same
 	// registry as the legs' wire metrics, under cache.*.
 	p.cache.Instrument(reg, "cache")
 	if cfg.AdaptiveFreshness {
-		p.fresh = NewFreshnessEstimator(cfg.Delta, cfg.MinDelta, cfg.MaxDelta)
+		p.fresh = NewFreshnessEstimator(cfg.Delta, cfg.Delta/10, cfg.Delta*24)
 	}
 	return p
 }
@@ -320,28 +292,26 @@ func New(cfg Config) *Proxy {
 // Stats returns a snapshot of the counters.
 func (p *Proxy) Stats() Stats {
 	s := Stats{
-		ClientRequests:     int(p.c.clientRequests.Load()),
-		FreshHits:          int(p.c.freshHits.Load()),
-		Validations:        int(p.c.validations.Load()),
-		NotModified:        int(p.c.notModified.Load()),
-		MissFetches:        int(p.c.missFetches.Load()),
-		PiggybacksReceived: int(p.c.piggybacksReceived.Load()),
-		PiggybackElements:  int(p.c.piggybackElements.Load()),
-		Refreshes:          int(p.c.refreshes.Load()),
-		Invalidations:      int(p.c.invalidations.Load()),
-		Prefetches:         int(p.c.prefetches.Load()),
-		UsefulPrefetches:   int(p.c.usefulPrefetches.Load()),
-		HitsReported:       int(p.c.hitsReported.Load()),
-		HitsDropped:        int(p.c.hitsDropped.Load()),
-		DeltaUpdates:       int(p.c.deltaUpdates.Load()),
-		DeltaBytesSaved:    p.c.deltaBytesSaved.Load(),
-		SingleflightShared: int(p.c.singleflightShared.Load()),
-		UpstreamErrors:     int(p.c.upstreamErrors.Load()),
-		StaleServes:        int(p.c.staleServes.Load()),
-	}
-	if b := p.origin.breaker; b != nil {
-		s.BreakerOpens = int(b.opens.Load())
-		s.BreakerShortCircuits = int(b.shortCircuits.Load())
+		ClientRequests:       int(p.c.clientRequests.Load()),
+		FreshHits:            int(p.c.freshHits.Load()),
+		Validations:          int(p.c.validations.Load()),
+		NotModified:          int(p.c.notModified.Load()),
+		MissFetches:          int(p.c.missFetches.Load()),
+		PiggybacksReceived:   int(p.c.piggybacksReceived.Load()),
+		PiggybackElements:    int(p.c.piggybackElements.Load()),
+		Refreshes:            int(p.c.refreshes.Load()),
+		Invalidations:        int(p.c.invalidations.Load()),
+		Prefetches:           int(p.c.prefetches.Load()),
+		UsefulPrefetches:     int(p.c.usefulPrefetches.Load()),
+		HitsReported:         int(p.c.hitsReported.Load()),
+		HitsDropped:          int(p.c.hitsDropped.Load()),
+		DeltaUpdates:         int(p.c.deltaUpdates.Load()),
+		DeltaBytesSaved:      p.c.deltaBytesSaved.Load(),
+		SingleflightShared:   int(p.c.singleflightShared.Load()),
+		UpstreamErrors:       int(p.c.upstreamErrors.Load()),
+		StaleServes:          int(p.c.staleServes.Load()),
+		BreakerOpens:         int(p.origin.breaker.opens.Load()),
+		BreakerShortCircuits: int(p.origin.breaker.shortCircuits.Load()),
 	}
 	if m := p.mesh; m != nil {
 		s.PeerForwards = int(m.c.forwards.Load())
@@ -380,9 +350,6 @@ func (p *Proxy) CacheStats() cache.StoreStats { return p.cache.Stats() }
 // Queue exposes the informed fetch queue (for draining in tests and the
 // prefetch loop).
 func (p *Proxy) Queue() *InformedQueue { return p.queue }
-
-// Freshness exposes the adaptive freshness estimator (nil when disabled).
-func (p *Proxy) Freshness() *FreshnessEstimator { return p.fresh }
 
 // Close stops the mesh's propagation worker (when one is running),
 // releases upstream (demand and prefetch) and peer connections, and closes

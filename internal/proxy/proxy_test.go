@@ -56,7 +56,7 @@ func newTestbed(t *testing.T, cfg Config) *testbed {
 	if err != nil {
 		t.Fatal(err)
 	}
-	psrv := &httpwire.Server{Handler: tb.proxy, IdleTimeout: 5 * time.Second}
+	psrv := &httpwire.Server{Handler: tb.proxy}
 	go psrv.Serve(pl)
 	t.Cleanup(func() { psrv.Close() })
 	tb.prxAddr = pl.Addr().String()
@@ -232,9 +232,9 @@ func TestProxyPrefetchQueueAndDrain(t *testing.T) {
 }
 
 func TestProxyAdaptiveFreshness(t *testing.T) {
-	tb := newTestbed(t, Config{Delta: 600, AdaptiveFreshness: true, MinDelta: 60, MaxDelta: 86400})
+	tb := newTestbed(t, Config{Delta: 600, AdaptiveFreshness: true})
 	// Modifications ~100s apart teach the estimator a short change
-	// interval => Δ well below the 600s default (clamped at MinDelta).
+	// interval => Δ well below the 600s default (clamped at Δ/10).
 	tb.store.Modify("/a/x.html", tb.now-100, 0)
 	tb.get(t, "www.site.com/a/x.html")
 	tb.store.Modify("/a/x.html", tb.now, 0)
@@ -243,12 +243,12 @@ func TestProxyAdaptiveFreshness(t *testing.T) {
 	tb.store.Modify("/a/x.html", tb.now-600, 0) // 600s after previous mod
 	tb.get(t, "www.site.com/a/x.html")
 
-	d := tb.proxy.Freshness().Delta("www.site.com/a/x.html")
+	d := tb.proxy.fresh.Delta("www.site.com/a/x.html")
 	if d >= 600 {
 		t.Errorf("adaptive Δ = %d, want < default for fast-changing resource", d)
 	}
 	if d < 60 {
-		t.Errorf("adaptive Δ = %d, below MinDelta", d)
+		t.Errorf("adaptive Δ = %d, below Δ/10", d)
 	}
 }
 
