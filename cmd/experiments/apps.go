@@ -136,7 +136,6 @@ func runE2E(l *lab) {
 			Clock:         clock,
 			Resolve:       func(string) (string, error) { return ol.Addr().String(), nil },
 			Prefetch:      true,
-			ReportHits:    true,
 			DeltaEncoding: true,
 		})
 		defer px.Close()
@@ -190,13 +189,14 @@ func runE2E(l *lab) {
 	tbl.AddRow("served fresh from cache", pa.FreshHits, pb.FreshHits)
 	tbl.AddRow("validations (IMS)", pa.Validations, pb.Validations)
 	tbl.AddRow("piggybacks received", pa.PiggybacksReceived, pb.PiggybacksReceived)
-	tbl.AddRow("piggyback refreshes", pa.Refreshes, pb.Refreshes)
+	tbl.AddRow("refreshes (piggyback, answer)", pa.Refreshes, pb.Refreshes)
 	tbl.AddRow("prefetches", pa.Prefetches, pb.Prefetches)
 	tbl.AddRow("useful prefetches", pa.UsefulPrefetches, pb.UsefulPrefetches)
 	tbl.AddRow("delta updates (bytes saved)",
 		fmt.Sprintf("%d (%d)", pa.DeltaUpdates, pa.DeltaBytesSaved),
 		fmt.Sprintf("%d (%d)", pb.DeltaUpdates, pb.DeltaBytesSaved))
 	tbl.AddRow("cache hits reported", pa.HitsReported, pb.HitsReported)
+	tbl.AddRow("hit reports answered", pa.HitValidations, pb.HitValidations)
 	tbl.AddRow("cache hit rate", proxies[0].CacheHitRate(), proxies[1].CacheHitRate())
 	fmt.Print(tbl.String())
 	fmt.Printf("origin requests: %d for %d client requests; piggybacks sent: %d; wall time %v\n",

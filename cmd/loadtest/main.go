@@ -130,9 +130,12 @@ var scenarios = []scenario{
 	},
 	{
 		// The proxy absorbs a brownout: upstream failures are seen and
-		// classified, and expired entries are served stale, not 5xx.
+		// classified, and expired entries are served stale, not 5xx. A
+		// stale serve needs an expired entry to meet a failing exchange,
+		// a few per thousand requests, so the run is long enough (~10 s)
+		// that none at all would mean the mechanism is broken.
 		name: "brownout",
-		load: load{requests: 1000, workers: 16, rate: 400,
+		load: load{requests: 4000, workers: 16, rate: 400,
 			fault: "brownout", faultSeed: 7, delta: 1, upTimeout: 250 * time.Millisecond},
 		checks: func(_ load, o outcome) []check {
 			return []check{noErrors(o),

@@ -33,7 +33,6 @@ func main() {
 	maxPiggy := flag.Int("maxpiggy", 10, "filter maxpiggy attribute")
 	level := flag.Int("level", 1, "origin directory-volume level")
 	prefetch := flag.Bool("prefetch", false, "enable proxy prefetching")
-	reportHits := flag.Bool("reporthits", false, "enable Piggy-Hits upstream reporting")
 	limit := flag.Int("limit", 0, "replay at most this many records (0 = all)")
 	flag.Parse()
 	if *logPath == "" {
@@ -89,7 +88,6 @@ func main() {
 		Clock:      clock,
 		Resolve:    func(string) (string, error) { return ol.Addr().String(), nil },
 		Prefetch:   *prefetch,
-		ReportHits: *reportHits,
 	})
 	defer px.Close()
 	pl, err := net.Listen("tcp", "127.0.0.1:0")

@@ -129,12 +129,16 @@ func (c *Center) ServeWire(ctx context.Context, req *httpwire.Request) *httpwire
 	wantsTrailer := req.AcceptsChunkedTrailer()
 
 	// Consume Piggy-Hits here (§5): the center maintains the volumes,
-	// so proxy-satisfied accesses feed its popularity order directly.
+	// so proxy-satisfied accesses feed its popularity order directly. A
+	// report carries no version, and the center knows only the versions
+	// it last relayed, so it counts the access against what it holds
+	// (DirVolumes.CountHit; another engine drops the report) and answers
+	// nothing.
 	if hits := httpwire.GetHits(req); len(hits) > 0 {
-		hitTime := c.cfg.Clock()
-		for _, h := range hits {
-			c.vols.Observe(core.Access{Source: req.RemoteAddr, Time: hitTime,
-				Element: core.Element{URL: host + h}})
+		if d, ok := c.vols.(*core.DirVolumes); ok {
+			for _, h := range hits {
+				d.CountHit(host+h, now)
+			}
 		}
 		c.c.hitReports.Add(int64(len(hits)))
 	}

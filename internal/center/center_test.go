@@ -237,28 +237,82 @@ func TestProxyThroughCenterEndToEnd(t *testing.T) {
 	}
 }
 
+// TestCenterConsumesPiggyHits: the center strips Piggy-Hits (plainOrigin
+// fails the test if one leaks), answers nothing — it knows only the
+// versions it last relayed — and counts each report against the element
+// it holds without touching that element's size or Last-Modified; a
+// reported URL it never relayed is not inserted.
 func TestCenterConsumesPiggyHits(t *testing.T) {
-	ctr, addr, _, _ := newCenterBed(t)
+	ctr, addr, now, _ := newCenterBed(t)
 	c := httpwire.NewClient()
 	defer c.Close()
+	doVia(t, c, addr, "www.one.com", "/a/y.gif", nil)
+	*now += 5
 	req := httpwire.NewRequest("GET", "/a/x.html")
 	req.Header.Set("Host", "www.one.com")
-	httpwire.SetHits(req, []string{"/a/y.gif", "/a/x.html"})
+	httpwire.SetFilter(req, core.Filter{MaxPiggy: 10})
+	httpwire.SetHits(req, []string{"/a/y.gif", "/a/y.gif", "/a/new.html"})
 	resp, err := c.DoContext(context.Background(), addr, req)
 	if err != nil || resp.Status != 200 {
 		t.Fatalf("relay: %v %d", err, resp.Status)
 	}
-	if got := ctr.Stats().HitReports; got != 2 {
-		t.Errorf("HitReports = %d, want 2", got)
+	if els := httpwire.ExtractValidations(resp); els != nil {
+		t.Errorf("center answered a hit report: %+v", els)
 	}
-	// The plain origin asserts (in plainOrigin) that Piggy-Filter never
-	// leaks; verify Piggy-Hits is also stripped by checking the volume
-	// learned the hit: y.gif should now be in one.com's volume.
-	if id, ok := ctr.Volumes().(interface {
-		VolumeOf(string) (core.VolumeID, bool)
-	}); ok {
-		if _, found := id.VolumeOf("www.one.com/a/y.gif"); !found {
-			t.Error("hit-reported resource not folded into volumes")
+	if got := ctr.Stats().HitReports; got != 3 {
+		t.Errorf("HitReports = %d, want 3", got)
+	}
+	// y.gif: one relayed access + two reported ones pass minaccess=3,
+	// still at the version the center relayed; new.html is absent.
+	m, ok := ctr.Volumes().Piggyback("www.one.com/a/x.html", *now, core.Filter{MinAccess: 3})
+	if !ok || len(m.Elements) != 1 {
+		t.Fatalf("piggyback %+v (ok %v), want www.one.com/a/y.gif alone", m.Elements, ok)
+	}
+	if e := m.Elements[0]; e != (core.Element{URL: "www.one.com/a/y.gif", Size: 50, LastModified: 1500}) {
+		t.Errorf("element %+v, want www.one.com/a/y.gif at size 50, Last-Modified 1500", e)
+	}
+	m, _ = ctr.Volumes().Piggyback("www.one.com/a/x.html", *now, core.Filter{})
+	for _, e := range m.Elements {
+		if e.URL == "www.one.com/a/new.html" {
+			t.Errorf("a reported URL the center never relayed was inserted: %+v", e)
 		}
+	}
+}
+
+// TestCenterHitReportNeverFreshensStaleCopy: a proxy behind the center
+// reports a hit on a copy whose origin version has since changed, and the
+// center has relayed the new version to someone else. The piggyback that
+// follows must name the new version — a report used to overwrite the
+// center's element with size 0 and Last-Modified 0, which a proxy applied
+// as a refresh of whatever it held.
+func TestCenterHitReportNeverFreshensStaleCopy(t *testing.T) {
+	_, ctrAddr, nowp, stores := newCenterBed(t)
+	px := proxy.New(proxy.Config{
+		Delta:      600,
+		RPVTimeout: 10,
+		Clock:      func() int64 { return *nowp },
+		Resolve:    func(string) (string, error) { return ctrAddr, nil },
+	})
+	defer px.Close()
+	get := func(url string) *httpwire.Response {
+		return px.ServeWire(context.Background(), httpwire.NewRequest("GET", "http://"+url))
+	}
+
+	get("www.one.com/a/x.html") // miss, Last-Modified 1000
+	*nowp += 1
+	if r := get("www.one.com/a/x.html"); r.Header.Get("X-Cache") != "HIT" {
+		t.Fatalf("X-Cache %q, want HIT", r.Header.Get("X-Cache"))
+	}
+	*nowp += 1
+	stores["www.one.com"].Modify("/a/x.html", 5000, 0)
+	c := httpwire.NewClient()
+	defer c.Close()
+	doVia(t, c, ctrAddr, "www.one.com", "/a/x.html", nil) // another client's request
+
+	*nowp += 20
+	get("www.one.com/a/y.gif") // carries the report; its piggyback names x.html
+	r := get("www.one.com/a/x.html")
+	if lm, _ := r.LastModified(); r.Header.Get("X-Cache") != "MISS" || lm != 5000 {
+		t.Errorf("X-Cache %q, Last-Modified %d, want MISS and 5000: the stale copy was served", r.Header.Get("X-Cache"), lm)
 	}
 }

@@ -111,6 +111,33 @@ func (d *DirVolumes) Observe(a Access) {
 	}
 }
 
+// CountHit counts an access reported without a version — a hit a proxy's
+// cache absorbed, named in Piggy-Hits and relayed by a volume center that
+// does not know the resource's current size or Last-Modified — as Observe
+// would: the held element moves to the front of its list (with MTF) and
+// counts toward the access filter, with its attributes untouched. A url
+// the engine does not hold is not inserted, since a piggyback must never
+// name a version nobody supplied.
+func (d *DirVolumes) CountHit(url string, now int64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	v, ok := d.vols[trace.DirPrefix(url, d.cfg.Level)]
+	if !ok {
+		return
+	}
+	for _, key := range v.order {
+		l := v.lists[key]
+		if n, ok := l.Get(url); ok {
+			if d.cfg.MTF {
+				l.moveToFront(n)
+			}
+			n.accessCount++
+			n.lastAccess = now
+			return
+		}
+	}
+}
+
 // Update refreshes a resource's attributes (e.g. a new Last-Modified after
 // a modification at the server) without recording an access.
 func (d *DirVolumes) Update(e Element) bool {

@@ -104,9 +104,15 @@ func (m Message) Encode() string {
 		}
 		return b.String()
 	}
-	b.WriteString(strconv.Itoa(int(m.Volume)))
-	b.WriteString(";")
-	for i, e := range m.Elements {
+	return strconv.Itoa(int(m.Volume)) + ";" + EncodeElements(m.Elements)
+}
+
+// EncodeElements renders elements in the P-Volume element encoding, each
+// " url last-modified size", comma-separated, with no volume identifier —
+// the list ParseElements reads.
+func EncodeElements(els []Element) string {
+	var b strings.Builder
+	for i, e := range els {
 		if i > 0 {
 			b.WriteByte(',')
 		}
@@ -159,26 +165,34 @@ func ParseMessage(s string) (Message, error) {
 		return m, fmt.Errorf("core: bad volume id %q", vol)
 	}
 	m.Volume = VolumeID(id)
-	rest = strings.TrimSpace(rest)
-	if rest == "" {
-		return m, nil
+	m.Elements, err = ParseElements(rest)
+	return m, err
+}
+
+// ParseElements parses a comma-separated element list in the encoding
+// EncodeElements produces; an empty or all-blank list is no elements.
+func ParseElements(s string) ([]Element, error) {
+	s = strings.TrimSpace(s)
+	if s == "" {
+		return nil, nil
 	}
-	for _, part := range strings.Split(rest, ",") {
+	var out []Element
+	for _, part := range strings.Split(s, ",") {
 		fields := strings.Fields(part)
 		if len(fields) != 3 {
-			return m, fmt.Errorf("core: bad piggyback element %q", part)
+			return nil, fmt.Errorf("core: bad piggyback element %q", part)
 		}
 		lm, err := strconv.ParseInt(fields[1], 10, 64)
 		if err != nil {
-			return m, fmt.Errorf("core: bad Last-Modified in element %q", part)
+			return nil, fmt.Errorf("core: bad Last-Modified in element %q", part)
 		}
 		size, err := strconv.ParseInt(fields[2], 10, 64)
 		if err != nil {
-			return m, fmt.Errorf("core: bad size in element %q", part)
+			return nil, fmt.Errorf("core: bad size in element %q", part)
 		}
-		m.Elements = append(m.Elements, Element{URL: fields[0], LastModified: lm, Size: size})
+		out = append(out, Element{URL: fields[0], LastModified: lm, Size: size})
 	}
-	return m, nil
+	return out, nil
 }
 
 // Access describes one observed request, as fed to a volume provider.

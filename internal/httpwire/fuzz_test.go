@@ -3,6 +3,7 @@ package httpwire
 import (
 	"bufio"
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -68,6 +69,36 @@ func FuzzHits(f *testing.F) {
 				t.Fatalf("GetHits returned %q out of newest-first order in %q", got, urls)
 			}
 			i--
+		}
+	})
+}
+
+// FuzzExtractValidations reads its input as a P-Valid trailer value.
+// ExtractValidations never panics, and what it returns comes back
+// unchanged through AttachValidations. The seeds are FuzzParseMessage's
+// corpus (internal/core), whole and with the volume id cut off.
+func FuzzExtractValidations(f *testing.F) {
+	for _, s := range []string{
+		"17; /a/b.html 866268400 4096, /a/c.gif 866268401 512",
+		"0;",
+		" 3 ;  /x 1 2 ,/y 3 4 ",
+		"5; /a;b -1 +2",
+		"32767; /a 1 2",
+	} {
+		f.Add(s)
+		if _, els, ok := strings.Cut(s, ";"); ok {
+			f.Add(els)
+		}
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		resp := NewResponse(200)
+		resp.Trailer = Header{}
+		resp.Trailer.Set(FieldPValid, s)
+		els := ExtractValidations(resp)
+		again := NewResponse(200)
+		AttachValidations(again, els)
+		if got := ExtractValidations(again); !reflect.DeepEqual(got, els) {
+			t.Fatalf("ExtractValidations(%q) = %+v, reparsed from %q as %+v", s, els, again.Trailer.Get(FieldPValid), got)
 		}
 	})
 }

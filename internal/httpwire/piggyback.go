@@ -12,6 +12,10 @@ const (
 	FieldPiggyFilter = "Piggy-Filter"
 	// FieldPVolume is the trailer field carrying the piggyback message.
 	FieldPVolume = "P-Volume"
+	// FieldPValid is the trailer field answering a request's Piggy-Hits:
+	// the current version of each reported resource, in the P-Volume
+	// element encoding with no volume identifier.
+	FieldPValid = "P-Valid"
 )
 
 // SetFilter attaches a proxy filter to the request, along with the TE
@@ -63,4 +67,31 @@ func ExtractPiggyback(resp *Response) (core.Message, bool) {
 		return core.Message{}, false
 	}
 	return m, true
+}
+
+// AttachValidations adds the answer to a hit report — the current size and
+// Last-Modified of each reported resource — to the response's trailer; no
+// elements attach nothing.
+func AttachValidations(resp *Response, els []core.Element) {
+	if len(els) == 0 {
+		return
+	}
+	if resp.Trailer == nil {
+		resp.Trailer = make(Header)
+	}
+	resp.Trailer.Set(FieldPValid, core.EncodeElements(els))
+}
+
+// ExtractValidations parses the answer to a hit report from a response
+// trailer. It returns nil when no P-Valid field is present or it is
+// malformed.
+func ExtractValidations(resp *Response) []core.Element {
+	if resp.Trailer == nil {
+		return nil
+	}
+	els, err := core.ParseElements(resp.Trailer.Get(FieldPValid))
+	if err != nil {
+		return nil
+	}
+	return els
 }

@@ -1,13 +1,18 @@
 package proxy
 
 import (
+	"context"
+	"sync/atomic"
 	"testing"
 
+	"piggyback/internal/cache"
 	"piggyback/internal/core"
+	"piggyback/internal/httpwire"
+	"piggyback/internal/server"
 )
 
 func TestProxyReportsCacheHits(t *testing.T) {
-	tb := newTestbed(t, Config{Delta: 600, ReportHits: true})
+	tb := newTestbed(t, Config{Delta: 600})
 	tb.get(t, "www.site.com/a/x.html") // miss
 	tb.now += 5
 	tb.get(t, "www.site.com/a/x.html") // fresh hit -> pending report
@@ -22,6 +27,10 @@ func TestProxyReportsCacheHits(t *testing.T) {
 	os := tb.origin.Stats()
 	if os.HitReports != 2 {
 		t.Errorf("origin HitReports = %d, want 2", os.HitReports)
+	}
+	// Two reports of one URL are one answer.
+	if os.HitValidations != 1 || ps.HitValidations != 1 {
+		t.Errorf("HitValidations: origin %d, proxy %d, want 1 and 1", os.HitValidations, ps.HitValidations)
 	}
 	// The server's volume saw 2 extra accesses for /a/x.html: with a
 	// MinAccess filter of 3 it now passes (1 direct + 2 reported).
@@ -40,15 +49,148 @@ func TestProxyReportsCacheHits(t *testing.T) {
 	}
 }
 
-func TestProxyHitReportingOffByDefault(t *testing.T) {
-	tb := newTestbed(t, Config{Delta: 600})
-	tb.get(t, "www.site.com/a/x.html")
-	tb.now += 5
-	tb.get(t, "www.site.com/a/x.html") // fresh hit
-	tb.now += 5
-	tb.get(t, "www.site.com/a/y.gif")
-	if tb.proxy.Stats().HitsReported != 0 || tb.origin.Stats().HitReports != 0 {
-		t.Error("hit reporting active without ReportHits")
+func TestProxyHitReportingOffWhenFilterDisabled(t *testing.T) {
+	st := server.NewStore()
+	st.Put(server.Resource{URL: "/a/x.html", Size: 100, LastModified: 1000})
+	st.Put(server.Resource{URL: "/a/y.gif", Size: 50, LastModified: 1500})
+	now := int64(10_000)
+	origin := server.New(st, core.NewDirVolumes(core.DirConfig{Level: 1, MTF: true}), func() int64 { return now })
+	var withHits atomic.Int32
+	addr := startOrigin(t, httpwire.HandlerFunc(func(ctx context.Context, req *httpwire.Request) *httpwire.Response {
+		if req.Header.Has(httpwire.FieldPiggyHits) {
+			withHits.Add(1)
+		}
+		return origin.ServeWire(ctx, req)
+	}))
+	p := New(Config{
+		Delta:      600,
+		BaseFilter: core.Filter{Disabled: true},
+		Clock:      func() int64 { return now },
+		Resolve:    func(string) (string, error) { return addr, nil },
+	})
+	t.Cleanup(p.Close)
+
+	proxyGet(p, "www.site.com/a/x.html")
+	now += 5
+	if r := proxyGet(p, "www.site.com/a/x.html"); r.Header.Get("X-Cache") != "HIT" {
+		t.Fatalf("X-Cache %q, want HIT", r.Header.Get("X-Cache"))
+	}
+	now += 5
+	proxyGet(p, "www.site.com/a/y.gif")
+	if n := withHits.Load(); n != 0 {
+		t.Errorf("%d upstream requests carried Piggy-Hits with the filter disabled", n)
+	}
+	if s := p.Stats(); s.HitsReported != 0 || s.HitValidations != 0 {
+		t.Errorf("HitsReported %d, HitValidations %d, want 0 and 0", s.HitsReported, s.HitValidations)
+	}
+}
+
+const (
+	otherPath = "/a/other.html"
+	otherKey  = "www.site.com" + otherPath
+)
+
+// newAnswerBed is the seam bed with a second resource: a miss on otherKey
+// carries the hit report for seamKey, and the origin (no volumes, so no
+// P-Volume trailer) answers it in P-Valid alone.
+func newAnswerBed(t *testing.T) *seamBed {
+	t.Helper()
+	sb := newSeamBed(t, Config{Delta: 600})
+	sb.store.Put(server.Resource{URL: otherPath, Size: 100, LastModified: 1000})
+	return sb
+}
+
+// TestHitReportAnswerFreshensUnchanged: an entry served from cache and
+// reported is confirmed by the answer, which moves its expiry to the
+// reporting request's now + Δ, so a request past its original expiry is a
+// fresh hit — no validation.
+func TestHitReportAnswerFreshensUnchanged(t *testing.T) {
+	sb := newAnswerBed(t)
+	t0 := sb.now.Load()
+	sb.get(seamKey) // miss: expires t0+600
+	sb.now.Store(t0 + 300)
+	if r := sb.get(seamKey); r.Header.Get("X-Cache") != "HIT" {
+		t.Fatalf("X-Cache %q, want HIT", r.Header.Get("X-Cache"))
+	}
+	sb.now.Store(t0 + 400)
+	before := sb.proxy.Stats()
+	sb.get(otherKey) // carries the report; the answer names seamPath at LM 1000
+
+	moved := statsMoved(before, sb.proxy.Stats())
+	want := Stats{ClientRequests: 1, MissFetches: 1, HitsReported: 1, HitValidations: 1, Refreshes: 1}
+	if moved != want {
+		t.Errorf("counters moved %+v, want %+v", moved, want)
+	}
+	if v, ok := sb.proxy.cache.PeekView(seamKey); !ok || v.Expires != t0+400+600 {
+		t.Fatalf("entry present %v, expires %d, want %d", ok, v.Expires, t0+400+600)
+	}
+	sb.now.Store(t0 + 700)
+	r := sb.get(seamKey)
+	if r.Header.Get("X-Cache") != "HIT" {
+		t.Errorf("after the original expiry: X-Cache %q, want HIT", r.Header.Get("X-Cache"))
+	}
+	if s := sb.proxy.Stats(); s.Validations != 0 {
+		t.Errorf("%d validations, want 0", s.Validations)
+	}
+}
+
+// TestHitReportAnswerInvalidatesChanged: the answer names a newer version,
+// so the cached copy goes and the next request fetches the new body, even
+// though the old copy's Δ had not run out.
+func TestHitReportAnswerInvalidatesChanged(t *testing.T) {
+	sb := newAnswerBed(t)
+	t0 := sb.now.Load()
+	sb.get(seamKey)
+	sb.now.Store(t0 + 300)
+	sb.get(seamKey) // fresh hit, reported
+	sb.store.Modify(seamPath, 5000, 0)
+	sb.now.Store(t0 + 400)
+	sb.get(otherKey)
+	if s := sb.proxy.Stats(); s.HitValidations != 1 || s.Invalidations != 1 {
+		t.Fatalf("HitValidations %d, Invalidations %d, want 1 and 1", s.HitValidations, s.Invalidations)
+	}
+	r := sb.get(seamKey)
+	if lm, _ := r.LastModified(); r.Header.Get("X-Cache") != "MISS" || lm != 5000 {
+		t.Errorf("X-Cache %q, Last-Modified %d, want MISS and 5000", r.Header.Get("X-Cache"), lm)
+	}
+}
+
+// TestHitReportAnswerLeavesRPVUntouched: an answer names no volume, so the
+// RPV list sent to the origin stays as it was.
+func TestHitReportAnswerLeavesRPVUntouched(t *testing.T) {
+	sb := newAnswerBed(t)
+	sb.get(seamKey)
+	sb.now.Add(10)
+	sb.get(seamKey)
+	sb.get(otherKey)
+	if sb.proxy.Stats().HitValidations != 1 {
+		t.Fatal("no answer applied")
+	}
+	if rpv := sb.proxy.rpv.Snapshot("www.site.com", sb.now.Load()); len(rpv) != 0 {
+		t.Errorf("RPV list %v after an answer, want empty", rpv)
+	}
+}
+
+// TestElementWithoutVersionIsSkipped: an element with Last-Modified 0 is
+// older than any cached copy, so applying it would freshen whatever the
+// cache holds; it neither freshens nor seeds a prefetch.
+func TestElementWithoutVersionIsSkipped(t *testing.T) {
+	p := New(Config{Delta: 600, Prefetch: true, Clock: func() int64 { return 10_000 },
+		Resolve: func(string) (string, error) { return "", nil }})
+	t.Cleanup(p.Close)
+	p.cache.Put(cache.Entry{URL: "www.site.com/a/x.html", Size: 1, LastModified: 1000, Expires: 9_000, FetchedAt: 8_000}, 8_000)
+	p.processPiggyback("www.site.com", core.Message{Volume: 1, Elements: []core.Element{
+		{URL: "/a/x.html", Size: 0, LastModified: 0},
+		{URL: "/a/new.html", Size: 0, LastModified: 0},
+	}}, 10_000)
+	if v, ok := p.cache.PeekView("www.site.com/a/x.html"); !ok || v.Expires != 9_000 {
+		t.Errorf("entry present %v, expires %d: a versionless element freshened it", ok, v.Expires)
+	}
+	if n := p.Queue().Len(); n != 0 {
+		t.Errorf("%d prefetches queued for a versionless element", n)
+	}
+	if s := p.Stats(); s.Refreshes != 0 || s.Invalidations != 0 {
+		t.Errorf("Refreshes %d, Invalidations %d, want 0 and 0", s.Refreshes, s.Invalidations)
 	}
 }
 

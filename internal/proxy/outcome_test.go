@@ -104,6 +104,9 @@ func TestFetchOutcomes(t *testing.T) {
 		// primed: the key was fetched once and its copy expired 100 s
 		// ago; modified: the origin's copy changed in between.
 		primed, modified bool
+		// reported: a fresh hit on the primed copy, before it expired, is
+		// waiting to ride upstream in Piggy-Hits.
+		reported bool
 		// tripped: an earlier failure has opened the host's circuit.
 		tripped bool
 		origin  int32
@@ -120,6 +123,12 @@ func TestFetchOutcomes(t *testing.T) {
 			status: 200, xcache: "MISS", lm: newLM, moved: Stats{Validations: 1}, cached: freshNew},
 		{name: "304", primed: true, origin: originHonest,
 			status: 200, xcache: "MISS", lm: oldLM, moved: Stats{Validations: 1, NotModified: 1}, cached: freshOld},
+		{name: "304 answering a hit report", primed: true, reported: true, origin: originHonest,
+			status: 200, xcache: "MISS", lm: oldLM,
+			moved: Stats{Validations: 1, NotModified: 1, HitsReported: 1, HitValidations: 1, Refreshes: 1}, cached: freshOld},
+		{name: "200 answering a hit report", primed: true, reported: true, modified: true, origin: originHonest,
+			status: 200, xcache: "MISS", lm: newLM,
+			moved: Stats{Validations: 1, HitsReported: 1, HitValidations: 1, Refreshes: 1}, cached: freshNew},
 		{name: "226 good", cfg: Config{DeltaEncoding: true}, primed: true, modified: true, origin: originHonest,
 			status: 200, xcache: "MISS", lm: newLM,
 			moved: Stats{Validations: 1, DeltaUpdates: 1, DeltaBytesSaved: 1}, cached: freshNew},
@@ -148,6 +157,11 @@ func TestFetchOutcomes(t *testing.T) {
 			if tc.primed {
 				if r := sb.get(seamKey); r.Status != 200 {
 					t.Fatalf("priming fetch: %d", r.Status)
+				}
+				if tc.reported {
+					if r := sb.get(seamKey); r.Header.Get("X-Cache") != "HIT" {
+						t.Fatalf("reported hit: X-Cache %q", r.Header.Get("X-Cache"))
+					}
 				}
 				sb.now.Add(700)
 			}

@@ -39,7 +39,11 @@ type Config struct {
 	// means 3600.
 	Delta int64
 	// BaseFilter is attached to upstream requests (the per-server RPV
-	// list is added per request).
+	// list is added per request). Unless it is disabled, the proxy also
+	// reports the URLs it served from cache since its last upstream
+	// request to a server on the next one (Piggy-Hits, §5), and applies
+	// the server's answer — each reported resource's current version, in
+	// a P-Valid trailer — as it applies a piggybacked volume's elements.
 	BaseFilter core.Filter
 	// RPVTimeout is how long a volume stays on a server's RPV list
 	// (§2.2); zero means Delta (its upper bound). It is also how long a
@@ -58,11 +62,6 @@ type Config struct {
 	// modification rates (§4), clamped to [Delta/10, 24·Delta]; off, every
 	// entry gets the default Δ.
 	AdaptiveFreshness bool
-	// ReportHits piggybacks the URLs served from cache since the last
-	// upstream request onto the next request to that server (Piggy-Hits
-	// header, §5 future work), so the server's volumes keep seeing the
-	// popularity of resources the proxy absorbs.
-	ReportHits bool
 	// DeltaEncoding requests block-level deltas (A-IM: blockdiff) when
 	// validating stale entries, reconstructing the new version from the
 	// cached body plus the server's patch (§4, ref [23]).
@@ -108,9 +107,9 @@ type Stats struct {
 	// PiggybacksReceived counts P-Volume trailers processed.
 	PiggybacksReceived int
 	PiggybackElements  int
-	// Refreshes are cached entries freshened by a piggyback element;
-	// Invalidations are cached entries found stale by one (§4 cache
-	// coherency).
+	// Refreshes are cached entries freshened by a piggyback element or
+	// a hit-report answer; Invalidations are cached entries found stale
+	// by one (§4 cache coherency).
 	Refreshes     int
 	Invalidations int
 	// Prefetches counts speculative fetches issued; UsefulPrefetches
@@ -122,6 +121,9 @@ type Stats struct {
 	// the per-host pending bound was full.
 	HitsReported int
 	HitsDropped  int
+	// HitValidations counts the elements of the origin's answers to those
+	// reports (P-Valid trailers) applied to the cache.
+	HitValidations int
 	// DeltaUpdates counts 226 delta responses applied; DeltaBytesSaved
 	// the body bytes they avoided transferring (§4, ref [23]).
 	DeltaUpdates    int
@@ -215,6 +217,7 @@ type proxyCounters struct {
 	usefulPrefetches   *obs.Counter
 	hitsReported       *obs.Counter
 	hitsDropped        *obs.Counter
+	hitValidations     *obs.Counter
 	deltaUpdates       *obs.Counter
 	deltaBytesSaved    *obs.Counter
 	singleflightShared *obs.Counter
@@ -268,6 +271,7 @@ func New(cfg Config) *Proxy {
 			usefulPrefetches:   reg.Counter("proxy.useful_prefetches"),
 			hitsReported:       reg.Counter("proxy.hits_reported"),
 			hitsDropped:        reg.Counter("proxy.hits_dropped"),
+			hitValidations:     reg.Counter("proxy.hit_validations"),
 			deltaUpdates:       reg.Counter("proxy.delta_updates"),
 			deltaBytesSaved:    reg.Counter("proxy.delta_bytes_saved"),
 			singleflightShared: reg.Counter("proxy.singleflight_shared"),
@@ -305,6 +309,7 @@ func (p *Proxy) Stats() Stats {
 		UsefulPrefetches:     int(p.c.usefulPrefetches.Load()),
 		HitsReported:         int(p.c.hitsReported.Load()),
 		HitsDropped:          int(p.c.hitsDropped.Load()),
+		HitValidations:       int(p.c.hitValidations.Load()),
 		DeltaUpdates:         int(p.c.deltaUpdates.Load()),
 		DeltaBytesSaved:      p.c.deltaBytesSaved.Load(),
 		SingleflightShared:   int(p.c.singleflightShared.Load()),
@@ -465,7 +470,7 @@ func (p *Proxy) lookup(key, host, path string, now int64) (upstreamState, *httpw
 	}
 	if hit && v.Fresh(now) {
 		p.c.freshHits.Inc()
-		if p.cfg.ReportHits && !p.hits.add(host, path) {
+		if !p.cfg.BaseFilter.Disabled && !p.hits.add(host, path) {
 			p.c.hitsDropped.Inc()
 		}
 		resp := serveCopy(v.Body, v.LastModified, v.LastModifiedHTTP, v.ContentType)
@@ -520,9 +525,10 @@ func (p *Proxy) finishFlight(key string, out *httpwire.Response) {
 }
 
 // fetch is the miss path: ask the origin — conditionally when a stale copy
-// exists (§2.1) — act on the outcome, then on the piggyback that rode
-// along. Only a delta that does not apply leaves out nil; it costs one more
-// pass, unconditional, which cannot end that way.
+// exists (§2.1) — act on the outcome, then on the piggyback and the answer
+// to the hit report that rode along. Only a delta that does not apply
+// leaves out nil; it costs one more pass, unconditional, which cannot end
+// that way.
 func (p *Proxy) fetch(ctx context.Context, st upstreamState, now int64) *httpwire.Response {
 	for cond := st.hit; ; cond = false {
 		resp, err := p.askOrigin(ctx, p.origin, st.host, p.originRequest(st, cond, now))
@@ -557,6 +563,9 @@ func (p *Proxy) fetch(ctx context.Context, st upstreamState, now int64) *httpwir
 				p.enqueuePropagation(st.host, m, now)
 			}
 		}
+		if els := httpwire.ExtractValidations(resp); len(els) > 0 {
+			p.applyValidations(st.host, els, now)
+		}
 		if out != nil {
 			out.Header.Set("X-Cache", "MISS")
 			return out
@@ -583,11 +592,9 @@ func (p *Proxy) originRequest(st upstreamState, cond bool, now int64) *httpwire.
 	filter := p.cfg.BaseFilter
 	filter.RPV = p.rpv.Snapshot(st.host, now)
 	httpwire.SetFilter(oreq, filter)
-	if p.cfg.ReportHits {
-		hits := p.hits.take(st.host)
-		p.c.hitsReported.Add(int64(len(hits)))
-		httpwire.SetHits(oreq, hits)
-	}
+	hits := p.hits.take(st.host) // none are buffered while the filter is disabled
+	p.c.hitsReported.Add(int64(len(hits)))
+	httpwire.SetHits(oreq, hits)
 	return oreq
 }
 
@@ -745,46 +752,69 @@ func (p *Proxy) delta(key string) int64 {
 }
 
 // processPiggyback applies a P-Volume message (§2.1): note the volume in
-// the server's RPV list, freshen or invalidate cached copies, pin predicted
-// entries for replacement, queue prefetches, and feed the freshness
-// estimator. Each element is one shard-local critical section
-// (cache.ApplyPiggyback), so a large trailer never stalls hits on
-// unrelated shards — it only ever holds one shard's lock at a time.
+// the server's RPV list, then apply each element. Each element is one
+// shard-local critical section (cache.ApplyPiggyback), so a large trailer
+// never stalls hits on unrelated shards — it only ever holds one shard's
+// lock at a time.
 func (p *Proxy) processPiggyback(host string, m core.Message, now int64) {
 	p.c.piggybacksReceived.Inc()
 	p.c.piggybackElements.Add(int64(len(m.Elements)))
 	p.rpv.Note(host, m.Volume, now)
 	for _, el := range m.Elements {
-		// A transparent volume center may piggyback host-qualified
-		// elements covering multiple sites; plain servers send
-		// server-relative paths.
-		key := host + el.URL
-		elHost, elPath := host, el.URL
-		if !strings.HasPrefix(el.URL, "/") {
-			key = el.URL
-			if i := strings.IndexByte(el.URL, '/'); i >= 0 {
-				elHost, elPath = el.URL[:i], el.URL[i:]
-			} else {
-				elHost, elPath = el.URL, "/"
-			}
+		p.applyElement(host, el, now)
+	}
+}
+
+// applyValidations applies the origin's answer to a hit report (P-Valid):
+// each element is the current version of a resource this proxy served from
+// cache, read by the server while answering a request sent at now, so an
+// entry it freshens expires at most Δ past that read — the staleness bound
+// of a volume's elements. An answer names no volume, so it notes no RPV
+// entry, and it is not re-propagated to mesh peers.
+func (p *Proxy) applyValidations(host string, els []core.Element, now int64) {
+	p.c.hitValidations.Add(int64(len(els)))
+	for _, el := range els {
+		p.applyElement(host, el, now)
+	}
+}
+
+// applyElement is the per-element step of a piggyback or a hit-report
+// answer: feed the freshness estimator, freshen or invalidate the cached
+// copy, pin it for replacement, and queue a prefetch when the copy is
+// gone. An element with no Last-Modified carries no version — applied, it
+// would freshen any copy, since no cached Last-Modified is older — and is
+// skipped.
+func (p *Proxy) applyElement(host string, el core.Element, now int64) {
+	if el.LastModified <= 0 {
+		return
+	}
+	// A transparent volume center may piggyback host-qualified elements
+	// covering multiple sites; plain servers send server-relative paths.
+	key := host + el.URL
+	elHost, elPath := host, el.URL
+	if !strings.HasPrefix(el.URL, "/") {
+		key = el.URL
+		if i := strings.IndexByte(el.URL, '/'); i >= 0 {
+			elHost, elPath = el.URL[:i], el.URL[i:]
+		} else {
+			elHost, elPath = el.URL, "/"
 		}
-		if p.fresh != nil {
-			p.fresh.Observe(key, el.LastModified)
+	}
+	if p.fresh != nil {
+		p.fresh.Observe(key, el.LastModified)
+	}
+	switch p.cache.ApplyPiggyback(key, el.LastModified, now+p.delta(key), now+p.cfg.RPVTimeout, now) {
+	case cache.PiggybackInvalidated:
+		// Stale copy: deleted; a fresh copy could be prefetched (§2.1).
+		p.c.invalidations.Inc()
+		if p.cfg.Prefetch {
+			p.queue.Push(FetchItem{Host: elHost, URL: elPath, Size: el.Size, LastModified: el.LastModified})
 		}
-		switch p.cache.ApplyPiggyback(key, el.LastModified, now+p.delta(key), now+p.cfg.RPVTimeout, now) {
-		case cache.PiggybackInvalidated:
-			// Stale copy: deleted; a fresh copy could be prefetched
-			// (§2.1).
-			p.c.invalidations.Inc()
-			if p.cfg.Prefetch {
-				p.queue.Push(FetchItem{Host: elHost, URL: elPath, Size: el.Size, LastModified: el.LastModified})
-			}
-		case cache.PiggybackRefreshed:
-			p.c.refreshes.Inc()
-		case cache.PiggybackMiss:
-			if p.cfg.Prefetch {
-				p.queue.Push(FetchItem{Host: elHost, URL: elPath, Size: el.Size, LastModified: el.LastModified})
-			}
+	case cache.PiggybackRefreshed:
+		p.c.refreshes.Inc()
+	case cache.PiggybackMiss:
+		if p.cfg.Prefetch {
+			p.queue.Push(FetchItem{Host: elHost, URL: elPath, Size: el.Size, LastModified: el.LastModified})
 		}
 	}
 }

@@ -188,10 +188,9 @@ func TestHitsDroppedBeyondPerHostBound(t *testing.T) {
 		return resp
 	}))
 	p := New(Config{
-		Delta:      600,
-		ReportHits: true,
-		Clock:      func() int64 { return 10_000 },
-		Resolve:    func(string) (string, error) { return origin, nil },
+		Delta:   600,
+		Clock:   func() int64 { return 10_000 },
+		Resolve: func(string) (string, error) { return origin, nil },
 	})
 	defer p.Close()
 
@@ -250,9 +249,8 @@ func TestProxyMixedConcurrentHammer(t *testing.T) {
 	var now atomic.Int64
 	now.Store(10_000)
 	p := New(Config{
-		Delta:      600,
-		Prefetch:   true,
-		ReportHits: true,
+		Delta:    600,
+		Prefetch: true,
 		// Each call advances the clock, so entries cycle fresh -> stale
 		// over the run and the mix covers hits, validations, and misses.
 		Clock:   func() int64 { return now.Add(3) },

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -162,6 +163,7 @@ type serverCounters struct {
 	piggybackElems  *obs.Counter
 	piggybackBytes  *obs.Counter
 	hitReports      *obs.Counter
+	hitValidations  *obs.Counter
 	deltasSent      *obs.Counter
 	deltaBytesSaved *obs.Counter
 }
@@ -177,6 +179,10 @@ type Stats struct {
 	// HitReports counts cache-hit URLs received via Piggy-Hits headers
 	// (§5): proxy-satisfied accesses folded back into volume upkeep.
 	HitReports int
+	// HitValidations counts the reported resources answered in P-Valid
+	// trailers: each distinct reported URL the store holds, once per
+	// response, for a proxy whose filter is enabled.
+	HitValidations int
 	// DeltasSent counts 226 delta responses; DeltaBytesSaved the body
 	// bytes they avoided transferring (§4, ref [23]).
 	DeltasSent      int
@@ -195,6 +201,7 @@ func New(store *Store, vols core.Provider, clock func() int64) *Server {
 			piggybackElems:  reg.Counter("server.piggyback_elems"),
 			piggybackBytes:  reg.Counter("server.piggyback_bytes"),
 			hitReports:      reg.Counter("server.hit_reports"),
+			hitValidations:  reg.Counter("server.hit_validations"),
 			deltasSent:      reg.Counter("server.deltas_sent"),
 			deltaBytesSaved: reg.Counter("server.delta_bytes_saved"),
 		}}
@@ -220,6 +227,7 @@ func (s *Server) Stats() Stats {
 		PiggybackElems:  int(s.c.piggybackElems.Load()),
 		PiggybackBytes:  s.c.piggybackBytes.Load(),
 		HitReports:      int(s.c.hitReports.Load()),
+		HitValidations:  int(s.c.hitValidations.Load()),
 		DeltasSent:      int(s.c.deltasSent.Load()),
 		DeltaBytesSaved: s.c.deltaBytesSaved.Load(),
 	}
@@ -277,23 +285,39 @@ func (s *Server) ServeWire(_ context.Context, req *httpwire.Request) *httpwire.R
 		return httpwire.NewResponse(404)
 	}
 
+	// Piggybacks go only to cooperating proxies: ones that sent a filter
+	// and accept chunked trailers (§2.3). Hit reports are answered when
+	// that filter is enabled.
+	filter, hasFilter := httpwire.GetFilter(req)
+	trailers := hasFilter && req.AcceptsChunkedTrailer()
+	answer := trailers && !filter.Disabled
+
 	// The server observes every request to maintain its volumes; the
 	// source is the requesting proxy (§3.3: pairwise probabilities are
 	// per-source).
 	elem := core.Element{URL: res.URL, Size: res.Size, LastModified: res.LastModified}
 	if s.vols != nil {
 		s.vols.Observe(core.Access{Source: req.RemoteAddr, Time: now, Element: elem})
-		// Piggy-Hits: accesses the proxy satisfied from its cache
-		// count toward volume popularity too (§5 future work).
-		if hits := httpwire.GetHits(req); len(hits) > 0 {
-			for _, h := range hits {
-				if r, ok := s.store.Get(h); ok {
-					s.vols.Observe(core.Access{Source: req.RemoteAddr, Time: now,
-						Element: core.Element{URL: r.URL, Size: r.Size, LastModified: r.LastModified}})
-				}
+	}
+	// Piggy-Hits: accesses the proxy satisfied from its cache count toward
+	// volume popularity too (§5 future work), and a cooperating proxy is
+	// told the current version of each one it reported.
+	var valid []core.Element
+	if hits := httpwire.GetHits(req); len(hits) > 0 {
+		for _, h := range hits {
+			r, ok := s.store.Get(h)
+			if !ok {
+				continue
 			}
-			s.c.hitReports.Add(int64(len(hits)))
+			el := core.Element{URL: r.URL, Size: r.Size, LastModified: r.LastModified}
+			if s.vols != nil {
+				s.vols.Observe(core.Access{Source: req.RemoteAddr, Time: now, Element: el})
+			}
+			if answer && !slices.ContainsFunc(valid, func(e core.Element) bool { return e.URL == el.URL }) {
+				valid = append(valid, el)
+			}
 		}
+		s.c.hitReports.Add(int64(len(hits)))
 	}
 
 	var resp *httpwire.Response
@@ -332,20 +356,21 @@ func (s *Server) ServeWire(_ context.Context, req *httpwire.Request) *httpwire.R
 	}
 	resp.Header.Set("Last-Modified", res.httpDate())
 
-	// Piggyback generation: only for cooperating proxies that sent a
-	// filter and accept chunked trailers (§2.3).
-	if s.vols != nil {
-		if f, ok := httpwire.GetFilter(req); ok && req.AcceptsChunkedTrailer() {
-			if m, ok := s.vols.Piggyback(req.Path, now, f); ok {
-				s.refreshElements(&m)
-				if !m.Empty() {
-					httpwire.AttachPiggyback(resp, m)
-					s.c.piggybacksSent.Inc()
-					s.c.piggybackElems.Add(int64(len(m.Elements)))
-					s.c.piggybackBytes.Add(int64(m.WireBytes()))
-				}
+	// Piggyback generation (a 304 carries its trailer as a 200 does).
+	if trailers && s.vols != nil {
+		if m, ok := s.vols.Piggyback(req.Path, now, filter); ok {
+			s.refreshElements(&m)
+			if !m.Empty() {
+				httpwire.AttachPiggyback(resp, m)
+				s.c.piggybacksSent.Inc()
+				s.c.piggybackElems.Add(int64(len(m.Elements)))
+				s.c.piggybackBytes.Add(int64(m.WireBytes()))
 			}
 		}
+	}
+	if len(valid) > 0 {
+		httpwire.AttachValidations(resp, valid)
+		s.c.hitValidations.Add(int64(len(valid)))
 	}
 	return resp
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"testing"
 
 	"piggyback/internal/core"
@@ -255,5 +256,62 @@ func TestServerWithoutVolumes(t *testing.T) {
 	}
 	if _, ok := httpwire.ExtractPiggyback(resp); ok {
 		t.Error("volume-less server sent a piggyback")
+	}
+}
+
+// TestHitReportAnswered: each distinct reported URL the store holds is
+// answered once, with its current version, and unknown URLs are skipped;
+// a 304 carries the answer as a 200 does.
+func TestHitReportAnswered(t *testing.T) {
+	s, st := testServer(2000)
+	st.Modify("/b/z.html", 1900, 0)
+	req := get("/a/x.html")
+	req.Header.Set("If-Modified-Since", httpwire.FormatHTTPDate(1000))
+	httpwire.SetFilter(req, core.Filter{MaxPiggy: 5})
+	httpwire.SetHits(req, []string{"/b/z.html", "/missing", "/a/y.gif", "/a/y.gif"})
+	resp := s.ServeWire(context.Background(), req)
+	if resp.Status != 304 {
+		t.Fatalf("status = %d, want 304", resp.Status)
+	}
+	got := httpwire.ExtractValidations(resp)
+	// SetHits sends the newest report first.
+	want := []core.Element{
+		{URL: "/a/y.gif", Size: 50, LastModified: 1500},
+		{URL: "/b/z.html", Size: 70, LastModified: 1900},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("P-Valid = %+v, want %+v", got, want)
+	}
+	if ss := s.Stats(); ss.HitReports != 4 || ss.HitValidations != 2 {
+		t.Errorf("HitReports %d, HitValidations %d, want 4 and 2", ss.HitReports, ss.HitValidations)
+	}
+}
+
+// TestHitReportAnsweredOnlyForEnabledFilters: without a filter, with the
+// filter off, or without TE: chunked, a report still counts toward the
+// volumes but is not answered.
+func TestHitReportAnsweredOnlyForEnabledFilters(t *testing.T) {
+	cases := []struct {
+		name  string
+		setup func(*httpwire.Request)
+	}{
+		{"no filter", func(*httpwire.Request) {}},
+		{"filter off", func(r *httpwire.Request) { httpwire.SetFilter(r, core.Filter{Disabled: true}) }},
+		{"no TE: chunked", func(r *httpwire.Request) { r.Header.Set(httpwire.FieldPiggyFilter, "maxpiggy=5") }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, _ := testServer(2000)
+			req := get("/a/x.html")
+			tc.setup(req)
+			httpwire.SetHits(req, []string{"/a/y.gif"})
+			resp := s.ServeWire(context.Background(), req)
+			if els := httpwire.ExtractValidations(resp); els != nil {
+				t.Errorf("P-Valid = %+v, want none", els)
+			}
+			if ss := s.Stats(); ss.HitReports != 1 || ss.HitValidations != 0 {
+				t.Errorf("HitReports %d, HitValidations %d, want 1 and 0", ss.HitReports, ss.HitValidations)
+			}
+		})
 	}
 }
