@@ -197,6 +197,11 @@ func runE2E(l *lab) {
 		fmt.Sprintf("%d (%d)", pb.DeltaUpdates, pb.DeltaBytesSaved))
 	tbl.AddRow("cache hits reported", pa.HitsReported, pb.HitsReported)
 	tbl.AddRow("hit reports answered", pa.HitValidations, pb.HitValidations)
+	expiry := func(px *proxy.Proxy) string {
+		snap := px.Obs().Snapshot()
+		return fmt.Sprintf("%d (%d)", snap.Counter("proxy.expiry_validations"), snap.Counter("proxy.expiry_validations_useful"))
+	}
+	tbl.AddRow("expiry validations (useful)", expiry(proxies[0]), expiry(proxies[1]))
 	tbl.AddRow("cache hit rate", proxies[0].CacheHitRate(), proxies[1].CacheHitRate())
 	fmt.Print(tbl.String())
 	fmt.Printf("origin requests: %d for %d client requests; piggybacks sent: %d; wall time %v\n",

@@ -66,6 +66,8 @@ type centerCounters struct {
 	upstreamErrors  *obs.Counter
 	originPiggyback *obs.Counter
 	hitReports      *obs.Counter
+	// expiryDropped counts the Piggy-Validate URLs stripped unanswered.
+	expiryDropped *obs.Counter
 }
 
 // New returns a Center for cfg.
@@ -83,6 +85,7 @@ func New(cfg Config) *Center {
 			upstreamErrors:  reg.Counter("center.upstream_errors"),
 			originPiggyback: reg.Counter("center.origin_piggyback"),
 			hitReports:      reg.Counter("center.hit_reports"),
+			expiryDropped:   reg.Counter("center.expiry_validations_dropped"),
 		}}
 	ctr.client.Obs = obs.NewWireMetrics(reg, "wire.upstream")
 	return ctr
@@ -134,7 +137,7 @@ func (c *Center) ServeWire(ctx context.Context, req *httpwire.Request) *httpwire
 	// it last relayed, so it counts the access against what it holds
 	// (DirVolumes.CountHit; another engine drops the report) and answers
 	// nothing.
-	if hits := httpwire.GetHits(req); len(hits) > 0 {
+	if hits := httpwire.GetPaths(req, httpwire.FieldPiggyHits); len(hits) > 0 {
 		if d, ok := c.vols.(*core.DirVolumes); ok {
 			for _, h := range hits {
 				d.CountHit(host+h, now)
@@ -142,6 +145,11 @@ func (c *Center) ServeWire(ctx context.Context, req *httpwire.Request) *httpwire
 		}
 		c.c.hitReports.Add(int64(len(hits)))
 	}
+	// A Piggy-Validate list goes unanswered for the same reason: the
+	// center's Last-Modified values are only what it last relayed. The
+	// proxy validates those entries when they are next read, as without
+	// the list.
+	c.c.expiryDropped.Add(int64(len(httpwire.GetPaths(req, httpwire.FieldPiggyValidate))))
 
 	// Forward upstream with the piggybacking headers stripped — the
 	// origin server need not know the protocol exists.
@@ -149,6 +157,7 @@ func (c *Center) ServeWire(ctx context.Context, req *httpwire.Request) *httpwire
 	oreq.Header = req.Header.Clone()
 	oreq.Header.Del(httpwire.FieldPiggyFilter)
 	oreq.Header.Del(httpwire.FieldPiggyHits)
+	oreq.Header.Del(httpwire.FieldPiggyValidate)
 	oreq.Header.Del("TE")
 	oreq.Header.Set("Host", host)
 	oreq.Body = req.Body

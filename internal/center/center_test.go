@@ -18,7 +18,8 @@ func plainOrigin(t *testing.T, clock func() int64, hosts map[string]*server.Stor
 	t.Helper()
 	// One listener serving all hosts, dispatching on the Host header.
 	h := httpwire.HandlerFunc(func(_ context.Context, req *httpwire.Request) *httpwire.Response {
-		if req.Header.Has(httpwire.FieldPiggyFilter) || req.Header.Has(httpwire.FieldPiggyHits) {
+		if req.Header.Has(httpwire.FieldPiggyFilter) || req.Header.Has(httpwire.FieldPiggyHits) ||
+			req.Header.Has(httpwire.FieldPiggyValidate) {
 			t.Errorf("piggyback header leaked to origin")
 		}
 		st, ok := hosts[req.Header.Get("Host")]
@@ -237,11 +238,12 @@ func TestProxyThroughCenterEndToEnd(t *testing.T) {
 	}
 }
 
-// TestCenterConsumesPiggyHits: the center strips Piggy-Hits (plainOrigin
-// fails the test if one leaks), answers nothing — it knows only the
-// versions it last relayed — and counts each report against the element
-// it holds without touching that element's size or Last-Modified; a
-// reported URL it never relayed is not inserted.
+// TestCenterConsumesPiggyHits: the center strips Piggy-Hits and
+// Piggy-Validate (plainOrigin fails the test if one leaks), answers
+// nothing — it knows only the versions it last relayed — and counts each
+// report against the element it holds without touching that element's size
+// or Last-Modified; a reported URL it never relayed is not inserted. The
+// listed URLs are counted as dropped.
 func TestCenterConsumesPiggyHits(t *testing.T) {
 	ctr, addr, now, _ := newCenterBed(t)
 	c := httpwire.NewClient()
@@ -251,16 +253,20 @@ func TestCenterConsumesPiggyHits(t *testing.T) {
 	req := httpwire.NewRequest("GET", "/a/x.html")
 	req.Header.Set("Host", "www.one.com")
 	httpwire.SetFilter(req, core.Filter{MaxPiggy: 10})
-	httpwire.SetHits(req, []string{"/a/y.gif", "/a/y.gif", "/a/new.html"})
+	httpwire.SetPaths(req, httpwire.FieldPiggyHits, []string{"/a/y.gif", "/a/y.gif", "/a/new.html"})
+	httpwire.SetPaths(req, httpwire.FieldPiggyValidate, []string{"/a/y.gif", "/a/new.html"})
 	resp, err := c.DoContext(context.Background(), addr, req)
 	if err != nil || resp.Status != 200 {
 		t.Fatalf("relay: %v %d", err, resp.Status)
 	}
 	if els := httpwire.ExtractValidations(resp); els != nil {
-		t.Errorf("center answered a hit report: %+v", els)
+		t.Errorf("center answered a hit report or a validation list: %+v", els)
 	}
 	if got := ctr.Stats().HitReports; got != 3 {
 		t.Errorf("HitReports = %d, want 3", got)
+	}
+	if n := ctr.Obs().Snapshot().Counter("center.expiry_validations_dropped"); n != 2 {
+		t.Errorf("center.expiry_validations_dropped = %d, want 2", n)
 	}
 	// y.gif: one relayed access + two reported ones pass minaccess=3,
 	// still at the version the center relayed; new.html is absent.

@@ -31,44 +31,47 @@ func FuzzReadRequest(f *testing.F) {
 	})
 }
 
-// FuzzHits reads its input both as a Piggy-Hits value and as a list of
-// URLs, one per line. GetHits never panics and never returns an element
-// that is empty, holds a comma or has whitespace at either end; and
-// GetHits(SetHits(urls)) is exactly what SetHits encoded, a subsequence of
-// urls newest first, in at most maxHitsHeader bytes.
+// FuzzHits reads its input both as a path-list value and as a list of
+// paths, one per line, for each field the path-list codec serves
+// (Piggy-Hits, Piggy-Validate). GetPaths never panics and never returns an
+// element that is empty, holds a comma or has whitespace at either end; and
+// GetPaths(SetPaths(paths)) is exactly what SetPaths encoded, a subsequence
+// of paths last first, in at most maxPathsHeader bytes.
 func FuzzHits(f *testing.F) {
 	f.Add("/a/one.html, /a/two.gif")
 	f.Add("/ok.html\n/bad url.html\n/with,comma\n\n/last.html")
 	f.Add(" ,, /padded.html ,\t")
 	f.Fuzz(func(t *testing.T, s string) {
-		req := NewRequest("GET", "/x")
-		req.Header.Set(FieldPiggyHits, s)
-		for _, h := range GetHits(req) {
-			if h == "" || strings.Contains(h, ",") || strings.TrimSpace(h) != h {
-				t.Fatalf("GetHits(%q) returned %q", s, h)
+		for _, field := range []string{FieldPiggyHits, FieldPiggyValidate} {
+			req := NewRequest("GET", "/x")
+			req.Header.Set(field, s)
+			for _, h := range GetPaths(req, field) {
+				if h == "" || strings.Contains(h, ",") || strings.TrimSpace(h) != h {
+					t.Fatalf("GetPaths(%s: %q) returned %q", field, s, h)
+				}
 			}
-		}
 
-		urls := strings.Split(s, "\n")
-		req = NewRequest("GET", "/x")
-		SetHits(req, urls)
-		v := req.Header.Get(FieldPiggyHits)
-		if len(v) > maxHitsHeader {
-			t.Fatalf("SetHits wrote %d bytes, budget %d", len(v), maxHitsHeader)
-		}
-		got := GetHits(req)
-		if strings.Join(got, ",") != v {
-			t.Fatalf("SetHits encoded %q, GetHits returned %q", v, got)
-		}
-		i := len(urls) - 1
-		for _, h := range got {
-			for i >= 0 && urls[i] != h {
+			paths := strings.Split(s, "\n")
+			req = NewRequest("GET", "/x")
+			SetPaths(req, field, paths)
+			v := req.Header.Get(field)
+			if len(v) > maxPathsHeader {
+				t.Fatalf("SetPaths(%s) wrote %d bytes, budget %d", field, len(v), maxPathsHeader)
+			}
+			got := GetPaths(req, field)
+			if strings.Join(got, ",") != v {
+				t.Fatalf("SetPaths(%s) encoded %q, GetPaths returned %q", field, v, got)
+			}
+			i := len(paths) - 1
+			for _, h := range got {
+				for i >= 0 && paths[i] != h {
+					i--
+				}
+				if i < 0 {
+					t.Fatalf("GetPaths(%s) returned %q out of last-first order in %q", field, got, paths)
+				}
 				i--
 			}
-			if i < 0 {
-				t.Fatalf("GetHits returned %q out of newest-first order in %q", got, urls)
-			}
-			i--
 		}
 	})
 }

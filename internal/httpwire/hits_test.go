@@ -8,32 +8,32 @@ import (
 
 func TestHitsRoundTrip(t *testing.T) {
 	req := NewRequest("GET", "/x")
-	SetHits(req, []string{"/a/one.html", "/a/two.gif"})
-	got := GetHits(req)
+	SetPaths(req, FieldPiggyHits, []string{"/a/one.html", "/a/two.gif"})
+	got := GetPaths(req, FieldPiggyHits)
 	// Most-recent-first encoding reverses the slice.
 	want := []string{"/a/two.gif", "/a/one.html"}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("GetHits = %v, want %v", got, want)
+		t.Fatalf("GetPaths = %v, want %v", got, want)
 	}
 }
 
 func TestHitsEmpty(t *testing.T) {
 	req := NewRequest("GET", "/x")
-	SetHits(req, nil)
+	SetPaths(req, FieldPiggyHits, nil)
 	if req.Header.Has(FieldPiggyHits) {
 		t.Error("empty hits should not set the header")
 	}
-	if GetHits(req) != nil {
-		t.Error("GetHits on absent header")
+	if GetPaths(req, FieldPiggyHits) != nil {
+		t.Error("GetPaths on absent header")
 	}
 }
 
 func TestHitsSkipsUnencodableURLs(t *testing.T) {
 	req := NewRequest("GET", "/x")
-	SetHits(req, []string{"/ok.html", "/bad url.html", "/with,comma", ""})
-	got := GetHits(req)
+	SetPaths(req, FieldPiggyHits, []string{"/ok.html", "/bad url.html", "/with,comma", ""})
+	got := GetPaths(req, FieldPiggyHits)
 	if len(got) != 1 || got[0] != "/ok.html" {
-		t.Fatalf("GetHits = %v", got)
+		t.Fatalf("GetPaths = %v", got)
 	}
 }
 
@@ -43,18 +43,18 @@ func TestHitsBudget(t *testing.T) {
 		urls = append(urls, "/directory/with/long/path/resource-"+strings.Repeat("x", 20)+".html")
 	}
 	req := NewRequest("GET", "/x")
-	SetHits(req, urls)
-	if len(req.Header.Get(FieldPiggyHits)) > maxHitsHeader {
+	SetPaths(req, FieldPiggyHits, urls)
+	if len(req.Header.Get(FieldPiggyHits)) > maxPathsHeader {
 		t.Errorf("header exceeds budget: %d bytes", len(req.Header.Get(FieldPiggyHits)))
 	}
-	if len(GetHits(req)) == 0 {
+	if len(GetPaths(req, FieldPiggyHits)) == 0 {
 		t.Error("budget truncation dropped everything")
 	}
 	// The freshest (last) hit must survive truncation.
 	urls[len(urls)-1] = "/freshest.html"
 	req2 := NewRequest("GET", "/x")
-	SetHits(req2, urls)
-	got := GetHits(req2)
+	SetPaths(req2, FieldPiggyHits, urls)
+	got := GetPaths(req2, FieldPiggyHits)
 	if got[0] != "/freshest.html" {
 		t.Errorf("freshest hit lost: first = %q", got[0])
 	}

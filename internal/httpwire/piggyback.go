@@ -12,9 +12,9 @@ const (
 	FieldPiggyFilter = "Piggy-Filter"
 	// FieldPVolume is the trailer field carrying the piggyback message.
 	FieldPVolume = "P-Volume"
-	// FieldPValid is the trailer field answering a request's Piggy-Hits:
-	// the current version of each reported resource, in the P-Volume
-	// element encoding with no volume identifier.
+	// FieldPValid is the trailer field answering a request's Piggy-Hits
+	// and Piggy-Validate lists: the current version of each listed
+	// resource, in the P-Volume element encoding with no volume identifier.
 	FieldPValid = "P-Valid"
 )
 
@@ -69,9 +69,9 @@ func ExtractPiggyback(resp *Response) (core.Message, bool) {
 	return m, true
 }
 
-// AttachValidations adds the answer to a hit report — the current size and
-// Last-Modified of each reported resource — to the response's trailer; no
-// elements attach nothing.
+// AttachValidations adds the answer to a hit report and a validation list —
+// the current size and Last-Modified of each listed resource — to the
+// response's trailer; no elements attach nothing.
 func AttachValidations(resp *Response, els []core.Element) {
 	if len(els) == 0 {
 		return
@@ -82,8 +82,8 @@ func AttachValidations(resp *Response, els []core.Element) {
 	resp.Trailer.Set(FieldPValid, core.EncodeElements(els))
 }
 
-// ExtractValidations parses the answer to a hit report from a response
-// trailer. It returns nil when no P-Valid field is present or it is
+// ExtractValidations parses the answer to a hit report and a validation
+// list from a response trailer. It returns nil when no P-Valid field is present or it is
 // malformed.
 func ExtractValidations(resp *Response) []core.Element {
 	if resp.Trailer == nil {

@@ -1,0 +1,328 @@
+package proxy
+
+import (
+	"fmt"
+	"reflect"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"piggyback/internal/core"
+	"piggyback/internal/httpwire"
+	"piggyback/internal/server"
+)
+
+const expHost = "www.site.com"
+
+// indexOf returns a table with paths noted at the given expiries.
+func indexOf(t *testing.T, expiries map[string]int64) *hostHits {
+	t.Helper()
+	h := newHostHits()
+	for path, exp := range expiries {
+		if !h.note(expHost, path, exp, false) {
+			t.Fatalf("note(%s) refused", path)
+		}
+	}
+	return h
+}
+
+func TestExpiryIndexListsSoonestFirst(t *testing.T) {
+	h := indexOf(t, map[string]int64{"/c": 1030, "/a": 1010, "/d": 1040, "/b": 1020})
+	_, listed, _ := h.take(expHost, "/self", 1000, 1100)
+	if want := []string{"/a", "/b", "/c", "/d"}; !reflect.DeepEqual(listed, want) {
+		t.Errorf("listed %v, want %v", listed, want)
+	}
+}
+
+func TestExpiryIndexListsAtMostMaxListed(t *testing.T) {
+	exp := map[string]int64{}
+	for i := 0; i < maxListed+5; i++ {
+		exp[fmt.Sprintf("/p%02d", i)] = int64(1001 + i)
+	}
+	h := indexOf(t, exp)
+	_, listed, _ := h.take(expHost, "/self", 1000, 2000)
+	if len(listed) != maxListed || listed[0] != "/p00" || listed[maxListed-1] != fmt.Sprintf("/p%02d", maxListed-1) {
+		t.Fatalf("listed %v, want the %d soonest", listed, maxListed)
+	}
+	_, listed, _ = h.take(expHost, "/self", 1000, 2000)
+	if len(listed) != 5 {
+		t.Errorf("second request listed %v, want the 5 left", listed)
+	}
+}
+
+// TestExpiryIndexWindow: only expiries up to until are listed; later ones
+// stay indexed and are listed once the window reaches them.
+func TestExpiryIndexWindow(t *testing.T) {
+	h := indexOf(t, map[string]int64{"/in": 1150, "/edge": 1200, "/out": 1201})
+	if _, listed, _ := h.take(expHost, "/self", 1000, 1200); !reflect.DeepEqual(listed, []string{"/in", "/edge"}) {
+		t.Fatalf("listed %v, want [/in /edge]", listed)
+	}
+	if _, listed, _ := h.take(expHost, "/self", 1001, 1201); !reflect.DeepEqual(listed, []string{"/out"}) {
+		t.Errorf("listed %v once the window moved, want [/out]", listed)
+	}
+}
+
+// TestExpiryIndexDropsExpired: an expiry at or before now is not listed —
+// the entry's next read validates it — and it leaves the index.
+func TestExpiryIndexDropsExpired(t *testing.T) {
+	h := indexOf(t, map[string]int64{"/gone": 990, "/now": 1000, "/soon": 1010})
+	if _, listed, _ := h.take(expHost, "/self", 1000, 1200); !reflect.DeepEqual(listed, []string{"/soon"}) {
+		t.Fatalf("listed %v, want [/soon]", listed)
+	}
+	if n := h.indexed.Load(); n != 0 {
+		t.Errorf("%d keys indexed after the expired ones were popped, want 0", n)
+	}
+}
+
+// TestExpiryIndexSkipsSelfAndHits: the request's own path and its reported
+// hits are answered anyway, so they are not listed; they stay indexed.
+func TestExpiryIndexSkipsSelfAndHits(t *testing.T) {
+	h := indexOf(t, map[string]int64{"/self": 1010, "/hit": 1020, "/other": 1030})
+	h.add(expHost, "/hit")
+	hits, listed, _ := h.take(expHost, "/self", 1000, 1200)
+	if !reflect.DeepEqual(hits, []string{"/hit"}) || !reflect.DeepEqual(listed, []string{"/other"}) {
+		t.Fatalf("hits %v, listed %v, want [/hit] and [/other]", hits, listed)
+	}
+	if _, listed, _ = h.take(expHost, "/x", 1000, 1200); !reflect.DeepEqual(listed, []string{"/self", "/hit"}) {
+		t.Errorf("next request listed %v, want [/self /hit]", listed)
+	}
+}
+
+// TestExpiryIndexPickedKeyAbsentUntilRefreshed: a listed key is not listed
+// again until a step gives it an expiry anew.
+func TestExpiryIndexPickedKeyAbsentUntilRefreshed(t *testing.T) {
+	h := indexOf(t, map[string]int64{"/a": 1010})
+	if _, listed, _ := h.take(expHost, "/self", 1000, 1200); len(listed) != 1 {
+		t.Fatalf("listed %v, want [/a]", listed)
+	}
+	if _, listed, _ := h.take(expHost, "/self", 1001, 1201); len(listed) != 0 {
+		t.Fatalf("listed %v again before an answer, want none", listed)
+	}
+	if n := h.indexed.Load(); n != 0 {
+		t.Fatalf("%d keys indexed after the pick, want 0", n)
+	}
+	// An answer that leaves the expiry where it was indexes the key anew.
+	h.note(expHost, "/a", 1010, true)
+	if _, listed, _ := h.take(expHost, "/self", 1002, 1202); !reflect.DeepEqual(listed, []string{"/a"}) {
+		t.Errorf("listed %v after the refresh, want [/a]", listed)
+	}
+}
+
+// TestExpiryIndexUseful: a hit report naming a path whose expiry came from
+// the answer to a listing counts once; one from any other step does not.
+func TestExpiryIndexUseful(t *testing.T) {
+	h := newHostHits()
+	h.note(expHost, "/ahead", 2000, true)
+	h.note(expHost, "/plain", 2000, false)
+	h.add(expHost, "/ahead")
+	h.add(expHost, "/plain")
+	if _, _, useful := h.take(expHost, "/self", 1000, 1100); useful != 1 {
+		t.Errorf("useful %d, want 1", useful)
+	}
+	h.add(expHost, "/ahead")
+	if _, _, useful := h.take(expHost, "/self", 1000, 1100); useful != 0 {
+		t.Errorf("useful %d on the second report, want 0", useful)
+	}
+}
+
+// TestExpiryIndexCap: past maxIndexed keys, over all hosts, new keys are
+// refused while indexed ones still take new expiries.
+func TestExpiryIndexCap(t *testing.T) {
+	h := newHostHits()
+	refused := 0
+	for i := 0; i < maxIndexed+10; i++ {
+		if !h.note(fmt.Sprintf("h%d.test", i%7), fmt.Sprintf("/p%d", i), 5000, false) {
+			refused++
+		}
+	}
+	if refused != 10 || h.indexed.Load() != maxIndexed {
+		t.Fatalf("refused %d, indexed %d, want 10 and %d", refused, h.indexed.Load(), maxIndexed)
+	}
+	if !h.note("h0.test", "/p0", 6000, false) {
+		t.Error("an indexed key was refused a new expiry at the cap")
+	}
+	live := 0
+	for i := range h.stripes {
+		for _, hs := range h.stripes[i].m {
+			live += len(hs.live)
+		}
+	}
+	if live != maxIndexed {
+		t.Errorf("%d live keys, want %d", live, maxIndexed)
+	}
+}
+
+// TestExpiryIndexCompaction: under a long churn of refreshes, superseded
+// heap items never outnumber the live keys.
+func TestExpiryIndexCompaction(t *testing.T) {
+	h := newHostHits()
+	const keys = 100
+	for round := int64(0); round < 1000; round++ {
+		for k := 0; k < keys; k++ {
+			h.note(expHost, fmt.Sprintf("/p%d", k), 2000+round*10+int64(k), false)
+			hs := h.stripe(expHost).m[expHost]
+			if len(hs.heap) > 2*len(hs.live) {
+				t.Fatalf("round %d: heap %d items for %d live keys", round, len(hs.heap), len(hs.live))
+			}
+		}
+	}
+	// Draining every key leaves nothing behind.
+	for {
+		_, listed, _ := h.take(expHost, "/self", 1000, 1<<40)
+		if len(listed) == 0 {
+			break
+		}
+	}
+	if n, m := h.indexed.Load(), len(h.stripe(expHost).m); n != 0 || m != 0 {
+		t.Errorf("%d keys indexed, %d host entries left, want 0 and 0", n, m)
+	}
+}
+
+// TestExpiryIndexInvalidationDrops: an element naming a newer version
+// deletes the cached copy, and its key leaves the index with it.
+func TestExpiryIndexInvalidationDrops(t *testing.T) {
+	p := New(Config{Delta: 600, Clock: func() int64 { return 10_000 },
+		Resolve: func(string) (string, error) { return "", nil }})
+	t.Cleanup(p.Close)
+	resp := httpwire.NewResponse(200)
+	resp.Body = []byte("x")
+	resp.Header.Set("Last-Modified", httpwire.FormatHTTPDate(1000))
+	p.admit(expHost+"/a", resp, 10_000, false)
+	p.admit(expHost+"/b", resp, 10_000, false)
+	p.applyElement(expHost, core.Element{URL: "/a", Size: 1, LastModified: 5000}, 10_000, false)
+	if _, listed, _ := p.hits.take(expHost, "/self", 10_500, 10_650); !reflect.DeepEqual(listed, []string{"/b"}) {
+		t.Errorf("listed %v, want [/b]", listed)
+	}
+}
+
+const (
+	thirdPath = "/a/third.html"
+	thirdKey  = "www.site.com" + thirdPath
+)
+
+// TestListedUnchangedEntryServedWithoutValidation: an entry nobody reads
+// is listed, once inside Δ/4 of its expiry, on a request for another URL
+// of its host; the answer moves its expiry, so a read past the original
+// expiry is a fresh hit with no validation — and that hit, reported, makes
+// the listing useful.
+func TestListedUnchangedEntryServedWithoutValidation(t *testing.T) {
+	sb := newAnswerBed(t)
+	t0 := sb.now.Load()
+	sb.get(seamKey) // miss: expires t0+600
+	sb.now.Store(t0 + 400)
+	sb.get(otherKey) // miss: seamKey expires beyond now+Δ/4, not listed
+	reg := sb.proxy.Obs().Snapshot()
+	if n := reg.Counter("proxy.expiry_validations"); n != 0 {
+		t.Fatalf("%d listed at t0+400, want 0", n)
+	}
+	sb.now.Store(t0 + 500)
+	sb.proxy.cache.Delete(otherKey)
+	sb.get(otherKey) // miss: lists seamKey, expiring at t0+600
+	if n := sb.proxy.Obs().Snapshot().Counter("proxy.expiry_validations"); n != 1 {
+		t.Fatalf("%d listed at t0+500, want 1", n)
+	}
+	if v, ok := sb.proxy.cache.PeekView(seamKey); !ok || v.Expires != t0+500+600 {
+		t.Fatalf("entry present %v, expires %d, want %d", ok, v.Expires, t0+500+600)
+	}
+	sb.now.Store(t0 + 700)
+	before := sb.proxy.Stats()
+	if r := sb.get(seamKey); r.Header.Get("X-Cache") != "HIT" {
+		t.Fatalf("after the original expiry: X-Cache %q, want HIT", r.Header.Get("X-Cache"))
+	}
+	if moved := statsMoved(before, sb.proxy.Stats()); moved.Validations != 0 || moved.FreshHits != 1 {
+		t.Errorf("counters moved %+v, want one fresh hit and no validation", moved)
+	}
+	sb.proxy.cache.Delete(otherKey)
+	sb.get(otherKey) // carries the hit report
+	if n := sb.proxy.Obs().Snapshot().Counter("proxy.expiry_validations_useful"); n != 1 {
+		t.Errorf("proxy.expiry_validations_useful = %d, want 1", n)
+	}
+}
+
+// TestListedChangedEntryInvalidatedWithoutPrefetch: a listed entry whose
+// origin copy changed is invalidated and queues no prefetch, while a
+// changed reported hit answered in the same trailer still queues one.
+func TestListedChangedEntryInvalidatedWithoutPrefetch(t *testing.T) {
+	sb := newSeamBed(t, Config{Delta: 600, Prefetch: true})
+	sb.store.Put(server.Resource{URL: otherPath, Size: 100, LastModified: 1000})
+	sb.store.Put(server.Resource{URL: thirdPath, Size: 100, LastModified: 1000})
+	t0 := sb.now.Load()
+	sb.get(seamKey) // expires t0+600
+	sb.now.Store(t0 + 300)
+	sb.get(thirdKey) // expires t0+900
+	sb.now.Store(t0 + 310)
+	if r := sb.get(thirdKey); r.Header.Get("X-Cache") != "HIT" {
+		t.Fatalf("X-Cache %q, want HIT", r.Header.Get("X-Cache"))
+	}
+	sb.store.Modify(seamPath, 5000, 0)
+	sb.store.Modify(thirdPath, 5000, 0)
+	sb.now.Store(t0 + 500)
+	before := sb.proxy.Stats()
+	sb.get(otherKey) // lists seamKey, reports thirdKey
+	moved := statsMoved(before, sb.proxy.Stats())
+	if moved.Invalidations != 2 || moved.HitValidations != 1 {
+		t.Fatalf("counters moved %+v, want 2 invalidations and 1 hit validation", moved)
+	}
+	if n := sb.proxy.Queue().Len(); n != 1 {
+		t.Fatalf("%d prefetches queued, want 1", n)
+	}
+	if it, _ := sb.proxy.Queue().Pop(); it.Key() != thirdKey {
+		t.Errorf("queued %s, want %s", it.Key(), thirdKey)
+	}
+}
+
+// TestExpiryIndexConcurrent runs request building, answer application,
+// admission and invalidation on one host at once (run it under -race), then
+// checks the index's count and heap bound.
+func TestExpiryIndexConcurrent(t *testing.T) {
+	var now atomic.Int64
+	now.Store(10_000)
+	tick := func() int64 { return now.Add(1) }
+	p := New(Config{Delta: 600, Clock: tick, Resolve: func(string) (string, error) { return "", nil }})
+	t.Cleanup(p.Close)
+	const paths = 64
+	path := func(i int) string { return fmt.Sprintf("/p%02d", i%paths) }
+	resp := httpwire.NewResponse(200)
+	resp.Body = []byte("x")
+	resp.Header.Set("Last-Modified", httpwire.FormatHTTPDate(1000))
+
+	var wg sync.WaitGroup
+	run := func(f func(i int)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				f(i)
+			}
+		}()
+	}
+	run(func(i int) { p.admit(expHost+path(i*7), resp, tick(), false) })
+	run(func(i int) {
+		_, listed := p.originRequest(upstreamState{key: expHost + path(i), host: expHost, path: path(i)}, false, tick())
+		var els []core.Element
+		for _, l := range listed {
+			els = append(els, core.Element{URL: l, Size: 1, LastModified: 1000})
+		}
+		p.applyValidations(expHost, els, listed, tick())
+	})
+	run(func(i int) {
+		p.applyElement(expHost, core.Element{URL: path(i * 3), Size: 1, LastModified: 1000 + int64(i%2)*4000}, tick(), false)
+	})
+	run(func(i int) { p.lookup(expHost+path(i*5), expHost, path(i*5), tick()) })
+	wg.Wait()
+
+	hs := p.hits.stripe(expHost).m[expHost]
+	live := 0
+	if hs != nil {
+		live = len(hs.live)
+		if len(hs.heap) > 2*len(hs.live) {
+			t.Errorf("heap %d items for %d live keys", len(hs.heap), len(hs.live))
+		}
+	}
+	if n := p.hits.indexed.Load(); n != int64(live) {
+		t.Errorf("indexed count %d, live keys %d", n, live)
+	}
+	if live > paths {
+		t.Errorf("%d live keys for %d paths", live, paths)
+	}
+}

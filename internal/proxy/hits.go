@@ -1,6 +1,11 @@
 package proxy
 
-import "sync"
+import (
+	"container/heap"
+	"slices"
+	"sync"
+	"sync/atomic"
+)
 
 // maxPendingHits bounds the cache-hit paths buffered per host between
 // upstream requests (the Piggy-Hits report, §5 future work). Beyond the
@@ -8,26 +13,57 @@ import "sync"
 // than silently discarded.
 const maxPendingHits = 32
 
+// maxListed bounds the cached paths one upstream request asks the origin to
+// validate (Piggy-Validate: piggyback cache validation, Krishnamurthy &
+// Wills, USITS '97).
+const maxListed = 16
+
+// maxIndexed caps the keys held in the expiry indexes of all hosts
+// together. Past it, a newly cached key is not indexed
+// (proxy.expiry_index_full); its next read after expiry validates it.
+const maxIndexed = 1 << 16
+
 // hitStripes is the number of lock stripes in hostHits (power of two).
 // Hits on hosts in different stripes never contend, so hit reporting stays
 // off the fresh-hit fast path's critical section.
 const hitStripes = 16
 
-// hostHits is the striped per-host pending-hit-report table that replaces
-// the pendingHits map formerly guarded by the proxy's global mutex.
+// hostHits is the striped per-host table of what the proxy tells an origin
+// on its next request: the cache hits to report and the cached entries
+// about to expire, to ask about.
 type hostHits struct {
 	stripes [hitStripes]hitStripe
+	// indexed counts the live keys of every host's expiry index.
+	indexed atomic.Int64
 }
 
 type hitStripe struct {
 	mu sync.Mutex
-	m  map[string][]string
+	m  map[string]*hostState
+}
+
+// hostState is one host's entry: the pending hits, and the expiry index —
+// a min-heap on expiry plus the live expiry of each indexed path. A heap
+// item whose expiry is no longer its path's live one is superseded and is
+// skipped when popped.
+type hostState struct {
+	hits []string
+	live map[string]liveExpiry
+	heap expiryHeap
+}
+
+// liveExpiry is the live state of one indexed path.
+type liveExpiry struct {
+	expires int64
+	// ahead is set when that expiry came from the answer to a listing of
+	// the path, and cleared by the first hit report naming it.
+	ahead bool
 }
 
 func newHostHits() *hostHits {
 	h := &hostHits{}
 	for i := range h.stripes {
-		h.stripes[i].m = make(map[string][]string)
+		h.stripes[i].m = make(map[string]*hostState)
 	}
 	return h
 }
@@ -42,29 +78,153 @@ func (h *hostHits) stripe(host string) *hitStripe {
 	return &h.stripes[v&(hitStripes-1)]
 }
 
+// state returns host's entry, creating it. Caller holds st.mu.
+func (st *hitStripe) state(host string) *hostState {
+	hs := st.m[host]
+	if hs == nil {
+		hs = &hostState{live: make(map[string]liveExpiry)}
+		st.m[host] = hs
+	}
+	return hs
+}
+
 // add buffers one cache-hit path for host. It reports false when the
 // per-host bound is full and the hit was dropped.
 func (h *hostHits) add(host, path string) bool {
 	st := h.stripe(host)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	hits := st.m[host]
-	if len(hits) >= maxPendingHits {
+	hs := st.state(host)
+	if len(hs.hits) >= maxPendingHits {
 		return false
 	}
-	st.m[host] = append(hits, path)
+	hs.hits = append(hs.hits, path)
 	return true
 }
 
-// take removes and returns the buffered paths for host.
-func (h *hostHits) take(host string) []string {
+// note records the expiry the cache just gave host's path; ahead says the
+// answer to a listing gave it. It reports false when the path was not
+// indexed because the index is at maxIndexed keys.
+func (h *hostHits) note(host, path string, expires int64, ahead bool) bool {
 	st := h.stripe(host)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	hits, ok := st.m[host]
-	if !ok {
-		return nil
+	hs := st.state(host)
+	cur, ok := hs.live[path]
+	if !ok && h.indexed.Add(1) > maxIndexed {
+		h.indexed.Add(-1)
+		st.release(host, hs)
+		return false
 	}
-	delete(st.m, host)
-	return hits
+	hs.live[path] = liveExpiry{expires: expires, ahead: ahead}
+	if !ok || cur.expires != expires {
+		heap.Push(&hs.heap, expiryItem{path: path, expires: expires})
+		hs.compact()
+	}
+	return true
+}
+
+// drop removes host's path from the expiry index: its cached copy is gone.
+func (h *hostHits) drop(host, path string) {
+	st := h.stripe(host)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	hs := st.m[host]
+	if hs == nil {
+		return
+	}
+	if _, ok := hs.live[path]; ok {
+		delete(hs.live, path)
+		h.indexed.Add(-1)
+		hs.compact()
+	}
+	st.release(host, hs)
+}
+
+// take drains what host's next request carries, in one critical section:
+// the buffered hit paths, and up to maxListed indexed paths whose expiry
+// falls in (now, until], soonest first. self (the request's own path) and the hit
+// paths are not listed: the request answers them anyway. A listed path
+// leaves the index until an answer refreshes it; a path found already
+// expired leaves it for good, and its next read validates. useful counts
+// the drained hits on paths whose expiry the answer to a listing gave.
+func (h *hostHits) take(host, self string, now, until int64) (hits, listed []string, useful int) {
+	st := h.stripe(host)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	hs := st.m[host]
+	if hs == nil {
+		return nil, nil, 0
+	}
+	hits, hs.hits = hs.hits, nil
+	for _, path := range hits {
+		if e, ok := hs.live[path]; ok && e.ahead {
+			useful++
+			e.ahead = false
+			hs.live[path] = e
+		}
+	}
+	var skipped []expiryItem
+	for len(hs.heap) > 0 && len(listed) < maxListed && hs.heap[0].expires <= until {
+		it := heap.Pop(&hs.heap).(expiryItem)
+		if e, ok := hs.live[it.path]; !ok || e.expires != it.expires {
+			continue // superseded
+		}
+		if it.path == self || slices.Contains(hits, it.path) {
+			skipped = append(skipped, it)
+			continue
+		}
+		delete(hs.live, it.path)
+		h.indexed.Add(-1)
+		if it.expires > now {
+			listed = append(listed, it.path)
+		}
+	}
+	for _, it := range skipped {
+		heap.Push(&hs.heap, it)
+	}
+	hs.compact()
+	st.release(host, hs)
+	return hits, listed, useful
+}
+
+// release deletes host's entry once it holds nothing. Caller holds st.mu.
+func (st *hitStripe) release(host string, hs *hostState) {
+	if len(hs.hits) == 0 && len(hs.live) == 0 {
+		delete(st.m, host)
+	}
+}
+
+// compact rebuilds the heap from the live paths once superseded items
+// outnumber them, so the heap never holds more than twice the live keys.
+func (hs *hostState) compact() {
+	if len(hs.heap) <= 2*len(hs.live) {
+		return
+	}
+	h := make(expiryHeap, 0, len(hs.live))
+	for path, e := range hs.live {
+		h = append(h, expiryItem{path: path, expires: e.expires})
+	}
+	heap.Init(&h)
+	hs.heap = h
+}
+
+// expiryItem is one heap item: path was indexed to expire at expires.
+type expiryItem struct {
+	path    string
+	expires int64
+}
+
+// expiryHeap is a min-heap on expiry.
+type expiryHeap []expiryItem
+
+func (h expiryHeap) Len() int           { return len(h) }
+func (h expiryHeap) Less(i, j int) bool { return h[i].expires < h[j].expires }
+func (h expiryHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *expiryHeap) Push(x any)        { *h = append(*h, x.(expiryItem)) }
+func (h *expiryHeap) Pop() any {
+	old := *h
+	it := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return it
 }

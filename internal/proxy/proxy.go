@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -41,9 +42,11 @@ type Config struct {
 	// BaseFilter is attached to upstream requests (the per-server RPV
 	// list is added per request). Unless it is disabled, the proxy also
 	// reports the URLs it served from cache since its last upstream
-	// request to a server on the next one (Piggy-Hits, §5), and applies
-	// the server's answer — each reported resource's current version, in
-	// a P-Valid trailer — as it applies a piggybacked volume's elements.
+	// request to a server on the next one (Piggy-Hits, §5), lists cached
+	// URLs of that server about to expire (Piggy-Validate, piggyback cache
+	// validation), and applies the server's answer — each listed
+	// resource's current version, in a P-Valid trailer — as it applies a
+	// piggybacked volume's elements.
 	BaseFilter core.Filter
 	// RPVTimeout is how long a volume stays on a server's RPV list
 	// (§2.2); zero means Delta (its upper bound). It is also how long a
@@ -122,7 +125,8 @@ type Stats struct {
 	HitsReported int
 	HitsDropped  int
 	// HitValidations counts the elements of the origin's answers to those
-	// reports (P-Valid trailers) applied to the cache.
+	// reports (P-Valid trailers) applied to the cache; answers to listed
+	// URLs (Piggy-Validate) are not counted here.
 	HitValidations int
 	// DeltaUpdates counts 226 delta responses applied; DeltaBytesSaved
 	// the body bytes they avoided transferring (§4, ref [23]).
@@ -177,7 +181,8 @@ type Proxy struct {
 	// fresh hits on different shards proceed in parallel), or whatever
 	// Config.Store supplied (e.g. a tiered RAM+disk store).
 	cache cache.Store
-	// hits stripes the per-host pending hit reports (§5) the same way.
+	// hits stripes the per-host pending hit reports (§5) and expiry
+	// indexes (piggyback cache validation) the same way.
 	hits *hostHits
 
 	// flights de-duplicates concurrent fetches of one key — client
@@ -218,6 +223,13 @@ type proxyCounters struct {
 	hitsReported       *obs.Counter
 	hitsDropped        *obs.Counter
 	hitValidations     *obs.Counter
+	// expiryListed counts cached URLs listed in Piggy-Validate;
+	// expiryUseful the answers to them that refreshed an entry later
+	// reported as a fresh hit; expiryIndexFull the keys left out of the
+	// expiry index at its cap.
+	expiryListed       *obs.Counter
+	expiryUseful       *obs.Counter
+	expiryIndexFull    *obs.Counter
 	deltaUpdates       *obs.Counter
 	deltaBytesSaved    *obs.Counter
 	singleflightShared *obs.Counter
@@ -272,6 +284,9 @@ func New(cfg Config) *Proxy {
 			hitsReported:       reg.Counter("proxy.hits_reported"),
 			hitsDropped:        reg.Counter("proxy.hits_dropped"),
 			hitValidations:     reg.Counter("proxy.hit_validations"),
+			expiryListed:       reg.Counter("proxy.expiry_validations"),
+			expiryUseful:       reg.Counter("proxy.expiry_validations_useful"),
+			expiryIndexFull:    reg.Counter("proxy.expiry_index_full"),
 			deltaUpdates:       reg.Counter("proxy.delta_updates"),
 			deltaBytesSaved:    reg.Counter("proxy.delta_bytes_saved"),
 			singleflightShared: reg.Counter("proxy.singleflight_shared"),
@@ -526,12 +541,13 @@ func (p *Proxy) finishFlight(key string, out *httpwire.Response) {
 
 // fetch is the miss path: ask the origin — conditionally when a stale copy
 // exists (§2.1) — act on the outcome, then on the piggyback and the answer
-// to the hit report that rode along. Only a delta that does not apply
-// leaves out nil; it costs one more pass, unconditional, which cannot end
-// that way.
+// to the hit report and validation list that rode along. Only a delta that
+// does not apply leaves out nil; it costs one more pass, unconditional,
+// which cannot end that way.
 func (p *Proxy) fetch(ctx context.Context, st upstreamState, now int64) *httpwire.Response {
 	for cond := st.hit; ; cond = false {
-		resp, err := p.askOrigin(ctx, p.origin, st.host, p.originRequest(st, cond, now))
+		oreq, listed := p.originRequest(st, cond, now)
+		resp, err := p.askOrigin(ctx, p.origin, st.host, oreq)
 		if err != nil {
 			return p.degrade(st, now, err)
 		}
@@ -564,7 +580,7 @@ func (p *Proxy) fetch(ctx context.Context, st upstreamState, now int64) *httpwir
 			}
 		}
 		if els := httpwire.ExtractValidations(resp); len(els) > 0 {
-			p.applyValidations(st.host, els, now)
+			p.applyValidations(st.host, els, listed, now)
 		}
 		if out != nil {
 			out.Header.Set("X-Cache", "MISS")
@@ -574,9 +590,11 @@ func (p *Proxy) fetch(ctx context.Context, st upstreamState, now int64) *httpwir
 }
 
 // originRequest builds the GET for st: If-Modified-Since (and A-IM when
-// deltas are on) when cond, the filter with this host's RPV list, and the
-// hit reports pending for the host, which it drains.
-func (p *Proxy) originRequest(st upstreamState, cond bool, now int64) *httpwire.Request {
+// deltas are on) when cond, the filter with this host's RPV list, and —
+// unless the filter is disabled — the hit reports pending for the host and
+// the validation list: up to maxListed of its cached paths expiring within
+// the next Δ/4, soonest first. It drains both and returns the listed paths.
+func (p *Proxy) originRequest(st upstreamState, cond bool, now int64) (*httpwire.Request, []string) {
 	oreq := httpwire.NewRequest("GET", st.path)
 	oreq.Header.Set("Host", st.host)
 	if cond {
@@ -592,10 +610,17 @@ func (p *Proxy) originRequest(st upstreamState, cond bool, now int64) *httpwire.
 	filter := p.cfg.BaseFilter
 	filter.RPV = p.rpv.Snapshot(st.host, now)
 	httpwire.SetFilter(oreq, filter)
-	hits := p.hits.take(st.host) // none are buffered while the filter is disabled
+	// Nothing is buffered or indexed while the filter is disabled.
+	hits, listed, useful := p.hits.take(st.host, st.path, now, now+p.cfg.Delta/4)
 	p.c.hitsReported.Add(int64(len(hits)))
-	httpwire.SetHits(oreq, hits)
-	return oreq
+	p.c.expiryListed.Add(int64(len(listed)))
+	p.c.expiryUseful.Add(int64(useful))
+	httpwire.SetPaths(oreq, httpwire.FieldPiggyHits, hits)
+	// SetPaths writes the last path first and keeps it when its budget
+	// runs out: the soonest expiry goes last.
+	slices.Reverse(listed)
+	httpwire.SetPaths(oreq, httpwire.FieldPiggyValidate, listed)
+	return oreq, listed
 }
 
 // askOrigin resolves host and runs the exchange on l — p.origin for
@@ -630,7 +655,9 @@ func (p *Proxy) fetched(st upstreamState, resp *httpwire.Response, now int64) *h
 func (p *Proxy) notModified(st upstreamState, now int64) *httpwire.Response {
 	p.c.validations.Inc()
 	p.c.notModified.Inc()
-	p.cache.Freshen(st.key, now+p.delta(st.key))
+	expires := now + p.delta(st.key)
+	p.cache.Freshen(st.key, expires)
+	p.noteExpiry(st.host, st.path, expires, false)
 	return serveCopy(st.cachedBody, st.cachedLM, st.cachedLMDate, st.cachedCT)
 }
 
@@ -661,7 +688,7 @@ func (p *Proxy) patched(st upstreamState, resp *httpwire.Response, now int64) *h
 // admit is the only way a body enters the cache: resp's body becomes key's
 // current version, with the Last-Modified and Content-Type resp carries,
 // and a copy to serve comes back. Every admitted version feeds the
-// freshness estimator, whichever leg it arrived on.
+// freshness estimator and the expiry index, whichever leg it arrived on.
 func (p *Proxy) admit(key string, resp *httpwire.Response, now int64, prefetched bool) *httpwire.Response {
 	lm, _ := resp.LastModified()
 	lmDate := resp.Header.Get("Last-Modified")
@@ -669,18 +696,31 @@ func (p *Proxy) admit(key string, resp *httpwire.Response, now int64, prefetched
 	if p.fresh != nil {
 		p.fresh.Observe(key, lm)
 	}
+	expires := now + p.delta(key)
 	p.cache.Put(cache.Entry{
 		URL:              key,
 		Size:             int64(len(resp.Body)),
 		LastModified:     lm,
 		LastModifiedHTTP: lmDate,
-		Expires:          now + p.delta(key),
+		Expires:          expires,
 		FetchedAt:        now,
 		Body:             resp.Body,
 		ContentType:      ct,
 		Prefetched:       prefetched,
 	}, now)
+	if i := strings.IndexByte(key, '/'); i >= 0 {
+		p.noteExpiry(key[:i], key[i:], expires, false)
+	}
 	return serveCopy(resp.Body, lm, lmDate, ct)
+}
+
+// noteExpiry feeds host's expiry index with the expiry a step just gave
+// the cached path; ahead says the answer to a listing gave it. Nothing is
+// indexed while the filter is disabled: no request would list it.
+func (p *Proxy) noteExpiry(host, path string, expires int64, ahead bool) {
+	if !p.cfg.BaseFilter.Disabled && !p.hits.note(host, path, expires, ahead) {
+		p.c.expiryIndexFull.Inc()
+	}
 }
 
 // passThrough relays a status the proxy neither caches nor interprets.
@@ -761,30 +801,37 @@ func (p *Proxy) processPiggyback(host string, m core.Message, now int64) {
 	p.c.piggybackElements.Add(int64(len(m.Elements)))
 	p.rpv.Note(host, m.Volume, now)
 	for _, el := range m.Elements {
-		p.applyElement(host, el, now)
+		p.applyElement(host, el, now, false)
 	}
 }
 
-// applyValidations applies the origin's answer to a hit report (P-Valid):
-// each element is the current version of a resource this proxy served from
-// cache, read by the server while answering a request sent at now, so an
-// entry it freshens expires at most Δ past that read — the staleness bound
-// of a volume's elements. An answer names no volume, so it notes no RPV
-// entry, and it is not re-propagated to mesh peers.
-func (p *Proxy) applyValidations(host string, els []core.Element, now int64) {
-	p.c.hitValidations.Add(int64(len(els)))
+// applyValidations applies the origin's answer to a hit report and a
+// validation list (P-Valid): each element is the current version of a
+// resource this proxy served from cache or listed (listed holds the paths
+// the request listed, disjoint from its hit report), read by the server
+// while answering a request sent at now, so an entry it freshens expires
+// at most Δ past that read — the staleness bound of a volume's elements.
+// An answer names no volume, so it notes no RPV entry, and it is not
+// re-propagated to mesh peers.
+func (p *Proxy) applyValidations(host string, els []core.Element, listed []string, now int64) {
 	for _, el := range els {
-		p.applyElement(host, el, now)
+		isListed := slices.Contains(listed, el.URL)
+		if !isListed {
+			p.c.hitValidations.Inc()
+		}
+		p.applyElement(host, el, now, isListed)
 	}
 }
 
-// applyElement is the per-element step of a piggyback or a hit-report
-// answer: feed the freshness estimator, freshen or invalidate the cached
-// copy, pin it for replacement, and queue a prefetch when the copy is
-// gone. An element with no Last-Modified carries no version — applied, it
-// would freshen any copy, since no cached Last-Modified is older — and is
-// skipped.
-func (p *Proxy) applyElement(host string, el core.Element, now int64) {
+// applyElement is the per-element step of a piggyback or an answer: feed
+// the freshness estimator, freshen or invalidate the cached copy (and its
+// expiry index entry), pin it for replacement, and queue a prefetch when
+// the copy is gone. An element answering a listed path queues no prefetch:
+// nobody read that entry recently, so fetching its new version would be
+// speculation without evidence. An element with no Last-Modified carries
+// no version — applied, it would freshen any copy, since no cached
+// Last-Modified is older — and is skipped.
+func (p *Proxy) applyElement(host string, el core.Element, now int64, listed bool) {
 	if el.LastModified <= 0 {
 		return
 	}
@@ -803,17 +850,20 @@ func (p *Proxy) applyElement(host string, el core.Element, now int64) {
 	if p.fresh != nil {
 		p.fresh.Observe(key, el.LastModified)
 	}
-	switch p.cache.ApplyPiggyback(key, el.LastModified, now+p.delta(key), now+p.cfg.RPVTimeout, now) {
+	expires := now + p.delta(key)
+	switch p.cache.ApplyPiggyback(key, el.LastModified, expires, now+p.cfg.RPVTimeout, now) {
 	case cache.PiggybackInvalidated:
 		// Stale copy: deleted; a fresh copy could be prefetched (§2.1).
 		p.c.invalidations.Inc()
-		if p.cfg.Prefetch {
+		p.hits.drop(elHost, elPath)
+		if p.cfg.Prefetch && !listed {
 			p.queue.Push(FetchItem{Host: elHost, URL: elPath, Size: el.Size, LastModified: el.LastModified})
 		}
 	case cache.PiggybackRefreshed:
 		p.c.refreshes.Inc()
+		p.noteExpiry(elHost, elPath, expires, listed)
 	case cache.PiggybackMiss:
-		if p.cfg.Prefetch {
+		if p.cfg.Prefetch && !listed {
 			p.queue.Push(FetchItem{Host: elHost, URL: elPath, Size: el.Size, LastModified: el.LastModified})
 		}
 	}

@@ -164,6 +164,7 @@ type serverCounters struct {
 	piggybackBytes  *obs.Counter
 	hitReports      *obs.Counter
 	hitValidations  *obs.Counter
+	expiryAnswers   *obs.Counter
 	deltasSent      *obs.Counter
 	deltaBytesSaved *obs.Counter
 }
@@ -181,7 +182,9 @@ type Stats struct {
 	HitReports int
 	// HitValidations counts the reported resources answered in P-Valid
 	// trailers: each distinct reported URL the store holds, once per
-	// response, for a proxy whose filter is enabled.
+	// response, for a proxy whose filter is enabled. (The listed URLs of a
+	// Piggy-Validate answered beside them count in the obs registry's
+	// server.expiry_validations.)
 	HitValidations int
 	// DeltasSent counts 226 delta responses; DeltaBytesSaved the body
 	// bytes they avoided transferring (§4, ref [23]).
@@ -202,6 +205,7 @@ func New(store *Store, vols core.Provider, clock func() int64) *Server {
 			piggybackBytes:  reg.Counter("server.piggyback_bytes"),
 			hitReports:      reg.Counter("server.hit_reports"),
 			hitValidations:  reg.Counter("server.hit_validations"),
+			expiryAnswers:   reg.Counter("server.expiry_validations"),
 			deltasSent:      reg.Counter("server.deltas_sent"),
 			deltaBytesSaved: reg.Counter("server.delta_bytes_saved"),
 		}}
@@ -251,6 +255,15 @@ func (s *Server) refreshElements(m *core.Message) {
 	})
 }
 
+// appendAnswer adds el to a P-Valid answer unless the answer already
+// names its URL.
+func appendAnswer(valid []core.Element, el core.Element) []core.Element {
+	if slices.ContainsFunc(valid, func(e core.Element) bool { return e.URL == el.URL }) {
+		return valid
+	}
+	return append(valid, el)
+}
+
 // acceptsBlockdiff reports whether the request advertises the blockdiff
 // instance manipulation (A-IM, RFC 3229 style).
 func acceptsBlockdiff(req *httpwire.Request) bool {
@@ -286,8 +299,8 @@ func (s *Server) ServeWire(_ context.Context, req *httpwire.Request) *httpwire.R
 	}
 
 	// Piggybacks go only to cooperating proxies: ones that sent a filter
-	// and accept chunked trailers (§2.3). Hit reports are answered when
-	// that filter is enabled.
+	// and accept chunked trailers (§2.3). Hit reports and validation lists
+	// are answered when that filter is enabled.
 	filter, hasFilter := httpwire.GetFilter(req)
 	trailers := hasFilter && req.AcceptsChunkedTrailer()
 	answer := trailers && !filter.Disabled
@@ -303,7 +316,7 @@ func (s *Server) ServeWire(_ context.Context, req *httpwire.Request) *httpwire.R
 	// volume popularity too (§5 future work), and a cooperating proxy is
 	// told the current version of each one it reported.
 	var valid []core.Element
-	if hits := httpwire.GetHits(req); len(hits) > 0 {
+	if hits := httpwire.GetPaths(req, httpwire.FieldPiggyHits); len(hits) > 0 {
 		for _, h := range hits {
 			r, ok := s.store.Get(h)
 			if !ok {
@@ -313,11 +326,25 @@ func (s *Server) ServeWire(_ context.Context, req *httpwire.Request) *httpwire.R
 			if s.vols != nil {
 				s.vols.Observe(core.Access{Source: req.RemoteAddr, Time: now, Element: el})
 			}
-			if answer && !slices.ContainsFunc(valid, func(e core.Element) bool { return e.URL == el.URL }) {
-				valid = append(valid, el)
+			if answer {
+				valid = appendAnswer(valid, el)
 			}
 		}
 		s.c.hitReports.Add(int64(len(hits)))
+		s.c.hitValidations.Add(int64(len(valid)))
+	}
+	// Piggy-Validate (piggyback cache validation): cached copies the proxy
+	// holds that are about to expire. Each one the store holds is answered
+	// like a reported hit, but it is not an access — nobody read it — so
+	// it does not reorder the volumes.
+	if answer {
+		answered := len(valid)
+		for _, u := range httpwire.GetPaths(req, httpwire.FieldPiggyValidate) {
+			if r, ok := s.store.Get(u); ok {
+				valid = appendAnswer(valid, core.Element{URL: r.URL, Size: r.Size, LastModified: r.LastModified})
+			}
+		}
+		s.c.expiryAnswers.Add(int64(len(valid) - answered))
 	}
 
 	var resp *httpwire.Response
@@ -368,9 +395,6 @@ func (s *Server) ServeWire(_ context.Context, req *httpwire.Request) *httpwire.R
 			}
 		}
 	}
-	if len(valid) > 0 {
-		httpwire.AttachValidations(resp, valid)
-		s.c.hitValidations.Add(int64(len(valid)))
-	}
+	httpwire.AttachValidations(resp, valid)
 	return resp
 }

@@ -268,13 +268,13 @@ func TestHitReportAnswered(t *testing.T) {
 	req := get("/a/x.html")
 	req.Header.Set("If-Modified-Since", httpwire.FormatHTTPDate(1000))
 	httpwire.SetFilter(req, core.Filter{MaxPiggy: 5})
-	httpwire.SetHits(req, []string{"/b/z.html", "/missing", "/a/y.gif", "/a/y.gif"})
+	httpwire.SetPaths(req, httpwire.FieldPiggyHits, []string{"/b/z.html", "/missing", "/a/y.gif", "/a/y.gif"})
 	resp := s.ServeWire(context.Background(), req)
 	if resp.Status != 304 {
 		t.Fatalf("status = %d, want 304", resp.Status)
 	}
 	got := httpwire.ExtractValidations(resp)
-	// SetHits sends the newest report first.
+	// SetPaths sends the newest report first.
 	want := []core.Element{
 		{URL: "/a/y.gif", Size: 50, LastModified: 1500},
 		{URL: "/b/z.html", Size: 70, LastModified: 1900},
@@ -289,7 +289,7 @@ func TestHitReportAnswered(t *testing.T) {
 
 // TestHitReportAnsweredOnlyForEnabledFilters: without a filter, with the
 // filter off, or without TE: chunked, a report still counts toward the
-// volumes but is not answered.
+// volumes but is not answered, and neither is a validation list.
 func TestHitReportAnsweredOnlyForEnabledFilters(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -304,7 +304,8 @@ func TestHitReportAnsweredOnlyForEnabledFilters(t *testing.T) {
 			s, _ := testServer(2000)
 			req := get("/a/x.html")
 			tc.setup(req)
-			httpwire.SetHits(req, []string{"/a/y.gif"})
+			httpwire.SetPaths(req, httpwire.FieldPiggyHits, []string{"/a/y.gif"})
+			httpwire.SetPaths(req, httpwire.FieldPiggyValidate, []string{"/b/z.html"})
 			resp := s.ServeWire(context.Background(), req)
 			if els := httpwire.ExtractValidations(resp); els != nil {
 				t.Errorf("P-Valid = %+v, want none", els)
@@ -312,6 +313,52 @@ func TestHitReportAnsweredOnlyForEnabledFilters(t *testing.T) {
 			if ss := s.Stats(); ss.HitReports != 1 || ss.HitValidations != 0 {
 				t.Errorf("HitReports %d, HitValidations %d, want 1 and 0", ss.HitReports, ss.HitValidations)
 			}
+			if n := s.Obs().Snapshot().Counter("server.expiry_validations"); n != 0 {
+				t.Errorf("server.expiry_validations = %d, want 0", n)
+			}
 		})
+	}
+}
+
+// TestValidationListAnswered: each listed URL the store holds is answered
+// once with its current version, after the hit answers and deduplicated
+// with them, and an unknown one is skipped; a listed URL is not an access,
+// so the volumes' piggyback order is the one the same request without a
+// list leaves.
+func TestValidationListAnswered(t *testing.T) {
+	request := func(list []string) *httpwire.Request {
+		req := get("/a/x.html")
+		httpwire.SetFilter(req, core.Filter{MaxPiggy: 5})
+		httpwire.SetPaths(req, httpwire.FieldPiggyHits, []string{"/a/y.gif"})
+		httpwire.SetPaths(req, httpwire.FieldPiggyValidate, list)
+		return req
+	}
+	// /a/w.html is in x.html's volume only if something observes it.
+	plain, st := testServer(2000)
+	st.Put(Resource{URL: "/a/w.html", Size: 30, LastModified: 800})
+	plain.ServeWire(context.Background(), request(nil))
+	s, st := testServer(2000)
+	st.Put(Resource{URL: "/a/w.html", Size: 30, LastModified: 800})
+	resp := s.ServeWire(context.Background(), request([]string{"/b/z.html", "/a/w.html", "/missing", "/a/y.gif", "/b/z.html"}))
+
+	want := []core.Element{
+		{URL: "/a/y.gif", Size: 50, LastModified: 1500},
+		{URL: "/b/z.html", Size: 70, LastModified: 900},
+		{URL: "/a/w.html", Size: 30, LastModified: 800},
+	}
+	if got := httpwire.ExtractValidations(resp); !reflect.DeepEqual(got, want) {
+		t.Errorf("P-Valid = %+v, want %+v", got, want)
+	}
+	if ss := s.Stats(); ss.HitValidations != 1 {
+		t.Errorf("HitValidations %d, want 1", ss.HitValidations)
+	}
+	if n := s.Obs().Snapshot().Counter("server.expiry_validations"); n != 2 {
+		t.Errorf("server.expiry_validations = %d, want 2", n)
+	}
+	f := core.Filter{}
+	got, _ := s.Volumes().Piggyback("/a/x.html", 2000, f)
+	base, _ := plain.Volumes().Piggyback("/a/x.html", 2000, f)
+	if !reflect.DeepEqual(got.Elements, base.Elements) {
+		t.Errorf("volume order %+v after a listing, want %+v: listed URLs were observed", got.Elements, base.Elements)
 	}
 }
