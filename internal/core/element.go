@@ -104,13 +104,13 @@ func (m Message) Encode() string {
 		}
 		return b.String()
 	}
-	return strconv.Itoa(int(m.Volume)) + ";" + EncodeElements(m.Elements)
+	return strconv.Itoa(int(m.Volume)) + ";" + encodeElements(m.Elements)
 }
 
-// EncodeElements renders elements in the P-Volume element encoding, each
+// encodeElements renders elements in the P-Volume element encoding, each
 // " url last-modified size", comma-separated, with no volume identifier —
-// the list ParseElements reads.
-func EncodeElements(els []Element) string {
+// the list parseElements reads.
+func encodeElements(els []Element) string {
 	var b strings.Builder
 	for i, e := range els {
 		if i > 0 {
@@ -165,13 +165,13 @@ func ParseMessage(s string) (Message, error) {
 		return m, fmt.Errorf("core: bad volume id %q", vol)
 	}
 	m.Volume = VolumeID(id)
-	m.Elements, err = ParseElements(rest)
+	m.Elements, err = parseElements(rest)
 	return m, err
 }
 
-// ParseElements parses a comma-separated element list in the encoding
-// EncodeElements produces; an empty or all-blank list is no elements.
-func ParseElements(s string) ([]Element, error) {
+// parseElements parses a comma-separated element list in the encoding
+// encodeElements produces; an empty or all-blank list is no elements.
+func parseElements(s string) ([]Element, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return nil, nil

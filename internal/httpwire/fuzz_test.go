@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -33,42 +34,47 @@ func FuzzReadRequest(f *testing.F) {
 
 // FuzzHits reads its input both as a path-list value and as a list of
 // paths, one per line, for each field the path-list codec serves
-// (Piggy-Hits, Piggy-Validate). GetPaths never panics and never returns an
-// element that is empty, holds a comma or has whitespace at either end; and
-// GetPaths(SetPaths(paths)) is exactly what SetPaths encoded, a subsequence
-// of paths last first, in at most maxPathsHeader bytes.
+// (Piggy-Hits, Piggy-Validate). GetPaths never panics and never returns a
+// path that is not listable; and GetPaths(SetPaths(paths)) is exactly the
+// list SetPaths returned, a subsequence of paths last first, written in at
+// most maxPathsHeader bytes.
 func FuzzHits(f *testing.F) {
 	f.Add("/a/one.html, /a/two.gif")
 	f.Add("/ok.html\n/bad url.html\n/with,comma\n\n/last.html")
 	f.Add(" ,, /padded.html ,\t")
+	f.Add("/a/x.html,99|y.gif,3|z.gif")          // k beyond the previous path
+	f.Add("/a/x.html,0|y.gif,1|y.gif,2|y.gif")   // k of 0 and 1, then 2
+	f.Add("/a/b|c.html\n/a/b.html\n/a/b|d.html") // paths holding a bar
+	f.Add("/a/x.html,12y.gif,3|z.gif")           // a digit-led item with no bar
+	f.Add("/a/x.html,9|,9|,3|y.gif|")            // trailing bars
+	f.Add("/s/inline-img-0000-0.gif\n/s/page-0000-index.html\n/s/inline-img-0000-0.gif\n/s/inline-img-0000-0.gif")
 	f.Fuzz(func(t *testing.T, s string) {
 		for _, field := range []string{FieldPiggyHits, FieldPiggyValidate} {
 			req := NewRequest("GET", "/x")
 			req.Header.Set(field, s)
 			for _, h := range GetPaths(req, field) {
-				if h == "" || strings.Contains(h, ",") || strings.TrimSpace(h) != h {
+				if !listable(h) {
 					t.Fatalf("GetPaths(%s: %q) returned %q", field, s, h)
 				}
 			}
 
 			paths := strings.Split(s, "\n")
 			req = NewRequest("GET", "/x")
-			SetPaths(req, field, paths)
+			wrote := SetPaths(req, field, paths)
 			v := req.Header.Get(field)
 			if len(v) > maxPathsHeader {
 				t.Fatalf("SetPaths(%s) wrote %d bytes, budget %d", field, len(v), maxPathsHeader)
 			}
-			got := GetPaths(req, field)
-			if strings.Join(got, ",") != v {
-				t.Fatalf("SetPaths(%s) encoded %q, GetPaths returned %q", field, v, got)
+			if got := GetPaths(req, field); !reflect.DeepEqual(got, wrote) {
+				t.Fatalf("SetPaths(%s) wrote %q as %q, GetPaths returned %q", field, wrote, v, got)
 			}
 			i := len(paths) - 1
-			for _, h := range got {
+			for _, h := range wrote {
 				for i >= 0 && paths[i] != h {
 					i--
 				}
 				if i < 0 {
-					t.Fatalf("GetPaths(%s) returned %q out of last-first order in %q", field, got, paths)
+					t.Fatalf("SetPaths(%s) wrote %q out of last-first order in %q", field, wrote, paths)
 				}
 				i--
 			}
@@ -76,32 +82,55 @@ func FuzzHits(f *testing.F) {
 	})
 }
 
-// FuzzExtractValidations reads its input as a P-Valid trailer value.
-// ExtractValidations never panics, and what it returns comes back
-// unchanged through AttachValidations. The seeds are FuzzParseMessage's
-// corpus (internal/core), whole and with the volume id cut off.
-func FuzzExtractValidations(f *testing.F) {
-	for _, s := range []string{
-		"17; /a/b.html 866268400 4096, /a/c.gif 866268401 512",
-		"0;",
-		" 3 ;  /x 1 2 ,/y 3 4 ",
-		"5; /a;b -1 +2",
-		"32767; /a 1 2",
-	} {
-		f.Add(s)
-		if _, els, ok := strings.Cut(s, ";"); ok {
-			f.Add(els)
-		}
-	}
-	f.Fuzz(func(t *testing.T, s string) {
-		resp := NewResponse(200)
-		resp.Trailer = Header{}
-		resp.Trailer.Set(FieldPValid, s)
-		els := ExtractValidations(resp)
-		again := NewResponse(200)
-		AttachValidations(again, els)
-		if got := ExtractValidations(again); !reflect.DeepEqual(got, els) {
-			t.Fatalf("ExtractValidations(%q) = %+v, reparsed from %q as %+v", s, els, again.Trailer.Get(FieldPValid), got)
+// FuzzExtractAnswers reads its first input as the paths a request sends,
+// one per line — in Piggy-Hits up to the first blank line, in
+// Piggy-Validate after it — and its second as a P-Valid2 value, taken both
+// as it is and with its digest replaced by the sent lists' own.
+// ExtractAnswers never panics and returns only indexes of sent paths; what
+// it returns comes back unchanged through AttachAnswers; and that answer,
+// checked against a request carrying the same lists swapped, returns
+// nothing.
+func FuzzExtractAnswers(f *testing.F) {
+	f.Add("/a/x.html\n/a/y.gif\n\n/a/z.html", "0;0 866268400 4096,2 866268401 512")
+	f.Add("/a/x.html\n\n/a/x.html", "0;0 1 2,1 3 4")
+	f.Add("/a/x.html", "17; /a/b.html 866268400 4096, /a/c.gif 866268401 512") // an element-form answer
+	f.Add("/a/x.html", " /a/b.html 866268400 4096")
+	f.Add("/a/x.html\n/a/y.gif", "0; 1 2 3 , 0 4 5") // indexes out of order
+	f.Add("/a/x.html", "0;1 2 3")                    // index past the lists
+	f.Add("", "0;")
+	f.Add("/a/x.html\n/a/y.gif", "ffffffff;+1 -2 +3")
+	f.Add("/a/x.html\n/a/y.gif", " FFFF ; 0 1 2 ,")      // padded, upper-case tag, trailing comma
+	f.Add("/a/x.html\n/a/y.gif", "0;0  1 2,1 3 4 5,1 6") // double space, extra field
+	f.Fuzz(func(t *testing.T, lists, value string) {
+		hits, listed, _ := strings.Cut(lists, "\n\n")
+		req := NewRequest("GET", "/x")
+		sent := SetPaths(req, FieldPiggyHits, strings.Split(hits, "\n"))
+		sent = append(sent, SetPaths(req, FieldPiggyValidate, strings.Split(listed, "\n"))...)
+		swapped := NewRequest("GET", "/x")
+		swapped.Header.Set(FieldPiggyHits, req.Header.Get(FieldPiggyValidate))
+		swapped.Header.Set(FieldPiggyValidate, req.Header.Get(FieldPiggyHits))
+
+		_, list, _ := strings.Cut(value, ";")
+		for _, v := range []string{value, strconv.FormatUint(uint64(listDigest(req)), 16) + ";" + list} {
+			resp := NewResponse(200)
+			resp.Trailer = Header{}
+			resp.Trailer.Set(FieldPValid, v)
+			got := ExtractAnswers(resp, req, len(sent))
+			for _, a := range got {
+				if a.I < 0 || a.I >= len(sent) {
+					t.Fatalf("ExtractAnswers(%q) returned index %d for %d sent paths", v, a.I, len(sent))
+				}
+			}
+			again := NewResponse(200)
+			AttachAnswers(again, req, got)
+			if back := ExtractAnswers(again, req, len(sent)); !reflect.DeepEqual(back, got) {
+				t.Fatalf("ExtractAnswers(%q) = %+v, reparsed from %q as %+v", v, got, again.Trailer.Get(FieldPValid), back)
+			}
+			if listDigest(swapped) != listDigest(req) {
+				if back := ExtractAnswers(again, swapped, len(sent)); back != nil {
+					t.Fatalf("answer %q for other lists returned %+v", again.Trailer.Get(FieldPValid), back)
+				}
+			}
 		}
 	})
 }

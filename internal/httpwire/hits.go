@@ -1,6 +1,9 @@
 package httpwire
 
-import "strings"
+import (
+	"strconv"
+	"strings"
+)
 
 // Proxy-to-server path lists. Two request headers carry the server-relative
 // paths of resources the proxy holds, in one encoding:
@@ -17,6 +20,14 @@ import "strings"
 //     USITS '97): cached resources whose freshness runs out soon. A
 //     cooperating server answers each one it holds with its current version,
 //     as it answers Piggy-Hits, but does not count it as an access.
+//
+// The list is front-coded: items are comma-separated, and each is either a
+// plain path or "<k>|<suffix>", the first k bytes (k ≥ 2) of the previous
+// path in the list followed by suffix. One page's images share all but a few
+// bytes of their paths, and a repeated path costs its k and a bar. A path
+// holding "|" is never listed ("|" is not legal raw in a URL path), so an
+// item with a bar is always coded, and a list of plain paths — what a proxy
+// without front coding sends — decodes as it did.
 const (
 	// FieldPiggyHits is the request header carrying cache-satisfied URLs.
 	FieldPiggyHits = "Piggy-Hits"
@@ -28,54 +39,110 @@ const (
 // maxPathsHeader bounds the encoded size of one path-list header.
 const maxPathsHeader = 2048
 
-// SetPaths attaches paths to the request as the comma-separated value of
-// field, last path first: the caller puts the ones it most wants sent at
-// the end (the freshest hits, the soonest expiries), and those survive when
-// the header budget drops the rest. A path GetPaths would not return
-// unchanged — empty, with a comma, space or tab, or with other whitespace at
-// either end — is skipped.
-func SetPaths(req *Request, field string, paths []string) {
-	if len(paths) == 0 {
-		return
+// listable reports whether a path can ride in a list: GetPaths returns it
+// unchanged. Empty paths, paths holding a comma, bar, space or tab, and
+// paths with other whitespace at either end cannot.
+func listable(p string) bool {
+	for i := 0; i < len(p); i++ {
+		switch p[i] {
+		case ',', '|', ' ', '\t':
+			return false
+		}
 	}
-	if req.Header == nil {
-		req.Header = make(Header)
+	return p != "" && strings.TrimSpace(p) == p
+}
+
+// SetPaths attaches paths to the request as the front-coded value of field,
+// last path first, and returns the paths it wrote, in wire order: the order
+// GetPaths returns them in. The caller puts the ones it most wants sent at
+// the end (the freshest hits, the soonest expiries), and those survive when
+// the header budget drops the rest. A path that is not listable is skipped.
+func SetPaths(req *Request, field string, paths []string) []string {
+	if len(paths) == 0 {
+		return nil
 	}
 	var b strings.Builder
+	wrote := make([]string, 0, len(paths))
+	prev := ""
 	for i := len(paths) - 1; i >= 0; i-- {
 		u := paths[i]
-		if u == "" || strings.ContainsAny(u, ", \t") || strings.TrimSpace(u) != u {
+		if !listable(u) {
 			continue
 		}
-		if b.Len()+len(u)+1 > maxPathsHeader {
+		// "<k>|" is shorter than the k bytes it stands for once k ≥ 3.
+		k := commonPrefix(prev, u)
+		item := len(u)
+		if k >= 3 {
+			item = len(strconv.Itoa(k)) + 1 + len(u) - k
+		}
+		if b.Len()+item+1 > maxPathsHeader {
 			break
 		}
 		if b.Len() > 0 {
 			b.WriteByte(',')
 		}
-		b.WriteString(u)
+		if k >= 3 {
+			b.WriteString(strconv.Itoa(k))
+			b.WriteByte('|')
+			b.WriteString(u[k:])
+		} else {
+			b.WriteString(u)
+		}
+		wrote = append(wrote, u)
+		prev = u
 	}
-	if b.Len() > 0 {
-		req.Header.Set(field, b.String())
-	}
-}
-
-// GetPaths extracts the path list carried in field.
-func GetPaths(req *Request, field string) []string {
-	v := req.Header.Get(field)
-	if v == "" {
+	if len(wrote) == 0 {
 		return nil
 	}
-	parts := strings.Split(v, ",")
-	out := parts[:0]
-	for _, p := range parts {
-		p = strings.TrimSpace(p)
-		if p != "" {
-			out = append(out, p)
+	if req.Header == nil {
+		req.Header = make(Header)
+	}
+	req.Header.Set(field, b.String())
+	return wrote
+}
+
+// GetPaths decodes the path list carried in field. An item whose path is
+// not listable, or whose k is below 2 or beyond the previous decoded path's
+// length, is dropped. A value longer than SetPaths ever writes is not a
+// list and yields nil: a coded item can stand for up to its previous path's
+// length in a few bytes, and the bound keeps what a list decodes to small.
+func GetPaths(req *Request, field string) []string {
+	v := req.Header.Get(field)
+	if v == "" || len(v) > maxPathsHeader {
+		return nil
+	}
+	out := make([]string, 0, strings.Count(v, ",")+1)
+	prev := ""
+	for v != "" {
+		var item string
+		item, v, _ = strings.Cut(v, ",")
+		item = strings.TrimSpace(item)
+		if bar := strings.IndexByte(item, '|'); bar >= 0 {
+			k, err := strconv.Atoi(item[:bar])
+			if err != nil || k < 2 || k > len(prev) {
+				continue
+			}
+			item = prev[:k] + item[bar+1:]
 		}
+		if !listable(item) {
+			continue
+		}
+		out = append(out, item)
+		prev = item
 	}
 	if len(out) == 0 {
 		return nil
 	}
 	return out
+}
+
+// commonPrefix returns the length of the longest common prefix of a and b.
+func commonPrefix(a, b string) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return n
 }

@@ -1,6 +1,10 @@
 package httpwire
 
 import (
+	"hash/crc32"
+	"strconv"
+	"strings"
+
 	"piggyback/internal/core"
 )
 
@@ -13,9 +17,15 @@ const (
 	// FieldPVolume is the trailer field carrying the piggyback message.
 	FieldPVolume = "P-Volume"
 	// FieldPValid is the trailer field answering a request's Piggy-Hits
-	// and Piggy-Validate lists: the current version of each listed
-	// resource, in the P-Volume element encoding with no volume identifier.
-	FieldPValid = "P-Valid"
+	// and Piggy-Validate lists: "<digest>;<i> <lm> <size>,…", the CRC-32
+	// of the request's two list values in hex, then the current
+	// Last-Modified and size of each listed resource the server holds, by
+	// its index i in the decoded Piggy-Hits list followed by the decoded
+	// Piggy-Validate list — once, at its first index, in index order.
+	// Servers that answered in P-Volume's element form used the name
+	// P-Valid; the new name keeps either form from reaching a proxy that
+	// reads only the other.
+	FieldPValid = "P-Valid2"
 )
 
 // SetFilter attaches a proxy filter to the request, along with the TE
@@ -69,29 +79,84 @@ func ExtractPiggyback(resp *Response) (core.Message, bool) {
 	return m, true
 }
 
-// AttachValidations adds the answer to a hit report and a validation list —
-// the current size and Last-Modified of each listed resource — to the
-// response's trailer; no elements attach nothing.
-func AttachValidations(resp *Response, els []core.Element) {
-	if len(els) == 0 {
+// Answer is one entry of a P-Valid2 answer: the current Last-Modified and
+// size of the resource at index I of the request's lists — its decoded
+// Piggy-Hits paths followed by its decoded Piggy-Validate paths.
+type Answer struct {
+	I            int
+	LastModified int64
+	Size         int64
+}
+
+// listDigest returns the CRC-32 of req's Piggy-Hits and Piggy-Validate
+// values, the tag that binds an answer to the lists it indexes.
+func listDigest(req *Request) uint32 {
+	return crc32.ChecksumIEEE([]byte(req.Header.Get(FieldPiggyHits) + "\n" + req.Header.Get(FieldPiggyValidate)))
+}
+
+// AttachAnswers adds the answer to req's lists to the response's trailer,
+// tagged with req's listDigest; no answers attach nothing.
+func AttachAnswers(resp *Response, req *Request, answers []Answer) {
+	if len(answers) == 0 {
 		return
+	}
+	// Up to 8 hex digits and a semicolon, then about 20 bytes an entry.
+	b := strconv.AppendUint(make([]byte, 0, 9+24*len(answers)), uint64(listDigest(req)), 16)
+	b = append(b, ';')
+	for i, a := range answers {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(a.I), 10)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, a.LastModified, 10)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, a.Size, 10)
 	}
 	if resp.Trailer == nil {
 		resp.Trailer = make(Header)
 	}
-	resp.Trailer.Set(FieldPValid, core.EncodeElements(els))
+	resp.Trailer.Set(FieldPValid, string(b))
 }
 
-// ExtractValidations parses the answer to a hit report and a validation
-// list from a response trailer. It returns nil when no P-Valid field is present or it is
-// malformed.
-func ExtractValidations(resp *Response) []core.Element {
+// ExtractAnswers parses the answer to req's lists, which held n paths, from
+// the response's trailer. It returns nil when no P-Valid2 field is present,
+// when it is malformed, when its digest is not req's — the lists it indexes
+// are not the ones req sent — or when an index is not below n or not above
+// the index before it.
+func ExtractAnswers(resp *Response, req *Request, n int) []Answer {
 	if resp.Trailer == nil {
 		return nil
 	}
-	els, err := core.ParseElements(resp.Trailer.Get(FieldPValid))
-	if err != nil {
+	tag, list, ok := strings.Cut(resp.Trailer.Get(FieldPValid), ";")
+	if !ok {
 		return nil
 	}
-	return els
+	if d, err := strconv.ParseUint(strings.TrimSpace(tag), 16, 32); err != nil || uint32(d) != listDigest(req) {
+		return nil
+	}
+	out := make([]Answer, 0, strings.Count(list, ",")+1)
+	for list != "" {
+		var entry string
+		entry, list, _ = strings.Cut(list, ",")
+		idx, rest, _ := strings.Cut(strings.TrimSpace(entry), " ")
+		lmField, sizeField, _ := strings.Cut(rest, " ")
+		i, err := strconv.Atoi(idx)
+		if err != nil || i < 0 || i >= n || len(out) > 0 && i <= out[len(out)-1].I {
+			return nil
+		}
+		lm, err := strconv.ParseInt(lmField, 10, 64)
+		if err != nil {
+			return nil
+		}
+		size, err := strconv.ParseInt(sizeField, 10, 64)
+		if err != nil {
+			return nil
+		}
+		out = append(out, Answer{I: i, LastModified: lm, Size: size})
+	}
+	if len(out) == 0 {
+		return nil
+	}
+	return out
 }

@@ -298,12 +298,12 @@ func TestExpiryIndexConcurrent(t *testing.T) {
 	}
 	run(func(i int) { p.admit(expHost+path(i*7), resp, tick(), false) })
 	run(func(i int) {
-		_, listed := p.originRequest(upstreamState{key: expHost + path(i), host: expHost, path: path(i)}, false, tick())
-		var els []core.Element
-		for _, l := range listed {
-			els = append(els, core.Element{URL: l, Size: 1, LastModified: 1000})
+		_, sent, nHits := p.originRequest(upstreamState{key: expHost + path(i), host: expHost, path: path(i)}, false, tick())
+		var answers []httpwire.Answer
+		for j := nHits; j < len(sent); j++ {
+			answers = append(answers, httpwire.Answer{I: j, Size: 1, LastModified: 1000})
 		}
-		p.applyValidations(expHost, els, listed, tick())
+		p.applyValidations(expHost, answers, sent, nHits, tick())
 	})
 	run(func(i int) {
 		p.applyElement(expHost, core.Element{URL: path(i * 3), Size: 1, LastModified: 1000 + int64(i%2)*4000}, tick(), false)

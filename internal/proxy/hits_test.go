@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"context"
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -31,6 +32,15 @@ func TestProxyReportsCacheHits(t *testing.T) {
 	// Two reports of one URL are one answer.
 	if os.HitValidations != 1 || ps.HitValidations != 1 {
 		t.Errorf("HitValidations: origin %d, proxy %d, want 1 and 1", os.HitValidations, ps.HitValidations)
+	}
+	// The report went out front-coded, the repeat as its length and a bar,
+	// and was answered by index: "<crc32-hex>;0 1000 100", where 0 names
+	// /a/x.html and the CRC-32 takes one to eight hex digits.
+	if n := tb.proxy.Obs().Snapshot().Counter("proxy.list_bytes"); n != int64(len("/a/x.html,9|")) {
+		t.Errorf("proxy.list_bytes = %d, want %d", n, len("/a/x.html,9|"))
+	}
+	if n, body := tb.origin.Obs().Snapshot().Counter("server.answer_bytes"), int64(len(";0 1000 100")); n < body+1 || n > body+8 {
+		t.Errorf("server.answer_bytes = %d, want %d to %d", n, body+1, body+8)
 	}
 	// The server's volume saw 2 extra accesses for /a/x.html: with a
 	// MinAccess filter of 3 it now passes (1 direct + 2 reported).
@@ -98,7 +108,7 @@ const (
 
 // newAnswerBed is the seam bed with a second resource: a miss on otherKey
 // carries the hit report for seamKey, and the origin (no volumes, so no
-// P-Volume trailer) answers it in P-Valid alone.
+// P-Volume trailer) answers it in P-Valid2 alone.
 func newAnswerBed(t *testing.T) *seamBed {
 	t.Helper()
 	sb := newSeamBed(t, Config{Delta: 600})
@@ -207,4 +217,73 @@ func mustFilter(t *testing.T, s string) core.Filter {
 		t.Fatal(err)
 	}
 	return f
+}
+
+// TestAnswerForOtherListsIgnored is the contract of the P-Valid2 digest: an
+// answer binds to the lists it indexes, so an answer computed for the same
+// paths in another order — whose index 0 names another resource — changes
+// nothing. The proxy holds an outdated copy of A and a current copy of B
+// and reports a hit on each; an honest origin's answer invalidates A and
+// refreshes B, while an answer to the reordered report, applied by
+// position, would refresh A and invalidate B. The proxy applies neither.
+func TestAnswerForOtherListsIgnored(t *testing.T) {
+	const (
+		host       = "www.site.com"
+		pathA      = "/a/a.html"
+		pathB      = "/a/b.html"
+		keyA, keyB = host + pathA, host + pathB
+	)
+	for _, reorder := range []bool{false, true} {
+		t.Run(fmt.Sprintf("reorder=%v", reorder), func(t *testing.T) {
+			st := server.NewStore()
+			for _, p := range []string{pathA, pathB, "/a/c.html"} {
+				st.Put(server.Resource{URL: p, Size: 100, LastModified: 1000})
+			}
+			var now atomic.Int64
+			now.Store(10_000)
+			origin := server.New(st, nil, now.Load)
+			addr := startOrigin(t, httpwire.HandlerFunc(func(ctx context.Context, req *httpwire.Request) *httpwire.Response {
+				if reorder && req.Header.Has(httpwire.FieldPiggyHits) {
+					// SetPaths writes last first: the decoded list goes
+					// back on the wire reversed.
+					httpwire.SetPaths(req, httpwire.FieldPiggyHits, httpwire.GetPaths(req, httpwire.FieldPiggyHits))
+				}
+				return origin.ServeWire(ctx, req)
+			}))
+			p := New(Config{Delta: 600, Clock: now.Load, Resolve: func(string) (string, error) { return addr, nil }})
+			t.Cleanup(p.Close)
+
+			proxyGet(p, keyA)
+			proxyGet(p, keyB)
+			now.Add(10)
+			proxyGet(p, keyA) // fresh hits, reported on the next miss
+			proxyGet(p, keyB)
+			st.Modify(pathA, 5000, 0)
+			now.Add(10)
+			before, hitAnswers := p.Stats(), p.Obs().Snapshot().Counter("proxy.hit_validations")
+			proxyGet(p, host+"/a/c.html")
+
+			if n := origin.Stats().HitValidations; n != 2 {
+				t.Fatalf("origin answered %d reported hits, want 2", n)
+			}
+			moved := statsMoved(before, p.Stats())
+			hitAnswers = p.Obs().Snapshot().Counter("proxy.hit_validations") - hitAnswers
+			_, okA := p.cache.PeekView(keyA)
+			vB, okB := p.cache.PeekView(keyB)
+			if !reorder {
+				if moved.Invalidations != 1 || moved.Refreshes != 1 || hitAnswers != 2 || okA || !okB || vB.Expires != 10_020+600 {
+					t.Fatalf("honest answer: moved %+v, proxy.hit_validations +%d, A cached %v, B cached %v expiring %d; want A invalidated, B refreshed",
+						moved, hitAnswers, okA, okB, vB.Expires)
+				}
+				return
+			}
+			if moved.Invalidations != 0 || moved.Refreshes != 0 || hitAnswers != 0 || !okA || !okB || vB.Expires != 10_000+600 {
+				t.Fatalf("answer to reordered lists: moved %+v, proxy.hit_validations +%d, A cached %v, B cached %v expiring %d; want nothing applied",
+					moved, hitAnswers, okA, okB, vB.Expires)
+			}
+			if vA, _ := p.cache.PeekView(keyA); vA.LastModified != 1000 || vA.Expires != 10_000+600 {
+				t.Errorf("A holds Last-Modified %d expiring %d, want 1000 expiring %d", vA.LastModified, vA.Expires, 10_000+600)
+			}
+		})
+	}
 }

@@ -45,7 +45,7 @@ type Config struct {
 	// request to a server on the next one (Piggy-Hits, §5), lists cached
 	// URLs of that server about to expire (Piggy-Validate, piggyback cache
 	// validation), and applies the server's answer — each listed
-	// resource's current version, in a P-Valid trailer — as it applies a
+	// resource's current version, in a P-Valid2 trailer — as it applies a
 	// piggybacked volume's elements.
 	BaseFilter core.Filter
 	// RPVTimeout is how long a volume stays on a server's RPV list
@@ -125,7 +125,7 @@ type Stats struct {
 	HitsReported int
 	HitsDropped  int
 	// HitValidations counts the elements of the origin's answers to those
-	// reports (P-Valid trailers) applied to the cache; answers to listed
+	// reports (P-Valid2 trailers) applied to the cache; answers to listed
 	// URLs (Piggy-Validate) are not counted here.
 	HitValidations int
 	// DeltaUpdates counts 226 delta responses applied; DeltaBytesSaved
@@ -226,10 +226,12 @@ type proxyCounters struct {
 	// expiryListed counts cached URLs listed in Piggy-Validate;
 	// expiryUseful the answers to them that refreshed an entry later
 	// reported as a fresh hit; expiryIndexFull the keys left out of the
-	// expiry index at its cap.
+	// expiry index at its cap; listBytes the Piggy-Hits and Piggy-Validate
+	// value bytes sent.
 	expiryListed       *obs.Counter
 	expiryUseful       *obs.Counter
 	expiryIndexFull    *obs.Counter
+	listBytes          *obs.Counter
 	deltaUpdates       *obs.Counter
 	deltaBytesSaved    *obs.Counter
 	singleflightShared *obs.Counter
@@ -287,6 +289,7 @@ func New(cfg Config) *Proxy {
 			expiryListed:       reg.Counter("proxy.expiry_validations"),
 			expiryUseful:       reg.Counter("proxy.expiry_validations_useful"),
 			expiryIndexFull:    reg.Counter("proxy.expiry_index_full"),
+			listBytes:          reg.Counter("proxy.list_bytes"),
 			deltaUpdates:       reg.Counter("proxy.delta_updates"),
 			deltaBytesSaved:    reg.Counter("proxy.delta_bytes_saved"),
 			singleflightShared: reg.Counter("proxy.singleflight_shared"),
@@ -546,7 +549,7 @@ func (p *Proxy) finishFlight(key string, out *httpwire.Response) {
 // which cannot end that way.
 func (p *Proxy) fetch(ctx context.Context, st upstreamState, now int64) *httpwire.Response {
 	for cond := st.hit; ; cond = false {
-		oreq, listed := p.originRequest(st, cond, now)
+		oreq, sent, nHits := p.originRequest(st, cond, now)
 		resp, err := p.askOrigin(ctx, p.origin, st.host, oreq)
 		if err != nil {
 			return p.degrade(st, now, err)
@@ -579,8 +582,8 @@ func (p *Proxy) fetch(ctx context.Context, st upstreamState, now int64) *httpwir
 				p.enqueuePropagation(st.host, m, now)
 			}
 		}
-		if els := httpwire.ExtractValidations(resp); len(els) > 0 {
-			p.applyValidations(st.host, els, listed, now)
+		if len(sent) > 0 {
+			p.applyValidations(st.host, httpwire.ExtractAnswers(resp, oreq, len(sent)), sent, nHits, now)
 		}
 		if out != nil {
 			out.Header.Set("X-Cache", "MISS")
@@ -593,8 +596,10 @@ func (p *Proxy) fetch(ctx context.Context, st upstreamState, now int64) *httpwir
 // deltas are on) when cond, the filter with this host's RPV list, and —
 // unless the filter is disabled — the hit reports pending for the host and
 // the validation list: up to maxListed of its cached paths expiring within
-// the next Δ/4, soonest first. It drains both and returns the listed paths.
-func (p *Proxy) originRequest(st upstreamState, cond bool, now int64) (*httpwire.Request, []string) {
+// the next Δ/4, soonest first. It drains both and returns the paths it
+// sent, as an answer indexes them — the reported hits, then the listed
+// paths, each in wire order — and how many of them are hits.
+func (p *Proxy) originRequest(st upstreamState, cond bool, now int64) (*httpwire.Request, []string, int) {
 	oreq := httpwire.NewRequest("GET", st.path)
 	oreq.Header.Set("Host", st.host)
 	if cond {
@@ -615,12 +620,14 @@ func (p *Proxy) originRequest(st upstreamState, cond bool, now int64) (*httpwire
 	p.c.hitsReported.Add(int64(len(hits)))
 	p.c.expiryListed.Add(int64(len(listed)))
 	p.c.expiryUseful.Add(int64(useful))
-	httpwire.SetPaths(oreq, httpwire.FieldPiggyHits, hits)
+	sent := httpwire.SetPaths(oreq, httpwire.FieldPiggyHits, hits)
+	nHits := len(sent)
 	// SetPaths writes the last path first and keeps it when its budget
 	// runs out: the soonest expiry goes last.
 	slices.Reverse(listed)
-	httpwire.SetPaths(oreq, httpwire.FieldPiggyValidate, listed)
-	return oreq, listed
+	sent = append(sent, httpwire.SetPaths(oreq, httpwire.FieldPiggyValidate, listed)...)
+	p.c.listBytes.Add(int64(len(oreq.Header.Get(httpwire.FieldPiggyHits)) + len(oreq.Header.Get(httpwire.FieldPiggyValidate))))
+	return oreq, sent, nHits
 }
 
 // askOrigin resolves host and runs the exchange on l — p.origin for
@@ -806,20 +813,22 @@ func (p *Proxy) processPiggyback(host string, m core.Message, now int64) {
 }
 
 // applyValidations applies the origin's answer to a hit report and a
-// validation list (P-Valid): each element is the current version of a
-// resource this proxy served from cache or listed (listed holds the paths
-// the request listed, disjoint from its hit report), read by the server
-// while answering a request sent at now, so an entry it freshens expires
-// at most Δ past that read — the staleness bound of a volume's elements.
-// An answer names no volume, so it notes no RPV entry, and it is not
+// validation list (P-Valid2): each answer is the current version of the
+// resource at its index in sent — the paths the request sent, its nHits
+// reported hits first, then the paths it listed (disjoint from the hits) —
+// read by the server while answering a request sent at now, so an entry it
+// freshens expires at most Δ past that read — the staleness bound of a
+// volume's elements. ExtractAnswers has already checked that every index
+// is in sent and that the answer's digest is that of the lists sent. An
+// answer names no volume, so it notes no RPV entry, and it is not
 // re-propagated to mesh peers.
-func (p *Proxy) applyValidations(host string, els []core.Element, listed []string, now int64) {
-	for _, el := range els {
-		isListed := slices.Contains(listed, el.URL)
-		if !isListed {
+func (p *Proxy) applyValidations(host string, answers []httpwire.Answer, sent []string, nHits int, now int64) {
+	for _, a := range answers {
+		listed := a.I >= nHits
+		if !listed {
 			p.c.hitValidations.Inc()
 		}
-		p.applyElement(host, el, now, isListed)
+		p.applyElement(host, core.Element{URL: sent[a.I], Size: a.Size, LastModified: a.LastModified}, now, listed)
 	}
 }
 

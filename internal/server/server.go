@@ -9,7 +9,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"slices"
 	"strings"
 	"sync"
 
@@ -165,6 +164,7 @@ type serverCounters struct {
 	hitReports      *obs.Counter
 	hitValidations  *obs.Counter
 	expiryAnswers   *obs.Counter
+	answerBytes     *obs.Counter
 	deltasSent      *obs.Counter
 	deltaBytesSaved *obs.Counter
 }
@@ -180,7 +180,7 @@ type Stats struct {
 	// HitReports counts cache-hit URLs received via Piggy-Hits headers
 	// (§5): proxy-satisfied accesses folded back into volume upkeep.
 	HitReports int
-	// HitValidations counts the reported resources answered in P-Valid
+	// HitValidations counts the reported resources answered in P-Valid2
 	// trailers: each distinct reported URL the store holds, once per
 	// response, for a proxy whose filter is enabled. (The listed URLs of a
 	// Piggy-Validate answered beside them count in the obs registry's
@@ -206,6 +206,7 @@ func New(store *Store, vols core.Provider, clock func() int64) *Server {
 			hitReports:      reg.Counter("server.hit_reports"),
 			hitValidations:  reg.Counter("server.hit_validations"),
 			expiryAnswers:   reg.Counter("server.expiry_validations"),
+			answerBytes:     reg.Counter("server.answer_bytes"),
 			deltasSent:      reg.Counter("server.deltas_sent"),
 			deltaBytesSaved: reg.Counter("server.delta_bytes_saved"),
 		}}
@@ -253,15 +254,6 @@ func (s *Server) refreshElements(m *core.Message) {
 		}
 		return res.Size, res.LastModified, true
 	})
-}
-
-// appendAnswer adds el to a P-Valid answer unless the answer already
-// names its URL.
-func appendAnswer(valid []core.Element, el core.Element) []core.Element {
-	if slices.ContainsFunc(valid, func(e core.Element) bool { return e.URL == el.URL }) {
-		return valid
-	}
-	return append(valid, el)
 }
 
 // acceptsBlockdiff reports whether the request advertises the blockdiff
@@ -314,37 +306,48 @@ func (s *Server) ServeWire(_ context.Context, req *httpwire.Request) *httpwire.R
 	}
 	// Piggy-Hits: accesses the proxy satisfied from its cache count toward
 	// volume popularity too (§5 future work), and a cooperating proxy is
-	// told the current version of each one it reported.
-	var valid []core.Element
-	if hits := httpwire.GetPaths(req, httpwire.FieldPiggyHits); len(hits) > 0 {
-		for _, h := range hits {
-			r, ok := s.store.Get(h)
-			if !ok {
-				continue
-			}
-			el := core.Element{URL: r.URL, Size: r.Size, LastModified: r.LastModified}
-			if s.vols != nil {
-				s.vols.Observe(core.Access{Source: req.RemoteAddr, Time: now, Element: el})
-			}
-			if answer {
-				valid = appendAnswer(valid, el)
-			}
-		}
-		s.c.hitReports.Add(int64(len(hits)))
-		s.c.hitValidations.Add(int64(len(valid)))
+	// told the current version of each one it reported, by its index.
+	hits := httpwire.GetPaths(req, httpwire.FieldPiggyHits)
+	var listed []string
+	var answers []httpwire.Answer
+	var answered map[string]bool
+	if answer {
+		listed = httpwire.GetPaths(req, httpwire.FieldPiggyValidate)
+		answered = make(map[string]bool, len(hits)+len(listed))
+		answers = make([]httpwire.Answer, 0, len(hits)+len(listed))
 	}
+	for i, h := range hits {
+		r, ok := s.store.Get(h)
+		if !ok {
+			continue
+		}
+		if s.vols != nil {
+			s.vols.Observe(core.Access{Source: req.RemoteAddr, Time: now,
+				Element: core.Element{URL: r.URL, Size: r.Size, LastModified: r.LastModified}})
+		}
+		if answer && !answered[h] {
+			answered[h] = true
+			answers = append(answers, httpwire.Answer{I: i, LastModified: r.LastModified, Size: r.Size})
+		}
+	}
+	s.c.hitReports.Add(int64(len(hits)))
+	s.c.hitValidations.Add(int64(len(answers)))
 	// Piggy-Validate (piggyback cache validation): cached copies the proxy
 	// holds that are about to expire. Each one the store holds is answered
-	// like a reported hit, but it is not an access — nobody read it — so
-	// it does not reorder the volumes.
+	// like a reported hit, indexed after the hits, but it is not an access —
+	// nobody read it — so it does not reorder the volumes.
 	if answer {
-		answered := len(valid)
-		for _, u := range httpwire.GetPaths(req, httpwire.FieldPiggyValidate) {
+		answeredHits := len(answers)
+		for j, u := range listed {
+			if answered[u] {
+				continue
+			}
 			if r, ok := s.store.Get(u); ok {
-				valid = appendAnswer(valid, core.Element{URL: r.URL, Size: r.Size, LastModified: r.LastModified})
+				answered[u] = true
+				answers = append(answers, httpwire.Answer{I: len(hits) + j, LastModified: r.LastModified, Size: r.Size})
 			}
 		}
-		s.c.expiryAnswers.Add(int64(len(valid) - answered))
+		s.c.expiryAnswers.Add(int64(len(answers) - answeredHits))
 	}
 
 	var resp *httpwire.Response
@@ -395,6 +398,9 @@ func (s *Server) ServeWire(_ context.Context, req *httpwire.Request) *httpwire.R
 			}
 		}
 	}
-	httpwire.AttachValidations(resp, valid)
+	if len(answers) > 0 {
+		httpwire.AttachAnswers(resp, req, answers)
+		s.c.answerBytes.Add(int64(len(resp.Trailer.Get(httpwire.FieldPValid))))
+	}
 	return resp
 }

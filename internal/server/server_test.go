@@ -260,27 +260,28 @@ func TestServerWithoutVolumes(t *testing.T) {
 }
 
 // TestHitReportAnswered: each distinct reported URL the store holds is
-// answered once, with its current version, and unknown URLs are skipped;
-// a 304 carries the answer as a 200 does.
+// answered once, at its first index, with its current version, and unknown
+// URLs are skipped; a 304 carries the answer as a 200 does.
 func TestHitReportAnswered(t *testing.T) {
 	s, st := testServer(2000)
 	st.Modify("/b/z.html", 1900, 0)
 	req := get("/a/x.html")
 	req.Header.Set("If-Modified-Since", httpwire.FormatHTTPDate(1000))
 	httpwire.SetFilter(req, core.Filter{MaxPiggy: 5})
-	httpwire.SetPaths(req, httpwire.FieldPiggyHits, []string{"/b/z.html", "/missing", "/a/y.gif", "/a/y.gif"})
+	sent := httpwire.SetPaths(req, httpwire.FieldPiggyHits, []string{"/b/z.html", "/missing", "/a/y.gif", "/a/y.gif"})
 	resp := s.ServeWire(context.Background(), req)
 	if resp.Status != 304 {
 		t.Fatalf("status = %d, want 304", resp.Status)
 	}
-	got := httpwire.ExtractValidations(resp)
-	// SetPaths sends the newest report first.
-	want := []core.Element{
-		{URL: "/a/y.gif", Size: 50, LastModified: 1500},
-		{URL: "/b/z.html", Size: 70, LastModified: 1900},
+	got := httpwire.ExtractAnswers(resp, req, len(sent))
+	// SetPaths sends the newest report first: /a/y.gif, /a/y.gif,
+	// /missing, /b/z.html.
+	want := []httpwire.Answer{
+		{I: 0, Size: 50, LastModified: 1500},
+		{I: 3, Size: 70, LastModified: 1900},
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("P-Valid = %+v, want %+v", got, want)
+		t.Errorf("P-Valid2 %q = %+v, want %+v", resp.Trailer.Get(httpwire.FieldPValid), got, want)
 	}
 	if ss := s.Stats(); ss.HitReports != 4 || ss.HitValidations != 2 {
 		t.Errorf("HitReports %d, HitValidations %d, want 4 and 2", ss.HitReports, ss.HitValidations)
@@ -307,8 +308,8 @@ func TestHitReportAnsweredOnlyForEnabledFilters(t *testing.T) {
 			httpwire.SetPaths(req, httpwire.FieldPiggyHits, []string{"/a/y.gif"})
 			httpwire.SetPaths(req, httpwire.FieldPiggyValidate, []string{"/b/z.html"})
 			resp := s.ServeWire(context.Background(), req)
-			if els := httpwire.ExtractValidations(resp); els != nil {
-				t.Errorf("P-Valid = %+v, want none", els)
+			if resp.Trailer.Has(httpwire.FieldPValid) {
+				t.Errorf("P-Valid2 = %q, want none", resp.Trailer.Get(httpwire.FieldPValid))
 			}
 			if ss := s.Stats(); ss.HitReports != 1 || ss.HitValidations != 0 {
 				t.Errorf("HitReports %d, HitValidations %d, want 1 and 0", ss.HitReports, ss.HitValidations)
@@ -321,7 +322,7 @@ func TestHitReportAnsweredOnlyForEnabledFilters(t *testing.T) {
 }
 
 // TestValidationListAnswered: each listed URL the store holds is answered
-// once with its current version, after the hit answers and deduplicated
+// once with its current version, indexed after the hits and deduplicated
 // with them, and an unknown one is skipped; a listed URL is not an access,
 // so the volumes' piggyback order is the one the same request without a
 // list leaves.
@@ -339,15 +340,18 @@ func TestValidationListAnswered(t *testing.T) {
 	plain.ServeWire(context.Background(), request(nil))
 	s, st := testServer(2000)
 	st.Put(Resource{URL: "/a/w.html", Size: 30, LastModified: 800})
-	resp := s.ServeWire(context.Background(), request([]string{"/b/z.html", "/a/w.html", "/missing", "/a/y.gif", "/b/z.html"}))
+	req := request([]string{"/b/z.html", "/a/w.html", "/missing", "/a/y.gif", "/b/z.html"})
+	resp := s.ServeWire(context.Background(), req)
 
-	want := []core.Element{
-		{URL: "/a/y.gif", Size: 50, LastModified: 1500},
-		{URL: "/b/z.html", Size: 70, LastModified: 900},
-		{URL: "/a/w.html", Size: 30, LastModified: 800},
+	// Sent: /a/y.gif, then the list last first: /b/z.html, /a/y.gif,
+	// /missing, /a/w.html, /b/z.html.
+	want := []httpwire.Answer{
+		{I: 0, Size: 50, LastModified: 1500},
+		{I: 1, Size: 70, LastModified: 900},
+		{I: 4, Size: 30, LastModified: 800},
 	}
-	if got := httpwire.ExtractValidations(resp); !reflect.DeepEqual(got, want) {
-		t.Errorf("P-Valid = %+v, want %+v", got, want)
+	if got := httpwire.ExtractAnswers(resp, req, 6); !reflect.DeepEqual(got, want) {
+		t.Errorf("P-Valid2 %q = %+v, want %+v", resp.Trailer.Get(httpwire.FieldPValid), got, want)
 	}
 	if ss := s.Stats(); ss.HitValidations != 1 {
 		t.Errorf("HitValidations %d, want 1", ss.HitValidations)
