@@ -64,9 +64,11 @@ func main() {
 		go func() {
 			for {
 				time.Sleep(*statsEvery)
-				st := ctr.Stats()
+				snap := ctr.Obs().Snapshot()
 				fmt.Printf("volumecenter: relayed=%d piggybacks=%d elems=%d originPiggybacks=%d errors=%d\n",
-					st.Relayed, st.PiggybacksSent, st.PiggybackElems, st.OriginPiggyback, st.UpstreamErrors)
+					snap.Counter("center.relayed"), snap.Counter("center.piggybacks_sent"),
+					snap.Counter("center.piggyback_elems"), snap.Counter("center.origin_piggyback"),
+					snap.Counter("center.upstream_errors"))
 			}
 		}()
 	}

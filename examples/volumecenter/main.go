@@ -111,13 +111,14 @@ func main() {
 	sibling := get("www.alpha.example/docs/figure.gif") // refreshed by the piggyback
 
 	ps := px.Stats()
-	cs := ctr.Stats()
+	cs := ctr.Obs().Snapshot()
+	injected := cs.Counter("center.piggybacks_sent")
 	fmt.Printf("\nproxy: %d piggybacks received, %d refreshes, %d fresh hits\n",
 		ps.PiggybacksReceived, ps.Refreshes, ps.FreshHits)
 	fmt.Printf("center: %d relayed, %d piggybacks injected on the origin's behalf\n",
-		cs.Relayed, cs.PiggybacksSent)
-	if cs.PiggybacksSent == 0 || sibling != "HIT" {
+		cs.Counter("center.relayed"), injected)
+	if injected == 0 || sibling != "HIT" {
 		log.Fatalf("center injected %d piggybacks and the sibling answered %s; want at least one and HIT",
-			cs.PiggybacksSent, sibling)
+			injected, sibling)
 	}
 }

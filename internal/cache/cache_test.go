@@ -2,6 +2,7 @@ package cache
 
 import (
 	"container/heap"
+	"fmt"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -331,5 +332,16 @@ func TestAccessorsAndPolicyNames(t *testing.T) {
 	e, _ := c.Peek("/a")
 	if e.Hits() != 1 || e.LastAccess() != 9 || e.PinnedUntil() != 0 {
 		t.Errorf("accessors: hits=%d la=%d pin=%d", e.Hits(), e.LastAccess(), e.PinnedUntil())
+	}
+}
+
+func BenchmarkCachePutGet(b *testing.B) {
+	c := New(1<<20, PiggybackLRU{})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		url := fmt.Sprintf("/r%04d", i%2000)
+		if _, ok := c.Get(url, int64(i)); !ok {
+			c.Put(Entry{URL: url, Size: 700, Expires: int64(i + 300)}, int64(i))
+		}
 	}
 }

@@ -8,38 +8,40 @@ import (
 )
 
 // BenchmarkTieredRAMHit measures the RAM-hit fast path through the
-// Tiered wrapper. CI gates it (benchgate) so the disk tier's existence
-// costs the hot path nothing: the delta vs a bare Sharded lookup must
-// stay at 0 allocs/op.
+// Tiered wrapper against a bare Sharded lookup. TestTieredAllocBudgets
+// holds both at 0 allocs/op, so the disk tier's existence costs the hot
+// path nothing.
 func BenchmarkTieredRAMHit(b *testing.B) {
 	for _, tier := range []string{"bare", "tiered"} {
-		b.Run(tier, func(b *testing.B) {
-			ram := cache.NewSharded(64<<20, 4, nil)
-			var s cache.Store = ram
-			if tier == "tiered" {
-				ts, err := New(cache.NewSharded(64<<20, 4, nil), Config{Dir: b.TempDir()})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer ts.Close()
-				s = ts
-			}
-			now := int64(1000)
-			for i := 0; i < 64; i++ {
-				s.Put(entry(fmt.Sprintf("http://o/h%02d", i), 2048, now), now)
-			}
-			urls := make([]string, 64)
-			for i := range urls {
-				urls[i] = fmt.Sprintf("http://o/h%02d", i)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, ok := s.Lookup(urls[i&63], now); !ok {
-					b.Fatal("miss on warm set")
-				}
-			}
-		})
+		b.Run(tier, func(b *testing.B) { benchRAMHit(b, tier) })
+	}
+}
+
+func benchRAMHit(b *testing.B, tier string) {
+	ram := cache.NewSharded(64<<20, 4, nil)
+	var s cache.Store = ram
+	if tier == "tiered" {
+		ts, err := New(cache.NewSharded(64<<20, 4, nil), Config{Dir: b.TempDir()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer ts.Close()
+		s = ts
+	}
+	now := int64(1000)
+	for i := 0; i < 64; i++ {
+		s.Put(entry(fmt.Sprintf("http://o/h%02d", i), 2048, now), now)
+	}
+	urls := make([]string, 64)
+	for i := range urls {
+		urls[i] = fmt.Sprintf("http://o/h%02d", i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := s.Lookup(urls[i&63], now); !ok {
+			b.Fatal("miss on warm set")
+		}
 	}
 }
 
@@ -122,5 +124,38 @@ func benchRedemote(b *testing.B, prefetched bool) {
 	}
 	if reports != want {
 		b.Fatalf("%d prefetch reports over %d promotions, want %d", reports, b.N, want)
+	}
+}
+
+// TestTieredAllocBudgets runs each benchmark above and pins its allocs/op.
+// A budget is the count measured when it was set: a rise fails, and so
+// does a fall, which asks for the lower number.
+func TestTieredAllocBudgets(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation budgets need steady-state runs")
+	}
+	if raceEnabled {
+		t.Skip("the budgets are the counts of a build without the race detector")
+	}
+	for _, tc := range []struct {
+		name   string
+		bench  func(*testing.B)
+		budget int64
+	}{
+		{"TieredRAMHit/bare", func(b *testing.B) { benchRAMHit(b, "bare") }, 0},
+		{"TieredRAMHit/tiered", func(b *testing.B) { benchRAMHit(b, "tiered") }, 0},
+		{"TieredPromote", BenchmarkTieredPromote, 5},
+		{"TieredRedemote", BenchmarkTieredRedemote, 7},
+		{"TieredRedemotePrefetched", BenchmarkTieredRedemotePrefetched, 7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := testing.Benchmark(tc.bench)
+			if r.N == 0 {
+				t.Fatal("benchmark failed")
+			}
+			if got := r.AllocsPerOp(); got != tc.budget {
+				t.Errorf("%d allocs/op, budget %d", got, tc.budget)
+			}
+		})
 	}
 }

@@ -35,19 +35,6 @@ type Config struct {
 	Clock func() int64
 }
 
-// Stats counts center activity.
-type Stats struct {
-	Relayed         int
-	PiggybacksSent  int
-	PiggybackElems  int
-	UpstreamErrors  int
-	OriginPiggyback int // responses that already carried a P-Volume
-	// HitReports counts cache-hit URLs consumed from Piggy-Hits headers
-	// (§5): the center folds proxy-satisfied accesses into its volumes
-	// and strips the header before the origin sees it.
-	HitReports int
-}
-
 // Center is a transparent piggybacking intermediary.
 type Center struct {
 	cfg    Config
@@ -60,12 +47,14 @@ type Center struct {
 // centerCounters caches the registry's counter pointers so relaying does
 // pure atomic adds.
 type centerCounters struct {
-	relayed         *obs.Counter
-	piggybacksSent  *obs.Counter
-	piggybackElems  *obs.Counter
-	upstreamErrors  *obs.Counter
+	relayed        *obs.Counter
+	piggybacksSent *obs.Counter
+	piggybackElems *obs.Counter
+	upstreamErrors *obs.Counter
+	// originPiggyback counts responses that already carried a P-Volume.
 	originPiggyback *obs.Counter
-	hitReports      *obs.Counter
+	// hitReports counts the Piggy-Hits URLs folded into the volumes.
+	hitReports *obs.Counter
 	// expiryDropped counts the Piggy-Validate URLs stripped unanswered.
 	expiryDropped *obs.Counter
 }
@@ -97,18 +86,6 @@ func (c *Center) Volumes() core.Provider { return c.vols }
 // Obs returns the center's telemetry registry (also served live on
 // obs.StatsPath).
 func (c *Center) Obs() *obs.Registry { return c.obs }
-
-// Stats returns a snapshot of the counters.
-func (c *Center) Stats() Stats {
-	return Stats{
-		Relayed:         int(c.c.relayed.Load()),
-		PiggybacksSent:  int(c.c.piggybacksSent.Load()),
-		PiggybackElems:  int(c.c.piggybackElems.Load()),
-		UpstreamErrors:  int(c.c.upstreamErrors.Load()),
-		OriginPiggyback: int(c.c.originPiggyback.Load()),
-		HitReports:      int(c.c.hitReports.Load()),
-	}
-}
 
 // Close releases upstream connections.
 func (c *Center) Close() { c.client.Close() }

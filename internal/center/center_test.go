@@ -124,8 +124,8 @@ func TestCenterInjectsPiggybackOnBehalfOfOrigin(t *testing.T) {
 	if !found {
 		t.Errorf("expected www.one.com/a/y.gif, got %+v", m.Elements)
 	}
-	if st := ctr.Stats(); st.PiggybacksSent != 1 || st.Relayed != 2 {
-		t.Errorf("stats = %+v", st)
+	if snap := ctr.Obs().Snapshot(); snap.Counter("center.piggybacks_sent") != 1 || snap.Counter("center.relayed") != 2 {
+		t.Errorf("counters = %v", snap.Counters)
 	}
 }
 
@@ -161,8 +161,8 @@ func TestCenterHonorsRPVFilter(t *testing.T) {
 	if _, ok := httpwire.ExtractPiggyback(resp2); ok {
 		t.Error("RPV-listed volume piggybacked anyway")
 	}
-	if ctr.Stats().PiggybacksSent != 1 {
-		t.Errorf("stats = %+v", ctr.Stats())
+	if n := ctr.Obs().Snapshot().Counter("center.piggybacks_sent"); n != 1 {
+		t.Errorf("center.piggybacks_sent = %d, want 1", n)
 	}
 }
 
@@ -262,8 +262,8 @@ func TestCenterConsumesPiggyHits(t *testing.T) {
 	if resp.Trailer.Has(httpwire.FieldPValid) {
 		t.Errorf("center answered a hit report or a validation list: %q", resp.Trailer.Get(httpwire.FieldPValid))
 	}
-	if got := ctr.Stats().HitReports; got != 3 {
-		t.Errorf("HitReports = %d, want 3", got)
+	if got := ctr.Obs().Snapshot().Counter("center.hit_reports"); got != 3 {
+		t.Errorf("center.hit_reports = %d, want 3", got)
 	}
 	if n := ctr.Obs().Snapshot().Counter("center.expiry_validations_dropped"); n != 2 {
 		t.Errorf("center.expiry_validations_dropped = %d, want 2", n)

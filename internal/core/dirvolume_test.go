@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strconv"
 	"sync"
 	"testing"
@@ -224,5 +225,18 @@ func TestDirVolumesConcurrent(t *testing.T) {
 func TestDirVolumesLevelAccessor(t *testing.T) {
 	if lvl := NewDirVolumes(DirConfig{Level: 3}).Level(); lvl != 3 {
 		t.Errorf("Level = %d", lvl)
+	}
+}
+
+func BenchmarkDirVolumePiggyback(b *testing.B) {
+	d := NewDirVolumes(DirConfig{Level: 1, MTF: true, ServerMaxPiggy: 10, PartitionByType: true})
+	for i := 0; i < 200; i++ {
+		d.Observe(Access{Source: "s", Time: int64(i),
+			Element: Element{URL: fmt.Sprintf("/a/r%03d.html", i), Size: int64(i)}})
+	}
+	f := Filter{MaxPiggy: 10, MinAccess: 0}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.Piggyback("/a/r000.html", int64(i), f)
 	}
 }

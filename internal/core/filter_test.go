@@ -154,3 +154,14 @@ func TestFilterHasRPV(t *testing.T) {
 		t.Error("HasRPV wrong")
 	}
 }
+
+func BenchmarkFilterHeaderRoundTrip(b *testing.B) {
+	f := Filter{MaxPiggy: 10, RPV: []VolumeID{3, 4, 9}, MinAccess: 50, ProbThreshold: 0.25}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h := f.Header()
+		if _, err := ParseFilter(h); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

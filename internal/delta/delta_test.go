@@ -156,3 +156,23 @@ func TestApplyErrors(t *testing.T) {
 		}
 	}
 }
+
+func BenchmarkExtDeltaEncoding(b *testing.B) {
+	old := bytes.Repeat([]byte("the quick brown fox "), 1600) // 32 kB
+	new := append([]byte(nil), old...)
+	new[100] = 'X'
+	new[20000] = 'Y'
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := Make(old, new, DefaultBlockSize)
+		enc := p.Encode()
+		dec, err := Decode(enc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := Apply(old, dec); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(len(enc)), "patchBytes")
+	}
+}

@@ -6,9 +6,11 @@ import (
 	"io"
 	"net"
 	"testing"
+
+	"piggyback/internal/core"
 )
 
-// Allocation-budget benchmarks for the wire hot paths. The ceilings pinned
+// Allocation-budget benchmarks for the wire hot paths. The counts pinned
 // by the companion TestAllocBudgets are the regression gate: the workers=64
 // throughput cliff was allocation churn in exactly these functions, so a
 // change that re-introduces per-header-line formatting or per-exchange
@@ -86,20 +88,20 @@ func (r *replayReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-func serializeRequest(b *testing.B, req *Request) []byte {
-	b.Helper()
+func serializeRequest(tb testing.TB, req *Request) []byte {
+	tb.Helper()
 	var buf bytes.Buffer
 	if err := WriteRequest(bufio.NewWriter(&buf), req); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-func serializeResponse(b *testing.B, resp *Response) []byte {
-	b.Helper()
+func serializeResponse(tb testing.TB, resp *Response) []byte {
+	tb.Helper()
 	var buf bytes.Buffer
 	if err := WriteResponse(bufio.NewWriter(&buf), resp, false); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return buf.Bytes()
 }
@@ -131,11 +133,35 @@ func BenchmarkReadResponse(b *testing.B) {
 	b.Run("trailer", func(b *testing.B) { run(b, serializeResponse(b, benchTrailerResponse())) })
 }
 
-// TestAllocBudgets pins allocs/op ceilings on the wire hot paths with
-// testing.AllocsPerRun. The budgets have headroom over the measured values
-// (so GC noise doesn't flake) but sit far below the pre-pooling numbers —
-// e.g. WriteResponse/plain measured ~30 allocs/op before the fmt removal
-// and key-scratch pooling, ~1 after.
+// BenchmarkChunkedTrailerRoundTrip writes and reads back a response
+// whose piggyback rides in a chunked trailer.
+func BenchmarkChunkedTrailerRoundTrip(b *testing.B) {
+	resp := NewResponse(200)
+	resp.Body = bytes.Repeat([]byte("x"), 1530)
+	resp.Trailer = Header{}
+	msg := core.Message{Volume: 17, Elements: []core.Element{
+		{URL: "/products/java/docs/page-0001-index.html", Size: 13900, LastModified: 899637753},
+		{URL: "/products/java/docs/inline-img-0001-0.gif", Size: 2000, LastModified: 899630000},
+	}}
+	AttachPiggyback(resp, msg)
+	var buf bytes.Buffer
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := WriteResponse(bufio.NewWriter(&buf), resp, false); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := ReadResponse(bufio.NewReader(&buf), false); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestAllocBudgets pins the allocs/op of each benchmark above with
+// testing.AllocsPerRun, on the same messages. A budget is the count
+// measured when it was set: a rise fails, and so does a fall, which asks
+// for the lower number. WriteResponse/plain measured ~30 allocs/op before
+// the fmt removal and key-scratch pooling, 0 after.
 func TestAllocBudgets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation budgets need steady-state runs")
@@ -149,39 +175,54 @@ func TestAllocBudgets(t *testing.T) {
 	plain := benchResponse()
 	trailer := benchTrailerResponse()
 	req := benchRequest()
+	write := func(resp *Response) func() {
+		return func() {
+			if err := WriteResponse(bw, resp, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	read := func(wire []byte, parse func(*bufio.Reader) error) func() {
+		br := bufio.NewReader(&replayReader{msg: wire})
+		return func() {
+			if err := parse(br); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	readResponse := func(br *bufio.Reader) error {
+		_, err := ReadResponse(br, false)
+		return err
+	}
 	cases := []struct {
 		name   string
 		budget float64
 		fn     func()
 	}{
-		{"WriteResponse/plain", 3, func() {
-			if err := WriteResponse(bw, plain, false); err != nil {
-				t.Fatal(err)
-			}
-		}},
+		{"WriteResponse/plain", 0, write(plain)},
 		// The chunked/trailer path shares the pooled segment vector with
-		// the plain path; it must not re-introduce per-chunk formatting
-		// allocs. Measured 0/op: chunk-size hex, tail framing, and trailer
-		// fields all land in the pooled head scratch.
-		{"WriteResponse/trailer", 1, func() {
-			if err := WriteResponse(bw, trailer, false); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"WriteRequest", 3, func() {
+		// the plain path: chunk-size hex, tail framing, and trailer fields
+		// all land in the pooled head scratch.
+		{"WriteResponse/trailer", 0, write(trailer)},
+		{"WriteRequest", 0, func() {
 			if err := WriteRequest(bw, req); err != nil {
 				t.Fatal(err)
 			}
 		}},
+		{"ReadRequest", 8, read(serializeRequest(t, req), func(br *bufio.Reader) error {
+			_, err := ReadRequest(br)
+			return err
+		})},
+		{"ReadResponse/plain", 9, read(serializeResponse(t, plain), readResponse)},
+		{"ReadResponse/trailer", 14, read(serializeResponse(t, trailer), readResponse)},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			// One warmup run primes the scratch pools.
 			tc.fn()
-			got := testing.AllocsPerRun(200, tc.fn)
-			if got > tc.budget {
-				t.Errorf("%s: %.1f allocs/op, budget %.1f", tc.name, got, tc.budget)
+			if got := testing.AllocsPerRun(200, tc.fn); got != tc.budget {
+				t.Errorf("%s: %v allocs/op, budget %v", tc.name, got, tc.budget)
 			}
 		})
 	}

@@ -1,0 +1,6 @@
+//go:build !race
+
+package proxy
+
+// raceEnabled reports whether the race detector is on. See race_test.go.
+const raceEnabled = false
