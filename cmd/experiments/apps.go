@@ -61,7 +61,7 @@ func runSec4(l *lab) {
 	for _, name := range []string{"aiusa", "apache", "sun"} {
 		log := l.serverLog(name)
 		vols := l.baseProb(name).WithPt(0.25).Thin(log, 0.2)
-		r := sim.New(sim.Config{T: 300, C: 7200, Provider: vols}).Run(log)
+		r := sim.New(sim.Config{T: 300, Provider: vols}).Run(log)
 		rep := sim.Coherency(r)
 		tbl.AddRow(name+"-like", metrics.Pct(rep.CachedShare), metrics.Pct(rep.QuickRepeatShare),
 			metrics.Pct(rep.APrioriRefreshShare), rep.AvgPiggybackSize, "|", "")

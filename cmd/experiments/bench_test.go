@@ -45,7 +45,7 @@ func BenchmarkFig2PiggybackSizeVsFilter(b *testing.B) {
 		var last sim.Result
 		for _, f := range []int{10, 100} {
 			d := core.NewDirVolumes(core.DirConfig{Level: 1, MTF: true})
-			last = sim.New(sim.Config{T: 300, Provider: d, Feed: true,
+			last = sim.New(sim.Config{T: 300, Provider: d,
 				BaseFilter: core.Filter{MinAccess: f}}).Run(log)
 		}
 		b.ReportMetric(last.AvgPiggybackSize(), "avgPiggyback@filter100")
@@ -56,7 +56,7 @@ func BenchmarkFig3DirVolumeAccuracy(b *testing.B) {
 	log := benchLab.serverLog("sun")
 	for i := 0; i < b.N; i++ {
 		d := core.NewDirVolumes(core.DirConfig{Level: 2, MTF: true})
-		r := sim.New(sim.Config{T: 300, C: 7200, Provider: d, Feed: true,
+		r := sim.New(sim.Config{T: 300, Provider: d,
 			BaseFilter: core.Filter{MinAccess: 10}}).Run(log)
 		reportSim(b, r)
 		b.ReportMetric(r.UpdateFraction(), "updateFraction")
@@ -67,9 +67,9 @@ func BenchmarkFig4RPVThinning(b *testing.B) {
 	log := benchLab.serverLog("apache")
 	for i := 0; i < b.N; i++ {
 		d := core.NewDirVolumes(core.DirConfig{Level: 1, MTF: true})
-		r := sim.New(sim.Config{T: 300, Provider: d, Feed: true,
+		r := sim.New(sim.Config{T: 300, Provider: d,
 			BaseFilter: core.Filter{MinAccess: 10},
-			UseRPV:     true, RPVTimeout: 30}).Run(log)
+			RPVTimeout: 30}).Run(log)
 		b.ReportMetric(float64(r.PiggybackMessages), "piggybackMsgs")
 		b.ReportMetric(r.FractionPredicted(), "fracPredicted")
 	}
@@ -122,7 +122,7 @@ func BenchmarkTable1UpdateFraction(b *testing.B) {
 	vols := benchLab.baseProb("sun").WithPt(0.25).Thin(log, 0.2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := sim.New(sim.Config{T: 300, C: 7200, Provider: vols}).Run(log)
+		r := sim.New(sim.Config{T: 300, Provider: vols}).Run(log)
 		b.ReportMetric(r.FracPrevWithinC(), "prevWithin2hr")
 		b.ReportMetric(r.FracUpdatedTC(), "piggybackUpdated")
 	}
@@ -167,7 +167,7 @@ func BenchmarkAblationSampledCounters(b *testing.B) {
 	log := benchLab.serverLog("aiusa")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bld := core.NewProbBuilder(core.ProbConfig{T: 300, Pt: 0.25, Sampling: true, SampleK: 2, UnbiasedInit: true, Seed: 5})
+		bld := core.NewProbBuilder(core.ProbConfig{T: 300, Pt: 0.25, Sampling: true, SampleK: 2, Seed: 5})
 		bld.ObserveLog(log)
 		b.ReportMetric(float64(bld.NumCounters()), "pairCounters")
 	}
@@ -183,7 +183,7 @@ func BenchmarkAblationMTFvsFIFO(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				d := core.NewDirVolumes(core.DirConfig{Level: 1, MTF: mtf, ServerMaxPiggy: 5})
-				r := sim.New(sim.Config{T: 300, Provider: d, Feed: true}).Run(log)
+				r := sim.New(sim.Config{T: 300, Provider: d}).Run(log)
 				b.ReportMetric(r.FractionPredicted(), "fracPredicted")
 			}
 		})
@@ -241,9 +241,7 @@ func BenchmarkExtHierarchicalCaching(b *testing.B) {
 	log := benchLab.serverLog("aiusa")
 	for i := 0; i < b.N; i++ {
 		vols := core.NewDirVolumes(core.DirConfig{Level: 1, MTF: true, ServerMaxPiggy: 10})
-		r := sim.ReplayHierarchy(log, sim.HierarchyConfig{
-			Children: 4, Delta: 900, Provider: vols, RPVTimeout: 60,
-		})
+		r := sim.ReplayHierarchy(log, sim.HierarchyConfig{Provider: vols, RPVTimeout: 60})
 		b.ReportMetric(r.OriginLoad(), "originLoad")
 		b.ReportMetric(float64(r.AvoidedValidations), "avoidedValidations")
 	}
@@ -254,8 +252,8 @@ func BenchmarkExtPopularVolume(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		inner := core.NewDirVolumes(core.DirConfig{Level: 2, MTF: true, ServerMaxPiggy: 10})
 		pop := core.NewPopularProvider(inner, 10)
-		r := sim.New(sim.Config{T: 300, Provider: pop, Feed: true,
-			BaseFilter: core.Filter{MinAccess: 10}, UseRPV: true, RPVTimeout: 300}).Run(log)
+		r := sim.New(sim.Config{T: 300, Provider: pop,
+			BaseFilter: core.Filter{MinAccess: 10}, RPVTimeout: 300}).Run(log)
 		b.ReportMetric(r.FractionPredicted(), "fracPredicted")
 	}
 }

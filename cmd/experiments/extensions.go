@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 
-	"piggyback/internal/cache"
 	"piggyback/internal/core"
 	"piggyback/internal/metrics"
 	"piggyback/internal/sim"
@@ -19,17 +18,9 @@ func runHier(l *lab) {
 		"refreshes", "avoided validations"}}
 	for _, name := range []string{"aiusa", "sun"} {
 		log := l.serverLog(name)
-		base := sim.ReplayHierarchy(log, sim.HierarchyConfig{
-			Children: 4, Delta: 900,
-			NewPolicy: func() cache.Policy { return cache.LRU{} },
-		})
+		base := sim.ReplayHierarchy(log, sim.HierarchyConfig{})
 		vols := core.NewDirVolumes(core.DirConfig{Level: 1, MTF: true, ServerMaxPiggy: 10})
-		with := sim.ReplayHierarchy(log, sim.HierarchyConfig{
-			Children: 4, Delta: 900,
-			NewPolicy:  func() cache.Policy { return cache.LRU{} },
-			Provider:   vols,
-			RPVTimeout: 60,
-		})
+		with := sim.ReplayHierarchy(log, sim.HierarchyConfig{Provider: vols, RPVTimeout: 60})
 		tbl.AddRow(name+"-like", "off", metrics.Pct(base.ChildHitRate()),
 			metrics.Pct(base.ParentHitRate()), metrics.Pct(base.OriginLoad()),
 			base.Refreshes, base.AvoidedValidations)
@@ -44,13 +35,13 @@ func runHier(l *lab) {
 	fmt.Println("-- popular-resources fallback volume (Sec 5) --")
 	log := l.serverLog("aiusa")
 	inner := core.NewDirVolumes(core.DirConfig{Level: 2, MTF: true, ServerMaxPiggy: 10})
-	plainRes := sim.New(sim.Config{T: 300, Provider: inner, Feed: true,
-		BaseFilter: core.Filter{MinAccess: 10}, UseRPV: true, RPVTimeout: 300}).Run(log)
+	plainRes := sim.New(sim.Config{T: 300, Provider: inner,
+		BaseFilter: core.Filter{MinAccess: 10}, RPVTimeout: 300}).Run(log)
 
 	inner2 := core.NewDirVolumes(core.DirConfig{Level: 2, MTF: true, ServerMaxPiggy: 10})
 	pop := core.NewPopularProvider(inner2, 10)
-	popRes := sim.New(sim.Config{T: 300, Provider: pop, Feed: true,
-		BaseFilter: core.Filter{MinAccess: 10}, UseRPV: true, RPVTimeout: 300}).Run(log)
+	popRes := sim.New(sim.Config{T: 300, Provider: pop,
+		BaseFilter: core.Filter{MinAccess: 10}, RPVTimeout: 300}).Run(log)
 
 	tbl2 := &metrics.Table{Header: []string{"provider", "fraction predicted", "avg piggyback", "piggyback msgs"}}
 	tbl2.AddRow("dir volumes", plainRes.FractionPredicted(), plainRes.AvgPiggybackSize(), plainRes.PiggybackMessages)

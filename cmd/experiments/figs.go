@@ -10,14 +10,12 @@ import (
 )
 
 // dirSim replays a server log against fresh directory volumes.
-func dirSim(log trace.Log, level, minAccess, maxPiggy int, useRPV bool, rpvTimeout int64, T int64) sim.Result {
+func dirSim(log trace.Log, level, minAccess, maxPiggy int, rpvTimeout int64, T int64) sim.Result {
 	d := core.NewDirVolumes(core.DirConfig{Level: level, MTF: true, ServerMaxPiggy: maxPiggy})
 	return sim.New(sim.Config{
-		T: T, C: 7200,
+		T:          T,
 		Provider:   d,
-		Feed:       true,
 		BaseFilter: core.Filter{MinAccess: minAccess},
-		UseRPV:     useRPV,
 		RPVTimeout: rpvTimeout,
 	}).Run(log)
 }
@@ -94,7 +92,7 @@ func runFig2(l *lab) {
 		for _, f := range fig2Filters {
 			row := []interface{}{f}
 			for _, lv := range levels {
-				r := dirSim(log, lv, f, 0, false, 0, 300)
+				r := dirSim(log, lv, f, 0, 0, 300)
 				size := r.AvgPiggybackSize()
 				if size > 200 {
 					// Paper: "graphed the region with an average
@@ -122,7 +120,7 @@ func runFig3(l *lab) {
 		tbl := &metrics.Table{Header: []string{"level", "filter", "avg piggyback", "fraction predicted"}}
 		for _, lv := range levels {
 			for _, f := range fig2Filters {
-				r := dirSim(log, lv, f, 0, false, 0, 300)
+				r := dirSim(log, lv, f, 0, 0, 300)
 				if r.AvgPiggybackSize() > 200 {
 					continue
 				}
@@ -135,8 +133,8 @@ func runFig3(l *lab) {
 		tbl2 := &metrics.Table{Header: []string{"level", "filter", "avg piggyback", "update (T=5min)", "update (T=15min)"}}
 		for _, lv := range levels {
 			for _, f := range []int{10, 100, 1000} {
-				r5 := dirSim(log, lv, f, 0, false, 0, 300)
-				r15 := dirSim(log, lv, f, 0, false, 0, 900)
+				r5 := dirSim(log, lv, f, 0, 0, 300)
+				r15 := dirSim(log, lv, f, 0, 0, 900)
 				if r5.AvgPiggybackSize() > 200 {
 					continue
 				}
@@ -160,7 +158,7 @@ func runFig4(l *lab) {
 	for _, lv := range []int{0, 1} {
 		for _, f := range []int{10, 50} {
 			for _, to := range timeouts {
-				r := dirSim(log, lv, f, 0, to > 0, to, 300)
+				r := dirSim(log, lv, f, 0, to, 300)
 				// Fig 4(a)'s "average piggyback size" spreads the
 				// elements over every response: the RPV list thins
 				// whole messages, not elements within them.
@@ -177,7 +175,7 @@ var ptSweep = []float64{0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5, 0.7, 0.9}
 
 // probEval runs one probability-volume simulation.
 func probEval(log trace.Log, v *core.ProbVolumes) sim.Result {
-	return sim.New(sim.Config{T: 300, C: 7200, Provider: v}).Run(log)
+	return sim.New(sim.Config{T: 300, Provider: v}).Run(log)
 }
 
 // runFig5 reproduces Fig 5: fraction predicted vs probability threshold,

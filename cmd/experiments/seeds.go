@@ -27,7 +27,7 @@ func runSeeds(l *lab) {
 		b := core.NewProbBuilder(core.ProbConfig{T: 300, Pt: 0.05})
 		b.ObserveLog(log)
 		vols := b.Build(0.02).WithPt(0.25).Thin(log, 0.2)
-		r := sim.New(sim.Config{T: 300, C: 7200, Provider: vols}).Run(log)
+		r := sim.New(sim.Config{T: 300, Provider: vols}).Run(log)
 		rows = append(rows, row{
 			pred:  r.FractionPredicted(),
 			prec:  r.TruePredictionFraction(),

@@ -72,7 +72,7 @@ func runTable1(l *lab) {
 	for _, name := range []string{"aiusa", "apache", "sun"} {
 		log := l.serverLog(name)
 		vols := l.baseProb(name).WithPt(0.25).Thin(log, 0.2)
-		r := sim.New(sim.Config{T: 300, C: 7200, Provider: vols}).Run(log)
+		r := sim.New(sim.Config{T: 300, Provider: vols}).Run(log)
 		prevC := r.FracPrevWithinC()
 		prevT := r.FracPrevWithinT()
 		updTC := r.FracUpdatedTC()
@@ -108,7 +108,7 @@ func runAblation(l *lab) {
 	r := sim.New(sim.Config{T: 300, Provider: ev}).Run(log)
 	tbl.AddRow("exact", exact.NumCounters(), r.FractionPredicted(), r.AvgPiggybackSize())
 	for _, k := range []float64{4, 1} {
-		b := core.NewProbBuilder(core.ProbConfig{T: 300, Pt: 0.25, Sampling: true, SampleK: k, UnbiasedInit: true, Seed: 11})
+		b := core.NewProbBuilder(core.ProbConfig{T: 300, Pt: 0.25, Sampling: true, SampleK: k, Seed: 11})
 		b.ObserveLog(log)
 		v := b.Build(0.02)
 		v.Pt = 0.25
@@ -124,7 +124,7 @@ func runAblation(l *lab) {
 	tbl2 := &metrics.Table{Header: []string{"ordering", "fraction predicted", "true prediction", "avg piggyback"}}
 	for _, mtf := range []bool{true, false} {
 		d := core.NewDirVolumes(core.DirConfig{Level: 1, MTF: mtf, ServerMaxPiggy: 5})
-		r := sim.New(sim.Config{T: 300, Provider: d, Feed: true}).Run(log)
+		r := sim.New(sim.Config{T: 300, Provider: d}).Run(log)
 		name := "fifo"
 		if mtf {
 			name = "move-to-front"

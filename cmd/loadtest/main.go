@@ -360,8 +360,9 @@ func launch(l load, upstream string, diskDirs []string) *fleet {
 		f.addrs[i] = f.pls[i].Addr().String()
 	}
 	for i := range f.pxs {
+		ram := cache.NewSharded(cacheBytes/int64(n), 0, nil)
 		pcfg := proxy.Config{
-			CacheBytes:      cacheBytes / int64(n),
+			Store:           ram,
 			Delta:           l.delta,
 			Clock:           clock,
 			Resolve:         func(string) (string, error) { return upstream, nil },
@@ -372,7 +373,6 @@ func launch(l load, upstream string, diskDirs []string) *fleet {
 			pcfg.Delta = 900
 		}
 		if diskDirs[i] != "" {
-			ram := cache.NewSharded(pcfg.CacheBytes, 0, cache.PolicyFactory(cache.PiggybackLRU{}))
 			ts, err := tiered.New(ram, tiered.Config{Dir: diskDirs[i], DiskBytes: diskBytes / int64(n)})
 			if err != nil {
 				log.Fatalf("loadtest: disk tier: %v", err)

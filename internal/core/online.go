@@ -40,7 +40,6 @@ type OnlineProbVolumes struct {
 func NewOnlineProbVolumes(cfg ProbConfig, rebuildEvery int) *OnlineProbVolumes {
 	if !cfg.Sampling {
 		cfg.Sampling = true
-		cfg.UnbiasedInit = true
 		if cfg.SampleK == 0 {
 			cfg.SampleK = 4
 		}

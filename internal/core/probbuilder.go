@@ -16,41 +16,26 @@ type ProbConfig struct {
 	// Pt is the base membership threshold: s joins r's volume when
 	// p(s|r) >= Pt. Query-time filters can raise (never lower) it.
 	Pt float64
-	// SameDirLevel, when >= 0, limits counters to pairs of resources
-	// sharing the same level-k directory prefix — the paper's "combined"
-	// volumes, which cut memory and avoid inadvertent pairs at the
-	// expense of cross-directory associations.
-	SameDirLevel int
 	// Sampling enables random sampled counter creation: when a pair
 	// (r,s) has no counter, one is created with probability
-	// min(1, SampleK/(c_r * Pt)), so frequently co-occurring pairs get
-	// counters without tracking every pair (§3.3.1).
+	// p = min(1, SampleK/(c_r * Pt)), so frequently co-occurring pairs get
+	// counters without tracking every pair (§3.3.1). A created counter
+	// starts at 1/p, so pair-count estimates stay unbiased.
 	Sampling bool
 	// SampleK is the sampling constant; zero means 4.
 	SampleK float64
-	// UnbiasedInit, with Sampling, initializes a newly created counter
-	// to the inverse of its creation probability so pair-count estimates
-	// stay unbiased; otherwise counters start at 1 (underestimates).
-	UnbiasedInit bool
-	// MaxWindow caps the per-source window length to bound memory on
-	// adversarial traces; zero means 256.
-	MaxWindow int
 	// Seed fixes the sampling randomness.
 	Seed int64
 }
+
+// maxWindow caps the requests kept per source.
+const maxWindow = 256 // bounds memory on adversarial traces
 
 func (c ProbConfig) sampleK() float64 {
 	if c.SampleK <= 0 {
 		return 4
 	}
 	return c.SampleK
-}
-
-func (c ProbConfig) maxWindow() int {
-	if c.MaxWindow <= 0 {
-		return 256
-	}
-	return c.MaxWindow
 }
 
 // ProbBuilder estimates pairwise implication probabilities from a request
@@ -88,9 +73,6 @@ func NewProbBuilder(cfg ProbConfig) *ProbBuilder {
 	}
 	if cfg.Pt <= 0 {
 		cfg.Pt = 0.1
-	}
-	if cfg.SameDirLevel == 0 {
-		cfg.SameDirLevel = -1 // zero value means "no restriction"
 	}
 	return &ProbBuilder{
 		cfg:     cfg,
@@ -140,10 +122,6 @@ func (b *ProbBuilder) Observe(rec trace.Record) {
 		if _, done := entry.credited[url]; done {
 			continue
 		}
-		if b.cfg.SameDirLevel >= 0 &&
-			trace.DirPrefix(entry.url, b.cfg.SameDirLevel) != trace.DirPrefix(url, b.cfg.SameDirLevel) {
-			continue
-		}
 		if entry.credited == nil {
 			entry.credited = make(map[string]struct{}, 4)
 		}
@@ -152,8 +130,8 @@ func (b *ProbBuilder) Observe(rec trace.Record) {
 	}
 
 	w = append(w, &winEntry{url: url, time: rec.Time})
-	if max := b.cfg.maxWindow(); len(w) > max {
-		w = append(w[:0], w[len(w)-max:]...)
+	if len(w) > maxWindow {
+		w = append(w[:0], w[len(w)-maxWindow:]...)
 	}
 	b.windows[rec.Client] = w
 }
@@ -185,11 +163,8 @@ func (b *ProbBuilder) creditPair(r, s string) {
 		b.PairsSkipped++
 		return
 	}
-	init := 1
-	if b.cfg.UnbiasedInit && p < 1 {
-		init = int(1/p + 0.5)
-	}
-	m[s] = init
+	// Start at 1/p so the pair-count estimate stays unbiased (§3.3.1).
+	m[s] = int(1/p + 0.5)
 	b.CountersCreated++
 }
 
@@ -222,7 +197,7 @@ func (b *ProbBuilder) Build(minKeep float64) *ProbVolumes {
 		ids:     make(map[string]VolumeID, len(b.counts)),
 		counts:  b.counts,
 		attrs:   b.attrs,
-		sameDir: b.cfg.SameDirLevel,
+		sameDir: -1,
 	}
 	// Deterministic id assignment: sort resources by URL.
 	urls := make([]string, 0, len(b.counts))

@@ -106,9 +106,17 @@ func TestProbBuilderSelfPairsExcluded(t *testing.T) {
 
 func TestProbBuilderSameDirRestriction(t *testing.T) {
 	log := pageTrace(4, 10)
-	b := NewProbBuilder(ProbConfig{T: 300, Pt: 0.1, SameDirLevel: 1})
+	b := NewProbBuilder(ProbConfig{T: 300, Pt: 0.1})
 	b.ObserveLog(log)
-	v := b.Build(0)
+	all := b.Build(0)
+	cross := false
+	for _, imp := range all.Implications("/a/page.html") {
+		cross = cross || imp.Elem.URL == "/b/next.html"
+	}
+	if !cross {
+		t.Fatal("the unrestricted volumes hold no cross-directory pair to drop")
+	}
+	v := all.RestrictSameDir(1)
 	for _, imp := range v.Implications("/a/page.html") {
 		if trace.DirPrefix(imp.Elem.URL, 1) != "/a" {
 			t.Errorf("cross-directory pair survived: %s", imp.Elem.URL)
@@ -264,12 +272,36 @@ func TestProbVolumesSamplingSkipsRarePairs(t *testing.T) {
 
 func TestProbVolumesSamplingUnbiasedInit(t *testing.T) {
 	log := pageTrace(16, 40)
-	b := NewProbBuilder(ProbConfig{T: 300, Pt: 0.2, Sampling: true, SampleK: 1, UnbiasedInit: true, Seed: 3})
+	b := NewProbBuilder(ProbConfig{T: 300, Pt: 0.2, Sampling: true, SampleK: 1, Seed: 3})
 	b.ObserveLog(log)
 	v := b.Build(0)
 	for _, imp := range v.Implications("/a/page.html") {
 		if imp.P > 1 {
 			t.Errorf("probability must clamp at 1: %+v", imp)
+		}
+	}
+
+	// A counter created with probability p = K/(c_r·Pt) < 1 starts at
+	// round(1/p), not 1: here c_r runs 21..40, so p < 0.5 and 1/p > 2.
+	var l trace.Log
+	tt := int64(0)
+	for i := 0; i < 20; i++ {
+		l = append(l, trace.Record{Time: tt, Client: "c", URL: "/a/r.html"})
+		tt += 1000
+	}
+	for i := 0; i < 20; i++ {
+		l = append(l, trace.Record{Time: tt, Client: "c", URL: "/a/r.html"},
+			trace.Record{Time: tt + 1, Client: "c", URL: "/a/s" + strconv.Itoa(i) + ".html"})
+		tt += 1000
+	}
+	b = NewProbBuilder(ProbConfig{T: 300, Pt: 0.2, Sampling: true, SampleK: 2, Seed: 3})
+	b.ObserveLog(l)
+	if len(b.pairs["/a/r.html"]) == 0 {
+		t.Fatal("sampling created no counter")
+	}
+	for succ, c := range b.pairs["/a/r.html"] {
+		if c < 2 {
+			t.Errorf("counter for %s created at p < 0.5 starts at %d, want >= 2", succ, c)
 		}
 	}
 }

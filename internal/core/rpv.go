@@ -11,37 +11,31 @@ import (
 // the last piggyback message for that volume was received. The proxy can
 // limit the RPV list based on a timeout or a maximum size basis."
 //
-// Entries expire after Timeout seconds and the list holds at most MaxLen
-// entries (oldest evicted first, FIFO). An RPVList is not safe for
-// concurrent use; RPVTable provides the synchronized per-server map.
+// Entries expire after the list's timeout and the list holds at most
+// rpvMaxLen entries (oldest evicted first, FIFO). An RPVList is not safe
+// for concurrent use; RPVTable provides the synchronized per-server map.
 type RPVList struct {
-	// Timeout is the entry lifetime in seconds. It must not exceed the
-	// cache's freshness interval Δ, "since this would preclude the
-	// server from sending refresh information for resources in this
-	// volume"; smaller values trade piggyback traffic for freshness.
-	Timeout int64
-	// MaxLen caps the number of entries; zero means 32.
-	MaxLen int
+	timeout int64
+	maxLen  int
 
 	entries []rpvEntry // FIFO: oldest first
 }
+
+// rpvMaxLen caps every RPV list.
+const rpvMaxLen = 32 // §2.2: a short FIFO per server
 
 type rpvEntry struct {
 	id   VolumeID
 	seen int64
 }
 
-// NewRPVList returns an RPV list with the given timeout (seconds) and
-// maximum length.
-func NewRPVList(timeout int64, maxLen int) *RPVList {
-	return &RPVList{Timeout: timeout, MaxLen: maxLen}
-}
-
-func (l *RPVList) maxLen() int {
-	if l.MaxLen <= 0 {
-		return 32
-	}
-	return l.MaxLen
+// NewRPVList returns an RPV list whose entries live timeout seconds; zero
+// means they never expire. The timeout must not exceed the cache's
+// freshness interval Δ, "since this would preclude the server from sending
+// refresh information for resources in this volume"; smaller values trade
+// piggyback traffic for freshness.
+func NewRPVList(timeout int64) *RPVList {
+	return &RPVList{timeout: timeout, maxLen: rpvMaxLen}
 }
 
 // Note records that a piggyback for volume id arrived at time now. An
@@ -56,7 +50,7 @@ func (l *RPVList) Note(id VolumeID, now int64) {
 			return
 		}
 	}
-	if len(l.entries) >= l.maxLen() {
+	if len(l.entries) >= l.maxLen {
 		copy(l.entries, l.entries[1:])
 		l.entries = l.entries[:len(l.entries)-1]
 	}
@@ -95,11 +89,11 @@ func (l *RPVList) Len(now int64) int {
 }
 
 func (l *RPVList) expire(now int64) {
-	if l.Timeout <= 0 {
+	if l.timeout <= 0 {
 		return
 	}
 	cut := 0
-	for cut < len(l.entries) && now-l.entries[cut].seen >= l.Timeout {
+	for cut < len(l.entries) && now-l.entries[cut].seen >= l.timeout {
 		cut++
 	}
 	if cut > 0 {
@@ -112,16 +106,15 @@ func (l *RPVList) expire(now int64) {
 // for concurrent use.
 type RPVTable struct {
 	timeout int64
-	maxLen  int
 
 	mu    sync.Mutex
 	lists map[string]*RPVList
 }
 
 // NewRPVTable returns a table whose per-server lists use the given timeout
-// (seconds) and maximum length.
-func NewRPVTable(timeout int64, maxLen int) *RPVTable {
-	return &RPVTable{timeout: timeout, maxLen: maxLen, lists: make(map[string]*RPVList)}
+// (seconds).
+func NewRPVTable(timeout int64) *RPVTable {
+	return &RPVTable{timeout: timeout, lists: make(map[string]*RPVList)}
 }
 
 // Note records a piggyback for volume id from the given server.
@@ -130,7 +123,7 @@ func (t *RPVTable) Note(server string, id VolumeID, now int64) {
 	defer t.mu.Unlock()
 	l, ok := t.lists[server]
 	if !ok {
-		l = NewRPVList(t.timeout, t.maxLen)
+		l = NewRPVList(t.timeout)
 		t.lists[server] = l
 	}
 	l.Note(id, now)

@@ -6,7 +6,7 @@ import (
 )
 
 func TestRPVNoteAndSnapshot(t *testing.T) {
-	l := NewRPVList(60, 4)
+	l := NewRPVList(60)
 	l.Note(1, 100)
 	l.Note(2, 110)
 	l.Note(3, 120)
@@ -20,7 +20,7 @@ func TestRPVNoteAndSnapshot(t *testing.T) {
 }
 
 func TestRPVTimeout(t *testing.T) {
-	l := NewRPVList(60, 10)
+	l := NewRPVList(60)
 	l.Note(1, 100)
 	l.Note(2, 130)
 	if got := l.Snapshot(159); len(got) != 2 {
@@ -36,7 +36,8 @@ func TestRPVTimeout(t *testing.T) {
 }
 
 func TestRPVMaxLenEvictsOldest(t *testing.T) {
-	l := NewRPVList(0, 3) // no timeout
+	l := NewRPVList(0) // no timeout
+	l.maxLen = 3
 	for id := VolumeID(1); id <= 5; id++ {
 		l.Note(id, int64(id))
 	}
@@ -47,7 +48,8 @@ func TestRPVMaxLenEvictsOldest(t *testing.T) {
 }
 
 func TestRPVRefreshMovesToBack(t *testing.T) {
-	l := NewRPVList(0, 3)
+	l := NewRPVList(0)
+	l.maxLen = 3
 	l.Note(1, 1)
 	l.Note(2, 2)
 	l.Note(3, 3)
@@ -61,10 +63,10 @@ func TestRPVRefreshMovesToBack(t *testing.T) {
 
 func TestRPVTimeoutMustNotExceedFreshness(t *testing.T) {
 	// The timeout bounds how long refreshes are suppressed: a volume
-	// noted at t is absent from snapshots at t+Timeout, so the server
-	// can piggyback again within any freshness interval >= Timeout.
+	// noted at t is absent from snapshots at t+timeout, so the server
+	// can piggyback again within any freshness interval >= timeout.
 	const delta = 300 // freshness interval
-	l := NewRPVList(delta, 8)
+	l := NewRPVList(delta)
 	l.Note(7, 1000)
 	if l.Contains(7, 1000+delta) {
 		t.Error("entry must expire by the freshness interval")
@@ -72,7 +74,7 @@ func TestRPVTimeoutMustNotExceedFreshness(t *testing.T) {
 }
 
 func TestRPVTableConcurrent(t *testing.T) {
-	tbl := NewRPVTable(60, 8)
+	tbl := NewRPVTable(60)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -92,7 +94,7 @@ func TestRPVTableConcurrent(t *testing.T) {
 }
 
 func TestRPVTableDropsEmptyLists(t *testing.T) {
-	tbl := NewRPVTable(10, 8)
+	tbl := NewRPVTable(10)
 	tbl.Note("s1", 1, 100)
 	if got := tbl.Snapshot("s1", 105); len(got) != 1 {
 		t.Fatalf("Snapshot = %v", got)
@@ -147,11 +149,11 @@ func TestFrequencyControlAlwaysOn(t *testing.T) {
 }
 
 func TestRPVLenAndDefaults(t *testing.T) {
-	l := NewRPVList(0, 0) // default max length
+	l := NewRPVList(0)
 	for id := VolumeID(0); id < 40; id++ {
 		l.Note(id, int64(id))
 	}
 	if got := l.Len(100); got != 32 {
-		t.Errorf("default MaxLen: Len = %d, want 32", got)
+		t.Errorf("RPV list length: Len = %d, want 32", got)
 	}
 }

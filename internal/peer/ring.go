@@ -18,10 +18,9 @@ import (
 	"strconv"
 )
 
-// DefaultVNodes is the virtual-node count per peer when the caller passes
-// zero. More virtual nodes smooth the partition (relative imbalance decays
-// roughly with 1/√vnodes); 256 keeps a small fleet within ±20% of even.
-const DefaultVNodes = 256
+// vnodes is the virtual-node count per peer. More virtual nodes smooth the
+// partition (relative imbalance decays roughly with 1/√vnodes).
+const vnodes = 256 // keeps a small fleet within ±20% of even
 
 // fnv1a is the 32-bit FNV-1a hash — the same function internal/cache uses
 // to pick shards, so one pass over the key costs no allocation.
@@ -66,17 +65,13 @@ type point struct {
 type Ring struct {
 	peers  []string // sorted, deduplicated
 	points []point  // sorted by (hash, owner) for deterministic ties
-	vnodes int
 }
 
 // NewRing builds a ring over the given peer IDs. Duplicates are dropped
 // and order is irrelevant: two rings over the same member set are
-// identical regardless of construction order. vnodes <= 0 means
-// DefaultVNodes. A ring over zero peers is valid; Owner returns "".
-func NewRing(peers []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
+// identical regardless of construction order. A ring over zero peers is
+// valid; Owner returns "".
+func NewRing(peers []string) *Ring {
 	uniq := make([]string, 0, len(peers))
 	seen := make(map[string]struct{}, len(peers))
 	for _, p := range peers {
@@ -93,7 +88,6 @@ func NewRing(peers []string, vnodes int) *Ring {
 	r := &Ring{
 		peers:  uniq,
 		points: make([]point, 0, len(uniq)*vnodes),
-		vnodes: vnodes,
 	}
 	for i, p := range uniq {
 		for v := 0; v < vnodes; v++ {
@@ -133,9 +127,6 @@ func (r *Ring) Peers() []string { return r.peers }
 
 // Size returns the number of peers on the ring.
 func (r *Ring) Size() int { return len(r.peers) }
-
-// VNodes returns the virtual-node count per peer.
-func (r *Ring) VNodes() int { return r.vnodes }
 
 // Contains reports whether id is a ring member.
 func (r *Ring) Contains(id string) bool {

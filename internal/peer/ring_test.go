@@ -34,7 +34,7 @@ func countOwners(r *Ring, ks []string) map[string]int {
 func TestRingBalance(t *testing.T) {
 	ks := keys(1000)
 	for _, n := range []int{2, 3, 5, 8} {
-		r := NewRing(peersN(n), 0)
+		r := NewRing(peersN(n))
 		counts := countOwners(r, ks)
 		even := float64(len(ks)) / float64(n)
 		for _, p := range r.Peers() {
@@ -51,8 +51,8 @@ func TestRingBalance(t *testing.T) {
 // duplicates don't matter, and every key has exactly one owner.
 func TestRingDeterministic(t *testing.T) {
 	ps := peersN(4)
-	a := NewRing(ps, 64)
-	b := NewRing([]string{ps[2], ps[0], ps[3], ps[1], ps[0]}, 64)
+	a := NewRing(ps)
+	b := NewRing([]string{ps[2], ps[0], ps[3], ps[1], ps[0]})
 	for _, k := range keys(200) {
 		if a.Owner(k) != b.Owner(k) {
 			t.Fatalf("owner of %q differs across construction orders: %q vs %q",
@@ -70,9 +70,9 @@ func TestRingDeterministic(t *testing.T) {
 func TestRingJoinMinimalRemapping(t *testing.T) {
 	ks := keys(1000)
 	ps := peersN(5)
-	before := NewRing(ps, 0)
+	before := NewRing(ps)
 	joined := "127.0.0.1:9990"
-	after := NewRing(append(append([]string{}, ps...), joined), 0)
+	after := NewRing(append(append([]string{}, ps...), joined))
 
 	moved := 0
 	for _, k := range ks {
@@ -96,9 +96,9 @@ func TestRingJoinMinimalRemapping(t *testing.T) {
 func TestRingLeaveMinimalRemapping(t *testing.T) {
 	ks := keys(1000)
 	ps := peersN(5)
-	before := NewRing(ps, 0)
+	before := NewRing(ps)
 	departed := ps[2]
-	after := NewRing(append(append([]string{}, ps[:2]...), ps[3:]...), 0)
+	after := NewRing(append(append([]string{}, ps[:2]...), ps[3:]...))
 
 	moved := 0
 	for _, k := range ks {
@@ -122,10 +122,10 @@ func TestRingLeaveMinimalRemapping(t *testing.T) {
 
 // An empty ring owns nothing; a single-peer ring owns everything.
 func TestRingDegenerate(t *testing.T) {
-	if got := NewRing(nil, 0).Owner("k"); got != "" {
+	if got := NewRing(nil).Owner("k"); got != "" {
 		t.Fatalf("empty ring owner = %q, want \"\"", got)
 	}
-	one := NewRing([]string{"127.0.0.1:9000"}, 0)
+	one := NewRing([]string{"127.0.0.1:9000"})
 	for _, k := range keys(50) {
 		if one.Owner(k) != "127.0.0.1:9000" {
 			t.Fatalf("single-peer ring misrouted %q", k)

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"piggyback/internal/cache"
 	"piggyback/internal/core"
 	"piggyback/internal/httpwire"
 	"piggyback/internal/obs"
@@ -235,8 +236,8 @@ func BenchmarkWireFreshHit(b *testing.B) {
 func BenchmarkWireMiss(b *testing.B) {
 	const callers, perCaller = 8, 8
 	px := benchStack(b, callers*perCaller, 0, Config{
-		Delta:      1 << 30,
-		CacheBytes: 1, // too small for any body: nothing is ever a hit
+		Delta: 1 << 30,
+		Store: cache.NewSharded(1, 0, nil), // too small for any body: nothing is ever a hit
 	})
 	addr := benchServe(b, px, nil)
 

@@ -85,7 +85,7 @@ func newMesh(cfg Config, reg *obs.Registry) *mesh {
 	if cfg.PeerSelf == "" {
 		return nil
 	}
-	ring := peer.NewRing(append(append([]string{}, cfg.Peers...), cfg.PeerSelf), peer.DefaultVNodes)
+	ring := peer.NewRing(append(append([]string{}, cfg.Peers...), cfg.PeerSelf))
 	if ring.Size() < 2 {
 		return nil
 	}

@@ -27,15 +27,12 @@ import (
 
 // Config parameterizes a Proxy.
 type Config struct {
-	// Store is the cache the proxy serves from. Nil means a fresh
-	// PiggybackLRU cache.Sharded of CacheBytes with the default shard
-	// count; set it to choose the policy or the shard count, or to serve
+	// Store is the cache the proxy serves from. Nil means a fresh 64 MiB
+	// PiggybackLRU cache.Sharded with the default shard count; set it to
+	// choose the capacity, the policy or the shard count, or to serve
 	// from a tiered (RAM+disk) store or any other cache.Store
-	// implementation, and CacheBytes is ignored. The proxy owns the store
-	// and closes it in Close.
+	// implementation. The proxy owns the store and closes it in Close.
 	Store cache.Store
-	// CacheBytes is the cache capacity; zero means 64 MiB.
-	CacheBytes int64
 	// Delta is the default freshness interval in seconds (§2.1); zero
 	// means 3600.
 	Delta int64
@@ -95,6 +92,9 @@ type Config struct {
 // exchange never queues behind or ahead of one; the peer leg keeps the
 // wire default of one.
 const originInflight = 4
+
+// defaultCacheBytes sizes the store a proxy builds when Config.Store is nil.
+const defaultCacheBytes = 64 << 20 // 64 MiB
 
 // Stats counts proxy-side protocol activity.
 type Stats struct {
@@ -241,9 +241,6 @@ type proxyCounters struct {
 
 // New returns a Proxy for cfg.
 func New(cfg Config) *Proxy {
-	if cfg.CacheBytes <= 0 {
-		cfg.CacheBytes = 64 << 20
-	}
 	if cfg.Delta <= 0 {
 		cfg.Delta = 3600
 	}
@@ -257,7 +254,7 @@ func New(cfg Config) *Proxy {
 	}
 	store := cfg.Store
 	if store == nil {
-		store = cache.NewSharded(cfg.CacheBytes, 0, nil)
+		store = cache.NewSharded(defaultCacheBytes, 0, nil)
 	}
 	reg := obs.NewRegistry()
 	originBreaker := newBreaker(reg, "proxy.breaker")
@@ -265,7 +262,7 @@ func New(cfg Config) *Proxy {
 		cfg:      cfg,
 		origin:   newLeg(reg, "wire.upstream", originBreaker),
 		prefetch: newLeg(reg, "wire.prefetch", originBreaker),
-		rpv:      core.NewRPVTable(cfg.RPVTimeout, 0), // 0: core's 32 volumes per server
+		rpv:      core.NewRPVTable(cfg.RPVTimeout),
 		cache:    store,
 		queue:    NewInformedQueue(),
 		hits:     newHostHits(),

@@ -9,8 +9,8 @@ import (
 
 // TestFixedSettings pins the values the proxy uses where it has no option:
 // the legs' exchanges per connection, the breaker's threshold, window, cap
-// and jitter seed, the peer exchange timeout, the adaptive-Δ clamp and the
-// prefetch queue bound.
+// and jitter seed, the peer exchange timeout, the adaptive-Δ clamp, the
+// prefetch queue bound and the size of the store built for a nil Store.
 func TestFixedSettings(t *testing.T) {
 	p := New(Config{
 		Delta:             600,
@@ -83,6 +83,12 @@ func TestFixedSettings(t *testing.T) {
 		p.fresh.Observe("slow", 1000+1<<30)
 		if got := p.fresh.Delta("slow"); got != 14400 {
 			t.Errorf("Δ for a resource changing every 34 years = %d, want 24·Δ = 14400", got)
+		}
+	})
+
+	t.Run("default store", func(t *testing.T) {
+		if got := p.cache.Capacity(); got != 64<<20 {
+			t.Errorf("a nil Store builds a %d-byte cache, want 64 MiB", got)
 		}
 	})
 

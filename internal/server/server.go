@@ -144,9 +144,7 @@ func (s *Store) Len() int {
 type Server struct {
 	store *Store
 	vols  core.Provider
-	// Clock returns the current Unix time; injectable so trace replays
-	// and tests control time. nil panics at first use — set it.
-	Clock func() int64
+	clock func() int64
 
 	obs *obs.Registry
 	c   serverCounters
@@ -192,10 +190,11 @@ type Stats struct {
 	DeltaBytesSaved int64
 }
 
-// New returns a Server over the store and volume engine.
+// New returns a Server over the store and volume engine. clock returns the
+// current Unix time; injectable so trace replays and tests control time.
 func New(store *Store, vols core.Provider, clock func() int64) *Server {
 	reg := obs.NewRegistry()
-	return &Server{store: store, vols: vols, Clock: clock, obs: reg,
+	return &Server{store: store, vols: vols, clock: clock, obs: reg,
 		c: serverCounters{
 			requests:        reg.Counter("server.requests"),
 			notModified:     reg.Counter("server.not_modified"),
@@ -278,7 +277,7 @@ func (s *Server) ServeWire(_ context.Context, req *httpwire.Request) *httpwire.R
 	if httpwire.IsPprofRequest(req) {
 		return httpwire.PprofResponse(req)
 	}
-	now := s.Clock()
+	now := s.clock()
 	s.c.requests.Inc()
 
 	if req.Method != "GET" && req.Method != "HEAD" {

@@ -16,24 +16,23 @@ import (
 // propagated down to the requesting child, freshening cached copies at
 // both levels so fewer requests need validation.
 
+// The replayed tree is the one the hierarchy experiment reports: four
+// children under one parent, each cache LRU, every copy fresh for Δ after
+// a fetch or a refresh.
+const (
+	hierChildren   = 4        // child proxies
+	hierDelta      = 900      // Δ in seconds: 15 minutes
+	childCapacity  = 16 << 20 // bytes per child cache
+	parentCapacity = 64 << 20 // bytes in the parent cache: four children's worth
+)
+
 // HierarchyConfig parameterizes the replay.
 type HierarchyConfig struct {
-	// Children is the number of child proxies; zero means 4.
-	Children int
-	// ChildCapacity and ParentCapacity are cache sizes in bytes.
-	ChildCapacity, ParentCapacity int64
-	// NewPolicy constructs a replacement policy per cache; nil = LRU.
-	NewPolicy func() cache.Policy
 	// Provider is the origin's volume engine (fed online); nil disables
 	// piggybacking.
 	Provider core.Provider
-	// Delta is the freshness interval in seconds; zero means 900.
-	Delta int64
-	// T is the prediction/refresh window; zero means 300.
-	T int64
-	// Filter is attached (with the parent's RPV list) to origin fetches.
-	Filter core.Filter
-	// RPVTimeout paces origin piggybacks to the parent; zero disables.
+	// RPVTimeout > 0 gives the parent an RPV list whose entries live this
+	// many seconds, pacing origin piggybacks; zero attaches none.
 	RPVTimeout int64
 }
 
@@ -76,36 +75,17 @@ type hierEntry struct {
 
 // ReplayHierarchy replays the log through the two-level tree.
 func ReplayHierarchy(log trace.Log, cfg HierarchyConfig) HierarchyResult {
-	if cfg.Children <= 0 {
-		cfg.Children = 4
-	}
-	if cfg.Delta <= 0 {
-		cfg.Delta = 900
-	}
-	if cfg.T <= 0 {
-		cfg.T = 300
-	}
-	if cfg.NewPolicy == nil {
-		cfg.NewPolicy = func() cache.Policy { return cache.LRU{} }
-	}
-	if cfg.ChildCapacity <= 0 {
-		cfg.ChildCapacity = 16 << 20
-	}
-	if cfg.ParentCapacity <= 0 {
-		cfg.ParentCapacity = 64 << 20
-	}
-
-	children := make([]*cache.Cache, cfg.Children)
-	marks := make([]map[string]*hierEntry, cfg.Children)
+	children := make([]*cache.Cache, hierChildren)
+	marks := make([]map[string]*hierEntry, hierChildren)
 	for i := range children {
-		children[i] = cache.New(cfg.ChildCapacity, cfg.NewPolicy())
+		children[i] = cache.New(childCapacity, cache.LRU{})
 		marks[i] = make(map[string]*hierEntry)
 	}
-	parent := cache.New(cfg.ParentCapacity, cfg.NewPolicy())
+	parent := cache.New(parentCapacity, cache.LRU{})
 	parentMarks := make(map[string]*hierEntry)
 	var parentRPV *core.RPVList
 	if cfg.RPVTimeout > 0 {
-		parentRPV = core.NewRPVList(cfg.RPVTimeout, 0)
+		parentRPV = core.NewRPVList(cfg.RPVTimeout)
 	}
 
 	var res HierarchyResult
@@ -114,7 +94,7 @@ func ReplayHierarchy(log trace.Log, cfg HierarchyConfig) HierarchyResult {
 	childOf := func(src string) int {
 		h := fnv.New32a()
 		h.Write([]byte(src))
-		return int(h.Sum32() % uint32(cfg.Children))
+		return int(h.Sum32() % hierChildren)
 	}
 
 	mark := func(m map[string]*hierEntry, url string) *hierEntry {
@@ -172,7 +152,7 @@ func ReplayHierarchy(log trace.Log, cfg HierarchyConfig) HierarchyResult {
 		} else {
 			res.OriginFetches++
 		}
-		expires := now + cfg.Delta
+		expires := now + hierDelta
 		parent.Put(cache.Entry{URL: url, Size: size, LastModified: rec.LastModified, Expires: expires}, now)
 		parentMarks[url] = &hierEntry{}
 		child.Put(cache.Entry{URL: url, Size: size, LastModified: rec.LastModified, Expires: expires}, now)
@@ -183,7 +163,7 @@ func ReplayHierarchy(log trace.Log, cfg HierarchyConfig) HierarchyResult {
 		}
 		cfg.Provider.Observe(core.Access{Source: "parent", Time: now,
 			Element: core.Element{URL: url, Size: size, LastModified: rec.LastModified}})
-		f := cfg.Filter
+		var f core.Filter
 		if parentRPV != nil {
 			f.RPV = parentRPV.Snapshot(now)
 		}
@@ -210,7 +190,7 @@ func ReplayHierarchy(log trace.Log, cfg HierarchyConfig) HierarchyResult {
 					delete(mk, el.URL)
 					return
 				}
-				if c.Freshen(el.URL, now+cfg.Delta) {
+				if c.Freshen(el.URL, now+hierDelta) {
 					res.Refreshes++
 					mark(mk, el.URL).piggybackFresh = true
 				}

@@ -28,7 +28,7 @@ func hierTrace(clients, rounds int, gap int64) trace.Log {
 
 func TestHierarchyLevels(t *testing.T) {
 	log := hierTrace(8, 3, 60) // re-reads within Δ: plenty of cache hits
-	res := ReplayHierarchy(log, HierarchyConfig{Children: 2, Delta: 900})
+	res := ReplayHierarchy(log, HierarchyConfig{})
 	if res.Requests != len(log) {
 		t.Fatalf("requests = %d", res.Requests)
 	}
@@ -52,13 +52,10 @@ func TestHierarchyPiggybackAvoidsValidations(t *testing.T) {
 	// revalidates; with it, the piggyback on the page fetch freshens
 	// the image at both levels.
 	log := hierTrace(6, 8, 1200)
-	without := ReplayHierarchy(log, HierarchyConfig{Children: 2, Delta: 900})
+	without := ReplayHierarchy(log, HierarchyConfig{})
 
 	vols := core.NewDirVolumes(core.DirConfig{Level: 1, MTF: true, ServerMaxPiggy: 10})
-	with := ReplayHierarchy(log, HierarchyConfig{
-		Children: 2, Delta: 900,
-		Provider: vols,
-	})
+	with := ReplayHierarchy(log, HierarchyConfig{Provider: vols})
 	if with.Refreshes == 0 {
 		t.Fatalf("no piggyback refreshes: %+v", with)
 	}
@@ -74,7 +71,7 @@ func TestHierarchyPiggybackAvoidsValidations(t *testing.T) {
 func TestHierarchyChildAffinity(t *testing.T) {
 	// The same source must always map to the same child.
 	log := hierTrace(1, 4, 30)
-	res := ReplayHierarchy(log, HierarchyConfig{Children: 4, Delta: 900})
+	res := ReplayHierarchy(log, HierarchyConfig{})
 	// One client: after the first fetch, everything within Δ is a child
 	// hit; no parent hits possible for a single source.
 	if res.ParentHits != 0 {
@@ -83,13 +80,20 @@ func TestHierarchyChildAffinity(t *testing.T) {
 }
 
 func TestHierarchyRPVPacesPiggybacks(t *testing.T) {
-	// A short Δ forces origin contact every round, so the difference is
-	// purely the RPV pacing of piggybacks to the parent.
-	log := hierTrace(6, 8, 300)
+	// Each request is for a page of /a not read before, so each reaches
+	// the origin and the difference is purely the RPV pacing of
+	// piggybacks to the parent. (With a working set as small as
+	// hierTrace's, origin contacts come at most once per Δ, never inside
+	// an RPV timeout that does not exceed Δ.)
+	var log trace.Log
+	for i := 0; i < 200; i++ {
+		log = append(log, trace.Record{Time: 1000 + 10*int64(i), Client: "c" + strconv.Itoa(i%6),
+			URL: "/a/p" + strconv.Itoa(i) + ".html", Size: 1000, LastModified: 10})
+	}
 	vols := core.NewDirVolumes(core.DirConfig{Level: 1, MTF: true, ServerMaxPiggy: 10})
-	noPace := ReplayHierarchy(log, HierarchyConfig{Children: 2, Delta: 100, Provider: vols})
+	noPace := ReplayHierarchy(log, HierarchyConfig{Provider: vols})
 	vols2 := core.NewDirVolumes(core.DirConfig{Level: 1, MTF: true, ServerMaxPiggy: 10})
-	paced := ReplayHierarchy(log, HierarchyConfig{Children: 2, Delta: 100, Provider: vols2, RPVTimeout: 600})
+	paced := ReplayHierarchy(log, HierarchyConfig{Provider: vols2, RPVTimeout: 600})
 	if paced.PiggybackMessages >= noPace.PiggybackMessages {
 		t.Errorf("RPV did not pace piggybacks: %d vs %d",
 			paced.PiggybackMessages, noPace.PiggybackMessages)

@@ -9,28 +9,25 @@ import (
 	"piggyback/internal/trace"
 )
 
+// cacheWindow is the "cached recently" window of the update-fraction
+// metric, in seconds.
+const cacheWindow = 7200 // C: two hours, §3.1
+
 // Config parameterizes one simulation run.
 type Config struct {
 	// T is the prediction window in seconds (§3.1; the paper uses 300).
 	T int64
-	// C is the "cached recently" window for the update-fraction metric,
-	// C > T (the paper uses 7200 — two hours).
-	C int64
-	// Provider is the volume engine under evaluation.
+	// Provider is the volume engine under evaluation. Every replayed
+	// request is fed to its Observe: directory volumes are maintained
+	// online; probability volumes are built offline and ignore it.
 	Provider core.Provider
 	// BaseFilter is the filter each simulated proxy attaches to
 	// requests (before its RPV list is added).
 	BaseFilter core.Filter
-	// UseRPV enables per-source RPV lists with the given timeout: the
-	// minimum time between successive piggybacks of one volume (Fig 4's
-	// x-axis). RPVMaxLen caps the list (0 = 32).
-	UseRPV     bool
+	// RPVTimeout > 0 gives each source an RPV list whose entries live
+	// this many seconds: the minimum time between successive piggybacks
+	// of one volume (Fig 4's x-axis). Zero attaches no RPV list.
 	RPVTimeout int64
-	RPVMaxLen  int
-	// Feed controls whether requests are fed to Provider.Observe during
-	// the replay. Directory volumes are maintained online and need it;
-	// probability volumes are built offline and ignore it.
-	Feed bool
 }
 
 // Result accumulates the evaluation metrics of §3.1.
@@ -160,13 +157,10 @@ type Simulator struct {
 	res     Result
 }
 
-// New returns a Simulator for cfg. Zero T defaults to 300, zero C to 7200.
+// New returns a Simulator for cfg. Zero T defaults to 300.
 func New(cfg Config) *Simulator {
 	if cfg.T <= 0 {
 		cfg.T = 300
-	}
-	if cfg.C <= 0 {
-		cfg.C = 7200
 	}
 	return &Simulator{cfg: cfg, sources: make(map[string]*srcState)}
 }
@@ -178,8 +172,8 @@ func (s *Simulator) state(src string) *srcState {
 			lastReq: make(map[string]int64),
 			pred:    make(map[string]*predInstance),
 		}
-		if s.cfg.UseRPV {
-			st.rpv = core.NewRPVList(s.cfg.RPVTimeout, s.cfg.RPVMaxLen)
+		if s.cfg.RPVTimeout > 0 {
+			st.rpv = core.NewRPVList(s.cfg.RPVTimeout)
 		}
 		s.sources[src] = st
 	}
@@ -217,7 +211,7 @@ func (s *Simulator) Step(rec trace.Record) {
 		if age <= s.cfg.T {
 			s.res.PrevWithinT++
 		}
-		if age <= s.cfg.C {
+		if age <= cacheWindow {
 			s.res.PrevWithinC++
 			if predicted {
 				s.res.UpdateEvents++
@@ -232,9 +226,7 @@ func (s *Simulator) Step(rec trace.Record) {
 
 	// 3. The server observes the request (maintains online volumes).
 	elem := core.Element{URL: url, Size: rec.Size, LastModified: rec.LastModified}
-	if s.cfg.Feed {
-		s.cfg.Provider.Observe(core.Access{Source: rec.Client, Time: now, Element: elem})
-	}
+	s.cfg.Provider.Observe(core.Access{Source: rec.Client, Time: now, Element: elem})
 
 	// 4. The response carries a piggyback, subject to the proxy filter
 	// and its RPV list.

@@ -43,7 +43,7 @@ func TestFractionPredicted(t *testing.T) {
 	p := &stubProvider{vols: map[string]core.Message{
 		"/a": {Volume: 1, Elements: []core.Element{el("/b")}},
 	}}
-	s := New(Config{T: 300, C: 7200, Provider: p})
+	s := New(Config{T: 300, Provider: p})
 	res := s.Run(trace.Log{
 		rec(100, "p1", "/a"),
 		rec(150, "p1", "/b"),
@@ -135,7 +135,7 @@ func TestUpdateFractionWindows(t *testing.T) {
 	p := &stubProvider{vols: map[string]core.Message{
 		"/a": {Volume: 1, Elements: []core.Element{el("/b")}},
 	}}
-	s := New(Config{T: 300, C: 7200, Provider: p})
+	s := New(Config{T: 300, Provider: p})
 	res := s.Run(trace.Log{
 		rec(100, "p1", "/b"),
 		rec(900, "p1", "/a"),
@@ -154,7 +154,7 @@ func TestUpdateFractionWindows(t *testing.T) {
 
 func TestPrevWithinTCounting(t *testing.T) {
 	p := &stubProvider{vols: map[string]core.Message{}}
-	s := New(Config{T: 300, C: 7200, Provider: p})
+	s := New(Config{T: 300, Provider: p})
 	res := s.Run(trace.Log{
 		rec(100, "p1", "/x"),
 		rec(200, "p1", "/x"),   // 100s: within T and C
@@ -173,7 +173,7 @@ func TestRPVSuppressesRepeatPiggybacks(t *testing.T) {
 	p := &stubProvider{vols: map[string]core.Message{
 		"/a": {Volume: 1, Elements: []core.Element{el("/b")}},
 	}}
-	s := New(Config{T: 300, Provider: p, UseRPV: true, RPVTimeout: 60})
+	s := New(Config{T: 300, Provider: p, RPVTimeout: 60})
 	res := s.Run(trace.Log{
 		rec(100, "p1", "/a"),
 		rec(110, "p1", "/a"), // within RPV timeout: suppressed
@@ -184,11 +184,27 @@ func TestRPVSuppressesRepeatPiggybacks(t *testing.T) {
 	}
 }
 
+func TestNoRPVWithoutTimeout(t *testing.T) {
+	// RPVTimeout 0 attaches no RPV list: every request for /a carries
+	// its volume, however close together.
+	p := &stubProvider{vols: map[string]core.Message{
+		"/a": {Volume: 1, Elements: []core.Element{el("/b")}},
+	}}
+	res := New(Config{T: 300, Provider: p}).Run(trace.Log{
+		rec(100, "p1", "/a"),
+		rec(101, "p1", "/a"),
+		rec(102, "p1", "/a"),
+	})
+	if res.PiggybackMessages != 3 {
+		t.Errorf("PiggybackMessages = %d, want 3", res.PiggybackMessages)
+	}
+}
+
 func TestRPVIsPerSource(t *testing.T) {
 	p := &stubProvider{vols: map[string]core.Message{
 		"/a": {Volume: 1, Elements: []core.Element{el("/b")}},
 	}}
-	s := New(Config{T: 300, Provider: p, UseRPV: true, RPVTimeout: 600})
+	s := New(Config{T: 300, Provider: p, RPVTimeout: 600})
 	res := s.Run(trace.Log{
 		rec(100, "p1", "/a"),
 		rec(110, "p2", "/a"), // different proxy: gets its own piggyback
@@ -200,14 +216,9 @@ func TestRPVIsPerSource(t *testing.T) {
 
 func TestFeedCallsObserve(t *testing.T) {
 	p := &stubProvider{vols: map[string]core.Message{}}
-	New(Config{Provider: p, Feed: true}).Run(trace.Log{rec(1, "p1", "/a"), rec(2, "p1", "/b")})
+	New(Config{Provider: p}).Run(trace.Log{rec(1, "p1", "/a"), rec(2, "p1", "/b")})
 	if p.observed != 2 {
 		t.Errorf("observed = %d, want 2", p.observed)
-	}
-	p2 := &stubProvider{vols: map[string]core.Message{}}
-	New(Config{Provider: p2, Feed: false}).Run(trace.Log{rec(1, "p1", "/a")})
-	if p2.observed != 0 {
-		t.Errorf("observed = %d, want 0 without Feed", p2.observed)
 	}
 }
 
@@ -239,7 +250,7 @@ func TestSimulatorEndToEndWithDirVolumes(t *testing.T) {
 	// requested twice by the same proxy. The second image access should
 	// be predicted by the piggyback on the second page access.
 	d := core.NewDirVolumes(core.DirConfig{Level: 1, MTF: true})
-	s := New(Config{T: 300, Provider: d, Feed: true})
+	s := New(Config{T: 300, Provider: d})
 	res := s.Run(trace.Log{
 		rec(100, "p1", "/a/page.html"),
 		rec(102, "p1", "/a/img.gif"),
