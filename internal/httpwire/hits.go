@@ -55,8 +55,8 @@ func listable(p string) bool {
 // SetPaths attaches paths to the request as the front-coded value of field,
 // last path first, and returns the paths it wrote, in wire order: the order
 // GetPaths returns them in. The caller puts the ones it most wants sent at
-// the end (the freshest hits, the soonest expiries), and those survive when
-// the header budget drops the rest. A path that is not listable is skipped.
+// the end (the freshest hits), and those survive when the header budget
+// drops the rest. A path that is not listable is skipped.
 func SetPaths(req *Request, field string, paths []string) []string {
 	if len(paths) == 0 {
 		return nil

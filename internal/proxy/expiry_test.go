@@ -1,14 +1,18 @@
 package proxy
 
 import (
+	"context"
+	"encoding/json"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"piggyback/internal/core"
 	"piggyback/internal/httpwire"
+	"piggyback/internal/obs"
 	"piggyback/internal/server"
 )
 
@@ -26,27 +30,64 @@ func indexOf(t *testing.T, expiries map[string]int64) *hostHits {
 	return h
 }
 
-func TestExpiryIndexListsSoonestFirst(t *testing.T) {
-	h := indexOf(t, map[string]int64{"/c": 1030, "/a": 1010, "/d": 1040, "/b": 1020})
-	_, listed, _ := h.take(expHost, "/self", 1000, 1100)
-	if want := []string{"/a", "/b", "/c", "/d"}; !reflect.DeepEqual(listed, want) {
-		t.Errorf("listed %v, want %v", listed, want)
+// offlineProxy returns a proxy with Δ = 600 s and no origin behind it,
+// for tests that admit entries and build requests directly, and a
+// response to admit.
+func offlineProxy(t *testing.T) (*Proxy, *httpwire.Response) {
+	t.Helper()
+	p := New(Config{Delta: 600, Clock: func() int64 { return 10_000 },
+		Resolve: func(string) (string, error) { return "", nil }})
+	t.Cleanup(p.Close)
+	resp := httpwire.NewResponse(200)
+	resp.Body = []byte("x")
+	resp.Header.Set("Last-Modified", httpwire.FormatHTTPDate(1000))
+	return p, resp
+}
+
+// list returns the paths h lists on expHost's next request for self.
+func list(h *hostHits, self string, now, until int64) []string {
+	_, listed, _, _ := h.take(expHost, self, now, until)
+	return listedPaths(listed)
+}
+
+// listedPaths returns the paths of listed, in order.
+func listedPaths(listed []listing) []string {
+	var paths []string
+	for _, l := range listed {
+		paths = append(paths, l.path)
+	}
+	return paths
+}
+
+// TestExpiryIndexListsInPathOrder: the due paths are listed in path order,
+// not in the order they expire, so that front coding shares their prefixes.
+func TestExpiryIndexListsInPathOrder(t *testing.T) {
+	h := indexOf(t, map[string]int64{"/c": 1010, "/a": 1040, "/d": 1020, "/b": 1030})
+	if listed := list(h, "/self", 1000, 1100); !reflect.DeepEqual(listed, []string{"/a", "/b", "/c", "/d"}) {
+		t.Errorf("listed %v, want [/a /b /c /d]", listed)
 	}
 }
 
+// TestExpiryIndexListsAtMostMaxListed: past maxListed due paths, the
+// soonest are listed (in path order) and the rest wait for the next
+// request. Expiry order is the reverse of path order here.
 func TestExpiryIndexListsAtMostMaxListed(t *testing.T) {
+	const extra = 5
 	exp := map[string]int64{}
-	for i := 0; i < maxListed+5; i++ {
-		exp[fmt.Sprintf("/p%02d", i)] = int64(1001 + i)
+	var soonest []string
+	for i := 0; i < maxListed+extra; i++ {
+		path := fmt.Sprintf("/p%02d", i)
+		exp[path] = int64(2000 - i)
+		if i >= extra {
+			soonest = append(soonest, path)
+		}
 	}
 	h := indexOf(t, exp)
-	_, listed, _ := h.take(expHost, "/self", 1000, 2000)
-	if len(listed) != maxListed || listed[0] != "/p00" || listed[maxListed-1] != fmt.Sprintf("/p%02d", maxListed-1) {
-		t.Fatalf("listed %v, want the %d soonest", listed, maxListed)
+	if listed := list(h, "/self", 1000, 2000); !reflect.DeepEqual(listed, soonest) {
+		t.Fatalf("listed %v, want the %d soonest %v", listed, maxListed, soonest)
 	}
-	_, listed, _ = h.take(expHost, "/self", 1000, 2000)
-	if len(listed) != 5 {
-		t.Errorf("second request listed %v, want the 5 left", listed)
+	if listed := list(h, "/self", 1000, 2000); len(listed) != extra || listed[0] != "/p00" {
+		t.Errorf("second request listed %v, want the %d left", listed, extra)
 	}
 }
 
@@ -54,23 +95,40 @@ func TestExpiryIndexListsAtMostMaxListed(t *testing.T) {
 // stay indexed and are listed once the window reaches them.
 func TestExpiryIndexWindow(t *testing.T) {
 	h := indexOf(t, map[string]int64{"/in": 1150, "/edge": 1200, "/out": 1201})
-	if _, listed, _ := h.take(expHost, "/self", 1000, 1200); !reflect.DeepEqual(listed, []string{"/in", "/edge"}) {
-		t.Fatalf("listed %v, want [/in /edge]", listed)
+	if listed := list(h, "/self", 1000, 1200); !reflect.DeepEqual(listed, []string{"/edge", "/in"}) {
+		t.Fatalf("listed %v, want [/edge /in]", listed)
 	}
-	if _, listed, _ := h.take(expHost, "/self", 1001, 1201); !reflect.DeepEqual(listed, []string{"/out"}) {
+	if listed := list(h, "/self", 1001, 1201); !reflect.DeepEqual(listed, []string{"/out"}) {
 		t.Errorf("listed %v once the window moved, want [/out]", listed)
 	}
 }
 
 // TestExpiryIndexDropsExpired: an expiry at or before now is not listed —
-// the entry's next read validates it — and it leaves the index.
+// the entry's next read validates it — and it leaves the index, counted in
+// proxy.expiry_index_expired, which /.piggy/stats serves.
 func TestExpiryIndexDropsExpired(t *testing.T) {
 	h := indexOf(t, map[string]int64{"/gone": 990, "/now": 1000, "/soon": 1010})
-	if _, listed, _ := h.take(expHost, "/self", 1000, 1200); !reflect.DeepEqual(listed, []string{"/soon"}) {
-		t.Fatalf("listed %v, want [/soon]", listed)
+	_, listed, _, expired := h.take(expHost, "/self", 1000, 1200)
+	if paths := listedPaths(listed); !reflect.DeepEqual(paths, []string{"/soon"}) || expired != 2 {
+		t.Fatalf("listed %v, %d expired, want [/soon] and 2", paths, expired)
 	}
 	if n := h.indexed.Load(); n != 0 {
 		t.Errorf("%d keys indexed after the expired ones were popped, want 0", n)
+	}
+
+	p, resp := offlineProxy(t)
+	p.admit(expHost+"/gone", resp, 10_000, false) // expires 10_600
+	p.admit(expHost+"/soon", resp, 10_100, false) // expires 10_700
+	if _, sent, _ := p.originRequest(upstreamState{key: expHost + "/self", host: expHost, path: "/self"}, false, 10_600); !reflect.DeepEqual(sent, []string{"/soon"}) {
+		t.Fatalf("sent %v, want [/soon]", sent)
+	}
+	stats := p.ServeWire(context.Background(), httpwire.NewRequest("GET", obs.StatsPath))
+	var s obs.Snapshot
+	if err := json.Unmarshal(stats.Body, &s); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Counter("proxy.expiry_index_expired"); n != 1 {
+		t.Errorf("proxy.expiry_index_expired = %d on %s, want 1", n, obs.StatsPath)
 	}
 }
 
@@ -79,12 +137,12 @@ func TestExpiryIndexDropsExpired(t *testing.T) {
 func TestExpiryIndexSkipsSelfAndHits(t *testing.T) {
 	h := indexOf(t, map[string]int64{"/self": 1010, "/hit": 1020, "/other": 1030})
 	h.add(expHost, "/hit")
-	hits, listed, _ := h.take(expHost, "/self", 1000, 1200)
-	if !reflect.DeepEqual(hits, []string{"/hit"}) || !reflect.DeepEqual(listed, []string{"/other"}) {
-		t.Fatalf("hits %v, listed %v, want [/hit] and [/other]", hits, listed)
+	hits, listed, _, _ := h.take(expHost, "/self", 1000, 1200)
+	if paths := listedPaths(listed); !reflect.DeepEqual(hits, []string{"/hit"}) || !reflect.DeepEqual(paths, []string{"/other"}) {
+		t.Fatalf("hits %v, listed %v, want [/hit] and [/other]", hits, paths)
 	}
-	if _, listed, _ = h.take(expHost, "/x", 1000, 1200); !reflect.DeepEqual(listed, []string{"/self", "/hit"}) {
-		t.Errorf("next request listed %v, want [/self /hit]", listed)
+	if paths := list(h, "/x", 1000, 1200); !reflect.DeepEqual(paths, []string{"/hit", "/self"}) {
+		t.Errorf("next request listed %v, want [/hit /self]", paths)
 	}
 }
 
@@ -92,10 +150,10 @@ func TestExpiryIndexSkipsSelfAndHits(t *testing.T) {
 // again until a step gives it an expiry anew.
 func TestExpiryIndexPickedKeyAbsentUntilRefreshed(t *testing.T) {
 	h := indexOf(t, map[string]int64{"/a": 1010})
-	if _, listed, _ := h.take(expHost, "/self", 1000, 1200); len(listed) != 1 {
+	if listed := list(h, "/self", 1000, 1200); len(listed) != 1 {
 		t.Fatalf("listed %v, want [/a]", listed)
 	}
-	if _, listed, _ := h.take(expHost, "/self", 1001, 1201); len(listed) != 0 {
+	if listed := list(h, "/self", 1001, 1201); len(listed) != 0 {
 		t.Fatalf("listed %v again before an answer, want none", listed)
 	}
 	if n := h.indexed.Load(); n != 0 {
@@ -103,7 +161,7 @@ func TestExpiryIndexPickedKeyAbsentUntilRefreshed(t *testing.T) {
 	}
 	// An answer that leaves the expiry where it was indexes the key anew.
 	h.note(expHost, "/a", 1010, true)
-	if _, listed, _ := h.take(expHost, "/self", 1002, 1202); !reflect.DeepEqual(listed, []string{"/a"}) {
+	if listed := list(h, "/self", 1002, 1202); !reflect.DeepEqual(listed, []string{"/a"}) {
 		t.Errorf("listed %v after the refresh, want [/a]", listed)
 	}
 }
@@ -116,11 +174,11 @@ func TestExpiryIndexUseful(t *testing.T) {
 	h.note(expHost, "/plain", 2000, false)
 	h.add(expHost, "/ahead")
 	h.add(expHost, "/plain")
-	if _, _, useful := h.take(expHost, "/self", 1000, 1100); useful != 1 {
+	if _, _, useful, _ := h.take(expHost, "/self", 1000, 1100); useful != 1 {
 		t.Errorf("useful %d, want 1", useful)
 	}
 	h.add(expHost, "/ahead")
-	if _, _, useful := h.take(expHost, "/self", 1000, 1100); useful != 0 {
+	if _, _, useful, _ := h.take(expHost, "/self", 1000, 1100); useful != 0 {
 		t.Errorf("useful %d on the second report, want 0", useful)
 	}
 }
@@ -168,8 +226,7 @@ func TestExpiryIndexCompaction(t *testing.T) {
 	}
 	// Draining every key leaves nothing behind.
 	for {
-		_, listed, _ := h.take(expHost, "/self", 1000, 1<<40)
-		if len(listed) == 0 {
+		if len(list(h, "/self", 1000, 1<<40)) == 0 {
 			break
 		}
 	}
@@ -181,17 +238,96 @@ func TestExpiryIndexCompaction(t *testing.T) {
 // TestExpiryIndexInvalidationDrops: an element naming a newer version
 // deletes the cached copy, and its key leaves the index with it.
 func TestExpiryIndexInvalidationDrops(t *testing.T) {
-	p := New(Config{Delta: 600, Clock: func() int64 { return 10_000 },
-		Resolve: func(string) (string, error) { return "", nil }})
-	t.Cleanup(p.Close)
-	resp := httpwire.NewResponse(200)
-	resp.Body = []byte("x")
-	resp.Header.Set("Last-Modified", httpwire.FormatHTTPDate(1000))
+	p, resp := offlineProxy(t)
 	p.admit(expHost+"/a", resp, 10_000, false)
 	p.admit(expHost+"/b", resp, 10_000, false)
 	p.applyElement(expHost, core.Element{URL: "/a", Size: 1, LastModified: 5000}, 10_000, false)
-	if _, listed, _ := p.hits.take(expHost, "/self", 10_500, 10_650); !reflect.DeepEqual(listed, []string{"/b"}) {
+	if listed := list(p.hits, "/self", 10_500, 10_650); !reflect.DeepEqual(listed, []string{"/b"}) {
 		t.Errorf("listed %v, want [/b]", listed)
+	}
+}
+
+// TestExpiryIndexPutsBackWhatDoesNotFit: listed paths the Piggy-Validate
+// header budget leaves out go back to the index with their expiry, and the
+// next request lists them.
+func TestExpiryIndexPutsBackWhatDoesNotFit(t *testing.T) {
+	p, resp := offlineProxy(t)
+	// 30 paths of 101 bytes with no prefix to share: ~3 KB against the
+	// 2,048-byte budget.
+	var all []string
+	for i := 0; i < 30; i++ {
+		path := fmt.Sprintf("/%c%s", 'A'+i, strings.Repeat("x", 99))
+		all = append(all, path)
+		p.admit(expHost+path, resp, 10_000+int64(i), false)
+	}
+	self := upstreamState{key: expHost + "/self", host: expHost, path: "/self"}
+	oreq, first, _ := p.originRequest(self, false, 10_500)
+	if len(first) == 0 || len(first) == len(all) {
+		t.Fatalf("first request listed %d of %d paths, want the budget to cut the list", len(first), len(all))
+	}
+	if got := httpwire.GetPaths(oreq, httpwire.FieldPiggyValidate); !reflect.DeepEqual(got, first) {
+		t.Fatalf("Piggy-Validate decodes to %v, sent %v", got, first)
+	}
+	_, second, _ := p.originRequest(self, false, 10_501)
+	if got := append(first, second...); !reflect.DeepEqual(got, all) {
+		t.Errorf("two requests listed %d + %d paths, want all %d once, in path order", len(first), len(second), len(all))
+	}
+	if n := p.Obs().Snapshot().Counter("proxy.expiry_validations"); n != int64(len(all)) {
+		t.Errorf("proxy.expiry_validations = %d, want %d", n, len(all))
+	}
+}
+
+// TestListedInPathOrderAnsweredByPosition: paths due in one order are
+// listed in path order, and each P-Valid2 answer lands on the path at its
+// index: the unchanged ones are freshened, the changed one — first in path
+// order, last to expire — is invalidated, and nothing is prefetched.
+func TestListedInPathOrderAnsweredByPosition(t *testing.T) {
+	const (
+		pathB, pathM, pathZ = "/a/b.html", "/a/m.html", "/a/z.html"
+		missPath            = "/a/c.html"
+	)
+	st := server.NewStore()
+	for _, path := range []string{pathB, pathM, pathZ, missPath} {
+		st.Put(server.Resource{URL: path, Size: 100, LastModified: 1000})
+	}
+	var now atomic.Int64
+	now.Store(10_000)
+	origin := server.New(st, nil, now.Load)
+	var validate atomic.Value
+	addr := startOrigin(t, httpwire.HandlerFunc(func(ctx context.Context, req *httpwire.Request) *httpwire.Response {
+		if req.Header.Has(httpwire.FieldPiggyValidate) {
+			validate.Store(httpwire.GetPaths(req, httpwire.FieldPiggyValidate))
+		}
+		return origin.ServeWire(ctx, req)
+	}))
+	p := New(Config{Delta: 600, Prefetch: true, Clock: now.Load, Resolve: func(string) (string, error) { return addr, nil }})
+	t.Cleanup(p.Close)
+
+	for _, path := range []string{pathZ, pathM, pathB} { // expire in this order
+		proxyGet(p, expHost+path)
+		now.Add(10)
+	}
+	st.Modify(pathB, 5000, 0)
+	now.Store(10_500)
+	before := p.Stats()
+	proxyGet(p, expHost+missPath)
+
+	if got, _ := validate.Load().([]string); !reflect.DeepEqual(got, []string{pathB, pathM, pathZ}) {
+		t.Fatalf("Piggy-Validate decodes to %v, want path order [%s %s %s]", got, pathB, pathM, pathZ)
+	}
+	if moved := statsMoved(before, p.Stats()); moved.Invalidations != 1 || moved.Refreshes != 2 {
+		t.Errorf("counters moved %+v, want 1 invalidation and 2 refreshes", moved)
+	}
+	if _, ok := p.cache.PeekView(expHost + pathB); ok {
+		t.Errorf("%s still cached after its answer named a newer version", pathB)
+	}
+	for _, path := range []string{pathM, pathZ} {
+		if v, ok := p.cache.PeekView(expHost + path); !ok || v.Expires != 10_500+600 {
+			t.Errorf("%s cached %v, expires %d, want %d", path, ok, v.Expires, 10_500+600)
+		}
+	}
+	if n := p.Queue().Len(); n != 0 {
+		t.Errorf("%d prefetches queued, want 0", n)
 	}
 }
 
@@ -273,7 +409,8 @@ func TestListedChangedEntryInvalidatedWithoutPrefetch(t *testing.T) {
 
 // TestExpiryIndexConcurrent runs request building, answer application,
 // admission and invalidation on one host at once (run it under -race), then
-// checks the index's count and heap bound.
+// checks the index's count and heap bound. The paths are long enough that a
+// full list overflows the header budget, so requests put paths back too.
 func TestExpiryIndexConcurrent(t *testing.T) {
 	var now atomic.Int64
 	now.Store(10_000)
@@ -281,7 +418,8 @@ func TestExpiryIndexConcurrent(t *testing.T) {
 	p := New(Config{Delta: 600, Clock: tick, Resolve: func(string) (string, error) { return "", nil }})
 	t.Cleanup(p.Close)
 	const paths = 64
-	path := func(i int) string { return fmt.Sprintf("/p%02d", i%paths) }
+	pad := strings.Repeat("x", 60)
+	path := func(i int) string { return fmt.Sprintf("/p%02d/%s", i%paths, pad) }
 	resp := httpwire.NewResponse(200)
 	resp.Body = []byte("x")
 	resp.Header.Set("Last-Modified", httpwire.FormatHTTPDate(1000))

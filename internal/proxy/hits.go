@@ -3,6 +3,7 @@ package proxy
 import (
 	"container/heap"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -15,8 +16,10 @@ const maxPendingHits = 32
 
 // maxListed bounds the cached paths one upstream request asks the origin to
 // validate (Piggy-Validate: piggyback cache validation, Krishnamurthy &
-// Wills, USITS '97).
-const maxListed = 16
+// Wills, USITS '97). An answer renews a whole list at one instant, so the
+// list comes due again together; the bound has to drain such a cohort
+// before its paths expire unlisted.
+const maxListed = 64
 
 // maxIndexed caps the keys held in the expiry indexes of all hosts
 // together. Past it, a newly cached key is not indexed
@@ -141,20 +144,29 @@ func (h *hostHits) drop(host, path string) {
 	st.release(host, hs)
 }
 
+// listing is one path take removed from host's expiry index to list, with
+// the live state putBack restores when the request cannot carry it.
+type listing struct {
+	path string
+	liveExpiry
+}
+
 // take drains what host's next request carries, in one critical section:
-// the buffered hit paths, and up to maxListed indexed paths whose expiry
-// falls in (now, until], soonest first. self (the request's own path) and the hit
-// paths are not listed: the request answers them anyway. A listed path
-// leaves the index until an answer refreshes it; a path found already
-// expired leaves it for good, and its next read validates. useful counts
-// the drained hits on paths whose expiry the answer to a listing gave.
-func (h *hostHits) take(host, self string, now, until int64) (hits, listed []string, useful int) {
+// the buffered hit paths, and the up to maxListed indexed paths whose
+// expiry falls soonest in (now, until], in path order, so that front coding
+// shares their prefixes. self (the request's own path) and the hit paths
+// are not listed: the request answers them anyway. A listed path leaves the
+// index until an answer refreshes it or putBack returns it; a path found
+// already expired leaves it for good, and its next read validates. useful
+// counts the drained hits on paths whose expiry the answer to a listing
+// gave; expired counts the paths that left unlisted.
+func (h *hostHits) take(host, self string, now, until int64) (hits []string, listed []listing, useful, expired int) {
 	st := h.stripe(host)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	hs := st.m[host]
 	if hs == nil {
-		return nil, nil, 0
+		return nil, nil, 0, 0
 	}
 	hits, hs.hits = hs.hits, nil
 	for _, path := range hits {
@@ -167,7 +179,8 @@ func (h *hostHits) take(host, self string, now, until int64) (hits, listed []str
 	var skipped []expiryItem
 	for len(hs.heap) > 0 && len(listed) < maxListed && hs.heap[0].expires <= until {
 		it := heap.Pop(&hs.heap).(expiryItem)
-		if e, ok := hs.live[it.path]; !ok || e.expires != it.expires {
+		e, ok := hs.live[it.path]
+		if !ok || e.expires != it.expires {
 			continue // superseded
 		}
 		if it.path == self || slices.Contains(hits, it.path) {
@@ -177,7 +190,9 @@ func (h *hostHits) take(host, self string, now, until int64) (hits, listed []str
 		delete(hs.live, it.path)
 		h.indexed.Add(-1)
 		if it.expires > now {
-			listed = append(listed, it.path)
+			listed = append(listed, listing{it.path, e})
+		} else {
+			expired++
 		}
 	}
 	for _, it := range skipped {
@@ -185,7 +200,44 @@ func (h *hostHits) take(host, self string, now, until int64) (hits, listed []str
 	}
 	hs.compact()
 	st.release(host, hs)
-	return hits, listed, useful
+	slices.SortFunc(listed, func(a, b listing) int { return strings.Compare(a.path, b.path) })
+	return hits, listed, useful, expired
+}
+
+// putBack returns to host's expiry index, with the live state take found,
+// each listed path missing from wrote (the paths the request carries, in
+// the same order): what the header budget left out is listed by a later
+// request, not lost. A path SetPaths cannot write at all (one holding a
+// comma, say) goes back as well, and leaves once it has expired. A path
+// some step indexed anew meanwhile keeps that step's expiry. It reports
+// how many paths the maxIndexed cap refused.
+func (h *hostHits) putBack(host string, listed []listing, wrote []string) (refused int) {
+	if len(wrote) == len(listed) {
+		return 0
+	}
+	st := h.stripe(host)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	hs := st.state(host)
+	for _, l := range listed {
+		if len(wrote) > 0 && wrote[0] == l.path {
+			wrote = wrote[1:]
+			continue
+		}
+		if _, ok := hs.live[l.path]; ok {
+			continue
+		}
+		if h.indexed.Add(1) > maxIndexed {
+			h.indexed.Add(-1)
+			refused++
+			continue
+		}
+		hs.live[l.path] = l.liveExpiry
+		heap.Push(&hs.heap, expiryItem{path: l.path, expires: l.expires})
+	}
+	hs.compact()
+	st.release(host, hs)
+	return refused
 }
 
 // release deletes host's entry once it holds nothing. Caller holds st.mu.

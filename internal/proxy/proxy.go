@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -226,11 +225,13 @@ type proxyCounters struct {
 	// expiryListed counts cached URLs listed in Piggy-Validate;
 	// expiryUseful the answers to them that refreshed an entry later
 	// reported as a fresh hit; expiryIndexFull the keys left out of the
-	// expiry index at its cap; listBytes the Piggy-Hits and Piggy-Validate
-	// value bytes sent.
+	// expiry index at its cap; expiryIndexExpired the keys that left it
+	// unlisted, found already expired; listBytes the Piggy-Hits and
+	// Piggy-Validate value bytes sent.
 	expiryListed       *obs.Counter
 	expiryUseful       *obs.Counter
 	expiryIndexFull    *obs.Counter
+	expiryIndexExpired *obs.Counter
 	listBytes          *obs.Counter
 	deltaUpdates       *obs.Counter
 	deltaBytesSaved    *obs.Counter
@@ -286,6 +287,7 @@ func New(cfg Config) *Proxy {
 			expiryListed:       reg.Counter("proxy.expiry_validations"),
 			expiryUseful:       reg.Counter("proxy.expiry_validations_useful"),
 			expiryIndexFull:    reg.Counter("proxy.expiry_index_full"),
+			expiryIndexExpired: reg.Counter("proxy.expiry_index_expired"),
 			listBytes:          reg.Counter("proxy.list_bytes"),
 			deltaUpdates:       reg.Counter("proxy.delta_updates"),
 			deltaBytesSaved:    reg.Counter("proxy.delta_bytes_saved"),
@@ -592,10 +594,11 @@ func (p *Proxy) fetch(ctx context.Context, st upstreamState, now int64) *httpwir
 // originRequest builds the GET for st: If-Modified-Since (and A-IM when
 // deltas are on) when cond, the filter with this host's RPV list, and —
 // unless the filter is disabled — the hit reports pending for the host and
-// the validation list: up to maxListed of its cached paths expiring within
-// the next Δ/4, soonest first. It drains both and returns the paths it
-// sent, as an answer indexes them — the reported hits, then the listed
-// paths, each in wire order — and how many of them are hits.
+// the validation list: the up to maxListed of its cached paths expiring
+// soonest within the next Δ/4, in path order. It drains both, puts back the
+// listed paths the header budget leaves out, and returns the paths it sent,
+// as an answer indexes them — the reported hits, then the listed paths,
+// each in wire order — and how many of them are hits.
 func (p *Proxy) originRequest(st upstreamState, cond bool, now int64) (*httpwire.Request, []string, int) {
 	oreq := httpwire.NewRequest("GET", st.path)
 	oreq.Header.Set("Host", st.host)
@@ -613,16 +616,24 @@ func (p *Proxy) originRequest(st upstreamState, cond bool, now int64) (*httpwire
 	filter.RPV = p.rpv.Snapshot(st.host, now)
 	httpwire.SetFilter(oreq, filter)
 	// Nothing is buffered or indexed while the filter is disabled.
-	hits, listed, useful := p.hits.take(st.host, st.path, now, now+p.cfg.Delta/4)
+	hits, listed, useful, expired := p.hits.take(st.host, st.path, now, now+p.cfg.Delta/4)
 	p.c.hitsReported.Add(int64(len(hits)))
-	p.c.expiryListed.Add(int64(len(listed)))
 	p.c.expiryUseful.Add(int64(useful))
+	p.c.expiryIndexExpired.Add(int64(expired))
 	sent := httpwire.SetPaths(oreq, httpwire.FieldPiggyHits, hits)
 	nHits := len(sent)
-	// SetPaths writes the last path first and keeps it when its budget
-	// runs out: the soonest expiry goes last.
-	slices.Reverse(listed)
-	sent = append(sent, httpwire.SetPaths(oreq, httpwire.FieldPiggyValidate, listed)...)
+	if len(listed) > 0 {
+		// SetPaths writes the last path first: reversed, the list goes
+		// out in path order.
+		paths := make([]string, len(listed))
+		for i, l := range listed {
+			paths[len(listed)-1-i] = l.path
+		}
+		wrote := httpwire.SetPaths(oreq, httpwire.FieldPiggyValidate, paths)
+		p.c.expiryListed.Add(int64(len(wrote)))
+		p.c.expiryIndexFull.Add(int64(p.hits.putBack(st.host, listed, wrote)))
+		sent = append(sent, wrote...)
+	}
 	p.c.listBytes.Add(int64(len(oreq.Header.Get(httpwire.FieldPiggyHits)) + len(oreq.Header.Get(httpwire.FieldPiggyValidate))))
 	return oreq, sent, nHits
 }
