@@ -40,6 +40,12 @@ type Entry struct {
 	// information; cleared on the first client hit so useful prefetches
 	// can be counted (§4).
 	Prefetched bool
+	// outdated marks a delta base: a copy a piggyback element or an answer
+	// named a newer version of. It is never served; it is kept only so the
+	// refetch can ask for the new version as a patch against it (§4, ref
+	// [23]). Every read reports it absent, Put replaces it, and eviction
+	// drops it without demotion.
+	outdated bool
 
 	// Replacement bookkeeping.
 	lastAccess int64
@@ -98,10 +104,10 @@ type Cache struct {
 	h        entryHeap
 	policy   Policy
 
-	// evictObserver, when set, sees every entry evicted for capacity
-	// (not explicit deletes or invalidations) before it is dropped — the
-	// demotion hook a tiered store hangs eviction on. The entry must be
-	// treated as read-only and not retained; copy what is needed.
+	// evictObserver, when set, sees every servable entry evicted for
+	// capacity (not explicit deletes or delta bases) before it is dropped
+	// — the demotion hook a tiered store hangs eviction on. The entry must
+	// be treated as read-only and not retained; copy what is needed.
 	evictObserver func(e *Entry, now int64)
 
 	// Stats.
@@ -123,10 +129,11 @@ func (c *Cache) Used() int64 { return c.used }
 func (c *Cache) Len() int { return len(c.entries) }
 
 // Get returns the entry for url, counting a hit or miss and updating
-// replacement state.
+// replacement state. A delta base is a miss, and its replacement state is
+// left alone.
 func (c *Cache) Get(url string, now int64) (*Entry, bool) {
 	e, ok := c.entries[url]
-	if !ok {
+	if !ok || e.outdated {
 		c.Misses++
 		return nil, false
 	}
@@ -164,6 +171,7 @@ func (c *Cache) Put(e Entry, now int64) (evicted []string) {
 		old.ContentType = e.ContentType
 		old.LastModifiedHTTP = e.LastModifiedHTTP
 		old.Prefetched = e.Prefetched
+		old.outdated = false
 		old.lastAccess = now
 		c.reprioritize(old, now)
 		return c.makeRoom(now, old)
@@ -208,15 +216,16 @@ func (c *Cache) evict(e *Entry, now int64) {
 	c.used -= e.Size
 	c.Evictions++
 	c.policy.OnEvict(e)
-	if c.evictObserver != nil {
+	if c.evictObserver != nil && !e.outdated {
 		c.evictObserver(e, now)
 	}
 }
 
 // SetEvictObserver installs fn to observe capacity evictions (nil
-// removes it). fn runs inside the insert that evicts — under the shard
-// lock when the Cache is a Sharded shard — before Put returns, so it must
-// be fast and must not call back into the cache.
+// removes it); a delta base is evicted unobserved, having nothing to
+// demote. fn runs inside the insert that evicts — under the shard lock
+// when the Cache is a Sharded shard — before Put returns, so it must be
+// fast and must not call back into the cache.
 func (c *Cache) SetEvictObserver(fn func(e *Entry, now int64)) { c.evictObserver = fn }
 
 // Delete removes url, returning whether it was present.
@@ -232,10 +241,11 @@ func (c *Cache) Delete(url string) bool {
 }
 
 // Freshen extends the entry's expiration (a validation or a piggyback
-// refresh, §2.1) without transferring the body.
+// refresh, §2.1) without transferring the body. Freshen, Pin and Hint
+// treat a delta base as absent.
 func (c *Cache) Freshen(url string, expires int64) bool {
 	e, ok := c.entries[url]
-	if !ok {
+	if !ok || e.outdated {
 		return false
 	}
 	if expires > e.Expires {
@@ -249,7 +259,7 @@ func (c *Cache) Freshen(url string, expires int64) bool {
 // piggyback messages" (§4).
 func (c *Cache) Pin(url string, until, now int64) bool {
 	e, ok := c.entries[url]
-	if !ok {
+	if !ok || e.outdated {
 		return false
 	}
 	if until > e.pinnedUntil {
@@ -263,7 +273,7 @@ func (c *Cache) Pin(url string, until, now int64) bool {
 // server-assisted replacement policies ([24]); it also pins like Pin.
 func (c *Cache) Hint(url string, until, now int64) bool {
 	e, ok := c.entries[url]
-	if !ok {
+	if !ok || e.outdated {
 		return false
 	}
 	e.hintCount++
@@ -297,11 +307,12 @@ func (c *Cache) reprioritize(e *Entry, now int64) {
 // them under the shard lock.
 
 // Lookup returns the entry's servable state, counting a hit or miss,
-// updating replacement recency, and clearing the prefetch mark.
+// updating replacement recency, and clearing the prefetch mark. A delta
+// base is a miss that still returns its state, marked Outdated.
 func (c *Cache) Lookup(url string, now int64) (View, bool) {
 	e, ok := c.Get(url, now)
 	if !ok {
-		return View{}, false
+		return c.PeekView(url)
 	}
 	v := viewOf(e)
 	if e.Prefetched {
@@ -311,32 +322,35 @@ func (c *Cache) Lookup(url string, now int64) (View, bool) {
 	return v, true
 }
 
-// PeekView returns the entry's state without side effects. (Peek returns
-// the live *Entry for the simulators; PeekView is the Store form.)
+// PeekView returns the entry's state without side effects; ok is false,
+// and the view Outdated, for a delta base. (Peek returns the live *Entry
+// for the simulators; PeekView is the Store form.)
 func (c *Cache) PeekView(url string) (View, bool) {
 	e, ok := c.Peek(url)
 	if !ok {
 		return View{}, false
 	}
-	return viewOf(e), true
+	return viewOf(e), !e.outdated
 }
 
-// Contains reports whether url is cached.
+// Contains reports whether url is cached and servable.
 func (c *Cache) Contains(url string) bool {
-	_, ok := c.entries[url]
-	return ok
+	e, ok := c.entries[url]
+	return ok && !e.outdated
 }
 
 // ApplyPiggyback applies one piggyback element (§4 cache coherency and
-// replacement): invalidate an outdated copy, or freshen and hint a
-// current one.
+// replacement): turn an outdated copy into a delta base, or freshen and
+// hint a current one. A base is a miss whatever version the element names:
+// an answer computed before the invalidation may arrive after it, and must
+// not make the copy servable again.
 func (c *Cache) ApplyPiggyback(url string, lastModified, freshenTo, pinUntil, now int64) PiggybackOutcome {
 	e, ok := c.Peek(url)
-	if !ok {
+	if !ok || e.outdated {
 		return PiggybackMiss
 	}
 	if lastModified > e.LastModified {
-		c.Delete(url)
+		e.outdated = true
 		return PiggybackInvalidated
 	}
 	c.Freshen(url, freshenTo)

@@ -147,6 +147,10 @@ type View struct {
 	// of a speculatively fetched entry (the access clears the mark, so
 	// useful prefetches are counted once).
 	WasPrefetched bool
+	// Outdated marks the view of a delta base: a copy a piggyback element
+	// or an answer named a newer version of. It comes with ok == false —
+	// ok means servable — and is only ever a base to patch (§4, ref [23]).
+	Outdated bool
 }
 
 // Fresh reports whether the viewed entry can be served without validation.
@@ -176,6 +180,7 @@ func viewOf(e *Entry) View {
 		Expires:          e.Expires,
 		ContentType:      e.ContentType,
 		LastModifiedHTTP: e.LastModifiedHTTP,
+		Outdated:         e.outdated,
 	}
 }
 
@@ -187,7 +192,7 @@ func (s *Sharded) PeekView(url string) (View, bool) {
 	return sh.c.PeekView(url)
 }
 
-// Contains reports whether url is cached.
+// Contains reports whether url is cached and servable.
 func (s *Sharded) Contains(url string) bool {
 	sh := s.shard(url)
 	sh.mu.Lock()
@@ -251,7 +256,9 @@ const (
 	// PiggybackMiss: the named resource is not cached.
 	PiggybackMiss PiggybackOutcome = iota
 	// PiggybackInvalidated: the cached copy predates the element's
-	// Last-Modified and was deleted (§4 cache coherency).
+	// Last-Modified and is no longer servable (§4 cache coherency); it
+	// stays as a delta base until a Put replaces it, Delete removes it or
+	// eviction drops it.
 	PiggybackInvalidated
 	// PiggybackRefreshed: the cached copy is current; its expiration was
 	// extended and its replacement hint count bumped.
@@ -267,11 +274,7 @@ func (s *Sharded) ApplyPiggyback(url string, lastModified, freshenTo, pinUntil, 
 	sh := s.shard(url)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	o := sh.c.ApplyPiggyback(url, lastModified, freshenTo, pinUntil, now)
-	if o == PiggybackInvalidated {
-		s.noteMutation(sh, 0)
-	}
-	return o
+	return sh.c.ApplyPiggyback(url, lastModified, freshenTo, pinUntil, now)
 }
 
 // noteMutation refreshes the shard's occupancy gauges and the aggregate
@@ -365,17 +368,19 @@ func (s *Sharded) SetEvictObserver(fn func(e *Entry, now int64)) {
 	}
 }
 
-// Dump copies out every cached entry (bodies shared, not copied: cached
-// bodies are immutable once stored). The snapshot is per-shard
-// consistent; a tiered store uses it to flush the RAM working set to
-// disk on shutdown.
+// Dump copies out every servable entry, leaving delta bases out (bodies
+// shared, not copied: cached bodies are immutable once stored). The
+// snapshot is per-shard consistent; a tiered store uses it to flush the
+// RAM working set to disk on shutdown.
 func (s *Sharded) Dump() []Entry {
 	var out []Entry
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		for _, e := range sh.c.entries {
-			out = append(out, *e)
+			if !e.outdated {
+				out = append(out, *e)
+			}
 		}
 		sh.mu.Unlock()
 	}

@@ -32,7 +32,7 @@ func compareState(t *testing.T, step int, ref *Cache, s *Sharded) {
 			re.ContentType != se.ContentType || re.Prefetched != se.Prefetched ||
 			re.lastAccess != se.lastAccess || re.hits != se.hits ||
 			re.pinnedUntil != se.pinnedUntil || re.hintCount != se.hintCount ||
-			re.priority != se.priority {
+			re.priority != se.priority || re.outdated != se.outdated {
 			t.Fatalf("step %d: entry %s diverged:\nref     %+v\nsharded %+v", step, url, *re, *se)
 		}
 		if string(re.Body) != string(se.Body) {
@@ -48,7 +48,7 @@ func compareState(t *testing.T, step int, ref *Cache, s *Sharded) {
 
 // TestShardedDifferential drives a shards==1 Sharded and a plain Cache with
 // one randomized op sequence (Put/Lookup/Freshen/Hint/Pin/Delete/piggyback,
-// with capacity pressure forcing evictions) and asserts identical
+// invalidate-then-look-up, with capacity pressure forcing evictions) and asserts identical
 // observable state after every step, for every built-in policy.
 func TestShardedDifferential(t *testing.T) {
 	policies := []struct {
@@ -75,7 +75,7 @@ func TestShardedDifferential(t *testing.T) {
 			for step := 0; step < 4000; step++ {
 				now++
 				url := fmt.Sprintf("http://o/u%02d", rng.Intn(40))
-				switch op := rng.Intn(100); {
+				switch op := rng.Intn(105); {
 				case op < 40: // Put, sizes large enough to force evictions
 					size := int64(64 + rng.Intn(int(capacity/4)))
 					e := Entry{
@@ -97,7 +97,8 @@ func TestShardedDifferential(t *testing.T) {
 					v1, ok1 := ref.Lookup(url, now)
 					v2, ok2 := s.Lookup(url, now)
 					if ok1 != ok2 || v1.Expires != v2.Expires ||
-						v1.WasPrefetched != v2.WasPrefetched ||
+						v1.WasPrefetched != v2.WasPrefetched || v1.Outdated != v2.Outdated ||
+						v1.LastModified != v2.LastModified ||
 						v1.ContentType != v2.ContentType ||
 						string(v1.Body) != string(v2.Body) {
 						t.Fatalf("step %d: lookup diverged: %v/%+v vs %v/%+v", step, ok1, v1, ok2, v2)
@@ -121,12 +122,21 @@ func TestShardedDifferential(t *testing.T) {
 					if ref.Delete(url) != s.Delete(url) {
 						t.Fatalf("step %d: delete diverged", step)
 					}
-				default: // piggyback element
+				case op < 100: // piggyback element
 					lm := now - int64(rng.Intn(600))
 					o1 := ref.ApplyPiggyback(url, lm, now+300, now+600, now)
 					o2 := s.ApplyPiggyback(url, lm, now+300, now+600, now)
 					if o1 != o2 {
 						t.Fatalf("step %d: piggyback outcome diverged: %v vs %v", step, o1, o2)
+					}
+				default: // invalidate (every Put's version is older than now+1), then look up
+					o1 := ref.ApplyPiggyback(url, now+1, now+300, now+600, now)
+					o2 := s.ApplyPiggyback(url, now+1, now+300, now+600, now)
+					v1, ok1 := ref.Lookup(url, now)
+					v2, ok2 := s.Lookup(url, now)
+					if o1 != o2 || ok1 || ok2 || v1.Outdated != v2.Outdated || o1 == PiggybackInvalidated && !v1.Outdated ||
+						v1.LastModified != v2.LastModified || string(v1.Body) != string(v2.Body) {
+						t.Fatalf("step %d: invalidate-then-lookup diverged: %v %v/%+v vs %v %v/%+v", step, o1, ok1, v1, o2, ok2, v2)
 					}
 				}
 				compareState(t, step, ref, s)
@@ -353,7 +363,7 @@ func TestShardedApplyPiggyback(t *testing.T) {
 		t.Fatalf("newer Last-Modified: want PiggybackInvalidated, got %v", got)
 	}
 	if s.Contains("http://o/a") {
-		t.Fatal("invalidated copy should be deleted")
+		t.Fatal("an invalidated copy must not be servable")
 	}
 }
 

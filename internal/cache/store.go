@@ -12,19 +12,30 @@ import "piggyback/internal/obs"
 // Hit/miss accounting lives behind Stats(): each implementation counts a
 // logical lookup exactly once, wherever it is satisfied (a tiered disk hit
 // is one hit, not a RAM miss plus a disk hit).
+//
+// ok means servable. A copy a piggyback element or an answer named a newer
+// version of stays in RAM as a delta base (View.Outdated): Lookup and
+// PeekView return it with ok == false, for the refetch to ask for the new
+// version as a patch against it; Contains, Freshen, Pin, Hint and
+// ApplyPiggyback treat it as absent. Put replaces it, Delete removes it,
+// and eviction drops it without demotion.
 type Store interface {
 	// Lookup returns the entry's servable state, counting a hit or miss,
-	// updating replacement recency, and clearing the prefetch mark.
+	// updating replacement recency, and clearing the prefetch mark. A
+	// delta base is a miss that returns its state, Outdated set, and
+	// touches no replacement state.
 	Lookup(url string, now int64) (View, bool)
-	// PeekView returns the entry's state without side effects.
+	// PeekView returns the entry's state without side effects (a delta
+	// base as Lookup returns it).
 	PeekView(url string) (View, bool)
-	// Contains reports whether url is cached (no side effects).
+	// Contains reports whether url is cached and servable (no side
+	// effects).
 	Contains(url string) bool
 	// Put inserts or replaces the entry for e.URL, evicting as needed,
 	// and returns the evicted URLs.
 	Put(e Entry, now int64) (evicted []string)
-	// Delete removes url, returning whether it was present. Deleted
-	// entries are dropped, never demoted: deletion means invalidation.
+	// Delete removes url, a delta base included, returning whether it
+	// was present. Deleted entries are dropped, never demoted.
 	Delete(url string) bool
 	// Freshen extends the entry's expiration without a body transfer.
 	Freshen(url string, expires int64) bool
@@ -33,7 +44,11 @@ type Store interface {
 	Pin(url string, until, now int64) bool
 	// Hint records that a piggyback message named the entry; also pins.
 	Hint(url string, until, now int64) bool
-	// ApplyPiggyback applies one piggyback element atomically per key.
+	// ApplyPiggyback applies one piggyback element atomically per key: a
+	// copy older than the element becomes a delta base
+	// (PiggybackInvalidated), a current one is freshened and hinted
+	// (PiggybackRefreshed), and a base or an uncached key is a
+	// PiggybackMiss, whatever version the element names.
 	ApplyPiggyback(url string, lastModified, freshenTo, pinUntil, now int64) PiggybackOutcome
 	// Stats returns the store's aggregate counters.
 	Stats() StoreStats

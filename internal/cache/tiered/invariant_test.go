@@ -21,8 +21,9 @@ type keyModel struct {
 
 // TestTieredInvariants drives a disk-backed Tiered through seeded random
 // operations and checks, after every one, what the inclusive tier promises:
-// a key in both tiers has one version and the record expires no later than
-// the RAM copy; neither tier holds a version that was replaced, deleted or
+// a key in both tiers — a RAM delta base included — has one version and the
+// record expires no later than the RAM copy; a delta base holds the version
+// last Put, invalidated; neither tier holds a version that was replaced, deleted or
 // invalidated; a version Put as a prefetch is reported by its first hit and
 // by no other, whichever tier answers and through promotions, evictions
 // and compactions; and an unchanged promoted entry, prefetched or
@@ -63,10 +64,13 @@ func runInvariants(t *testing.T, seed int64) {
 	}
 	lookup := func(k int) (cache.View, bool) {
 		v, ok := ts.Lookup(url(k), now)
+		m := &model[k]
+		if v.Outdated && (ok || !m.gone || v.LastModified != m.lm || string(v.Body) != string(body(k, m.lm))) {
+			fail("Lookup(%s) = %v, a base of lm %d body %q; model %+v", url(k), ok, v.LastModified, v.Body, *m)
+		}
 		if !ok {
 			return v, false
 		}
-		m := &model[k]
 		if m.gone || v.LastModified != m.lm || string(v.Body) != string(body(k, m.lm)) {
 			fail("Lookup(%s) served lm %d body %q; model %+v", url(k), v.LastModified, v.Body, *m)
 		}
@@ -181,6 +185,12 @@ func runInvariants(t *testing.T, seed int64) {
 			}
 			if inRAM && onDisk && l.expires > rv.Expires {
 				fail("%s: record expires %d after the RAM copy's %d", url(k), l.expires, rv.Expires)
+			}
+			if rv.Outdated && (!m.gone || rv.LastModified != m.lm) {
+				fail("RAM holds %s as a base of lm %d; model %+v", url(k), rv.LastModified, m)
+			}
+			if (inRAM || rv.Outdated) && onDisk && l.lm != rv.LastModified {
+				fail("%s: RAM holds lm %d (base %v), the record lm %d", url(k), rv.LastModified, rv.Outdated, l.lm)
 			}
 		}
 	}

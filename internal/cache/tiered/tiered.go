@@ -55,6 +55,12 @@ type tierCounters struct {
 // no later than RAM's. Whatever changes a key's version in RAM (Put,
 // Delete, a piggyback invalidation) drops the record.
 //
+// A delta base (cache.View.Outdated) lives in RAM only: the invalidation
+// that made it dropped its record, the RAM tier evicts it without the
+// demotion hook seeing it, and Close does not flush it. A record
+// invalidated on disk is dropped from the index without a read, so a
+// disk-only copy never becomes a base.
+//
 // RAM evicts only inside an insert — Put, or a promotion in Lookup — and
 // both hold t.mu from the insert until what it evicted is on disk, so any
 // other operation on an evicted key comes wholly before its demotion or
@@ -184,10 +190,11 @@ func (t *Tiered) maintainLocked() {
 // section, so a Put, Delete or piggyback invalidation of the key is wholly
 // before the promotion or wholly after it. Accounting: the RAM tier
 // counted the miss, the disk hit re-classifies it — Stats() folds the two
-// so one logical lookup counts once.
+// so one logical lookup counts once. A delta base in RAM is returned
+// as the RAM tier returns it, without probing the disk: it has no record.
 func (t *Tiered) Lookup(url string, now int64) (cache.View, bool) {
-	if v, ok := t.ram.Lookup(url, now); ok {
-		return v, true
+	if v, ok := t.ram.Lookup(url, now); ok || v.Outdated {
+		return v, ok
 	}
 	if t.disk == nil {
 		return cache.View{}, false
@@ -229,8 +236,8 @@ func (t *Tiered) Lookup(url string, now int64) (cache.View, bool) {
 
 // PeekView checks RAM then disk without side effects (no promotion).
 func (t *Tiered) PeekView(url string) (cache.View, bool) {
-	if v, ok := t.ram.PeekView(url); ok {
-		return v, true
+	if v, ok := t.ram.PeekView(url); ok || v.Outdated {
+		return v, ok
 	}
 	if t.disk == nil {
 		return cache.View{}, false
@@ -251,7 +258,7 @@ func (t *Tiered) PeekView(url string) (cache.View, bool) {
 	}, true
 }
 
-// Contains reports whether url is cached in either tier.
+// Contains reports whether url is cached and servable in either tier.
 func (t *Tiered) Contains(url string) bool {
 	return t.ram.Contains(url) || t.diskContains(url)
 }
@@ -445,9 +452,9 @@ func (t *Tiered) diskOnly() (n int, bytes int64) {
 }
 
 // Close makes the store restart-warm: it detaches the eviction hook,
-// flushes the entire RAM working set to disk (bypassing the demotion gate
-// — on shutdown everything resident is the working set), snapshots the
-// index, and closes the segment files.
+// flushes the entire servable RAM working set to disk (bypassing the
+// demotion gate — on shutdown everything resident is the working set; a
+// delta base is not), snapshots the index, and closes the segment files.
 func (t *Tiered) Close() error {
 	var err error
 	t.closed.Do(func() {

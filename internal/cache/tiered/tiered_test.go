@@ -478,7 +478,7 @@ func TestTieredDifferential(t *testing.T) {
 		now++
 		url := fmt.Sprintf("http://o/u%02d", rng.Intn(40))
 		// Draw the op and its parameters once, apply to all three stores.
-		op := rng.Intn(100)
+		op := rng.Intn(105)
 		size := int64(64 + rng.Intn(capacity/4))
 		lm := now - int64(rng.Intn(500))
 		exp := now + int64(rng.Intn(400))
@@ -493,7 +493,7 @@ func TestTieredDifferential(t *testing.T) {
 				outs[i] = fmt.Sprint(st.s.Put(e, now))
 			case op < 65:
 				v, ok := st.s.Lookup(url, now)
-				outs[i] = fmt.Sprint(ok, v.Expires, v.WasPrefetched, string(v.Body))
+				outs[i] = fmt.Sprint(ok, v.Expires, v.WasPrefetched, v.Outdated, v.LastModified, string(v.Body))
 			case op < 72:
 				outs[i] = fmt.Sprint(st.s.Freshen(url, exp))
 			case op < 79:
@@ -504,9 +504,13 @@ func TestTieredDifferential(t *testing.T) {
 				outs[i] = fmt.Sprint(st.s.Delete(url))
 			case op < 94:
 				v, ok := st.s.PeekView(url)
-				outs[i] = fmt.Sprint(ok, v.Expires, string(v.Body), st.s.Contains(url))
-			default:
+				outs[i] = fmt.Sprint(ok, v.Expires, v.Outdated, string(v.Body), st.s.Contains(url))
+			case op < 100:
 				outs[i] = fmt.Sprint(st.s.ApplyPiggyback(url, lm, now+300, now+600, now))
+			default: // invalidate (every Put's version is older than now+1), then look up
+				out := st.s.ApplyPiggyback(url, now+1, now+300, now+600, now)
+				v, ok := st.s.Lookup(url, now)
+				outs[i] = fmt.Sprint(out, ok, v.Outdated, v.LastModified, string(v.Body))
 			}
 		}
 		for i := 1; i < 3; i++ {

@@ -215,7 +215,8 @@ func TestSingleFlightDeduplicatesMisses(t *testing.T) {
 
 // TestUnexpectedConditionalStatusMapsTo502 covers the wire-framing bugfix:
 // an origin answering a plain GET with 304 or 226 (statuses only valid for
-// conditional requests) must not be passed through to the client.
+// conditional requests) must not be passed through to the client, by the
+// miss path or by a prefetch.
 func TestUnexpectedConditionalStatusMapsTo502(t *testing.T) {
 	for _, status := range []int{304, 226} {
 		t.Run(fmt.Sprintf("status%d", status), func(t *testing.T) {
@@ -246,8 +247,14 @@ func TestUnexpectedConditionalStatusMapsTo502(t *testing.T) {
 			if resp2.Status != 502 || resp2.Header.Get("X-Cache") == "HIT" {
 				t.Fatalf("second request: %d %s", resp2.Status, resp2.Header.Get("X-Cache"))
 			}
-			if s := p.Stats(); s.UpstreamErrors != 2 {
-				t.Errorf("upstream errors = %d, want 2", s.UpstreamErrors)
+			// A prefetch is answered the same way: what a client joined to
+			// its flight would share is the 502.
+			it := FetchItem{Host: "www.confused.test", URL: "/cold.html"}
+			if out, ok := p.prefetchOne(context.Background(), it, it.Key(), 10_000); ok || out.Status != 502 {
+				t.Errorf("prefetch answered %d: %d (cached %v), want 502", status, out.Status, ok)
+			}
+			if s := p.Stats(); s.UpstreamErrors != 3 {
+				t.Errorf("upstream errors = %d, want 3", s.UpstreamErrors)
 			}
 		})
 	}

@@ -3,6 +3,7 @@ package proxy
 import (
 	"context"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -18,6 +19,7 @@ const (
 	originCorrupt                // a 226 goes out with its patch cut short
 	originHangs                  // no answer until the caller gives up
 	originDeltaOnly              // originCorrupt for A-IM requests, originHangs for the rest
+	originValidates              // a 304 to every conditional request, whatever the version
 )
 
 const (
@@ -27,12 +29,17 @@ const (
 
 // seamBed is a proxy, driven directly through ServeWire, in front of a real
 // origin server (no volumes, one resource large enough for deltas to pay
-// off) whose answers the test can corrupt or withhold.
+// off) whose answers the test can corrupt or withhold. It keeps the
+// condition of every request the origin receives.
 type seamBed struct {
-	now   atomic.Int64
-	mode  atomic.Int32
-	store *server.Store
-	proxy *Proxy
+	now    atomic.Int64
+	mode   atomic.Int32
+	store  *server.Store
+	origin *server.Server
+	proxy  *Proxy
+
+	mu    sync.Mutex
+	asked []string // per origin request: "If-Modified-Since|A-IM", "|" for a plain GET
 }
 
 func newSeamBed(t *testing.T, cfg Config) *seamBed {
@@ -41,9 +48,13 @@ func newSeamBed(t *testing.T, cfg Config) *seamBed {
 	sb.now.Store(10000)
 	sb.store.Put(server.Resource{URL: seamPath, Size: 16384, LastModified: 1000})
 	origin := server.New(sb.store, nil, sb.now.Load)
+	sb.origin = origin
 	stop := make(chan struct{})
 	t.Cleanup(func() { close(stop) })
 	addr := startOrigin(t, httpwire.HandlerFunc(func(ctx context.Context, req *httpwire.Request) *httpwire.Response {
+		sb.mu.Lock()
+		sb.asked = append(sb.asked, req.Header.Get("If-Modified-Since")+"|"+req.Header.Get("A-IM"))
+		sb.mu.Unlock()
 		mode := sb.mode.Load()
 		if mode == originDeltaOnly {
 			mode = originHangs
@@ -52,6 +63,10 @@ func newSeamBed(t *testing.T, cfg Config) *seamBed {
 			}
 		}
 		switch mode {
+		case originValidates:
+			if req.Header.Get("If-Modified-Since") != "" {
+				return httpwire.NewResponse(304)
+			}
 		case originHangs:
 			select {
 			case <-ctx.Done():
@@ -76,6 +91,22 @@ func newSeamBed(t *testing.T, cfg Config) *seamBed {
 
 func (sb *seamBed) get(url string) *httpwire.Response { return proxyGet(sb.proxy, url) }
 
+// requests returns the conditions of the origin requests made so far and
+// forgets them.
+func (sb *seamBed) requests() []string {
+	sb.mu.Lock()
+	defer sb.mu.Unlock()
+	asked := sb.asked
+	sb.asked = nil
+	return asked
+}
+
+// invalidate applies a piggyback element naming version lm of seamPath, as
+// a P-Volume trailer or an answer to a hit report would.
+func (sb *seamBed) invalidate(lm int64) {
+	sb.proxy.applyElement("www.site.com", core.Element{URL: seamPath, Size: 16384, LastModified: lm}, sb.now.Load(), false)
+}
+
 // statsMoved returns after − before, field by field.
 func statsMoved(before, after Stats) Stats {
 	var d Stats
@@ -96,14 +127,16 @@ func TestFetchOutcomes(t *testing.T) {
 		freshNew = "fresh copy of the new version"
 		freshOld = "fresh copy of the old version"
 		staleOld = "expired copy of the old version"
+		baseOld  = "delta base of the old version"
 		nothing  = ""
 	)
 	cases := []struct {
 		name string
 		cfg  Config
 		// primed: the key was fetched once and its copy expired 100 s
-		// ago; modified: the origin's copy changed in between.
-		primed, modified bool
+		// ago; modified: the origin's copy changed in between;
+		// invalidated: a piggyback element then named the new version.
+		primed, modified, invalidated bool
 		// reported: a fresh hit on the primed copy, before it expired, is
 		// waiting to ride upstream in Piggy-Hits.
 		reported bool
@@ -143,6 +176,19 @@ func TestFetchOutcomes(t *testing.T) {
 			moved: Stats{UpstreamErrors: 1, StaleServes: 1}, cached: staleOld},
 		{name: "timeout, stale copy too old", cfg: Config{MaxStaleOnError: 60}, primed: true, origin: originHangs,
 			status: 504, moved: Stats{UpstreamErrors: 1}, cached: staleOld},
+		{name: "226 on a delta base", cfg: Config{DeltaEncoding: true}, primed: true, modified: true, invalidated: true, origin: originHonest,
+			status: 200, xcache: "MISS", lm: newLM,
+			moved: Stats{MissFetches: 1, DeltaUpdates: 1, DeltaBytesSaved: 1}, cached: freshNew},
+		{name: "226 corrupt on a delta base", cfg: Config{DeltaEncoding: true}, primed: true, modified: true, invalidated: true, origin: originCorrupt,
+			status: 200, xcache: "MISS", lm: newLM,
+			moved: Stats{UpstreamErrors: 1, MissFetches: 1}, cached: freshNew},
+		{name: "304 to a delta base", cfg: Config{DeltaEncoding: true}, primed: true, modified: true, invalidated: true, origin: originValidates,
+			status: 200, xcache: "MISS", lm: newLM,
+			moved: Stats{MissFetches: 1}, cached: freshNew},
+		{name: "timeout, delta base inside MaxStaleOnError", cfg: Config{DeltaEncoding: true}, primed: true, modified: true, invalidated: true, origin: originHangs,
+			status: 504, moved: Stats{UpstreamErrors: 1}, cached: baseOld},
+		{name: "200 after an invalidation, deltas off", primed: true, modified: true, invalidated: true, origin: originHonest,
+			status: 200, xcache: "MISS", lm: newLM, moved: Stats{MissFetches: 1}, cached: freshNew},
 		{name: "open circuit",
 			primed: true, tripped: true, origin: originHonest,
 			status: 200, xcache: "STALE", lm: oldLM,
@@ -167,6 +213,9 @@ func TestFetchOutcomes(t *testing.T) {
 			}
 			if tc.modified {
 				sb.store.Modify(seamPath, newLM, 0)
+			}
+			if tc.invalidated {
+				sb.invalidate(newLM)
 			}
 			if tc.tripped {
 				tripAfter(sb.proxy, 1, time.Hour)
@@ -212,6 +261,8 @@ func TestFetchOutcomes(t *testing.T) {
 				holds = freshOld
 			case ok && v.LastModified == oldLM:
 				holds = staleOld
+			case v.Outdated && v.LastModified == oldLM:
+				holds = baseOld
 			}
 			if holds != tc.cached {
 				t.Errorf("cache holds %q (present %v, LM %d, expires %d, now %d), want %q",

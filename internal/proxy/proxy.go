@@ -62,8 +62,10 @@ type Config struct {
 	// entry gets the default Δ.
 	AdaptiveFreshness bool
 	// DeltaEncoding requests block-level deltas (A-IM: blockdiff) when
-	// validating stale entries, reconstructing the new version from the
-	// cached body plus the server's patch (§4, ref [23]).
+	// validating stale entries and when refetching a copy a piggyback
+	// invalidated, reconstructing the new version from the cached body
+	// plus the server's patch (§4, ref [23]). Off, an invalidated copy is
+	// deleted; on, it stays in the cache as a delta base, never served.
 	DeltaEncoding bool
 	// UpstreamTimeout caps one upstream exchange (the client's
 	// RequestTimeout); zero keeps the wire default (30s).
@@ -235,6 +237,10 @@ type proxyCounters struct {
 	listBytes          *obs.Counter
 	deltaUpdates       *obs.Counter
 	deltaBytesSaved    *obs.Counter
+	// deltaBaseRefetches counts fetches of a key whose copy was
+	// invalidated, sent conditional on that copy as a delta base; the share
+	// of them deltaUpdates patched says whether bases earn their memory.
+	deltaBaseRefetches *obs.Counter
 	singleflightShared *obs.Counter
 	upstreamErrors     *obs.Counter
 	staleServes        *obs.Counter
@@ -291,6 +297,7 @@ func New(cfg Config) *Proxy {
 			listBytes:          reg.Counter("proxy.list_bytes"),
 			deltaUpdates:       reg.Counter("proxy.delta_updates"),
 			deltaBytesSaved:    reg.Counter("proxy.delta_bytes_saved"),
+			deltaBaseRefetches: reg.Counter("proxy.delta_base_refetches"),
 			singleflightShared: reg.Counter("proxy.singleflight_shared"),
 			upstreamErrors:     reg.Counter("proxy.upstream_errors"),
 			staleServes:        reg.Counter("proxy.stale_serves"),
@@ -389,13 +396,14 @@ func (p *Proxy) Close() {
 }
 
 // upstreamState carries what one request needs across the upstream
-// exchange: the target, and — when a stale copy exists — the cached body,
-// Last-Modified, and Content-Type, copied out under the shard lock (a
-// cache.View) so no *cache.Entry pointer is touched while other goroutines
-// mutate the cache.
+// exchange: the target, and — when a stale copy or a delta base exists —
+// the cached body, Last-Modified, and Content-Type, copied out under the
+// shard lock (a cache.View) so no *cache.Entry pointer is touched while
+// other goroutines mutate the cache. hit says the copy is servable (stale);
+// base that it is an outdated delta base, only ever patched, never served.
 type upstreamState struct {
 	key, host, path string
-	hit             bool
+	hit, base       bool
 	cachedLM        int64
 	cachedLMDate    string
 	cachedBody      []byte
@@ -444,8 +452,8 @@ func (p *Proxy) ServeWire(ctx context.Context, req *httpwire.Request) *httpwire.
 		return resp // fresh hit
 	}
 	if !st.hit {
-		// Cold key: de-duplicate concurrent misses. Only one goroutine
-		// fetches; the rest share its response.
+		// Cold key, or one with only a delta base: de-duplicate concurrent
+		// misses. Only one goroutine fetches; the rest share its response.
 		if shared, ok := p.joinFlight(ctx, key); ok {
 			p.c.singleflightShared.Inc()
 			return shared
@@ -494,8 +502,8 @@ func (p *Proxy) lookup(key, host, path string, now int64) (upstreamState, *httpw
 		resp.Header.Set("X-Cache", "HIT")
 		return st, resp
 	}
-	st.hit = hit
-	if hit {
+	st.hit, st.base = hit, v.Outdated
+	if hit || v.Outdated {
 		st.cachedLM = v.LastModified
 		st.cachedLMDate = v.LastModifiedHTTP
 		st.cachedBody = v.Body
@@ -542,12 +550,15 @@ func (p *Proxy) finishFlight(key string, out *httpwire.Response) {
 }
 
 // fetch is the miss path: ask the origin — conditionally when a stale copy
-// exists (§2.1) — act on the outcome, then on the piggyback and the answer
-// to the hit report and validation list that rode along. Only a delta that
-// does not apply leaves out nil; it costs one more pass, unconditional,
-// which cannot end that way.
+// (§2.1) or a delta base exists — act on the outcome, then on the piggyback
+// and the answer to the hit report and validation list that rode along.
+// Only a delta that does not apply, or a 304 to a base, leaves out nil; it
+// costs one more pass, unconditional, which cannot end that way.
 func (p *Proxy) fetch(ctx context.Context, st upstreamState, now int64) *httpwire.Response {
-	for cond := st.hit; ; cond = false {
+	for cond := st.hit || st.base; ; cond = false {
+		if cond && st.base {
+			p.c.deltaBaseRefetches.Inc()
+		}
 		oreq, sent, nHits := p.originRequest(st, cond, now)
 		resp, err := p.askOrigin(ctx, p.origin, st.host, oreq)
 		if err != nil {
@@ -557,10 +568,15 @@ func (p *Proxy) fetch(ctx context.Context, st upstreamState, now int64) *httpwir
 		switch {
 		case resp.Status == 200:
 			out = p.fetched(st, resp, now)
-		case resp.Status == 304 && cond:
-			out = p.notModified(st, now)
 		case resp.Status == 226 && cond:
-			out = p.patched(st, resp, now)
+			if p.patch(st.key, st.cachedBody, st.cachedCT, resp) {
+				out = p.fetched(st, resp, now)
+			}
+		case resp.Status == 304 && cond && st.hit:
+			out = p.notModified(st, now)
+		case resp.Status == 304 && cond:
+			// The origin calls the base current after all, but a base is
+			// never served: ask again for the whole body.
 		case resp.Status == 304 || resp.Status == 226:
 			// Conditional-only statuses for a request that carried no
 			// condition: the origin is confused; a client that sent a
@@ -603,14 +619,7 @@ func (p *Proxy) originRequest(st upstreamState, cond bool, now int64) (*httpwire
 	oreq := httpwire.NewRequest("GET", st.path)
 	oreq.Header.Set("Host", st.host)
 	if cond {
-		ims := st.cachedLMDate
-		if ims == "" {
-			ims = httpwire.FormatHTTPDate(st.cachedLM)
-		}
-		oreq.Header.Set("If-Modified-Since", ims)
-		if p.cfg.DeltaEncoding {
-			oreq.Header.Set("A-IM", "blockdiff")
-		}
+		p.condition(oreq, st.cachedLM, st.cachedLMDate)
 	}
 	filter := p.cfg.BaseFilter
 	filter.RPV = p.rpv.Snapshot(st.host, now)
@@ -638,6 +647,19 @@ func (p *Proxy) originRequest(st upstreamState, cond bool, now int64) (*httpwire
 	return oreq, sent, nHits
 }
 
+// condition makes req conditional on the cached version lm — lmDate is its
+// pre-rendered HTTP-date, when there is one — and, with deltas on, asks for
+// a changed version as a patch against it.
+func (p *Proxy) condition(req *httpwire.Request, lm int64, lmDate string) {
+	if lmDate == "" {
+		lmDate = httpwire.FormatHTTPDate(lm)
+	}
+	req.Header.Set("If-Modified-Since", lmDate)
+	if p.cfg.DeltaEncoding {
+		req.Header.Set("A-IM", "blockdiff")
+	}
+}
+
 // askOrigin resolves host and runs the exchange on l — p.origin for
 // demand, p.prefetch for speculation. Every failure but a refusal by the
 // open circuit is an upstream error.
@@ -653,8 +675,8 @@ func (p *Proxy) askOrigin(ctx context.Context, l leg, host string, req *httpwire
 	return resp, err
 }
 
-// fetched is the 200 outcome: a body for a cold key, or a new version for
-// a stale one.
+// fetched is the 200 outcome (a patched 226 included): a body for a cold
+// key or one with a delta base, or a new version for a stale copy.
 func (p *Proxy) fetched(st upstreamState, resp *httpwire.Response, now int64) *httpwire.Response {
 	if st.hit {
 		p.c.validations.Inc()
@@ -676,28 +698,29 @@ func (p *Proxy) notModified(st upstreamState, now int64) *httpwire.Response {
 	return serveCopy(st.cachedBody, st.cachedLM, st.cachedLMDate, st.cachedCT)
 }
 
-// patched is the 226 outcome: the new version is the cached body plus the
-// origin's patch (§4, ref [23]), and resp is rewritten into the full
-// response it stands for. When the patch does not apply, the cached copy —
-// which the origin has just said is outdated — is dropped and nil sends
-// fetch round again for the whole body.
-func (p *Proxy) patched(st upstreamState, resp *httpwire.Response, now int64) *httpwire.Response {
-	body, err := applyDelta(st.cachedBody, resp)
+// patch handles a 226 answer to a request conditional on key's cached copy
+// (a stale one or a delta base): the new version is cachedBody plus the
+// origin's patch (§4, ref [23]), and resp is rewritten into the 200 it
+// stands for. When the patch does not apply, the cached copy — which the
+// origin has just said is outdated — is dropped, and false tells the
+// caller to ask again for the whole body.
+func (p *Proxy) patch(key string, cachedBody []byte, cachedCT string, resp *httpwire.Response) bool {
+	body, err := applyDelta(cachedBody, resp)
 	if err != nil {
 		p.c.upstreamErrors.Inc()
-		p.cache.Delete(st.key)
-		return nil
+		p.cache.Delete(key)
+		return false
 	}
-	p.c.validations.Inc()
 	p.c.deltaUpdates.Inc()
 	p.c.deltaBytesSaved.Add(int64(len(body) - len(resp.Body)))
-	if resp.Header.Get("Content-Type") == "" && st.cachedCT != "" {
+	if resp.Header.Get("Content-Type") == "" && cachedCT != "" {
 		// The delta carries the patched body of the same resource: its
 		// type is the cached copy's.
-		resp.Header.Set("Content-Type", st.cachedCT)
+		resp.Header.Set("Content-Type", cachedCT)
 	}
+	resp.Status = 200
 	resp.Body = body
-	return p.admit(st.key, resp, now, false)
+	return true
 }
 
 // admit is the only way a body enters the cache: resp's body becomes key's
@@ -843,7 +866,7 @@ func (p *Proxy) applyValidations(host string, answers []httpwire.Answer, sent []
 // applyElement is the per-element step of a piggyback or an answer: feed
 // the freshness estimator, freshen or invalidate the cached copy (and its
 // expiry index entry), pin it for replacement, and queue a prefetch when
-// the copy is gone. An element answering a listed path queues no prefetch:
+// the copy is gone or only a delta base. An element answering a listed path queues no prefetch:
 // nobody read that entry recently, so fetching its new version would be
 // speculation without evidence. An element with no Last-Modified carries
 // no version — applied, it would freshen any copy, since no cached
@@ -870,8 +893,12 @@ func (p *Proxy) applyElement(host string, el core.Element, now int64, listed boo
 	expires := now + p.delta(key)
 	switch p.cache.ApplyPiggyback(key, el.LastModified, expires, now+p.cfg.RPVTimeout, now) {
 	case cache.PiggybackInvalidated:
-		// Stale copy: deleted; a fresh copy could be prefetched (§2.1).
+		// Outdated copy: kept as the delta base of its refetch, or deleted
+		// when deltas are off; a fresh copy could be prefetched (§2.1).
 		p.c.invalidations.Inc()
+		if !p.cfg.DeltaEncoding {
+			p.cache.Delete(key)
+		}
 		p.hits.drop(elHost, elPath)
 		if p.cfg.Prefetch && !listed {
 			p.queue.Push(FetchItem{Host: elHost, URL: elPath, Size: el.Size, LastModified: el.LastModified})
@@ -911,7 +938,7 @@ func (p *Proxy) DrainPrefetchesContext(ctx context.Context, max int) int {
 		now := p.cfg.Clock()
 		key := it.Key()
 		if p.cache.Contains(key) {
-			continue
+			continue // servable already; a delta base is not
 		}
 		if _, shared := p.joinFlight(ctx, key); shared {
 			// Another drain or a client miss is already fetching this
@@ -929,20 +956,41 @@ func (p *Proxy) DrainPrefetchesContext(ctx context.Context, max int) int {
 
 // prefetchOne runs one speculative origin fetch as a flight leader. It
 // always returns a response for the flight's waiters (a joined client miss
-// is served the prefetched body) and reports whether a 200 was cached.
+// is served the prefetched body, never a 304 or a 226) and reports whether
+// a new version was cached. When the key holds a delta base the fetch is
+// conditional on it, and its outcomes are the miss path's: a 226 is
+// patched, and a 304 or a patch that does not apply costs one more pass,
+// unconditional.
 func (p *Proxy) prefetchOne(ctx context.Context, it FetchItem, key string, now int64) (*httpwire.Response, bool) {
-	oreq := httpwire.NewRequest("GET", it.URL)
-	oreq.Header.Set("Host", it.Host)
-	httpwire.SetFilter(oreq, core.Filter{Disabled: true})
-	resp, err := p.askOrigin(ctx, p.prefetch, it.Host, oreq)
-	if err != nil {
-		return p.degrade(upstreamState{}, now, err), false
+	base, _ := p.cache.PeekView(key)
+	for cond := base.Outdated; ; cond = false {
+		oreq := httpwire.NewRequest("GET", it.URL)
+		oreq.Header.Set("Host", it.Host)
+		httpwire.SetFilter(oreq, core.Filter{Disabled: true})
+		if cond {
+			p.c.deltaBaseRefetches.Inc()
+			p.condition(oreq, base.LastModified, base.LastModifiedHTTP)
+		}
+		resp, err := p.askOrigin(ctx, p.prefetch, it.Host, oreq)
+		if err != nil {
+			return p.degrade(upstreamState{}, now, err), false
+		}
+		switch {
+		case resp.Status == 226 && cond:
+			if !p.patch(key, base.Body, base.ContentType, resp) {
+				continue
+			}
+		case resp.Status == 304 && cond:
+			continue
+		case resp.Status == 304 || resp.Status == 226:
+			p.c.upstreamErrors.Inc()
+			return httpwire.NewResponse(502), false
+		case resp.Status != 200:
+			return passThrough(resp), false
+		}
+		p.c.prefetches.Inc()
+		out := p.admit(key, resp, now, true)
+		out.Header.Set("X-Cache", "MISS")
+		return out, true
 	}
-	if resp.Status != 200 {
-		return passThrough(resp), false
-	}
-	p.c.prefetches.Inc()
-	out := p.admit(key, resp, now, true)
-	out.Header.Set("X-Cache", "MISS")
-	return out, true
 }
