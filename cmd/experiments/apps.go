@@ -202,7 +202,7 @@ func runE2E(l *lab) {
 		return fmt.Sprintf("%d (%d)", snap.Counter("proxy.expiry_validations"), snap.Counter("proxy.expiry_validations_useful"))
 	}
 	tbl.AddRow("expiry validations (useful)", expiry(proxies[0]), expiry(proxies[1]))
-	tbl.AddRow("cache hit rate", proxies[0].CacheHitRate(), proxies[1].CacheHitRate())
+	tbl.AddRow("cache hit rate", proxies[0].CacheStats().HitRate(), proxies[1].CacheStats().HitRate())
 	fmt.Print(tbl.String())
 	fmt.Printf("origin requests: %d for %d client requests; piggybacks sent: %d; wall time %v\n",
 		os.Requests, len(replay), os.PiggybacksSent, elapsed.Round(time.Millisecond))

@@ -141,7 +141,7 @@ func main() {
 					st.ClientRequests, st.FreshHits, st.Validations, st.NotModified,
 					st.PiggybacksReceived, st.Refreshes, st.Invalidations, st.Prefetches,
 					st.StaleServes, px.BreakerOpenHosts(),
-					px.CacheHitRate())
+					px.CacheStats().HitRate())
 				if px.PeerRing() != nil {
 					line += fmt.Sprintf(" peerFwd=%d peerServes=%d peerFallbacks=%d peerProp=%d/%d",
 						st.PeerForwards, st.PeerServes, st.PeerFallbacks,

@@ -130,7 +130,7 @@ func main() {
 		replayed, wall.Round(time.Millisecond), float64(replayed)/wall.Seconds(), errors)
 	fmt.Printf("proxy:  fresh hits %d (%.1f%%), validations %d, misses %d, hit rate %.3f\n",
 		ps.FreshHits, 100*float64(ps.FreshHits)/float64(replayed),
-		ps.Validations, ps.MissFetches, px.CacheHitRate())
+		ps.Validations, ps.MissFetches, px.CacheStats().HitRate())
 	fmt.Printf("piggy:  %d piggybacks (%d elements), %d refreshes, %d invalidations, %d prefetches (%d useful), %d hits reported\n",
 		ps.PiggybacksReceived, ps.PiggybackElements, ps.Refreshes, ps.Invalidations,
 		ps.Prefetches, ps.UsefulPrefetches, ps.HitsReported)

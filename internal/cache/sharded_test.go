@@ -49,7 +49,8 @@ func compareState(t *testing.T, step int, ref *Cache, s *Sharded) {
 // TestShardedDifferential drives a shards==1 Sharded and a plain Cache with
 // one randomized op sequence (Put/Lookup/Freshen/Hint/Pin/Delete/piggyback,
 // invalidate-then-look-up, with capacity pressure forcing evictions) and asserts identical
-// observable state after every step, for every built-in policy.
+// observable state after every step — PeekView and Contains of the step's
+// key included — for every built-in policy.
 func TestShardedDifferential(t *testing.T) {
 	policies := []struct {
 		name  string
@@ -140,6 +141,14 @@ func TestShardedDifferential(t *testing.T) {
 					}
 				}
 				compareState(t, step, ref, s)
+				// PeekView and Contains have no side effects: ask both
+				// after every step, leaving the op sequence as it is.
+				pv1, pok1 := ref.PeekView(url)
+				pv2, pok2 := s.PeekView(url)
+				if pok1 != pok2 || pv1.Expires != pv2.Expires || pv1.Outdated != pv2.Outdated ||
+					string(pv1.Body) != string(pv2.Body) || ref.Contains(url) != s.Contains(url) {
+					t.Fatalf("step %d: peek diverged: %v/%+v vs %v/%+v", step, pok1, pv1, pok2, pv2)
+				}
 			}
 			if ref.Hits == 0 || ref.Evictions == 0 {
 				t.Fatalf("sequence exercised no hits (%d) or evictions (%d) — test is vacuous",

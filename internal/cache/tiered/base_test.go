@@ -30,13 +30,6 @@ func TestStoreOutdatedBase(t *testing.T) {
 	}{
 		{"cache", func(*testing.T) cache.Store { return cache.New(1<<20, cache.PiggybackLRU{}) }},
 		{"sharded", func(*testing.T) cache.Store { return cache.NewSharded(1<<20, 0, nil) }},
-		{"tiered-ram", func(t *testing.T) cache.Store {
-			ts, err := New(cache.NewSharded(1<<20, 1, nil), Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return ts
-		}},
 		{"tiered-disk", func(t *testing.T) cache.Store { return newTiered(t, t.TempDir(), 1<<20, Config{}) }},
 	}
 	for _, st := range stores {

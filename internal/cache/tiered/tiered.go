@@ -1,6 +1,7 @@
 package tiered
 
 import (
+	"errors"
 	"log"
 	"sync"
 
@@ -10,10 +11,8 @@ import (
 
 // Config parameterizes the disk tier under a Tiered store.
 type Config struct {
-	// Dir is the segment directory. Empty disables the disk tier: the
-	// Tiered store becomes a transparent wrapper over its RAM tier
-	// (useful for differential tests and for -disk-dir-less deployments
-	// sharing one code path).
+	// Dir is the segment directory. Required: a proxy without a disk
+	// tier serves from its RAM tier, a cache.Sharded, directly.
 	Dir string
 	// DiskBytes caps the on-disk segment footprint; zero means 256 MiB.
 	DiskBytes int64
@@ -68,7 +67,7 @@ type tierCounters struct {
 type Tiered struct {
 	ram    *cache.Sharded
 	cfg    Config
-	disk   *diskTier // nil in RAM-only mode
+	disk   *diskTier
 	closed sync.Once
 
 	// mu guards disk, evicted, the counters and obsC. A promotion, Put and
@@ -93,12 +92,15 @@ type Tiered struct {
 
 var _ cache.Store = (*Tiered)(nil)
 
-// New layers a disk tier under ram. With cfg.Dir == "" it returns a
-// RAM-only wrapper (no files). Otherwise it opens the segment directory,
-// loads the index snapshot when a valid one exists (restart-warm), and
-// installs the demotion hook on ram. From then on ram belongs to the
-// store: an entry put into it directly bypasses the record drop.
+// New layers a disk tier under ram: it opens the segment directory
+// cfg.Dir, loads the index snapshot when a valid one exists
+// (restart-warm), and installs the demotion hook on ram. From then on ram
+// belongs to the store: an entry put into it directly bypasses the record
+// drop.
 func New(ram *cache.Sharded, cfg Config) (*Tiered, error) {
+	if cfg.Dir == "" {
+		return nil, errors.New("tiered: no segment directory")
+	}
 	if cfg.DiskBytes <= 0 {
 		cfg.DiskBytes = 256 << 20
 	}
@@ -108,15 +110,11 @@ func New(ram *cache.Sharded, cfg Config) (*Tiered, error) {
 	if cfg.logf == nil {
 		cfg.logf = log.Printf
 	}
-	t := &Tiered{ram: ram, cfg: cfg}
-	if cfg.Dir == "" {
-		return t, nil
-	}
 	disk, err := openDisk(cfg.Dir, cfg.DiskBytes, cfg.segmentBytes, cfg.logf)
 	if err != nil {
 		return nil, err
 	}
-	t.disk = disk
+	t := &Tiered{ram: ram, cfg: cfg, disk: disk}
 	ram.SetEvictObserver(t.observeEvict)
 	return t, nil
 }
@@ -196,9 +194,6 @@ func (t *Tiered) Lookup(url string, now int64) (cache.View, bool) {
 	if v, ok := t.ram.Lookup(url, now); ok || v.Outdated {
 		return v, ok
 	}
-	if t.disk == nil {
-		return cache.View{}, false
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	e, ok := t.disk.get(url)
@@ -239,9 +234,6 @@ func (t *Tiered) PeekView(url string) (cache.View, bool) {
 	if v, ok := t.ram.PeekView(url); ok || v.Outdated {
 		return v, ok
 	}
-	if t.disk == nil {
-		return cache.View{}, false
-	}
 	t.mu.Lock()
 	e, ok := t.disk.get(url)
 	t.mu.Unlock()
@@ -268,9 +260,6 @@ func (t *Tiered) Contains(url string) bool {
 // version — all in one t.mu section, so no promotion of the record falls
 // in between.
 func (t *Tiered) Put(e cache.Entry, now int64) []string {
-	if t.disk == nil {
-		return t.ram.Put(e, now)
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	evicted := t.insertLocked(e, now)
@@ -281,9 +270,6 @@ func (t *Tiered) Put(e cache.Entry, now int64) []string {
 // Delete removes url from both tiers, in one t.mu section as Put does.
 // Deletion is invalidation: the disk copy is dropped, not demoted to.
 func (t *Tiered) Delete(url string) bool {
-	if t.disk == nil {
-		return t.ram.Delete(url)
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	ok := t.ram.Delete(url)
@@ -294,9 +280,6 @@ func (t *Tiered) Delete(url string) bool {
 func (t *Tiered) Freshen(url string, expires int64) bool {
 	if t.ram.Freshen(url, expires) {
 		return true
-	}
-	if t.disk == nil {
-		return false
 	}
 	t.mu.Lock()
 	ok := t.disk.freshen(url, expires)
@@ -324,9 +307,6 @@ func (t *Tiered) Hint(url string, until, now int64) bool {
 }
 
 func (t *Tiered) diskContains(url string) bool {
-	if t.disk == nil {
-		return false
-	}
 	t.mu.Lock()
 	_, ok := t.disk.index[url]
 	t.mu.Unlock()
@@ -343,7 +323,7 @@ func (t *Tiered) diskContains(url string) bool {
 // it applies the element to RAM again, under the same t.mu section.
 func (t *Tiered) ApplyPiggyback(url string, lastModified, freshenTo, pinUntil, now int64) cache.PiggybackOutcome {
 	out := t.ram.ApplyPiggyback(url, lastModified, freshenTo, pinUntil, now)
-	if t.disk == nil || out == cache.PiggybackRefreshed {
+	if out == cache.PiggybackRefreshed {
 		return out
 	}
 	t.mu.Lock()
@@ -375,9 +355,7 @@ func (t *Tiered) Stats() cache.StoreStats {
 	s.CleanDemotions = t.demoteClean
 	s.Promotions = t.promotions
 	s.Compactions = t.compactions
-	if t.disk != nil {
-		s.DiskBytes = t.disk.bytes
-	}
+	s.DiskBytes = t.disk.bytes
 	return s
 }
 
@@ -387,9 +365,6 @@ func (t *Tiered) Stats() cache.StoreStats {
 // proxy re-instruments the store it reopened).
 func (t *Tiered) Instrument(reg *obs.Registry, prefix string) {
 	t.ram.Instrument(reg, prefix)
-	if t.disk == nil {
-		return
-	}
 	c := &tierCounters{
 		demotions:   reg.Counter(prefix + ".tier.demotions"),
 		demoteClean: reg.Counter(prefix + ".tier.demote_clean"),
@@ -413,11 +388,7 @@ func (t *Tiered) Instrument(reg *obs.Registry, prefix string) {
 // the disk tier is inclusive, so a key resident in RAM and on disk
 // occupies both.
 func (t *Tiered) Capacity() int64 {
-	c := t.ram.Capacity()
-	if t.disk != nil {
-		c += t.cfg.DiskBytes
-	}
-	return c
+	return t.ram.Capacity() + t.cfg.DiskBytes
 }
 
 // Used is the bytes held across both tiers, a key resident in both
@@ -437,9 +408,6 @@ func (t *Tiered) Len() int {
 // diskOnly counts the indexed records, and their bytes, whose key the RAM
 // tier does not also hold.
 func (t *Tiered) diskOnly() (n int, bytes int64) {
-	if t.disk == nil {
-		return 0, 0
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for url, l := range t.disk.index {
@@ -458,9 +426,6 @@ func (t *Tiered) diskOnly() (n int, bytes int64) {
 func (t *Tiered) Close() error {
 	var err error
 	t.closed.Do(func() {
-		if t.disk == nil {
-			return
-		}
 		t.mu.Lock()
 		defer t.mu.Unlock()
 		t.ram.SetEvictObserver(nil)

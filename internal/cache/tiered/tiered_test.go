@@ -433,44 +433,31 @@ func TestTieredStartsNoGoroutines(t *testing.T) {
 	}
 }
 
-// TestTieredRAMOnly: Dir == "" is a transparent wrapper — no files, no
-// demotions, Store semantics identical to the RAM tier.
-func TestTieredRAMOnly(t *testing.T) {
-	ts, err := New(cache.NewSharded(1<<10, 1, nil), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ts.Close()
-	now := int64(1000)
-	ts.Put(entry("http://o/a", 600, now), now)
-	ts.Lookup("http://o/a", now)
-	ts.Put(entry("http://o/b", 600, now), now) // evicts a — nowhere to go
-	if ts.Contains("http://o/a") {
-		t.Fatal("RAM-only store resurrected an evicted entry")
-	}
-	st := ts.Stats()
-	if st.Demotions != 0 || st.DiskHits != 0 || st.DiskBytes != 0 {
-		t.Fatalf("RAM-only store has tier activity: %+v", st)
+// TestTieredRequiresDir: a Tiered store always has a disk tier; New
+// refuses an empty segment directory.
+func TestTieredRequiresDir(t *testing.T) {
+	if ts, err := New(cache.NewSharded(1<<10, 1, nil), Config{}); err == nil || ts != nil {
+		t.Fatalf("New with no Dir = %v, %v; want an error", ts, err)
 	}
 }
 
-// TestTieredDifferential (satellite 1) drives the plain Cache, a
-// shards==1 Sharded, and a RAM-only Tiered through one randomized op
-// sequence via the cache.Store interface and asserts identical observable
-// behaviour at every step — the three implementations are
-// interchangeable wherever a Store is accepted.
+// TestTieredDifferential drives the plain Cache, a shards==1 Sharded, and
+// a Tiered whose disk tier admits no record (DiskBytes 1: every demotion
+// is refused) through one randomized op sequence via the cache.Store
+// interface and asserts identical observable behaviour at every step. The
+// Tiered arm takes its disk branches on every miss, Put, Delete and
+// piggyback element, so this checks that a disk tier holding nothing is
+// transparent.
 func TestTieredDifferential(t *testing.T) {
 	const capacity = 4 << 10
 	plain := cache.New(capacity, cache.PiggybackLRU{})
 	sharded := cache.NewSharded(capacity, 1, nil)
-	tiered, err := New(cache.NewSharded(capacity, 1, nil), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tiered := newTiered(t, t.TempDir(), capacity, Config{DiskBytes: 1})
+	defer tiered.Close()
 	stores := []struct {
 		name string
 		s    cache.Store
-	}{{"plain", plain}, {"sharded", sharded}, {"tiered-ram", tiered}}
+	}{{"plain", plain}, {"sharded", sharded}, {"tiered-nodisk", tiered}}
 
 	rng := rand.New(rand.NewSource(99))
 	now := int64(1000)

@@ -216,13 +216,19 @@ func TestSingleFlightDeduplicatesMisses(t *testing.T) {
 // TestUnexpectedConditionalStatusMapsTo502 covers the wire-framing bugfix:
 // an origin answering a plain GET with 304 or 226 (statuses only valid for
 // conditional requests) must not be passed through to the client, by the
-// miss path or by a prefetch.
+// miss path or by a prefetch a client joined.
 func TestUnexpectedConditionalStatusMapsTo502(t *testing.T) {
 	for _, status := range []int{304, 226} {
 		t.Run(fmt.Sprintf("status%d", status), func(t *testing.T) {
+			parked := make(chan struct{}, 1)
+			release := make(chan struct{})
 			origin := startOrigin(t, httpwire.HandlerFunc(func(_ context.Context, req *httpwire.Request) *httpwire.Response {
 				if req.Header.Has("If-Modified-Since") {
 					t.Errorf("unconditional request carried If-Modified-Since")
+				}
+				if isPrefetch(req) {
+					parked <- struct{}{}
+					<-release
 				}
 				resp := httpwire.NewResponse(status)
 				if status == 226 {
@@ -247,14 +253,25 @@ func TestUnexpectedConditionalStatusMapsTo502(t *testing.T) {
 			if resp2.Status != 502 || resp2.Header.Get("X-Cache") == "HIT" {
 				t.Fatalf("second request: %d %s", resp2.Status, resp2.Header.Get("X-Cache"))
 			}
-			// A prefetch is answered the same way: what a client joined to
-			// its flight would share is the 502.
-			it := FetchItem{Host: "www.confused.test", URL: "/cold.html"}
-			if out, ok := p.prefetchOne(context.Background(), it, it.Key(), 10_000); ok || out.Status != 502 {
-				t.Errorf("prefetch answered %d: %d (cached %v), want 502", status, out.Status, ok)
+			// A prefetch is answered the same way: a client joined to its
+			// flight shares the 502, and nothing is cached.
+			p.queue.Push(FetchItem{Host: "www.confused.test", URL: "/cold.html", Size: 10})
+			drained := make(chan int, 1)
+			go func() { drained <- p.DrainPrefetchesContext(context.Background(), 1) }()
+			<-parked
+			joined := make(chan *httpwire.Response, 1)
+			go func() { joined <- proxyGet(p, "www.confused.test/cold.html") }()
+			time.Sleep(20 * time.Millisecond) // let the client reach the flight
+			close(release)
+			if n := <-drained; n != 0 {
+				t.Errorf("prefetch answered %d counted as fetched (%d), want 0", status, n)
 			}
-			if s := p.Stats(); s.UpstreamErrors != 3 {
-				t.Errorf("upstream errors = %d, want 3", s.UpstreamErrors)
+			if out := <-joined; out.Status != 502 || out.Header.Get("X-Cache") != "SHARED" {
+				t.Errorf("client joined to a prefetch answered %d: %d %s, want 502 SHARED",
+					status, out.Status, out.Header.Get("X-Cache"))
+			}
+			if s := p.Stats(); s.UpstreamErrors != 3 || s.Prefetches != 0 {
+				t.Errorf("upstream errors = %d, prefetches = %d, want 3, 0", s.UpstreamErrors, s.Prefetches)
 			}
 		})
 	}

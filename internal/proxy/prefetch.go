@@ -12,10 +12,6 @@ type FetchItem struct {
 	Host string
 	URL  string // server-relative path
 	Size int64
-	// LastModified from the piggyback element; recent modification can
-	// demote a prefetch ("the proxy may decide not to prefetch items
-	// that have a recent Last-Modified time", §4).
-	LastModified int64
 }
 
 // Key returns the cache key (host-qualified URL).

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"io"
 	"net"
+	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -258,5 +260,67 @@ func TestCloseReleasesPrefetchConnection(t *testing.T) {
 			t.Fatalf("%d goroutines after Close, %d before New", runtime.NumGoroutine(), before)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestPrefetchLeavesReportsForDemand sends a prefetch between two client
+// misses to one host while a fresh hit is pending and a cached path is due
+// for listing: the prefetch carries neither Piggy-Hits nor Piggy-Validate,
+// and the next client miss carries both.
+func TestPrefetchLeavesReportsForDemand(t *testing.T) {
+	const host = "www.r.test"
+	type sent struct {
+		prefetch       bool
+		hits, validate []string
+	}
+	var mu sync.Mutex
+	var got []sent
+	origin := startOrigin(t, httpwire.HandlerFunc(func(_ context.Context, req *httpwire.Request) *httpwire.Response {
+		mu.Lock()
+		got = append(got, sent{isPrefetch(req),
+			httpwire.GetPaths(req, httpwire.FieldPiggyHits), httpwire.GetPaths(req, httpwire.FieldPiggyValidate)})
+		mu.Unlock()
+		return okResponse("body of " + req.Path)
+	}))
+	var now atomic.Int64
+	now.Store(10_000)
+	p := New(Config{
+		Delta:    600,
+		Prefetch: true,
+		Clock:    now.Load,
+		Resolve:  func(string) (string, error) { return origin, nil },
+	})
+	defer p.Close()
+
+	for _, path := range []string{"/hit.html", "/due.html"} {
+		if resp := proxyGet(p, host+path); resp.Header.Get("X-Cache") != "MISS" {
+			t.Fatalf("%s: X-Cache %q, want MISS", path, resp.Header.Get("X-Cache"))
+		}
+	}
+	// Both expire at 10_600, within Δ/4 of 10_500: /due.html is due for
+	// listing, and /hit.html, hit now, is reported instead.
+	now.Store(10_500)
+	if resp := proxyGet(p, host+"/hit.html"); resp.Header.Get("X-Cache") != "HIT" {
+		t.Fatalf("/hit.html: X-Cache %q, want HIT", resp.Header.Get("X-Cache"))
+	}
+
+	p.queue.Push(FetchItem{Host: host, URL: "/speculative.html", Size: 10})
+	if n := p.DrainPrefetchesContext(context.Background(), 1); n != 1 {
+		t.Fatalf("drain fetched %d, want 1", n)
+	}
+	if resp := proxyGet(p, host+"/demand.html"); resp.Header.Get("X-Cache") != "MISS" {
+		t.Fatalf("/demand.html: X-Cache %q, want MISS", resp.Header.Get("X-Cache"))
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(got) != 4 {
+		t.Fatalf("origin saw %d requests, want 4", len(got))
+	}
+	if pf := got[2]; !pf.prefetch || len(pf.hits) != 0 || len(pf.validate) != 0 {
+		t.Errorf("prefetch request: %+v, want one with piggybacking disabled that reports and lists nothing", pf)
+	}
+	if d := got[3]; d.prefetch || !reflect.DeepEqual(d.hits, []string{"/hit.html"}) || !reflect.DeepEqual(d.validate, []string{"/due.html"}) {
+		t.Errorf("client miss after the prefetch: %+v, want hits [/hit.html] and validate [/due.html]", d)
 	}
 }

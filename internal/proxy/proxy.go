@@ -370,9 +370,6 @@ func (p *Proxy) BreakerOpenHosts() int { return p.origin.breaker.OpenHosts() }
 // obs.StatsPath).
 func (p *Proxy) Obs() *obs.Registry { return p.obs }
 
-// CacheHitRate returns the cache's hit rate across all tiers.
-func (p *Proxy) CacheHitRate() float64 { return p.cache.Stats().HitRate() }
-
 // CacheStats returns the store's aggregate counters (all tiers).
 func (p *Proxy) CacheStats() cache.StoreStats { return p.cache.Stats() }
 
@@ -396,19 +393,17 @@ func (p *Proxy) Close() {
 }
 
 // upstreamState carries what one request needs across the upstream
-// exchange: the target, and — when a stale copy or a delta base exists —
-// the cached body, Last-Modified, and Content-Type, copied out under the
-// shard lock (a cache.View) so no *cache.Entry pointer is touched while
-// other goroutines mutate the cache. hit says the copy is servable (stale);
-// base that it is an outdated delta base, only ever patched, never served.
+// exchange: the target, and the cache.View of the key it was built from,
+// copied out under the shard lock so no *cache.Entry pointer is touched
+// while other goroutines mutate the cache. hit says the view is a servable
+// (stale) copy; v.Outdated that it is a delta base, only ever patched,
+// never served. speculative marks a prefetch, which fetch sends on the
+// prefetch leg.
 type upstreamState struct {
 	key, host, path string
-	hit, base       bool
-	cachedLM        int64
-	cachedLMDate    string
-	cachedBody      []byte
-	cachedCT        string
-	cachedExpires   int64
+	v               cache.View
+	hit             bool
+	speculative     bool
 }
 
 // ServeWire implements httpwire.Handler. ctx is the per-request context:
@@ -502,14 +497,7 @@ func (p *Proxy) lookup(key, host, path string, now int64) (upstreamState, *httpw
 		resp.Header.Set("X-Cache", "HIT")
 		return st, resp
 	}
-	st.hit, st.base = hit, v.Outdated
-	if hit || v.Outdated {
-		st.cachedLM = v.LastModified
-		st.cachedLMDate = v.LastModifiedHTTP
-		st.cachedBody = v.Body
-		st.cachedCT = v.ContentType
-		st.cachedExpires = v.Expires
-	}
+	st.v, st.hit = v, hit
 	return st, nil
 }
 
@@ -549,18 +537,24 @@ func (p *Proxy) finishFlight(key string, out *httpwire.Response) {
 	close(f.done)
 }
 
-// fetch is the miss path: ask the origin — conditionally when a stale copy
-// (§2.1) or a delta base exists — act on the outcome, then on the piggyback
-// and the answer to the hit report and validation list that rode along.
-// Only a delta that does not apply, or a 304 to a base, leaves out nil; it
-// costs one more pass, unconditional, which cannot end that way.
+// fetch is the miss path, for a client miss and a prefetch alike: ask the
+// origin — conditionally when a stale copy (§2.1) or a delta base exists —
+// act on the outcome, then on the piggyback and the answer to the hit
+// report and validation list that rode along. A prefetch (§4) is the same
+// request sent early, on the speculative leg. Only a delta that does not
+// apply, or a 304 to a base, leaves out nil; it costs one more pass,
+// unconditional, which cannot end that way.
 func (p *Proxy) fetch(ctx context.Context, st upstreamState, now int64) *httpwire.Response {
-	for cond := st.hit || st.base; ; cond = false {
-		if cond && st.base {
+	l := p.origin
+	if st.speculative {
+		l = p.prefetch
+	}
+	for cond := st.hit || st.v.Outdated; ; cond = false {
+		if cond && st.v.Outdated {
 			p.c.deltaBaseRefetches.Inc()
 		}
 		oreq, sent, nHits := p.originRequest(st, cond, now)
-		resp, err := p.askOrigin(ctx, p.origin, st.host, oreq)
+		resp, err := p.askOrigin(ctx, l, st.host, oreq)
 		if err != nil {
 			return p.degrade(st, now, err)
 		}
@@ -569,7 +563,7 @@ func (p *Proxy) fetch(ctx context.Context, st upstreamState, now int64) *httpwir
 		case resp.Status == 200:
 			out = p.fetched(st, resp, now)
 		case resp.Status == 226 && cond:
-			if p.patch(st.key, st.cachedBody, st.cachedCT, resp) {
+			if p.patch(st.key, st.v.Body, st.v.ContentType, resp) {
 				out = p.fetched(st, resp, now)
 			}
 		case resp.Status == 304 && cond && st.hit:
@@ -614,12 +608,18 @@ func (p *Proxy) fetch(ctx context.Context, st upstreamState, now int64) *httpwir
 // soonest within the next Δ/4, in path order. It drains both, puts back the
 // listed paths the header budget leaves out, and returns the paths it sent,
 // as an answer indexes them — the reported hits, then the listed paths,
-// each in wire order — and how many of them are hits.
+// each in wire order — and how many of them are hits. A prefetch sends the
+// filter disabled, so it sets off no speculative cascade, and sends no
+// reports or list: those wait for the host's next demand request.
 func (p *Proxy) originRequest(st upstreamState, cond bool, now int64) (*httpwire.Request, []string, int) {
 	oreq := httpwire.NewRequest("GET", st.path)
 	oreq.Header.Set("Host", st.host)
 	if cond {
-		p.condition(oreq, st.cachedLM, st.cachedLMDate)
+		p.condition(oreq, st.v.LastModified, st.v.LastModifiedHTTP)
+	}
+	if st.speculative {
+		httpwire.SetFilter(oreq, core.Filter{Disabled: true})
+		return oreq, nil, 0
 	}
 	filter := p.cfg.BaseFilter
 	filter.RPV = p.rpv.Snapshot(st.host, now)
@@ -676,14 +676,18 @@ func (p *Proxy) askOrigin(ctx context.Context, l leg, host string, req *httpwire
 }
 
 // fetched is the 200 outcome (a patched 226 included): a body for a cold
-// key or one with a delta base, or a new version for a stale copy.
+// key or one with a delta base, or a new version for a stale copy. A
+// prefetched body is admitted marked Prefetched.
 func (p *Proxy) fetched(st upstreamState, resp *httpwire.Response, now int64) *httpwire.Response {
-	if st.hit {
+	switch {
+	case st.hit:
 		p.c.validations.Inc()
-	} else {
+	case st.speculative:
+		p.c.prefetches.Inc()
+	default:
 		p.c.missFetches.Inc()
 	}
-	return p.admit(st.key, resp, now, false)
+	return p.admit(st.key, resp, now, st.speculative)
 }
 
 // notModified is the 304 outcome. It serves the validated copy, not
@@ -695,7 +699,7 @@ func (p *Proxy) notModified(st upstreamState, now int64) *httpwire.Response {
 	expires := now + p.delta(st.key)
 	p.cache.Freshen(st.key, expires)
 	p.noteExpiry(st.host, st.path, expires, false)
-	return serveCopy(st.cachedBody, st.cachedLM, st.cachedLMDate, st.cachedCT)
+	return serveCopy(st.v.Body, st.v.LastModified, st.v.LastModifiedHTTP, st.v.ContentType)
 }
 
 // patch handles a 226 answer to a request conditional on key's cached copy
@@ -808,9 +812,9 @@ func serveCopy(body []byte, lastModified int64, lmDate, contentType string) *htt
 // With no servable copy, timeouts map to 504 and everything else to 502.
 func (p *Proxy) degrade(st upstreamState, now int64, err error) *httpwire.Response {
 	if st.hit && p.cfg.MaxStaleOnError >= 0 && !errors.Is(err, wireerr.ErrCanceled) &&
-		now <= st.cachedExpires+p.cfg.MaxStaleOnError {
+		now <= st.v.Expires+p.cfg.MaxStaleOnError {
 		p.c.staleServes.Inc()
-		out := serveCopy(st.cachedBody, st.cachedLM, st.cachedLMDate, st.cachedCT)
+		out := serveCopy(st.v.Body, st.v.LastModified, st.v.LastModifiedHTTP, st.v.ContentType)
 		out.Header.Set("X-Cache", "STALE")
 		out.Header.Set("Warning", `110 - "Response is Stale"`)
 		return out
@@ -901,30 +905,31 @@ func (p *Proxy) applyElement(host string, el core.Element, now int64, listed boo
 		}
 		p.hits.drop(elHost, elPath)
 		if p.cfg.Prefetch && !listed {
-			p.queue.Push(FetchItem{Host: elHost, URL: elPath, Size: el.Size, LastModified: el.LastModified})
+			p.queue.Push(FetchItem{Host: elHost, URL: elPath, Size: el.Size})
 		}
 	case cache.PiggybackRefreshed:
 		p.c.refreshes.Inc()
 		p.noteExpiry(elHost, elPath, expires, listed)
 	case cache.PiggybackMiss:
 		if p.cfg.Prefetch && !listed {
-			p.queue.Push(FetchItem{Host: elHost, URL: elPath, Size: el.Size, LastModified: el.LastModified})
+			p.queue.Push(FetchItem{Host: elHost, URL: elPath, Size: el.Size})
 		}
 	}
 }
 
 // DrainPrefetchesContext synchronously services up to max queued
 // prefetches (smallest first), returning how many were fetched; it stops
-// early when ctx ends. Prefetch requests disable piggybacking to avoid
-// speculative cascades. They travel on the proxy's speculative connections
-// (wire.prefetch.*), one exchange per connection and one connection per
-// concurrent drain caller, never on a connection that carries client
-// misses, so a miss never waits behind a prefetch; the origin's circuit
-// breaker gates them and counts their failures as it does a miss's. Each
-// fetch goes through the same single-flight map as client misses, closing
-// the Peek-then-fetch window where two concurrent drains — or a drain
-// racing a client miss — would both fetch one key: the loser joins the
-// winner's flight (or skips) instead of issuing its own origin exchange.
+// early when ctx ends. Each prefetch is a fetch, speculative: it travels on
+// the proxy's speculative connections (wire.prefetch.*), one exchange per
+// connection and one connection per concurrent drain caller, never on a
+// connection that carries client misses, so a miss never waits behind a
+// prefetch; the origin's circuit breaker gates them and counts their
+// failures as it does a miss's. Each fetch goes through the same
+// single-flight map as client misses, closing the Peek-then-fetch window
+// where two concurrent drains — or a drain racing a client miss — would
+// both fetch one key: the loser joins the winner's flight (or skips)
+// instead of issuing its own origin exchange, and a client joined to a
+// prefetch's flight is served what a client miss would have been.
 func (p *Proxy) DrainPrefetchesContext(ctx context.Context, max int) int {
 	fetched := 0
 	for fetched < max {
@@ -937,6 +942,8 @@ func (p *Proxy) DrainPrefetchesContext(ctx context.Context, max int) int {
 		}
 		now := p.cfg.Clock()
 		key := it.Key()
+		// Contains first: on a tiered store, PeekView of a disk-resident
+		// key reads its whole record.
 		if p.cache.Contains(key) {
 			continue // servable already; a delta base is not
 		}
@@ -945,52 +952,15 @@ func (p *Proxy) DrainPrefetchesContext(ctx context.Context, max int) int {
 			// key; its Put will populate the cache.
 			continue
 		}
-		out, ok := p.prefetchOne(ctx, it, key, now)
+		// A delta base makes the prefetch conditional on it.
+		v, _ := p.cache.PeekView(key)
+		out := p.fetch(ctx, upstreamState{key: key, host: it.Host, path: it.URL, v: v, speculative: true}, now)
 		p.finishFlight(key, out)
-		if ok {
+		// With no servable copy to fall back on, only an admitted body
+		// answers 200.
+		if out.Status == 200 {
 			fetched++
 		}
 	}
 	return fetched
-}
-
-// prefetchOne runs one speculative origin fetch as a flight leader. It
-// always returns a response for the flight's waiters (a joined client miss
-// is served the prefetched body, never a 304 or a 226) and reports whether
-// a new version was cached. When the key holds a delta base the fetch is
-// conditional on it, and its outcomes are the miss path's: a 226 is
-// patched, and a 304 or a patch that does not apply costs one more pass,
-// unconditional.
-func (p *Proxy) prefetchOne(ctx context.Context, it FetchItem, key string, now int64) (*httpwire.Response, bool) {
-	base, _ := p.cache.PeekView(key)
-	for cond := base.Outdated; ; cond = false {
-		oreq := httpwire.NewRequest("GET", it.URL)
-		oreq.Header.Set("Host", it.Host)
-		httpwire.SetFilter(oreq, core.Filter{Disabled: true})
-		if cond {
-			p.c.deltaBaseRefetches.Inc()
-			p.condition(oreq, base.LastModified, base.LastModifiedHTTP)
-		}
-		resp, err := p.askOrigin(ctx, p.prefetch, it.Host, oreq)
-		if err != nil {
-			return p.degrade(upstreamState{}, now, err), false
-		}
-		switch {
-		case resp.Status == 226 && cond:
-			if !p.patch(key, base.Body, base.ContentType, resp) {
-				continue
-			}
-		case resp.Status == 304 && cond:
-			continue
-		case resp.Status == 304 || resp.Status == 226:
-			p.c.upstreamErrors.Inc()
-			return httpwire.NewResponse(502), false
-		case resp.Status != 200:
-			return passThrough(resp), false
-		}
-		p.c.prefetches.Inc()
-		out := p.admit(key, resp, now, true)
-		out.Header.Set("X-Cache", "MISS")
-		return out, true
-	}
 }

@@ -159,7 +159,7 @@ func TestProxyPiggybackRefreshesCachedEntry(t *testing.T) {
 	if tb.origin.Stats().Requests != origin {
 		t.Error("refreshed entry still validated at origin")
 	}
-	if tb.proxy.CacheHitRate() <= 0 {
+	if tb.proxy.CacheStats().HitRate() <= 0 {
 		t.Error("cache hit rate is 0 after a hit")
 	}
 }

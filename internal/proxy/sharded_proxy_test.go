@@ -300,7 +300,7 @@ func TestProxyMixedConcurrentHammer(t *testing.T) {
 				return
 			default:
 				_ = p.Stats()
-				_ = p.CacheHitRate()
+				_ = p.CacheStats().HitRate()
 				_ = p.Obs().Snapshot()
 				runtime.Gosched()
 			}
