@@ -39,7 +39,6 @@ type tierCounters struct {
 	demotions   *obs.Counter
 	demoteClean *obs.Counter
 	promotions  *obs.Counter
-	diskHits    *obs.Counter
 	diskBytes   *obs.Counter
 	compactions *obs.Counter
 }
@@ -202,7 +201,6 @@ func (t *Tiered) Lookup(url string, now int64) (cache.View, bool) {
 	}
 	t.promotions++
 	if c := t.obsC; c != nil {
-		c.diskHits.Inc()
 		c.promotions.Inc()
 	}
 	v := cache.View{
@@ -360,16 +358,16 @@ func (t *Tiered) Stats() cache.StoreStats {
 }
 
 // Instrument registers the RAM tier's gauges plus the tier counters:
-// prefix.tier.{demotions,demote_clean,promotions,disk_hits,disk_bytes,
-// compactions}. Safe to call again with a fresh registry (a restarted
-// proxy re-instruments the store it reopened).
+// prefix.tier.{demotions,demote_clean,promotions,disk_bytes,compactions}.
+// Every disk hit promotes, so promotions is also the disk-hit count. Safe
+// to call again with a fresh registry (a restarted proxy re-instruments
+// the store it reopened).
 func (t *Tiered) Instrument(reg *obs.Registry, prefix string) {
 	t.ram.Instrument(reg, prefix)
 	c := &tierCounters{
 		demotions:   reg.Counter(prefix + ".tier.demotions"),
 		demoteClean: reg.Counter(prefix + ".tier.demote_clean"),
 		promotions:  reg.Counter(prefix + ".tier.promotions"),
-		diskHits:    reg.Counter(prefix + ".tier.disk_hits"),
 		diskBytes:   reg.Counter(prefix + ".tier.disk_bytes"),
 		compactions: reg.Counter(prefix + ".tier.compactions"),
 	}
@@ -378,7 +376,6 @@ func (t *Tiered) Instrument(reg *obs.Registry, prefix string) {
 	c.demotions.Add(t.demotions - c.demotions.Load())
 	c.demoteClean.Add(t.demoteClean - c.demoteClean.Load())
 	c.promotions.Add(t.promotions - c.promotions.Load())
-	c.diskHits.Add(t.promotions - c.diskHits.Load())
 	c.compactions.Add(t.compactions - c.compactions.Load())
 	c.diskBytes.Add(t.disk.bytes - c.diskBytes.Load())
 	t.obsC = c

@@ -376,7 +376,6 @@ func TestTieredInstrument(t *testing.T) {
 	for name, want := range map[string]int64{
 		"cache.tier.demotions":  st.Demotions,
 		"cache.tier.promotions": st.Promotions,
-		"cache.tier.disk_hits":  st.DiskHits,
 		"cache.tier.disk_bytes": st.DiskBytes,
 	} {
 		if got := snap.Counter(name); got != want {

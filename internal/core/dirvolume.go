@@ -12,10 +12,6 @@ type DirConfig struct {
 	// 0 groups the whole site into one volume, 1 groups by first-level
 	// directory, and so on.
 	Level int
-	// MaxVolumeElements trims each volume to this many elements by
-	// "removing unpopular entries from the tail of the logical FIFO"
-	// (§3.2.1). Zero means unlimited.
-	MaxVolumeElements int
 	// ServerMaxPiggy is the server-side cap on elements per piggyback
 	// message, combined with the filter's maxpiggy. Zero means no
 	// server-side cap.
@@ -96,17 +92,6 @@ func (d *DirVolumes) Observe(a Access) {
 			n.lastAccess = a.Time
 		} else {
 			l.Touch(a.Element, trace.ContentType(a.Element.URL), a.Time)
-		}
-	}
-	if d.cfg.MaxVolumeElements > 0 {
-		// Trim across the volume's lists proportionally: each list is
-		// individually capped so the volume total stays bounded.
-		per := d.cfg.MaxVolumeElements
-		if len(v.order) > 1 {
-			per = (d.cfg.MaxVolumeElements + len(v.order) - 1) / len(v.order)
-		}
-		for _, key := range v.order {
-			v.lists[key].TrimTail(per)
 		}
 	}
 }
@@ -214,19 +199,6 @@ func (d *DirVolumes) NumVolumes() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return len(d.vols)
-}
-
-// NumElements returns the total elements across all volumes.
-func (d *DirVolumes) NumElements() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n := 0
-	for _, v := range d.vols {
-		for _, key := range v.order {
-			n += v.lists[key].Len()
-		}
-	}
-	return n
 }
 
 func (d *DirVolumes) contentClassOf(e Element) string {

@@ -144,16 +144,6 @@ func TestDirVolumesMaxPiggyCaps(t *testing.T) {
 	}
 }
 
-func TestDirVolumesTrim(t *testing.T) {
-	d := NewDirVolumes(DirConfig{Level: 0, MaxVolumeElements: 8, MTF: true})
-	for i := 0; i < 100; i++ {
-		obs(d, "p1", "/a/r"+strconv.Itoa(i)+".html", 10, int64(i))
-	}
-	if n := d.NumElements(); n > 8 {
-		t.Errorf("NumElements = %d, want <= 8", n)
-	}
-}
-
 func TestDirVolumesUpdateAndRemove(t *testing.T) {
 	d := NewDirVolumes(DirConfig{Level: 1, MTF: true})
 	obs(d, "p1", "/a/x.html", 10, 1)
@@ -203,7 +193,7 @@ func TestDirVolumesFIFOAblation(t *testing.T) {
 }
 
 func TestDirVolumesConcurrent(t *testing.T) {
-	d := NewDirVolumes(DirConfig{Level: 1, MaxVolumeElements: 50, MTF: true, PartitionByType: true})
+	d := NewDirVolumes(DirConfig{Level: 1, MTF: true, PartitionByType: true})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -217,11 +217,3 @@ type Provider interface {
 	Observe(a Access)
 	Piggyback(url string, now int64, f Filter) (Message, bool)
 }
-
-// VolumeOf is implemented by providers that can name the volume a resource
-// currently belongs to. The proxy never needs this mapping (§2.2: it learns
-// volume ids only from piggyback replies); it is exported for the
-// evaluation harness and for volume-center administration.
-type VolumeOf interface {
-	VolumeOf(url string) (VolumeID, bool)
-}

@@ -99,22 +99,6 @@ func (l *mtfList) Remove(url string) bool {
 	return true
 }
 
-// TrimTail removes elements from the tail until the list has at most max
-// elements, returning how many were removed. max <= 0 means unlimited.
-func (l *mtfList) TrimTail(max int) int {
-	if max <= 0 {
-		return 0
-	}
-	removed := 0
-	for len(l.index) > max && l.tail != nil {
-		t := l.tail
-		l.unlink(t)
-		delete(l.index, t.elem.URL)
-		removed++
-	}
-	return removed
-}
-
 // Get returns the node for url, if present.
 func (l *mtfList) Get(url string) (*mtfNode, bool) {
 	n, ok := l.index[url]

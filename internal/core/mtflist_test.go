@@ -34,26 +34,6 @@ func TestMTFTouchOrdering(t *testing.T) {
 	}
 }
 
-func TestMTFTrimTail(t *testing.T) {
-	l := newMTFList()
-	for i := 0; i < 10; i++ {
-		l.Touch(Element{URL: "/r" + strconv.Itoa(i)}, "text/html", int64(i))
-	}
-	if removed := l.TrimTail(4); removed != 6 {
-		t.Fatalf("TrimTail removed %d, want 6", removed)
-	}
-	got := listURLs(l)
-	want := []string{"/r9", "/r8", "/r7", "/r6"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("after trim: %v, want %v", got, want)
-		}
-	}
-	if l.TrimTail(0) != 0 {
-		t.Error("TrimTail(0) should be a no-op (unlimited)")
-	}
-}
-
 func TestMTFRemoveAndUpdate(t *testing.T) {
 	l := newMTFList()
 	l.Touch(Element{URL: "/a", Size: 1}, "text/html", 1)
@@ -114,8 +94,6 @@ func TestMTFRandomOperationsKeepInvariants(t *testing.T) {
 		switch rng.Intn(10) {
 		case 0:
 			l.Remove(url)
-		case 1:
-			l.TrimTail(rng.Intn(30) + 1)
 		case 2:
 			l.Update(Element{URL: url, Size: int64(i)})
 		default:

@@ -87,7 +87,7 @@ func checkMessage(t *testing.T, m Message, f Filter, requested string, counts ma
 func TestDirVolumesFilterContractProperty(t *testing.T) {
 	log := randomLog(21, 3000)
 	counts := log.AccessCounts()
-	d := NewDirVolumes(DirConfig{Level: 1, MTF: true, PartitionByType: true, MaxVolumeElements: 40})
+	d := NewDirVolumes(DirConfig{Level: 1, MTF: true, PartitionByType: true})
 	rng := rand.New(rand.NewSource(22))
 	for i := range log {
 		rec := &log[i]

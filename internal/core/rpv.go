@@ -1,9 +1,6 @@
 package core
 
-import (
-	"math/rand"
-	"sync"
-)
+import "sync"
 
 // RPVList tracks recently piggybacked volumes for one server (§2.2): "the
 // proxy stores a list of recently piggybacked volumes (RPVs) for each
@@ -151,57 +148,4 @@ func (t *RPVTable) Servers() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.lists)
-}
-
-// FrequencyControl implements the stateless piggyback pacing of §2.2 for
-// servers with many volumes, where RPV lists are impractical: "the proxy
-// can randomly set an enable/disable bit, or employ simple frequency
-// control techniques, such as disabling piggybacks from servers which have
-// sent piggybacks within the last minute. The frequency control techniques
-// can be randomized."
-//
-// A FrequencyControl is not safe for concurrent use.
-type FrequencyControl struct {
-	// MinInterval disables piggybacks from a server for this many
-	// seconds after one arrives; zero disables interval control.
-	MinInterval int64
-	// EnableProb, when in (0,1), randomly enables piggybacking with this
-	// probability per request; 0 or 1 means always enabled (subject to
-	// MinInterval).
-	EnableProb float64
-
-	rng  *rand.Rand
-	last map[string]int64 // server -> time of last piggyback received
-}
-
-// NewFrequencyControl returns a frequency controller. Seed fixes the random
-// enable/disable stream for reproducibility.
-func NewFrequencyControl(minInterval int64, enableProb float64, seed int64) *FrequencyControl {
-	return &FrequencyControl{
-		MinInterval: minInterval,
-		EnableProb:  enableProb,
-		rng:         rand.New(rand.NewSource(seed)),
-		last:        make(map[string]int64),
-	}
-}
-
-// Enabled reports whether the proxy should enable piggybacking on a request
-// to server at time now.
-func (c *FrequencyControl) Enabled(server string, now int64) bool {
-	if c.MinInterval > 0 {
-		if t, ok := c.last[server]; ok && now-t < c.MinInterval {
-			return false
-		}
-	}
-	if c.EnableProb > 0 && c.EnableProb < 1 {
-		return c.rng.Float64() < c.EnableProb
-	}
-	return true
-}
-
-// Received records that a piggyback arrived from server at time now.
-func (c *FrequencyControl) Received(server string, now int64) {
-	if c.MinInterval > 0 {
-		c.last[server] = now
-	}
 }

@@ -107,47 +107,6 @@ func TestRPVTableDropsEmptyLists(t *testing.T) {
 	}
 }
 
-func TestFrequencyControlMinInterval(t *testing.T) {
-	c := NewFrequencyControl(60, 0, 1)
-	if !c.Enabled("s", 100) {
-		t.Fatal("first request should be enabled")
-	}
-	c.Received("s", 100)
-	if c.Enabled("s", 130) {
-		t.Error("within min interval should be disabled")
-	}
-	if !c.Enabled("s", 160) {
-		t.Error("after min interval should be enabled")
-	}
-	if !c.Enabled("other", 130) {
-		t.Error("other servers unaffected")
-	}
-}
-
-func TestFrequencyControlRandomized(t *testing.T) {
-	c := NewFrequencyControl(0, 0.5, 42)
-	on := 0
-	const n = 2000
-	for i := 0; i < n; i++ {
-		if c.Enabled("s", int64(i)) {
-			on++
-		}
-	}
-	frac := float64(on) / n
-	if frac < 0.45 || frac > 0.55 {
-		t.Errorf("enable fraction = %v, want ~0.5", frac)
-	}
-}
-
-func TestFrequencyControlAlwaysOn(t *testing.T) {
-	c := NewFrequencyControl(0, 0, 1)
-	for i := 0; i < 10; i++ {
-		if !c.Enabled("s", int64(i)) {
-			t.Fatal("zero config should always enable")
-		}
-	}
-}
-
 func TestRPVLenAndDefaults(t *testing.T) {
 	l := NewRPVList(0)
 	for id := VolumeID(0); id < 40; id++ {

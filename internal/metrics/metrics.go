@@ -161,29 +161,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// Series is a named (x, y) sequence — one curve of a figure.
-type Series struct {
-	Name string
-	X, Y []float64
-}
-
-// Add appends a point.
-func (s *Series) Add(x, y float64) {
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
-}
-
-// String renders the series as "name: (x, y) (x, y) ..." rows, one point
-// per line for readability.
-func (s *Series) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "series %s:\n", s.Name)
-	for i := range s.X {
-		fmt.Fprintf(&b, "  x=%s y=%s\n", FormatFloat(s.X[i]), FormatFloat(s.Y[i]))
-	}
-	return b.String()
-}
-
 // Pct renders a fraction as a percentage string ("12.3%").
 func Pct(v float64) string {
 	if math.IsNaN(v) {

@@ -156,19 +156,6 @@ func TestFormatFloat(t *testing.T) {
 	}
 }
 
-func TestSeries(t *testing.T) {
-	s := &Series{Name: "fig2-level1"}
-	s.Add(10, 42.5)
-	s.Add(100, 7)
-	out := s.String()
-	if !strings.Contains(out, "fig2-level1") || !strings.Contains(out, "42.5") {
-		t.Errorf("series output: %s", out)
-	}
-	if len(s.X) != 2 || s.Y[1] != 7 {
-		t.Error("Add broken")
-	}
-}
-
 func TestPct(t *testing.T) {
 	if got := Pct(0.206); got != "20.6%" {
 		t.Errorf("Pct = %q", got)

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"piggyback/internal/cache"
 	"piggyback/internal/core"
 	"piggyback/internal/httpwire"
 	"piggyback/internal/obs"
@@ -242,6 +243,29 @@ func TestExpiryIndexInvalidationDrops(t *testing.T) {
 	p.admit(expHost+"/a", resp, 10_000, false)
 	p.admit(expHost+"/b", resp, 10_000, false)
 	p.applyElement(expHost, core.Element{URL: "/a", Size: 1, LastModified: 5000}, 10_000, false)
+	if listed := list(p.hits, "/self", 10_500, 10_650); !reflect.DeepEqual(listed, []string{"/b"}) {
+		t.Errorf("listed %v, want [/b]", listed)
+	}
+}
+
+// TestExpiryIndexForgetsEvicted: a key the store evicts to make room for
+// another leaves the index with its copy, so no request lists it.
+func TestExpiryIndexForgetsEvicted(t *testing.T) {
+	p := New(Config{Delta: 600, Clock: func() int64 { return 10_000 },
+		Resolve: func(string) (string, error) { return "", nil },
+		Store:   cache.NewSharded(100, 1, nil)})
+	t.Cleanup(p.Close)
+	resp := httpwire.NewResponse(200)
+	resp.Body = []byte(strings.Repeat("x", 60))
+	resp.Header.Set("Last-Modified", httpwire.FormatHTTPDate(1000))
+	p.admit(expHost+"/a", resp, 10_000, false)
+	p.admit(expHost+"/b", resp, 10_000, false)
+	if p.cache.Contains(expHost + "/a") {
+		t.Fatal("/a still cached: the store did not evict it")
+	}
+	if n := p.hits.indexed.Load(); n != 1 {
+		t.Errorf("%d keys indexed, want 1", n)
+	}
 	if listed := list(p.hits, "/self", 10_500, 10_650); !reflect.DeepEqual(listed, []string{"/b"}) {
 		t.Errorf("listed %v, want [/b]", listed)
 	}

@@ -739,7 +739,7 @@ func (p *Proxy) admit(key string, resp *httpwire.Response, now int64, prefetched
 		p.fresh.Observe(key, lm)
 	}
 	expires := now + p.delta(key)
-	p.cache.Put(cache.Entry{
+	evicted := p.cache.Put(cache.Entry{
 		URL:              key,
 		Size:             int64(len(resp.Body)),
 		LastModified:     lm,
@@ -753,6 +753,7 @@ func (p *Proxy) admit(key string, resp *httpwire.Response, now int64, prefetched
 	if i := strings.IndexByte(key, '/'); i >= 0 {
 		p.noteExpiry(key[:i], key[i:], expires, false)
 	}
+	p.forgetEvicted(evicted)
 	return serveCopy(resp.Body, lm, lmDate, ct)
 }
 
@@ -762,6 +763,20 @@ func (p *Proxy) admit(key string, resp *httpwire.Response, now int64, prefetched
 func (p *Proxy) noteExpiry(host, path string, expires int64, ahead bool) {
 	if !p.cfg.BaseFilter.Disabled && !p.hits.note(host, path, expires, ahead) {
 		p.c.expiryIndexFull.Inc()
+	}
+}
+
+// forgetEvicted drops the keys an insert evicted from their hosts' expiry
+// indexes, so no request lists a copy the proxy no longer holds. A key the
+// tiered store demoted to disk is dropped too; its next read validates it.
+func (p *Proxy) forgetEvicted(evicted []string) {
+	if p.cfg.BaseFilter.Disabled {
+		return
+	}
+	for _, key := range evicted {
+		if i := strings.IndexByte(key, '/'); i >= 0 {
+			p.hits.drop(key[:i], key[i:])
+		}
 	}
 }
 

@@ -116,17 +116,23 @@ func TestReaderWriter(t *testing.T) {
 }
 
 func TestReaderSkipsBlankAndReportsLine(t *testing.T) {
-	input := "\n" + FormatCLF(Record{Time: 900000000, Client: "a", Method: "GET", URL: "/x", Status: 200, Size: 1}) + "\n\nnot a log line\n"
+	// The Reader takes either dialect line by line, so one file may mix
+	// CLF and Squid lines; a line in neither is an error naming its line.
+	input := "\n" + FormatCLF(Record{Time: 900000000, Client: "a", Method: "GET", URL: "/x", Status: 200, Size: 1}) +
+		"\n\n" + squidLine + "\nnot a log line\n"
 	rd := NewReader(strings.NewReader(input))
-	if _, err := rd.Read(); err != nil {
-		t.Fatalf("first read: %v", err)
+	if r, err := rd.Read(); err != nil || r.URL != "/x" || r.Client != "a" {
+		t.Fatalf("CLF read: %+v, %v", r, err)
+	}
+	if r, err := rd.Read(); err != nil || r.URL != "www.foo.com/a/x.html" || r.Size != 4316 {
+		t.Fatalf("Squid read: %+v, %v", r, err)
 	}
 	_, err := rd.Read()
 	if err == nil || err == io.EOF {
 		t.Fatalf("expected parse error, got %v", err)
 	}
-	if !strings.Contains(err.Error(), "line 4") {
-		t.Errorf("error should name line 4 (blank lines counted): %v", err)
+	if !strings.Contains(err.Error(), "line 5") {
+		t.Errorf("error should name line 5 (blank lines counted): %v", err)
 	}
 }
 

@@ -78,29 +78,6 @@ func FormatSquid(r Record) string {
 		r.Time, r.Client, action, r.Status, r.Size, method, url)
 }
 
-// LogFormat identifies an access-log dialect.
-type LogFormat int
-
-const (
-	// FormatUnknown means detection failed.
-	FormatUnknown LogFormat = iota
-	// FormatCLFLog is Common Log Format (httpd server logs).
-	FormatCLFLog
-	// FormatSquidLog is Squid's native access.log.
-	FormatSquidLog
-)
-
-// DetectFormat guesses the dialect of one log line.
-func DetectFormat(line string) LogFormat {
-	if _, err := ParseCLF(line); err == nil {
-		return FormatCLFLog
-	}
-	if _, err := ParseSquid(line); err == nil {
-		return FormatSquidLog
-	}
-	return FormatUnknown
-}
-
 // ParseAny parses a line in either supported dialect.
 func ParseAny(line string) (Record, error) {
 	if rec, err := ParseCLF(line); err == nil {

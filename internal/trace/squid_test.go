@@ -74,19 +74,6 @@ func TestFormatSquidServerRelative(t *testing.T) {
 	}
 }
 
-func TestDetectFormat(t *testing.T) {
-	clf := FormatCLF(Record{Time: 899637753, Client: "c", Method: "GET", URL: "/x", Status: 200, Size: 1})
-	if DetectFormat(clf) != FormatCLFLog {
-		t.Error("CLF not detected")
-	}
-	if DetectFormat(squidLine) != FormatSquidLog {
-		t.Error("squid not detected")
-	}
-	if DetectFormat("garbage in, garbage out") != FormatUnknown {
-		t.Error("garbage detected as a format")
-	}
-}
-
 func TestParseAny(t *testing.T) {
 	clf := FormatCLF(Record{Time: 899637753, Client: "c", Method: "GET", URL: "/x", Status: 200, Size: 1})
 	if _, err := ParseAny(clf); err != nil {
