@@ -55,10 +55,6 @@ type Store interface {
 	// Instrument registers the store's gauges and counters in reg under
 	// prefix (e.g. "cache"). Safe to call again with a fresh registry.
 	Instrument(reg *obs.Registry, prefix string)
-	// Capacity, Used, and Len describe occupancy across all tiers.
-	Capacity() int64
-	Used() int64
-	Len() int
 	// Close flushes any durable state (a disk tier snapshots its index
 	// and demotes the RAM working set) and releases resources. A Store
 	// must not be used after Close.

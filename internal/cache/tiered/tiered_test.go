@@ -455,7 +455,11 @@ func TestTieredDifferential(t *testing.T) {
 	defer tiered.Close()
 	stores := []struct {
 		name string
-		s    cache.Store
+		s    interface {
+			cache.Store
+			Used() int64
+			Len() int
+		}
 	}{{"plain", plain}, {"sharded", sharded}, {"tiered-nodisk", tiered}}
 
 	rng := rand.New(rand.NewSource(99))

@@ -1,7 +1,5 @@
 package core
 
-import "sync"
-
 // RPVList tracks recently piggybacked volumes for one server (§2.2): "the
 // proxy stores a list of recently piggybacked volumes (RPVs) for each
 // server... Each list element includes the volume identifier and the time
@@ -10,7 +8,7 @@ import "sync"
 //
 // Entries expire after the list's timeout and the list holds at most
 // rpvMaxLen entries (oldest evicted first, FIFO). An RPVList is not safe
-// for concurrent use; RPVTable provides the synchronized per-server map.
+// for concurrent use.
 type RPVList struct {
 	timeout int64
 	maxLen  int
@@ -68,23 +66,6 @@ func (l *RPVList) Snapshot(now int64) []VolumeID {
 	return ids
 }
 
-// Contains reports whether volume id is live at time now.
-func (l *RPVList) Contains(id VolumeID, now int64) bool {
-	l.expire(now)
-	for _, e := range l.entries {
-		if e.id == id {
-			return true
-		}
-	}
-	return false
-}
-
-// Len returns the number of live entries at time now.
-func (l *RPVList) Len(now int64) int {
-	l.expire(now)
-	return len(l.entries)
-}
-
 func (l *RPVList) expire(now int64) {
 	if l.timeout <= 0 {
 		return
@@ -96,56 +77,4 @@ func (l *RPVList) expire(now int64) {
 	if cut > 0 {
 		l.entries = append(l.entries[:0], l.entries[cut:]...)
 	}
-}
-
-// RPVTable maintains RPV lists for the servers a proxy talks to, "as FIFO
-// lists in a hash table keyed on the server IP address" (§2.2). It is safe
-// for concurrent use.
-type RPVTable struct {
-	timeout int64
-
-	mu    sync.Mutex
-	lists map[string]*RPVList
-}
-
-// NewRPVTable returns a table whose per-server lists use the given timeout
-// (seconds).
-func NewRPVTable(timeout int64) *RPVTable {
-	return &RPVTable{timeout: timeout, lists: make(map[string]*RPVList)}
-}
-
-// Note records a piggyback for volume id from the given server.
-func (t *RPVTable) Note(server string, id VolumeID, now int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	l, ok := t.lists[server]
-	if !ok {
-		l = NewRPVList(t.timeout)
-		t.lists[server] = l
-	}
-	l.Note(id, now)
-}
-
-// Snapshot returns the live RPV ids for the server at time now.
-func (t *RPVTable) Snapshot(server string, now int64) []VolumeID {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	l, ok := t.lists[server]
-	if !ok {
-		return nil
-	}
-	ids := l.Snapshot(now)
-	if len(l.entries) == 0 {
-		// Drop empty lists so the table holds only transient
-		// per-server state for recently visited servers.
-		delete(t.lists, server)
-	}
-	return ids
-}
-
-// Servers returns the number of servers with live lists.
-func (t *RPVTable) Servers() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.lists)
 }

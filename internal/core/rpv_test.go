@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sync"
+	"slices"
 	"testing"
 )
 
@@ -14,8 +14,8 @@ func TestRPVNoteAndSnapshot(t *testing.T) {
 	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
 		t.Fatalf("Snapshot = %v", got)
 	}
-	if !l.Contains(2, 125) || l.Contains(9, 125) {
-		t.Error("Contains wrong")
+	if !slices.Contains(got, 2) || slices.Contains(got, 9) {
+		t.Errorf("Snapshot = %v, want 2 in it and 9 not", got)
 	}
 }
 
@@ -68,42 +68,8 @@ func TestRPVTimeoutMustNotExceedFreshness(t *testing.T) {
 	const delta = 300 // freshness interval
 	l := NewRPVList(delta)
 	l.Note(7, 1000)
-	if l.Contains(7, 1000+delta) {
+	if slices.Contains(l.Snapshot(1000+delta), 7) {
 		t.Error("entry must expire by the freshness interval")
-	}
-}
-
-func TestRPVTableConcurrent(t *testing.T) {
-	tbl := NewRPVTable(60)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			server := "s" + string(rune('a'+i%3))
-			for j := 0; j < 200; j++ {
-				tbl.Note(server, VolumeID(j%10), int64(j))
-				tbl.Snapshot(server, int64(j))
-			}
-		}(i)
-	}
-	wg.Wait()
-	if tbl.Servers() > 3 {
-		t.Errorf("Servers = %d, want <= 3", tbl.Servers())
-	}
-}
-
-func TestRPVTableDropsEmptyLists(t *testing.T) {
-	tbl := NewRPVTable(10)
-	tbl.Note("s1", 1, 100)
-	if got := tbl.Snapshot("s1", 105); len(got) != 1 {
-		t.Fatalf("Snapshot = %v", got)
-	}
-	if got := tbl.Snapshot("s1", 500); got != nil {
-		t.Fatalf("expired Snapshot = %v", got)
-	}
-	if tbl.Servers() != 0 {
-		t.Errorf("empty list should be dropped, Servers = %d", tbl.Servers())
 	}
 }
 
@@ -112,7 +78,7 @@ func TestRPVLenAndDefaults(t *testing.T) {
 	for id := VolumeID(0); id < 40; id++ {
 		l.Note(id, int64(id))
 	}
-	if got := l.Len(100); got != 32 {
-		t.Errorf("RPV list length: Len = %d, want 32", got)
+	if got := len(l.Snapshot(100)); got != 32 {
+		t.Errorf("RPV list length: %d live entries, want 32", got)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"piggyback/internal/cache"
 	"piggyback/internal/core"
 	"piggyback/internal/httpwire"
 	"piggyback/internal/server"
@@ -336,8 +337,8 @@ func TestDeltaOffDeletesInvalidatedCopy(t *testing.T) {
 	sb.store.Modify(seamPath, 5000, 0)
 	sb.now.Add(10)
 	sb.invalidate(5000)
-	if v, ok := sb.proxy.cache.PeekView(seamKey); ok || v.Outdated || sb.proxy.cache.Len() != 0 {
-		t.Fatalf("after the invalidation the cache holds %v %+v (%d keys), want nothing", ok, v, sb.proxy.cache.Len())
+	if v, ok := sb.proxy.cache.PeekView(seamKey); ok || v.Outdated || sb.proxy.cache.(*cache.Sharded).Len() != 0 {
+		t.Fatalf("after the invalidation the cache holds %v %+v (%d keys), want nothing", ok, v, sb.proxy.cache.(*cache.Sharded).Len())
 	}
 	sb.requests()
 	if r := sb.get(seamKey); !bytes.Equal(r.Body, originBody(t, sb)) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -20,9 +21,9 @@ import (
 const expHost = "www.site.com"
 
 // indexOf returns a table with paths noted at the given expiries.
-func indexOf(t *testing.T, expiries map[string]int64) *hostHits {
+func indexOf(t *testing.T, expiries map[string]int64) *hostTable {
 	t.Helper()
-	h := newHostHits()
+	h := newHostTable(600)
 	for path, exp := range expiries {
 		if !h.note(expHost, path, exp, false) {
 			t.Fatalf("note(%s) refused", path)
@@ -46,8 +47,8 @@ func offlineProxy(t *testing.T) (*Proxy, *httpwire.Response) {
 }
 
 // list returns the paths h lists on expHost's next request for self.
-func list(h *hostHits, self string, now, until int64) []string {
-	_, listed, _, _ := h.take(expHost, self, now, until)
+func list(h *hostTable, self string, now, until int64) []string {
+	_, _, listed, _, _ := h.take(expHost, self, now, until)
 	return listedPaths(listed)
 }
 
@@ -109,7 +110,7 @@ func TestExpiryIndexWindow(t *testing.T) {
 // proxy.expiry_index_expired, which /.piggy/stats serves.
 func TestExpiryIndexDropsExpired(t *testing.T) {
 	h := indexOf(t, map[string]int64{"/gone": 990, "/now": 1000, "/soon": 1010})
-	_, listed, _, expired := h.take(expHost, "/self", 1000, 1200)
+	_, _, listed, _, expired := h.take(expHost, "/self", 1000, 1200)
 	if paths := listedPaths(listed); !reflect.DeepEqual(paths, []string{"/soon"}) || expired != 2 {
 		t.Fatalf("listed %v, %d expired, want [/soon] and 2", paths, expired)
 	}
@@ -118,8 +119,8 @@ func TestExpiryIndexDropsExpired(t *testing.T) {
 	}
 
 	p, resp := offlineProxy(t)
-	p.admit(expHost+"/gone", resp, 10_000, false) // expires 10_600
-	p.admit(expHost+"/soon", resp, 10_100, false) // expires 10_700
+	p.admit(expHost+"/gone", resp, 10_000, math.MaxInt64, false) // expires 10_600
+	p.admit(expHost+"/soon", resp, 10_100, math.MaxInt64, false) // expires 10_700
 	if _, sent, _ := p.originRequest(upstreamState{key: expHost + "/self", host: expHost, path: "/self"}, false, 10_600); !reflect.DeepEqual(sent, []string{"/soon"}) {
 		t.Fatalf("sent %v, want [/soon]", sent)
 	}
@@ -138,7 +139,7 @@ func TestExpiryIndexDropsExpired(t *testing.T) {
 func TestExpiryIndexSkipsSelfAndHits(t *testing.T) {
 	h := indexOf(t, map[string]int64{"/self": 1010, "/hit": 1020, "/other": 1030})
 	h.add(expHost, "/hit")
-	hits, listed, _, _ := h.take(expHost, "/self", 1000, 1200)
+	_, hits, listed, _, _ := h.take(expHost, "/self", 1000, 1200)
 	if paths := listedPaths(listed); !reflect.DeepEqual(hits, []string{"/hit"}) || !reflect.DeepEqual(paths, []string{"/other"}) {
 		t.Fatalf("hits %v, listed %v, want [/hit] and [/other]", hits, paths)
 	}
@@ -170,16 +171,16 @@ func TestExpiryIndexPickedKeyAbsentUntilRefreshed(t *testing.T) {
 // TestExpiryIndexUseful: a hit report naming a path whose expiry came from
 // the answer to a listing counts once; one from any other step does not.
 func TestExpiryIndexUseful(t *testing.T) {
-	h := newHostHits()
+	h := newHostTable(600)
 	h.note(expHost, "/ahead", 2000, true)
 	h.note(expHost, "/plain", 2000, false)
 	h.add(expHost, "/ahead")
 	h.add(expHost, "/plain")
-	if _, _, useful, _ := h.take(expHost, "/self", 1000, 1100); useful != 1 {
+	if _, _, _, useful, _ := h.take(expHost, "/self", 1000, 1100); useful != 1 {
 		t.Errorf("useful %d, want 1", useful)
 	}
 	h.add(expHost, "/ahead")
-	if _, _, useful, _ := h.take(expHost, "/self", 1000, 1100); useful != 0 {
+	if _, _, _, useful, _ := h.take(expHost, "/self", 1000, 1100); useful != 0 {
 		t.Errorf("useful %d on the second report, want 0", useful)
 	}
 }
@@ -187,7 +188,7 @@ func TestExpiryIndexUseful(t *testing.T) {
 // TestExpiryIndexCap: past maxIndexed keys, over all hosts, new keys are
 // refused while indexed ones still take new expiries.
 func TestExpiryIndexCap(t *testing.T) {
-	h := newHostHits()
+	h := newHostTable(600)
 	refused := 0
 	for i := 0; i < maxIndexed+10; i++ {
 		if !h.note(fmt.Sprintf("h%d.test", i%7), fmt.Sprintf("/p%d", i), 5000, false) {
@@ -202,8 +203,8 @@ func TestExpiryIndexCap(t *testing.T) {
 	}
 	live := 0
 	for i := range h.stripes {
-		for _, hs := range h.stripes[i].m {
-			live += len(hs.live)
+		for _, hr := range h.stripes[i].m {
+			live += len(hr.live)
 		}
 	}
 	if live != maxIndexed {
@@ -214,14 +215,14 @@ func TestExpiryIndexCap(t *testing.T) {
 // TestExpiryIndexCompaction: under a long churn of refreshes, superseded
 // heap items never outnumber the live keys.
 func TestExpiryIndexCompaction(t *testing.T) {
-	h := newHostHits()
+	h := newHostTable(600)
 	const keys = 100
 	for round := int64(0); round < 1000; round++ {
 		for k := 0; k < keys; k++ {
 			h.note(expHost, fmt.Sprintf("/p%d", k), 2000+round*10+int64(k), false)
-			hs := h.stripe(expHost).m[expHost]
-			if len(hs.heap) > 2*len(hs.live) {
-				t.Fatalf("round %d: heap %d items for %d live keys", round, len(hs.heap), len(hs.live))
+			hr := h.stripe(expHost).m[expHost]
+			if len(hr.heap) > 2*len(hr.live) {
+				t.Fatalf("round %d: heap %d items for %d live keys", round, len(hr.heap), len(hr.live))
 			}
 		}
 	}
@@ -240,10 +241,10 @@ func TestExpiryIndexCompaction(t *testing.T) {
 // deletes the cached copy, and its key leaves the index with it.
 func TestExpiryIndexInvalidationDrops(t *testing.T) {
 	p, resp := offlineProxy(t)
-	p.admit(expHost+"/a", resp, 10_000, false)
-	p.admit(expHost+"/b", resp, 10_000, false)
+	p.admit(expHost+"/a", resp, 10_000, math.MaxInt64, false)
+	p.admit(expHost+"/b", resp, 10_000, math.MaxInt64, false)
 	p.applyElement(expHost, core.Element{URL: "/a", Size: 1, LastModified: 5000}, 10_000, false)
-	if listed := list(p.hits, "/self", 10_500, 10_650); !reflect.DeepEqual(listed, []string{"/b"}) {
+	if listed := list(p.hosts, "/self", 10_500, 10_650); !reflect.DeepEqual(listed, []string{"/b"}) {
 		t.Errorf("listed %v, want [/b]", listed)
 	}
 }
@@ -258,16 +259,55 @@ func TestExpiryIndexForgetsEvicted(t *testing.T) {
 	resp := httpwire.NewResponse(200)
 	resp.Body = []byte(strings.Repeat("x", 60))
 	resp.Header.Set("Last-Modified", httpwire.FormatHTTPDate(1000))
-	p.admit(expHost+"/a", resp, 10_000, false)
-	p.admit(expHost+"/b", resp, 10_000, false)
+	p.admit(expHost+"/a", resp, 10_000, math.MaxInt64, false)
+	p.admit(expHost+"/b", resp, 10_000, math.MaxInt64, false)
 	if p.cache.Contains(expHost + "/a") {
 		t.Fatal("/a still cached: the store did not evict it")
 	}
-	if n := p.hits.indexed.Load(); n != 1 {
+	if n := p.hosts.indexed.Load(); n != 1 {
 		t.Errorf("%d keys indexed, want 1", n)
 	}
-	if listed := list(p.hits, "/self", 10_500, 10_650); !reflect.DeepEqual(listed, []string{"/b"}) {
+	if listed := list(p.hosts, "/self", 10_500, 10_650); !reflect.DeepEqual(listed, []string{"/b"}) {
 		t.Errorf("listed %v, want [/b]", listed)
+	}
+}
+
+// TestExpiryIndexSkipsRefusedBody: a body larger than a shard is not
+// cached, so its key takes no index slot and no request lists it.
+func TestExpiryIndexSkipsRefusedBody(t *testing.T) {
+	p := New(Config{Delta: 600, Clock: func() int64 { return 10_000 },
+		Resolve: func(string) (string, error) { return "", nil },
+		Store:   cache.NewSharded(100, 1, nil)})
+	t.Cleanup(p.Close)
+	resp := httpwire.NewResponse(200)
+	resp.Body = []byte(strings.Repeat("x", 200))
+	resp.Header.Set("Last-Modified", httpwire.FormatHTTPDate(1000))
+	p.admit(expHost+"/big", resp, 10_000, math.MaxInt64, false)
+	if p.cache.Contains(expHost + "/big") {
+		t.Fatal("/big cached: the store did not refuse it")
+	}
+	if n := p.hosts.indexed.Load(); n != 0 {
+		t.Errorf("%d keys indexed, want 0", n)
+	}
+	if listed := list(p.hosts, "/self", 10_500, 10_650); len(listed) != 0 {
+		t.Errorf("listed %v, want nothing", listed)
+	}
+}
+
+// TestExpiryIndexSkipsCopyGoneBefore304: a 304 for a copy that left the
+// cache during the exchange freshens nothing and indexes nothing.
+func TestExpiryIndexSkipsCopyGoneBefore304(t *testing.T) {
+	p, resp := offlineProxy(t)
+	p.admit(expHost+"/a", resp, 10_000, math.MaxInt64, false)
+	v, _ := p.cache.PeekView(expHost + "/a")
+	p.cache.Delete(expHost + "/a")
+	p.hosts.drop(expHost, "/a")
+	p.notModified(upstreamState{key: expHost + "/a", host: expHost, path: "/a", v: v, hit: true}, 10_700)
+	if n := p.hosts.indexed.Load(); n != 0 {
+		t.Errorf("%d keys indexed, want 0", n)
+	}
+	if listed := list(p.hosts, "/self", 10_800, 11_400); len(listed) != 0 {
+		t.Errorf("listed %v, want nothing", listed)
 	}
 }
 
@@ -282,7 +322,7 @@ func TestExpiryIndexPutsBackWhatDoesNotFit(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		path := fmt.Sprintf("/%c%s", 'A'+i, strings.Repeat("x", 99))
 		all = append(all, path)
-		p.admit(expHost+path, resp, 10_000+int64(i), false)
+		p.admit(expHost+path, resp, 10_000+int64(i), math.MaxInt64, false)
 	}
 	self := upstreamState{key: expHost + "/self", host: expHost, path: "/self"}
 	oreq, first, _ := p.originRequest(self, false, 10_500)
@@ -458,7 +498,7 @@ func TestExpiryIndexConcurrent(t *testing.T) {
 			}
 		}()
 	}
-	run(func(i int) { p.admit(expHost+path(i*7), resp, tick(), false) })
+	run(func(i int) { p.admit(expHost+path(i*7), resp, tick(), math.MaxInt64, false) })
 	run(func(i int) {
 		_, sent, nHits := p.originRequest(upstreamState{key: expHost + path(i), host: expHost, path: path(i)}, false, tick())
 		var answers []httpwire.Answer
@@ -473,15 +513,15 @@ func TestExpiryIndexConcurrent(t *testing.T) {
 	run(func(i int) { p.lookup(expHost+path(i*5), expHost, path(i*5), tick()) })
 	wg.Wait()
 
-	hs := p.hits.stripe(expHost).m[expHost]
+	hr := p.hosts.stripe(expHost).m[expHost]
 	live := 0
-	if hs != nil {
-		live = len(hs.live)
-		if len(hs.heap) > 2*len(hs.live) {
-			t.Errorf("heap %d items for %d live keys", len(hs.heap), len(hs.live))
+	if hr != nil {
+		live = len(hr.live)
+		if len(hr.heap) > 2*len(hr.live) {
+			t.Errorf("heap %d items for %d live keys", len(hr.heap), len(hr.live))
 		}
 	}
-	if n := p.hits.indexed.Load(); n != int64(live) {
+	if n := p.hosts.indexed.Load(); n != int64(live) {
 		t.Errorf("indexed count %d, live keys %d", n, live)
 	}
 	if live > paths {

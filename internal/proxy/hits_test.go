@@ -93,7 +93,7 @@ func TestProxyHitReportingOffWhenFilterDisabled(t *testing.T) {
 	if n := withHits.Load(); n != 0 {
 		t.Errorf("%d upstream requests carried Piggy-Hits with the filter disabled", n)
 	}
-	if n, k := withList.Load(), p.hits.indexed.Load(); n != 0 || k != 0 {
+	if n, k := withList.Load(), p.hosts.indexed.Load(); n != 0 || k != 0 {
 		t.Errorf("%d upstream requests carried Piggy-Validate, %d keys indexed, with the filter disabled", n, k)
 	}
 	if s := p.Stats(); s.HitsReported != 0 || s.HitValidations != 0 {
@@ -172,7 +172,7 @@ func TestHitReportAnswerInvalidatesChanged(t *testing.T) {
 }
 
 // TestHitReportAnswerLeavesRPVUntouched: an answer names no volume, so the
-// RPV list sent to the origin stays as it was.
+// RPV list the host's record holds for the next request stays as it was.
 func TestHitReportAnswerLeavesRPVUntouched(t *testing.T) {
 	sb := newAnswerBed(t)
 	sb.get(seamKey)
@@ -182,7 +182,7 @@ func TestHitReportAnswerLeavesRPVUntouched(t *testing.T) {
 	if sb.proxy.Stats().HitValidations != 1 {
 		t.Fatal("no answer applied")
 	}
-	if rpv := sb.proxy.rpv.Snapshot("www.site.com", sb.now.Load()); len(rpv) != 0 {
+	if rpv, _, _, _, _ := sb.proxy.hosts.take("www.site.com", "", sb.now.Load(), 0); len(rpv) != 0 {
 		t.Errorf("RPV list %v after an answer, want empty", rpv)
 	}
 }

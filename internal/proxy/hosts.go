@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"piggyback/internal/core"
 )
 
 // maxPendingHits bounds the cache-hit paths buffered per host between
@@ -26,30 +28,37 @@ const maxListed = 64
 // (proxy.expiry_index_full); its next read after expiry validates it.
 const maxIndexed = 1 << 16
 
-// hitStripes is the number of lock stripes in hostHits (power of two).
-// Hits on hosts in different stripes never contend, so hit reporting stays
-// off the fresh-hit fast path's critical section.
-const hitStripes = 16
+// hostStripes is the number of lock stripes in hostTable (power of two).
+// Hosts in different stripes never contend, so hit reporting stays off the
+// fresh-hit fast path's critical section.
+const hostStripes = 16
 
-// hostHits is the striped per-host table of what the proxy tells an origin
-// on its next request: the cache hits to report and the cached entries
-// about to expire, to ask about.
-type hostHits struct {
-	stripes [hitStripes]hitStripe
+// hostTable is the striped per-host table of what the proxy tells an
+// origin host on its next request: the RPV list that paces its
+// piggybacks, the cache hits to report, and the cached entries about to
+// expire, to ask about. It is the paper's RPV hash table keyed on the
+// server (§2.2), with the hit report and the validation list beside each
+// list, so one request reads all three under one stripe lock.
+type hostTable struct {
+	stripes [hostStripes]hostStripe
+	// rpvTimeout is the lifetime of an RPV entry, in seconds.
+	rpvTimeout int64
 	// indexed counts the live keys of every host's expiry index.
 	indexed atomic.Int64
 }
 
-type hitStripe struct {
+type hostStripe struct {
 	mu sync.Mutex
-	m  map[string]*hostState
+	m  map[string]*hostRecord
 }
 
-// hostState is one host's entry: the pending hits, and the expiry index —
-// a min-heap on expiry plus the live expiry of each indexed path. A heap
+// hostRecord is one host's entry: its RPV list (nil when the last request
+// found no live entry), the pending hits, and the expiry index — a
+// min-heap on expiry plus the live expiry of each indexed path. A heap
 // item whose expiry is no longer its path's live one is superseded and is
 // skipped when popped.
-type hostState struct {
+type hostRecord struct {
+	rpv  *core.RPVList
 	hits []string
 	live map[string]liveExpiry
 	heap expiryHeap
@@ -63,85 +72,99 @@ type liveExpiry struct {
 	ahead bool
 }
 
-func newHostHits() *hostHits {
-	h := &hostHits{}
+// newHostTable returns a table whose RPV entries live rpvTimeout seconds.
+func newHostTable(rpvTimeout int64) *hostTable {
+	h := &hostTable{rpvTimeout: rpvTimeout}
 	for i := range h.stripes {
-		h.stripes[i].m = make(map[string]*hostState)
+		h.stripes[i].m = make(map[string]*hostRecord)
 	}
 	return h
 }
 
-func (h *hostHits) stripe(host string) *hitStripe {
+func (h *hostTable) stripe(host string) *hostStripe {
 	// FNV-1a, as in the cache's shard selector.
 	v := uint32(2166136261)
 	for i := 0; i < len(host); i++ {
 		v ^= uint32(host[i])
 		v *= 16777619
 	}
-	return &h.stripes[v&(hitStripes-1)]
+	return &h.stripes[v&(hostStripes-1)]
 }
 
-// state returns host's entry, creating it. Caller holds st.mu.
-func (st *hitStripe) state(host string) *hostState {
-	hs := st.m[host]
-	if hs == nil {
-		hs = &hostState{live: make(map[string]liveExpiry)}
-		st.m[host] = hs
+// record returns host's entry, creating it. Caller holds st.mu.
+func (st *hostStripe) record(host string) *hostRecord {
+	hr := st.m[host]
+	if hr == nil {
+		hr = &hostRecord{live: make(map[string]liveExpiry)}
+		st.m[host] = hr
 	}
-	return hs
+	return hr
+}
+
+// noteVolume records on host's RPV list that a piggyback for volume id
+// arrived at now.
+func (h *hostTable) noteVolume(host string, id core.VolumeID, now int64) {
+	st := h.stripe(host)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	hr := st.record(host)
+	if hr.rpv == nil {
+		hr.rpv = core.NewRPVList(h.rpvTimeout)
+	}
+	hr.rpv.Note(id, now)
 }
 
 // add buffers one cache-hit path for host. It reports false when the
 // per-host bound is full and the hit was dropped.
-func (h *hostHits) add(host, path string) bool {
+func (h *hostTable) add(host, path string) bool {
 	st := h.stripe(host)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	hs := st.state(host)
-	if len(hs.hits) >= maxPendingHits {
+	hr := st.record(host)
+	if len(hr.hits) >= maxPendingHits {
 		return false
 	}
-	hs.hits = append(hs.hits, path)
+	hr.hits = append(hr.hits, path)
 	return true
 }
 
 // note records the expiry the cache just gave host's path; ahead says the
 // answer to a listing gave it. It reports false when the path was not
 // indexed because the index is at maxIndexed keys.
-func (h *hostHits) note(host, path string, expires int64, ahead bool) bool {
+func (h *hostTable) note(host, path string, expires int64, ahead bool) bool {
 	st := h.stripe(host)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	hs := st.state(host)
-	cur, ok := hs.live[path]
+	hr := st.record(host)
+	cur, ok := hr.live[path]
 	if !ok && h.indexed.Add(1) > maxIndexed {
 		h.indexed.Add(-1)
-		st.release(host, hs)
+		st.release(host, hr)
 		return false
 	}
-	hs.live[path] = liveExpiry{expires: expires, ahead: ahead}
+	hr.live[path] = liveExpiry{expires: expires, ahead: ahead}
 	if !ok || cur.expires != expires {
-		heap.Push(&hs.heap, expiryItem{path: path, expires: expires})
-		hs.compact()
+		heap.Push(&hr.heap, expiryItem{path: path, expires: expires})
+		hr.compact()
 	}
 	return true
 }
 
 // drop removes host's path from the expiry index: its cached copy is gone.
-func (h *hostHits) drop(host, path string) {
+func (h *hostTable) drop(host, path string) {
 	st := h.stripe(host)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	hs := st.m[host]
-	if hs == nil {
+	hr := st.m[host]
+	if hr == nil {
 		return
 	}
-	if _, ok := hs.live[path]; ok {
-		delete(hs.live, path)
+	if _, ok := hr.live[path]; ok {
+		delete(hr.live, path)
 		h.indexed.Add(-1)
-		hs.compact()
+		hr.compact()
 	}
-	st.release(host, hs)
+	st.release(host, hr)
 }
 
 // listing is one path take removed from host's expiry index to list, with
@@ -152,7 +175,8 @@ type listing struct {
 }
 
 // take drains what host's next request carries, in one critical section:
-// the buffered hit paths, and the up to maxListed indexed paths whose
+// the live volume ids of its RPV list (the filter's rpv attribute), the
+// buffered hit paths, and the up to maxListed indexed paths whose
 // expiry falls soonest in (now, until], in path order, so that front coding
 // shares their prefixes. self (the request's own path) and the hit paths
 // are not listed: the request answers them anyway. A listed path leaves the
@@ -160,26 +184,31 @@ type listing struct {
 // already expired leaves it for good, and its next read validates. useful
 // counts the drained hits on paths whose expiry the answer to a listing
 // gave; expired counts the paths that left unlisted.
-func (h *hostHits) take(host, self string, now, until int64) (hits []string, listed []listing, useful, expired int) {
+func (h *hostTable) take(host, self string, now, until int64) (rpv []core.VolumeID, hits []string, listed []listing, useful, expired int) {
 	st := h.stripe(host)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	hs := st.m[host]
-	if hs == nil {
-		return nil, nil, 0, 0
+	hr := st.m[host]
+	if hr == nil {
+		return nil, nil, nil, 0, 0
 	}
-	hits, hs.hits = hs.hits, nil
+	if hr.rpv != nil {
+		if rpv = hr.rpv.Snapshot(now); rpv == nil {
+			hr.rpv = nil
+		}
+	}
+	hits, hr.hits = hr.hits, nil
 	for _, path := range hits {
-		if e, ok := hs.live[path]; ok && e.ahead {
+		if e, ok := hr.live[path]; ok && e.ahead {
 			useful++
 			e.ahead = false
-			hs.live[path] = e
+			hr.live[path] = e
 		}
 	}
 	var skipped []expiryItem
-	for len(hs.heap) > 0 && len(listed) < maxListed && hs.heap[0].expires <= until {
-		it := heap.Pop(&hs.heap).(expiryItem)
-		e, ok := hs.live[it.path]
+	for len(hr.heap) > 0 && len(listed) < maxListed && hr.heap[0].expires <= until {
+		it := heap.Pop(&hr.heap).(expiryItem)
+		e, ok := hr.live[it.path]
 		if !ok || e.expires != it.expires {
 			continue // superseded
 		}
@@ -187,7 +216,7 @@ func (h *hostHits) take(host, self string, now, until int64) (hits []string, lis
 			skipped = append(skipped, it)
 			continue
 		}
-		delete(hs.live, it.path)
+		delete(hr.live, it.path)
 		h.indexed.Add(-1)
 		if it.expires > now {
 			listed = append(listed, listing{it.path, e})
@@ -196,12 +225,12 @@ func (h *hostHits) take(host, self string, now, until int64) (hits []string, lis
 		}
 	}
 	for _, it := range skipped {
-		heap.Push(&hs.heap, it)
+		heap.Push(&hr.heap, it)
 	}
-	hs.compact()
-	st.release(host, hs)
+	hr.compact()
+	st.release(host, hr)
 	slices.SortFunc(listed, func(a, b listing) int { return strings.Compare(a.path, b.path) })
-	return hits, listed, useful, expired
+	return rpv, hits, listed, useful, expired
 }
 
 // putBack returns to host's expiry index, with the live state take found,
@@ -211,20 +240,20 @@ func (h *hostHits) take(host, self string, now, until int64) (hits []string, lis
 // comma, say) goes back as well, and leaves once it has expired. A path
 // some step indexed anew meanwhile keeps that step's expiry. It reports
 // how many paths the maxIndexed cap refused.
-func (h *hostHits) putBack(host string, listed []listing, wrote []string) (refused int) {
+func (h *hostTable) putBack(host string, listed []listing, wrote []string) (refused int) {
 	if len(wrote) == len(listed) {
 		return 0
 	}
 	st := h.stripe(host)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	hs := st.state(host)
+	hr := st.record(host)
 	for _, l := range listed {
 		if len(wrote) > 0 && wrote[0] == l.path {
 			wrote = wrote[1:]
 			continue
 		}
-		if _, ok := hs.live[l.path]; ok {
+		if _, ok := hr.live[l.path]; ok {
 			continue
 		}
 		if h.indexed.Add(1) > maxIndexed {
@@ -232,33 +261,35 @@ func (h *hostHits) putBack(host string, listed []listing, wrote []string) (refus
 			refused++
 			continue
 		}
-		hs.live[l.path] = l.liveExpiry
-		heap.Push(&hs.heap, expiryItem{path: l.path, expires: l.expires})
+		hr.live[l.path] = l.liveExpiry
+		heap.Push(&hr.heap, expiryItem{path: l.path, expires: l.expires})
 	}
-	hs.compact()
-	st.release(host, hs)
+	hr.compact()
+	st.release(host, hr)
 	return refused
 }
 
-// release deletes host's entry once it holds nothing. Caller holds st.mu.
-func (st *hitStripe) release(host string, hs *hostState) {
-	if len(hs.hits) == 0 && len(hs.live) == 0 {
+// release deletes host's entry once it holds nothing: no pending hit, no
+// indexed path, and no RPV list — take drops a list it finds without a
+// live entry. Caller holds st.mu.
+func (st *hostStripe) release(host string, hr *hostRecord) {
+	if hr.rpv == nil && len(hr.hits) == 0 && len(hr.live) == 0 {
 		delete(st.m, host)
 	}
 }
 
 // compact rebuilds the heap from the live paths once superseded items
 // outnumber them, so the heap never holds more than twice the live keys.
-func (hs *hostState) compact() {
-	if len(hs.heap) <= 2*len(hs.live) {
+func (hr *hostRecord) compact() {
+	if len(hr.heap) <= 2*len(hr.live) {
 		return
 	}
-	h := make(expiryHeap, 0, len(hs.live))
-	for path, e := range hs.live {
+	h := make(expiryHeap, 0, len(hr.live))
+	for path, e := range hr.live {
 		h = append(h, expiryItem{path: path, expires: e.expires})
 	}
 	heap.Init(&h)
-	hs.heap = h
+	hr.heap = h
 }
 
 // expiryItem is one heap item: path was indexed to expire at expires.

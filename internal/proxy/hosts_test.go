@@ -1,0 +1,61 @@
+package proxy
+
+import (
+	"sync"
+	"testing"
+
+	"piggyback/internal/core"
+)
+
+// TestHostTableConcurrentNoteAndTake: piggybacks noting volumes, hits and
+// expiries race with the requests that drain them across three hosts; the
+// table ends with at most one record per host, and -race sees no
+// unsynchronised access.
+func TestHostTableConcurrentNoteAndTake(t *testing.T) {
+	h := newHostTable(60)
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			host := "s" + string(rune('a'+i%3)) + ".test"
+			for j := 0; j < 200; j++ {
+				now := int64(j)
+				h.noteVolume(host, core.VolumeID(j%10), now)
+				h.add(host, "/hit")
+				h.note(host, "/x", now+10, false)
+				if rpv, _, _, _, _ := h.take(host, "/self", now, now+20); len(rpv) == 0 {
+					t.Errorf("%s at %d: empty RPV snapshot right after a note", host, now)
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	records := 0
+	for i := range h.stripes {
+		records += len(h.stripes[i].m)
+	}
+	if records > 3 {
+		t.Errorf("%d host records, want at most 3", records)
+	}
+}
+
+// TestHostTableReleasesExpiredRPV: a record holding only an RPV entry lives
+// while the entry does; the first take after it expires sends no rpv and
+// releases the record.
+func TestHostTableReleasesExpiredRPV(t *testing.T) {
+	h := newHostTable(10)
+	h.noteVolume(expHost, 1, 100)
+	if rpv, _, _, _, _ := h.take(expHost, "/self", 105, 105); len(rpv) != 1 || rpv[0] != 1 {
+		t.Fatalf("rpv %v at 105, want [1]", rpv)
+	}
+	if h.stripe(expHost).m[expHost] == nil {
+		t.Fatal("record with a live RPV entry released")
+	}
+	if rpv, _, _, _, _ := h.take(expHost, "/self", 500, 500); rpv != nil {
+		t.Fatalf("rpv %v at 500, want none", rpv)
+	}
+	if hr := h.stripe(expHost).m[expHost]; hr != nil {
+		t.Errorf("record kept after its RPV entry expired: %+v", hr)
+	}
+}

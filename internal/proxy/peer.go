@@ -136,24 +136,45 @@ func (m *mesh) owner(key string) (string, bool) {
 
 // forwardToPeer routes one request to the owner peer and returns the
 // response to serve, or nil when the caller should fall back to the origin:
-// owner circuit open, wire failure, or a status other than 200 (the owner's
+// owner circuit open, wire failure, a status other than 200 (the owner's
 // own origin leg failed, or the resource is gone — let the local origin
-// path decide). A usable peer response is cached locally — the mesh is an
-// L1 everywhere with the owner as its partition's L2 — and tagged
-// X-Cache: PEER.
+// path decide), or an expired copy the owner served STALE because its
+// origin failed. A usable peer response is cached locally — the mesh is an
+// L1 everywhere with the owner as its partition's L2 — expiring no later
+// than the owner's copy (its Expires; an answer stating none is admitted
+// already expired), and tagged X-Cache: PEER.
 func (p *Proxy) forwardToPeer(ctx context.Context, owner string, st upstreamState, now int64) *httpwire.Response {
 	m := p.mesh
 	m.c.forwards.Inc()
 	req := httpwire.NewRequest("GET", "http://"+st.host+st.path)
 	httpwire.SetPeerFrom(req, m.self)
 	resp, err := m.exchange(ctx, owner, owner, req)
-	if err != nil || resp.Status != 200 {
+	if err != nil || resp.Status != 200 || resp.Header.Get("X-Cache") == "STALE" {
 		m.c.fallbacks.Inc()
 		return nil
 	}
-	out := p.admit(st.key, resp, now, false)
+	notAfter, err := httpwire.ParseHTTPDate(resp.Header.Get("Expires"))
+	if err != nil {
+		notAfter = now
+	}
+	out := p.admit(st.key, resp, now, notAfter, false)
 	out.Header.Set("X-Cache", "PEER")
 	m.c.serves.Inc()
+	return out
+}
+
+// stateExpiry tells the peer that forwarded a request when the owner's
+// copy of the version out carries expires (Expires), so the peer's copy
+// expires no later. Only answers to peer-forwarded requests carry it, so
+// the client hit path is unchanged. A single-flight follower shares its
+// leader's answer, which states an expiry only if the leader was a peer
+// request: otherwise the follower's peer admits the copy expired.
+func (p *Proxy) stateExpiry(key string, out *httpwire.Response) *httpwire.Response {
+	if v, ok := p.cache.PeekView(key); ok && out.Status == 200 {
+		if lm, _ := out.LastModified(); lm == v.LastModified {
+			out.Header.Set("Expires", httpwire.FormatHTTPDate(v.Expires))
+		}
+	}
 	return out
 }
 

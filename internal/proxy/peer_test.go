@@ -2,9 +2,11 @@ package proxy
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,6 +27,8 @@ type fleet struct {
 	addrs      []string
 	client     *httpwire.Client
 	now        int64
+	// originDown makes every proxy's origin resolve fail.
+	originDown atomic.Bool
 }
 
 func newFleet(t *testing.T, n int, cfg Config) *fleet {
@@ -66,7 +70,12 @@ func newFleet(t *testing.T, n int, cfg Config) *fleet {
 	for i := 0; i < n; i++ {
 		c := cfg
 		c.Clock = clock
-		c.Resolve = func(host string) (string, error) { return originAddr, nil }
+		c.Resolve = func(host string) (string, error) {
+			if f.originDown.Load() {
+				return "", errors.New("origin down")
+			}
+			return originAddr, nil
+		}
 		c.PeerSelf = f.addrs[i]
 		c.Peers = f.addrs
 		p := New(c)
@@ -138,6 +147,93 @@ func TestMeshForwardServesPeerAndCachesLocally(t *testing.T) {
 	}
 	if got := f.origin.Stats().Requests; got != 1 {
 		t.Errorf("origin requests after hits = %d, want 1", got)
+	}
+}
+
+// TestMeshStaleOwnerAnswerIsNotAdmitted: an owner whose origin fails
+// answers a forward with its expired copy, marked STALE. The requester
+// treats that as a fallback: it neither serves the body as PEER nor
+// caches it, so a later read within Δ is no fresh hit of it.
+func TestMeshStaleOwnerAnswerIsNotAdmitted(t *testing.T) {
+	f := newFleet(t, 3, Config{Delta: 600})
+	const key = "www.site.com/a/x.html"
+	o := f.ownerIndex(t, key)
+	r := (o + 1) % 3
+
+	f.get(t, o, key) // the owner caches x.html
+	f.now += 601
+	f.originDown.Store(true)
+	if got := f.get(t, r, key); got.Header.Get("X-Cache") == "PEER" {
+		t.Fatalf("requester served the owner's STALE answer as PEER (status %d)", got.Status)
+	}
+	if st := f.px[r].Stats(); st.PeerFallbacks != 1 || st.PeerServes != 0 {
+		t.Errorf("requester peer stats = %+v, want one fallback and no serve", st)
+	}
+	f.now += 10
+	if got := f.get(t, r, key); got.Status == 200 && got.Header.Get("X-Cache") == "HIT" {
+		t.Error("requester serves the expired body as a fresh HIT")
+	}
+}
+
+// TestMeshPeerCopyExpiresWithOwners: the requester's copy expires no later
+// than the owner's copy it came from. The owner fetches at t0 with Δ = 600
+// and the requester forwards at t0+500, so at t0+700 the requester's copy
+// is as expired as the owner's and is not a fresh hit.
+func TestMeshPeerCopyExpiresWithOwners(t *testing.T) {
+	f := newFleet(t, 3, Config{Delta: 600})
+	const key = "www.site.com/a/x.html"
+	o := f.ownerIndex(t, key)
+	r := (o + 1) % 3
+
+	t0 := f.now
+	f.get(t, o, key)
+	f.now = t0 + 500
+	resp := f.get(t, r, key)
+	if got := resp.Header.Get("X-Cache"); got != "PEER" {
+		t.Fatalf("forward at t0+500 = %s, want PEER", got)
+	}
+	if got := resp.Header.Get("Expires"); got != "" {
+		t.Errorf("client answer carries Expires %q; only answers to peers do", got)
+	}
+	f.now = t0 + 550
+	if got := f.get(t, r, key).Header.Get("X-Cache"); got != "HIT" {
+		t.Errorf("requester read at t0+550 = %s, want HIT", got)
+	}
+	f.now = t0 + 700
+	if got := f.get(t, r, key).Header.Get("X-Cache"); got == "HIT" {
+		t.Error("requester's copy is a fresh HIT at t0+700, past the owner's expiry t0+600")
+	}
+}
+
+// TestMeshPeerAnswerWithoutExpiryIsAdmittedExpired: an owner answer that
+// states no expiry is served as PEER but cached already expired, so the
+// next read asks the owner again instead of hitting.
+func TestMeshPeerAnswerWithoutExpiryIsAdmittedExpired(t *testing.T) {
+	var answers atomic.Int32
+	owner := startOrigin(t, httpwire.HandlerFunc(func(context.Context, *httpwire.Request) *httpwire.Response {
+		answers.Add(1)
+		resp := httpwire.NewResponse(200)
+		resp.Body = []byte("body")
+		resp.Header.Set("Last-Modified", httpwire.FormatHTTPDate(1000))
+		return resp
+	}))
+	p := New(Config{Delta: 600, Clock: func() int64 { return 10_000 },
+		Resolve:  func(string) (string, error) { return "", errors.New("no origin") },
+		PeerSelf: "self.test:1", Peers: []string{owner}})
+	t.Cleanup(p.Close)
+	key := ""
+	for i := 0; key == ""; i++ {
+		if k := fmt.Sprintf("www.site.com/k%d", i); p.PeerRing().Owner(k) == owner {
+			key = k
+		}
+	}
+	for i := 1; i <= 2; i++ {
+		if got := proxyGet(p, key).Header.Get("X-Cache"); got != "PEER" {
+			t.Fatalf("read %d = %s, want PEER", i, got)
+		}
+	}
+	if n := answers.Load(); n != 2 {
+		t.Errorf("owner answered %d forwards, want 2", n)
 	}
 }
 

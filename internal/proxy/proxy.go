@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math"
 	"strings"
 	"sync"
 	"time"
@@ -171,7 +172,6 @@ type Proxy struct {
 	// wait out a prefetch. The two share origin's breaker.
 	origin   leg
 	prefetch leg
-	rpv      *core.RPVTable
 	fresh    *FreshnessEstimator
 	queue    *InformedQueue
 	obs      *obs.Registry
@@ -182,9 +182,10 @@ type Proxy struct {
 	// fresh hits on different shards proceed in parallel), or whatever
 	// Config.Store supplied (e.g. a tiered RAM+disk store).
 	cache cache.Store
-	// hits stripes the per-host pending hit reports (§5) and expiry
-	// indexes (piggyback cache validation) the same way.
-	hits *hostHits
+	// hosts stripes the same way what each origin host is owed: its RPV
+	// list (§2.2), pending hit report (§5) and expiry index (piggyback
+	// cache validation).
+	hosts *hostTable
 
 	// flights de-duplicates concurrent fetches of one key — client
 	// misses and prefetch drains alike: the first requester of a cold
@@ -269,10 +270,9 @@ func New(cfg Config) *Proxy {
 		cfg:      cfg,
 		origin:   newLeg(reg, "wire.upstream", originBreaker),
 		prefetch: newLeg(reg, "wire.prefetch", originBreaker),
-		rpv:      core.NewRPVTable(cfg.RPVTimeout),
 		cache:    store,
 		queue:    NewInformedQueue(),
-		hits:     newHostHits(),
+		hosts:    newHostTable(cfg.RPVTimeout),
 		flights:  make(map[string]*flight),
 		obs:      reg,
 		c: proxyCounters{
@@ -444,6 +444,9 @@ func (p *Proxy) ServeWire(ctx context.Context, req *httpwire.Request) *httpwire.
 	p.c.clientRequests.Inc()
 	st, resp := p.lookup(key, host, path, now)
 	if resp != nil {
+		if fromPeer {
+			p.stateExpiry(key, resp)
+		}
 		return resp // fresh hit
 	}
 	if !st.hit {
@@ -466,9 +469,14 @@ func (p *Proxy) ServeWire(ctx context.Context, req *httpwire.Request) *httpwire.
 // the request is not itself peer-forwarded, and the key's ring owner is a
 // remote peer, the owner is asked first; a nil answer (dead peer, open
 // circuit, unusable status) falls back to the ordinary origin fetch, so
-// peering never adds a client-visible failure mode.
+// peering never adds a client-visible failure mode. The answer to a
+// peer-forwarded request states its copy's expiry before single-flight
+// followers share it.
 func (p *Proxy) fetchRouted(ctx context.Context, st upstreamState, now int64, fromPeer bool) *httpwire.Response {
-	if p.mesh != nil && !fromPeer {
+	if fromPeer {
+		return p.stateExpiry(st.key, p.fetch(ctx, st, now))
+	}
+	if p.mesh != nil {
 		if owner, remote := p.mesh.owner(st.key); remote {
 			if out := p.forwardToPeer(ctx, owner, st, now); out != nil {
 				return out
@@ -490,7 +498,7 @@ func (p *Proxy) lookup(key, host, path string, now int64) (upstreamState, *httpw
 	}
 	if hit && v.Fresh(now) {
 		p.c.freshHits.Inc()
-		if !p.cfg.BaseFilter.Disabled && !p.hits.add(host, path) {
+		if !p.cfg.BaseFilter.Disabled && !p.hosts.add(host, path) {
 			p.c.hitsDropped.Inc()
 		}
 		resp := serveCopy(v.Body, v.LastModified, v.LastModifiedHTTP, v.ContentType)
@@ -621,11 +629,11 @@ func (p *Proxy) originRequest(st upstreamState, cond bool, now int64) (*httpwire
 		httpwire.SetFilter(oreq, core.Filter{Disabled: true})
 		return oreq, nil, 0
 	}
-	filter := p.cfg.BaseFilter
-	filter.RPV = p.rpv.Snapshot(st.host, now)
-	httpwire.SetFilter(oreq, filter)
 	// Nothing is buffered or indexed while the filter is disabled.
-	hits, listed, useful, expired := p.hits.take(st.host, st.path, now, now+p.cfg.Delta/4)
+	rpv, hits, listed, useful, expired := p.hosts.take(st.host, st.path, now, now+p.cfg.Delta/4)
+	filter := p.cfg.BaseFilter
+	filter.RPV = rpv
+	httpwire.SetFilter(oreq, filter)
 	p.c.hitsReported.Add(int64(len(hits)))
 	p.c.expiryUseful.Add(int64(useful))
 	p.c.expiryIndexExpired.Add(int64(expired))
@@ -640,7 +648,7 @@ func (p *Proxy) originRequest(st upstreamState, cond bool, now int64) (*httpwire
 		}
 		wrote := httpwire.SetPaths(oreq, httpwire.FieldPiggyValidate, paths)
 		p.c.expiryListed.Add(int64(len(wrote)))
-		p.c.expiryIndexFull.Add(int64(p.hits.putBack(st.host, listed, wrote)))
+		p.c.expiryIndexFull.Add(int64(p.hosts.putBack(st.host, listed, wrote)))
 		sent = append(sent, wrote...)
 	}
 	p.c.listBytes.Add(int64(len(oreq.Header.Get(httpwire.FieldPiggyHits)) + len(oreq.Header.Get(httpwire.FieldPiggyValidate))))
@@ -687,18 +695,20 @@ func (p *Proxy) fetched(st upstreamState, resp *httpwire.Response, now int64) *h
 	default:
 		p.c.missFetches.Inc()
 	}
-	return p.admit(st.key, resp, now, st.speculative)
+	return p.admit(st.key, resp, now, math.MaxInt64, st.speculative)
 }
 
 // notModified is the 304 outcome. It serves the validated copy, not
 // whatever the cache holds now — a concurrent fetch may have replaced the
-// entry since lookup.
+// entry since lookup, or an eviction or invalidation removed it, and then
+// there is nothing to index.
 func (p *Proxy) notModified(st upstreamState, now int64) *httpwire.Response {
 	p.c.validations.Inc()
 	p.c.notModified.Inc()
 	expires := now + p.delta(st.key)
-	p.cache.Freshen(st.key, expires)
-	p.noteExpiry(st.host, st.path, expires, false)
+	if p.cache.Freshen(st.key, expires) {
+		p.noteExpiry(st.host, st.path, expires, false)
+	}
 	return serveCopy(st.v.Body, st.v.LastModified, st.v.LastModifiedHTTP, st.v.ContentType)
 }
 
@@ -729,16 +739,18 @@ func (p *Proxy) patch(key string, cachedBody []byte, cachedCT string, resp *http
 
 // admit is the only way a body enters the cache: resp's body becomes key's
 // current version, with the Last-Modified and Content-Type resp carries,
-// and a copy to serve comes back. Every admitted version feeds the
-// freshness estimator and the expiry index, whichever leg it arrived on.
-func (p *Proxy) admit(key string, resp *httpwire.Response, now int64, prefetched bool) *httpwire.Response {
+// expiring Δ from now but no later than notAfter, and a copy to serve
+// comes back. Every admitted version feeds the freshness estimator, and
+// every version the store keeps feeds the expiry index, whichever leg it
+// arrived on.
+func (p *Proxy) admit(key string, resp *httpwire.Response, now, notAfter int64, prefetched bool) *httpwire.Response {
 	lm, _ := resp.LastModified()
 	lmDate := resp.Header.Get("Last-Modified")
 	ct := resp.Header.Get("Content-Type")
 	if p.fresh != nil {
 		p.fresh.Observe(key, lm)
 	}
-	expires := now + p.delta(key)
+	expires := min(now+p.delta(key), notAfter)
 	evicted := p.cache.Put(cache.Entry{
 		URL:              key,
 		Size:             int64(len(resp.Body)),
@@ -750,7 +762,8 @@ func (p *Proxy) admit(key string, resp *httpwire.Response, now int64, prefetched
 		ContentType:      ct,
 		Prefetched:       prefetched,
 	}, now)
-	if i := strings.IndexByte(key, '/'); i >= 0 {
+	// Put refuses a body larger than a shard: no request lists that key.
+	if i := strings.IndexByte(key, '/'); i >= 0 && p.cache.Contains(key) {
 		p.noteExpiry(key[:i], key[i:], expires, false)
 	}
 	p.forgetEvicted(evicted)
@@ -761,7 +774,7 @@ func (p *Proxy) admit(key string, resp *httpwire.Response, now int64, prefetched
 // the cached path; ahead says the answer to a listing gave it. Nothing is
 // indexed while the filter is disabled: no request would list it.
 func (p *Proxy) noteExpiry(host, path string, expires int64, ahead bool) {
-	if !p.cfg.BaseFilter.Disabled && !p.hits.note(host, path, expires, ahead) {
+	if !p.cfg.BaseFilter.Disabled && !p.hosts.note(host, path, expires, ahead) {
 		p.c.expiryIndexFull.Inc()
 	}
 }
@@ -775,7 +788,7 @@ func (p *Proxy) forgetEvicted(evicted []string) {
 	}
 	for _, key := range evicted {
 		if i := strings.IndexByte(key, '/'); i >= 0 {
-			p.hits.drop(key[:i], key[i:])
+			p.hosts.drop(key[:i], key[i:])
 		}
 	}
 }
@@ -856,7 +869,7 @@ func (p *Proxy) delta(key string) int64 {
 func (p *Proxy) processPiggyback(host string, m core.Message, now int64) {
 	p.c.piggybacksReceived.Inc()
 	p.c.piggybackElements.Add(int64(len(m.Elements)))
-	p.rpv.Note(host, m.Volume, now)
+	p.hosts.noteVolume(host, m.Volume, now)
 	for _, el := range m.Elements {
 		p.applyElement(host, el, now, false)
 	}
@@ -918,7 +931,7 @@ func (p *Proxy) applyElement(host string, el core.Element, now int64, listed boo
 		if !p.cfg.DeltaEncoding {
 			p.cache.Delete(key)
 		}
-		p.hits.drop(elHost, elPath)
+		p.hosts.drop(elHost, elPath)
 		if p.cfg.Prefetch && !listed {
 			p.queue.Push(FetchItem{Host: elHost, URL: elPath, Size: el.Size})
 		}

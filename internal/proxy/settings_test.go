@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"testing"
 	"time"
+
+	"piggyback/internal/cache"
 )
 
 // TestFixedSettings pins the values the proxy uses where it has no option:
@@ -87,7 +89,7 @@ func TestFixedSettings(t *testing.T) {
 	})
 
 	t.Run("default store", func(t *testing.T) {
-		if got := p.cache.Capacity(); got != 64<<20 {
+		if got := p.cache.(*cache.Sharded).Capacity(); got != 64<<20 {
 			t.Errorf("a nil Store builds a %d-byte cache, want 64 MiB", got)
 		}
 	})
