@@ -17,8 +17,7 @@
 // Usage:
 //
 //	piggyproxy [-addr :8081] -origin 127.0.0.1:8080 [-cache 64MiB-bytes]
-//	           [-delta 900] [-maxpiggy 10] [-prefetch] [-adaptive]
-//	           [-uptimeout 30s] [-maxstale 3600] [-stats 30s]
+//	           [-delta 900] [-maxpiggy 10] [-prefetch] [-adaptive] [-stats 30s]
 //	           [-peers host:port,host:port,...] [-peer-id host:port]
 //	           [-disk-dir DIR] [-disk-cap 256MiB-bytes] [-pprof]
 //
@@ -26,7 +25,9 @@
 // covering GOMAXPROCS, clamped to [8, 64]; a host's circuit trips after 5
 // consecutive upstream failures and admits a probe after 500 ms
 // (jittered, doubling per failed probe up to 30 s); an upstream connection
-// carries 4 demand exchanges; a peer exchange times out after 5 s.
+// carries 4 demand exchanges; an upstream exchange times out after 30 s
+// and a peer exchange after 5 s; an expired entry is served stale on an
+// upstream failure for up to 3600 s past its expiry.
 package main
 
 import (
@@ -59,8 +60,6 @@ func main() {
 	prefetch := flag.Bool("prefetch", false, "prefetch piggybacked resources")
 	adaptive := flag.Bool("adaptive", false, "adapt Δ per resource from observed change rates")
 	statsEvery := flag.Duration("stats", 30*time.Second, "stats reporting interval (0 disables)")
-	uptimeout := flag.Duration("uptimeout", 0, "upstream exchange timeout (0: wire default, 30s)")
-	maxStale := flag.Int64("maxstale", 3600, "serve expired entries up to this many seconds past expiry on upstream failure (negative disables)")
 	peers := flag.String("peers", "", "comma-separated fleet member addresses for the cooperative mesh (empty disables)")
 	peerID := flag.String("peer-id", "", "this proxy's advertised peer address (default: -addr)")
 	diskDir := flag.String("disk-dir", "", "directory for the disk cache tier (empty: RAM only); reopening the same directory restarts warm")
@@ -115,8 +114,6 @@ func main() {
 		Resolve:           func(host string) (string, error) { return *origin, nil },
 		Prefetch:          *prefetch,
 		AdaptiveFreshness: *adaptive,
-		UpstreamTimeout:   *uptimeout,
-		MaxStaleOnError:   *maxStale,
 		PeerSelf:          self,
 		Peers:             peerList,
 	})

@@ -5,8 +5,8 @@ import (
 	"sort"
 )
 
-// The serializers avoid fmt and per-message map clones: profiles of the
-// 64-worker loadtest showed per-header-line fmt.Fprintf boxing and the
+// The serializers avoid fmt and per-message map clones: profiles of
+// a 64-worker load run showed per-header-line fmt.Fprintf boxing and the
 // Header.Clone needed to inject framing fields dominating hot-path
 // allocation. Framing fields (Content-Length, Transfer-Encoding, Trailer)
 // are merged into the sorted key walk as "extras", and the sorted key

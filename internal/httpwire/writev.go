@@ -15,7 +15,7 @@ import (
 // tails appended after — and the whole vector goes to the socket as a
 // single writev (net.Buffers) instead of buffered writes plus Flush. One
 // response, or a whole coalesced batch of responses, costs one write
-// syscall. Profiles of the 64-worker loadtest motivated this: after the
+// syscall. Profiles of a 64-worker load run motivated this: after the
 // PR 7 allocation audit, ~48% of CPU samples were raw socket syscalls.
 
 // wvec accumulates one or more serialized messages as writev segments.

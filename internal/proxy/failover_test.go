@@ -68,6 +68,12 @@ func tripAfter(p *Proxy, failures int, backoff time.Duration) {
 	p.origin.breaker.failures, p.origin.breaker.backoff = failures, backoff
 }
 
+// timeoutAfter caps p's upstream exchanges, demand and prefetch, at d
+// instead of the wire's 30 s. Call it before p sends anything.
+func timeoutAfter(p *Proxy, d time.Duration) {
+	p.origin.client.RequestTimeout, p.prefetch.client.RequestTimeout = d, d
+}
+
 func (fb *faultBed) get(ctx context.Context, url string) *httpwire.Response {
 	return fb.proxy.ServeWire(ctx, httpwire.NewRequest("GET", "http://"+url))
 }
@@ -78,11 +84,8 @@ func (fb *faultBed) get(ctx context.Context, url string) *httpwire.Response {
 // threshold the breaker opens and requests stop dialing; once the fault
 // clears and the backoff elapses, a half-open probe restores service.
 func TestProxyServesStaleOnBlackhole(t *testing.T) {
-	fb := newFaultBed(t, Config{
-		Delta:           100,
-		UpstreamTimeout: 150 * time.Millisecond,
-		MaxStaleOnError: 100000,
-	})
+	fb := newFaultBed(t, Config{Delta: 100})
+	timeoutAfter(fb.proxy, 150*time.Millisecond)
 	tripAfter(fb.proxy, 3, 50*time.Millisecond)
 
 	// Healthy warm-up fills the cache.
@@ -153,11 +156,9 @@ func TestProxyServesStaleOnBlackhole(t *testing.T) {
 }
 
 func TestProxyStaleWindowExhausted(t *testing.T) {
-	fb := newFaultBed(t, Config{
-		Delta:           10,
-		UpstreamTimeout: 100 * time.Millisecond,
-		MaxStaleOnError: 50,
-	})
+	fb := newFaultBed(t, Config{Delta: 10})
+	timeoutAfter(fb.proxy, 100*time.Millisecond)
+	fb.proxy.maxStale = 50
 	if resp := fb.get(context.Background(), "www.site.com/a/x.html"); resp.Status != 200 {
 		t.Fatalf("warm-up: %d", resp.Status)
 	}
@@ -170,17 +171,14 @@ func TestProxyStaleWindowExhausted(t *testing.T) {
 		t.Fatalf("beyond stale window: status %d, want 504 (timeout class)", resp.Status)
 	}
 	if fb.proxy.Stats().StaleServes != 0 {
-		t.Fatal("served stale beyond MaxStaleOnError")
+		t.Fatal("served stale beyond maxStale")
 	}
 }
 
 func TestProxyCanceledCallerNoStaleNoBreaker(t *testing.T) {
 	// A caller that gives up is not upstream failure: no stale serve, no
 	// breaker feed.
-	fb := newFaultBed(t, Config{
-		Delta:           10,
-		MaxStaleOnError: 100000,
-	})
+	fb := newFaultBed(t, Config{Delta: 10})
 	tripAfter(fb.proxy, 2, breakerBackoff)
 	if resp := fb.get(context.Background(), "www.site.com/a/x.html"); resp.Status != 200 {
 		t.Fatalf("warm-up: %d", resp.Status)
@@ -212,11 +210,9 @@ func TestProxyCanceledCallerNoStaleNoBreaker(t *testing.T) {
 // cache (every 200 body matches the origin's), and with all entries
 // expired every qualifying upstream failure falls back to the stale copy.
 func TestProxyChaosBrownout(t *testing.T) {
-	fb := newFaultBed(t, Config{
-		Delta:           100,
-		UpstreamTimeout: 100 * time.Millisecond,
-		MaxStaleOnError: 1 << 30,
-	})
+	fb := newFaultBed(t, Config{Delta: 100})
+	timeoutAfter(fb.proxy, 100*time.Millisecond)
+	fb.proxy.maxStale = 1 << 30
 	tripAfter(fb.proxy, 50, breakerBackoff) // keep traffic flowing through the fault schedule
 	urls := []string{"www.site.com/a/x.html", "www.site.com/a/y.gif"}
 
@@ -231,11 +227,7 @@ func TestProxyChaosBrownout(t *testing.T) {
 	}
 	fb.advance(200) // everything expired: failures must degrade to STALE
 
-	pr, ok := faultconn.Profiles("brownout")
-	if !ok {
-		t.Fatal("brownout profile missing")
-	}
-	fb.fl.SetProfile(pr)
+	fb.fl.SetProfile(faultconn.Brownout)
 	fb.fl.AbortConns()
 
 	const workers = 4

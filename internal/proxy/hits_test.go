@@ -57,6 +57,21 @@ func TestProxyReportsCacheHits(t *testing.T) {
 	if !found {
 		t.Errorf("reported hits did not raise popularity: %+v", m.Elements)
 	}
+
+	// A path holding a comma cannot ride in a list: its fresh hit is
+	// taken for the next report but left out of it, and not counted.
+	tb.store.Put(server.Resource{URL: "/a/p,q.html", Size: 100, LastModified: 1000})
+	tb.get(t, "www.site.com/a/p,q.html") // miss
+	if r := tb.get(t, "www.site.com/a/p,q.html"); r.Header.Get("X-Cache") != "HIT" {
+		t.Fatalf("X-Cache %q, want HIT", r.Header.Get("X-Cache"))
+	}
+	tb.get(t, "www.site.com/a/big.pdf") // miss: its report is empty
+	if n := tb.proxy.Stats().HitsReported; n != 2 {
+		t.Errorf("HitsReported = %d after an unlistable hit, want 2", n)
+	}
+	if n := tb.origin.Stats().HitReports; n != 2 {
+		t.Errorf("origin HitReports = %d after an unlistable hit, want 2", n)
+	}
 }
 
 func TestProxyHitReportingOffWhenFilterDisabled(t *testing.T) {

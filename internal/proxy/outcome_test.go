@@ -142,7 +142,10 @@ func TestFetchOutcomes(t *testing.T) {
 		reported bool
 		// tripped: an earlier failure has opened the host's circuit.
 		tripped bool
-		origin  int32
+		// maxStale, when set, replaces the serve-stale bound
+		// maxStaleOnError (3600 s).
+		maxStale int64
+		origin   int32
 
 		status int
 		xcache string
@@ -174,7 +177,7 @@ func TestFetchOutcomes(t *testing.T) {
 		{name: "timeout, stale copy inside MaxStaleOnError", primed: true, origin: originHangs,
 			status: 200, xcache: "STALE", lm: oldLM,
 			moved: Stats{UpstreamErrors: 1, StaleServes: 1}, cached: staleOld},
-		{name: "timeout, stale copy too old", cfg: Config{MaxStaleOnError: 60}, primed: true, origin: originHangs,
+		{name: "timeout, stale copy too old", maxStale: 60, primed: true, origin: originHangs,
 			status: 504, moved: Stats{UpstreamErrors: 1}, cached: staleOld},
 		{name: "226 on a delta base", cfg: Config{DeltaEncoding: true}, primed: true, modified: true, invalidated: true, origin: originHonest,
 			status: 200, xcache: "MISS", lm: newLM,
@@ -198,8 +201,11 @@ func TestFetchOutcomes(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
 			cfg.Delta = 600
-			cfg.UpstreamTimeout = 100 * time.Millisecond
 			sb := newSeamBed(t, cfg)
+			timeoutAfter(sb.proxy, 100*time.Millisecond)
+			if tc.maxStale != 0 {
+				sb.proxy.maxStale = tc.maxStale
+			}
 			if tc.primed {
 				if r := sb.get(seamKey); r.Status != 200 {
 					t.Fatalf("priming fetch: %d", r.Status)

@@ -156,11 +156,7 @@ func TestDemandNeverQueuesBehindPrefetch(t *testing.T) {
 // prefetches without dialing, and prefetch failures open a circuit that
 // then refuses demand.
 func TestPrefetchSharesOriginBreaker(t *testing.T) {
-	cfg := Config{
-		Delta:           100,
-		Prefetch:        true,
-		MaxStaleOnError: -1,
-	}
+	cfg := Config{Delta: 100, Prefetch: true}
 	const failures = 2
 
 	t.Run("demand failures refuse prefetches", func(t *testing.T) {

@@ -14,7 +14,6 @@ import (
 	"math"
 	"strings"
 	"sync"
-	"time"
 
 	"piggyback/internal/cache"
 	"piggyback/internal/core"
@@ -68,15 +67,6 @@ type Config struct {
 	// plus the server's patch (§4, ref [23]). Off, an invalidated copy is
 	// deleted; on, it stays in the cache as a delta base, never served.
 	DeltaEncoding bool
-	// UpstreamTimeout caps one upstream exchange (the client's
-	// RequestTimeout); zero keeps the wire default (30s).
-	UpstreamTimeout time.Duration
-	// MaxStaleOnError bounds serve-stale-on-error: on a qualifying
-	// upstream failure (or an open circuit) an expired cache entry is
-	// still served — marked X-Cache: STALE with Warning: 110 — if it
-	// expired no more than this many seconds ago. Zero means 3600;
-	// negative disables serve-stale (failures surface as 502/504).
-	MaxStaleOnError int64
 	// PeerSelf is this proxy's advertised peer address (the host:port of
 	// its own wire listener). Empty disables the cooperative mesh.
 	PeerSelf string
@@ -94,6 +84,13 @@ type Config struct {
 // exchange never queues behind or ahead of one; the peer leg keeps the
 // wire default of one.
 const originInflight = 4
+
+// maxStaleOnError bounds serve-stale-on-error: on a qualifying upstream
+// failure (or an open circuit) an expired cache entry is still served —
+// marked X-Cache: STALE with Warning: 110 — if it expired no more than
+// this many seconds ago. An upstream exchange itself keeps the wire's
+// default timeout (30 s).
+const maxStaleOnError = 3600
 
 // defaultCacheBytes sizes the store a proxy builds when Config.Store is nil.
 const defaultCacheBytes = 64 << 20 // 64 MiB
@@ -176,6 +173,8 @@ type Proxy struct {
 	queue    *InformedQueue
 	obs      *obs.Registry
 	c        proxyCounters
+	// maxStale starts at maxStaleOnError; tests change it.
+	maxStale int64
 
 	// cache is the store the proxy serves from — a cache.Sharded by
 	// default (every operation locks only the shard owning its key, so
@@ -257,9 +256,6 @@ func New(cfg Config) *Proxy {
 		// interval Δ.
 		cfg.RPVTimeout = cfg.Delta
 	}
-	if cfg.MaxStaleOnError == 0 {
-		cfg.MaxStaleOnError = 3600
-	}
 	store := cfg.Store
 	if store == nil {
 		store = cache.NewSharded(defaultCacheBytes, 0, nil)
@@ -275,6 +271,7 @@ func New(cfg Config) *Proxy {
 		hosts:    newHostTable(cfg.RPVTimeout),
 		flights:  make(map[string]*flight),
 		obs:      reg,
+		maxStale: maxStaleOnError,
 		c: proxyCounters{
 			clientRequests:     reg.Counter("proxy.client_requests"),
 			freshHits:          reg.Counter("proxy.fresh_hits"),
@@ -304,8 +301,6 @@ func New(cfg Config) *Proxy {
 		},
 	}
 	p.mesh = newMesh(cfg, reg)
-	p.origin.client.RequestTimeout = cfg.UpstreamTimeout // zero keeps the wire default
-	p.prefetch.client.RequestTimeout = cfg.UpstreamTimeout
 	p.origin.client.MaxInflightPerConn = originInflight
 	p.prefetch.client.MaxInflightPerConn = 1
 	// The cache's shard-occupancy and eviction gauges land in the same
@@ -634,11 +629,11 @@ func (p *Proxy) originRequest(st upstreamState, cond bool, now int64) (*httpwire
 	filter := p.cfg.BaseFilter
 	filter.RPV = rpv
 	httpwire.SetFilter(oreq, filter)
-	p.c.hitsReported.Add(int64(len(hits)))
 	p.c.expiryUseful.Add(int64(useful))
 	p.c.expiryIndexExpired.Add(int64(expired))
 	sent := httpwire.SetPaths(oreq, httpwire.FieldPiggyHits, hits)
 	nHits := len(sent)
+	p.c.hitsReported.Add(int64(nHits))
 	if len(listed) > 0 {
 		// SetPaths writes the last path first: reversed, the list goes
 		// out in path order.
@@ -835,12 +830,11 @@ func serveCopy(body []byte, lastModified int64, lmDate, contentType string) *htt
 // degrade answers a request whose upstream exchange failed (err carries
 // the wireerr class; it may be ErrCircuitOpen). The coherency/availability
 // tradeoff of §5 tilts toward availability: an expired-but-present cached
-// copy that expired no more than MaxStaleOnError seconds ago is served
+// copy that expired no more than maxStale seconds ago is served
 // with X-Cache: STALE and Warning: 110 rather than failing the client.
 // With no servable copy, timeouts map to 504 and everything else to 502.
 func (p *Proxy) degrade(st upstreamState, now int64, err error) *httpwire.Response {
-	if st.hit && p.cfg.MaxStaleOnError >= 0 && !errors.Is(err, wireerr.ErrCanceled) &&
-		now <= st.v.Expires+p.cfg.MaxStaleOnError {
+	if st.hit && !errors.Is(err, wireerr.ErrCanceled) && now <= st.v.Expires+p.maxStale {
 		p.c.staleServes.Inc()
 		out := serveCopy(st.v.Body, st.v.LastModified, st.v.LastModifiedHTTP, st.v.ContentType)
 		out.Header.Set("X-Cache", "STALE")

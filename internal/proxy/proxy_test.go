@@ -5,11 +5,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"piggyback/internal/cache"
+	"piggyback/internal/cache/tiered"
 	"piggyback/internal/core"
 	"piggyback/internal/httpwire"
 	"piggyback/internal/obs"
@@ -374,5 +377,76 @@ func TestProxyServesPipelinedClients(t *testing.T) {
 		if got := r.Header.Get("X-Cache"); got != wantCache[i] {
 			t.Errorf("response %d: X-Cache=%s, want %s", i, got, wantCache[i])
 		}
+	}
+}
+
+// TestProxyRestartWarm checks that Close closes the store, which is what
+// makes a restart warm: a proxy reopened over its predecessor's disk tier
+// serves every key the predecessor fetched as a disk hit inside Δ, with no
+// origin request, where a twin over RAM alone refetches every one.
+func TestProxyRestartWarm(t *testing.T) {
+	const n = 20
+	var originReqs atomic.Int64
+	origin := startOrigin(t, httpwire.HandlerFunc(func(_ context.Context, req *httpwire.Request) *httpwire.Response {
+		originReqs.Add(1)
+		resp := httpwire.NewResponse(200)
+		resp.Body = []byte("body of " + req.Path)
+		resp.Header.Set("Last-Modified", httpwire.FormatHTTPDate(1000))
+		return resp
+	}))
+	now := int64(10_000)
+	start := func(dir string) *Proxy {
+		ram := cache.NewSharded(1<<20, 0, nil)
+		var store cache.Store = ram
+		if dir != "" {
+			ts, err := tiered.New(ram, tiered.Config{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			store = ts
+		}
+		return New(Config{
+			Delta:   600,
+			Store:   store,
+			Clock:   func() int64 { return now },
+			Resolve: func(string) (string, error) { return origin, nil },
+		})
+	}
+	fetchAll := func(p *Proxy, want string) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			path := fmt.Sprintf("/a/r%02d.html", i)
+			resp := proxyGet(p, "www.site.com"+path)
+			if resp.Status != 200 || resp.Header.Get("X-Cache") != want || string(resp.Body) != "body of "+path {
+				t.Fatalf("%s: %d %q %q, want 200 %q", path, resp.Status, resp.Header.Get("X-Cache"), resp.Body, want)
+			}
+		}
+	}
+
+	for _, tc := range []struct {
+		name, dir string
+		xcache    string // of every replayed read
+		diskHits  int64
+		refetches int64
+	}{
+		{"warm", t.TempDir(), "HIT", n, 0},
+		{"cold", "", "MISS", 0, n},
+	} {
+		now = 10_000
+		first := start(tc.dir)
+		fetchAll(first, "MISS")
+		first.Close()
+
+		now += 300 // inside Δ
+		originReqs.Store(0)
+		next := start(tc.dir)
+		fetchAll(next, tc.xcache)
+		if got := next.CacheStats().DiskHits; got != tc.diskHits {
+			t.Errorf("%s restart: %d disk hits, want %d", tc.name, got, tc.diskHits)
+		}
+		if got := originReqs.Load(); got != tc.refetches {
+			t.Errorf("%s restart: %d origin requests, want %d", tc.name, got, tc.refetches)
+		}
+		next.Close()
 	}
 }
