@@ -202,6 +202,12 @@ func runE2E(l *lab) {
 		return fmt.Sprintf("%d (%d)", snap.Counter("proxy.expiry_validations"), snap.Counter("proxy.expiry_validations_useful"))
 	}
 	tbl.AddRow("expiry validations (useful)", expiry(proxies[0]), expiry(proxies[1]))
+	invalidations := func(px *proxy.Proxy) string {
+		snap := px.Obs().Snapshot()
+		return fmt.Sprintf("%d/%d/%d", snap.Counter("proxy.invalidations.volume"),
+			snap.Counter("proxy.invalidations.answer"), snap.Counter("proxy.invalidations.changes"))
+	}
+	tbl.AddRow("invalidations (volume/answer/changes)", invalidations(proxies[0]), invalidations(proxies[1]))
 	tbl.AddRow("cache hit rate", proxies[0].CacheStats().HitRate(), proxies[1].CacheStats().HitRate())
 	fmt.Print(tbl.String())
 	fmt.Printf("origin requests: %d for %d client requests; piggybacks sent: %d; wall time %v\n",

@@ -110,8 +110,9 @@ type Cache struct {
 	// be treated as read-only and not retained; copy what is needed.
 	evictObserver func(e *Entry, now int64)
 
-	// Stats.
-	Hits, Misses, Evictions int
+	// Stats. BasesEvicted counts the evictions of delta bases: copies
+	// invalidated and evicted before any refetch replaced them.
+	Hits, Misses, Evictions, BasesEvicted int
 }
 
 // New returns a cache with the given byte capacity and policy.
@@ -215,6 +216,9 @@ func (c *Cache) evict(e *Entry, now int64) {
 	delete(c.entries, e.URL)
 	c.used -= e.Size
 	c.Evictions++
+	if e.outdated {
+		c.BasesEvicted++
+	}
 	c.policy.OnEvict(e)
 	if c.evictObserver != nil && !e.outdated {
 		c.evictObserver(e, now)

@@ -45,6 +45,7 @@ type shard struct {
 	bytesGauge   *obs.Counter
 	entriesGauge *obs.Counter
 	evGauge      *obs.Counter
+	basesGauge   *obs.Counter
 }
 
 // DefaultShards is the shard count used when the caller passes zero: the
@@ -207,9 +208,12 @@ func (s *Sharded) Put(e Entry, now int64) (evicted []string) {
 	sh := s.shard(e.URL)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	before := sh.c.Evictions
+	before, bases := sh.c.Evictions, sh.c.BasesEvicted
 	evicted = sh.c.Put(e, now)
 	s.noteMutation(sh, sh.c.Evictions-before)
+	if n := sh.c.BasesEvicted - bases; n > 0 && sh.basesGauge != nil {
+		sh.basesGauge.Add(int64(n))
+	}
 	return evicted
 }
 
@@ -293,15 +297,19 @@ func (s *Sharded) noteMutation(sh *shard, evicted int) {
 }
 
 // Instrument registers shard-occupancy and eviction gauges in reg under
-// prefix: prefix.evictions (aggregate counter), and per shard
-// prefix.shardNN.bytes / prefix.shardNN.entries (occupancy gauges kept
-// current by every mutating operation).
+// prefix: prefix.evictions (aggregate counter), prefix.bases_evicted (the
+// delta bases among them: copies invalidated and evicted before anything
+// refetched them), and per shard prefix.shardNN.bytes /
+// prefix.shardNN.entries (occupancy gauges kept current by every mutating
+// operation).
 func (s *Sharded) Instrument(reg *obs.Registry, prefix string) {
 	s.evGauge = reg.Counter(prefix + ".evictions")
+	bases := reg.Counter(prefix + ".bases_evicted")
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		sh.evGauge = s.evGauge
+		sh.basesGauge = bases
 		sh.bytesGauge = reg.Counter(fmt.Sprintf("%s.shard%02d.bytes", prefix, i))
 		sh.entriesGauge = reg.Counter(fmt.Sprintf("%s.shard%02d.entries", prefix, i))
 		sh.bytesGauge.Add(sh.c.Used() - sh.bytesGauge.Load())

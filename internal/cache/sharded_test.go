@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -389,5 +390,43 @@ func TestEntryContentTypeRoundTrip(t *testing.T) {
 	v, _ = s.PeekView("u")
 	if v.ContentType != "image/gif" {
 		t.Fatalf("content type not updated on replace: %+v", v)
+	}
+}
+
+// TestShardedCountsBasesEvicted: cache.bases_evicted counts the delta
+// bases an insert evicts — copies invalidated and never refetched — and
+// neither servable entries evicted beside them nor a base that a refetch
+// replaced before the eviction came.
+func TestShardedCountsBasesEvicted(t *testing.T) {
+	s := NewSharded(300, 1, nil)
+	reg := obs.NewRegistry()
+	s.Instrument(reg, "cache")
+	put := func(url string, now int64) []string {
+		return s.Put(Entry{URL: url, Size: 100, LastModified: 1000, Expires: now + 600, Body: make([]byte, 100)}, now)
+	}
+	put("a", 1)
+	put("b", 2)
+	put("c", 3)
+	// a and b become bases; b is refetched, and servable again.
+	for _, url := range []string{"a", "b"} {
+		if got := s.ApplyPiggyback(url, 2000, 700, 0, 4); got != PiggybackInvalidated {
+			t.Fatalf("ApplyPiggyback(%s) = %v, want PiggybackInvalidated", url, got)
+		}
+	}
+	put("b", 5)
+	// Three more inserts evict a (the base), c and b, oldest first.
+	var evicted []string
+	for i, url := range []string{"d", "e", "f"} {
+		evicted = append(evicted, put(url, int64(6+i))...)
+	}
+	if !slices.Equal(evicted, []string{"a", "c", "b"}) {
+		t.Fatalf("evicted %q, want [a c b]", evicted)
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counter("cache.bases_evicted"); got != 1 {
+		t.Errorf("cache.bases_evicted = %d, want 1", got)
+	}
+	if got := snap.Counter("cache.evictions"); got != 3 {
+		t.Errorf("cache.evictions = %d, want 3", got)
 	}
 }

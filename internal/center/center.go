@@ -135,6 +135,7 @@ func (c *Center) ServeWire(ctx context.Context, req *httpwire.Request) *httpwire
 	oreq.Header.Del(httpwire.FieldPiggyFilter)
 	oreq.Header.Del(httpwire.FieldPiggyHits)
 	oreq.Header.Del(httpwire.FieldPiggyValidate)
+	oreq.Header.Del(httpwire.FieldPiggySince)
 	oreq.Header.Del("TE")
 	oreq.Header.Set("Host", host)
 	oreq.Body = req.Body
@@ -179,6 +180,9 @@ func (c *Center) ServeWire(ctx context.Context, req *httpwire.Request) *httpwire
 	// Framing is recomputed on write.
 	out.Header.Del("Transfer-Encoding")
 	out.Header.Del("Trailer")
+	// The center keeps no change log, and its proxies' tokens are not
+	// the origin's: no change list passes either way.
+	delete(out.Trailer, httpwire.FieldPChanges)
 
 	if len(resp.Trailer) > 0 && resp.Trailer.Get(httpwire.FieldPVolume) != "" {
 		// A cooperating origin already piggybacked; pass it through.

@@ -19,7 +19,7 @@ func plainOrigin(t *testing.T, clock func() int64, hosts map[string]*server.Stor
 	// One listener serving all hosts, dispatching on the Host header.
 	h := httpwire.HandlerFunc(func(_ context.Context, req *httpwire.Request) *httpwire.Response {
 		if req.Header.Has(httpwire.FieldPiggyFilter) || req.Header.Has(httpwire.FieldPiggyHits) ||
-			req.Header.Has(httpwire.FieldPiggyValidate) {
+			req.Header.Has(httpwire.FieldPiggyValidate) || req.Header.Has(httpwire.FieldPiggySince) {
 			t.Errorf("piggyback header leaked to origin")
 		}
 		st, ok := hosts[req.Header.Get("Host")]
@@ -320,5 +320,61 @@ func TestCenterHitReportNeverFreshensStaleCopy(t *testing.T) {
 	r := get("www.one.com/a/x.html")
 	if lm, _ := r.LastModified(); r.Header.Get("X-Cache") != "MISS" || lm != 5000 {
 		t.Errorf("X-Cache %q, Last-Modified %d, want MISS and 5000: the stale copy was served", r.Header.Get("X-Cache"), lm)
+	}
+}
+
+// TestCenterForwardsNoChangeList: the center deletes a proxy's Piggy-Since
+// before forwarding, and relays no P-Changes trailer, even from an origin
+// that attaches one unasked: the center keeps no change log, and a token
+// it relayed would not be the one its proxies hold.
+func TestCenterForwardsNoChangeList(t *testing.T) {
+	st := server.NewStore()
+	st.Put(server.Resource{URL: "/a/x.html", Size: 100, LastModified: 1000})
+	now := int64(10_000)
+	origin := server.New(st, nil, func() int64 { return now })
+	var since []string
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &httpwire.Server{Handler: httpwire.HandlerFunc(func(ctx context.Context, req *httpwire.Request) *httpwire.Response {
+		since = append(since, req.Header.Get(httpwire.FieldPiggySince))
+		resp := origin.ServeWire(ctx, req)
+		httpwire.AttachChanges(resp, "e.7", []core.Element{{URL: "/a/y.gif", Size: 50, LastModified: 5000}}, false)
+		return resp
+	})}
+	go srv.Serve(l)
+	t.Cleanup(func() { srv.Close() })
+	ctr := New(Config{Resolve: func(string) (string, error) { return l.Addr().String(), nil }, Clock: func() int64 { return now }})
+	t.Cleanup(ctr.Close)
+	cl, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	csrv := &httpwire.Server{Handler: ctr}
+	go csrv.Serve(cl)
+	t.Cleanup(func() { csrv.Close() })
+
+	c := httpwire.NewClient()
+	defer c.Close()
+	req := httpwire.NewRequest("GET", "/a/x.html")
+	req.Header.Set("Host", "www.one.com")
+	httpwire.SetFilter(req, core.Filter{MaxPiggy: 10})
+	req.Header.Set(httpwire.FieldPiggySince, httpwire.NoToken)
+	resp, err := c.DoContext(context.Background(), cl.Addr().String(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Status != 200 {
+		t.Fatalf("status %d", resp.Status)
+	}
+	if len(since) != 1 || since[0] != "" {
+		t.Errorf("origin saw Piggy-Since %q, want it deleted", since)
+	}
+	if v := resp.Trailer.Get(httpwire.FieldPChanges); v != "" {
+		t.Errorf("center relayed P-Changes %q", v)
+	}
+	if _, _, _, ok := httpwire.ExtractChanges(resp); ok {
+		t.Error("the center's answer carries a change list")
 	}
 }

@@ -39,17 +39,18 @@ const (
 // maxPathsHeader bounds the encoded size of one path-list header.
 const maxPathsHeader = 2048
 
-// listable reports whether a path can ride in a list: GetPaths returns it
-// unchanged. Empty paths, paths holding a comma, bar, space or tab, and
-// paths with other whitespace at either end cannot.
-func listable(p string) bool {
+// Listable reports whether a path can ride in a list: GetPaths returns it
+// unchanged. Empty paths, paths holding a comma, bar, space or tab, paths
+// with other whitespace at either end, and paths too long to fit in a list
+// on their own cannot.
+func Listable(p string) bool {
 	for i := 0; i < len(p); i++ {
 		switch p[i] {
 		case ',', '|', ' ', '\t':
 			return false
 		}
 	}
-	return p != "" && strings.TrimSpace(p) == p
+	return p != "" && len(p) < maxPathsHeader && strings.TrimSpace(p) == p
 }
 
 // SetPaths attaches paths to the request as the front-coded value of field,
@@ -66,28 +67,17 @@ func SetPaths(req *Request, field string, paths []string) []string {
 	prev := ""
 	for i := len(paths) - 1; i >= 0; i-- {
 		u := paths[i]
-		if !listable(u) {
+		if !Listable(u) {
 			continue
 		}
-		// "<k>|" is shorter than the k bytes it stands for once k ≥ 3.
-		k := commonPrefix(prev, u)
-		item := len(u)
-		if k >= 3 {
-			item = len(strconv.Itoa(k)) + 1 + len(u) - k
-		}
-		if b.Len()+item+1 > maxPathsHeader {
+		k := frontCode(prev, u)
+		if b.Len()+codedLen(k, u)+1 > maxPathsHeader {
 			break
 		}
 		if b.Len() > 0 {
 			b.WriteByte(',')
 		}
-		if k >= 3 {
-			b.WriteString(strconv.Itoa(k))
-			b.WriteByte('|')
-			b.WriteString(u[k:])
-		} else {
-			b.WriteString(u)
-		}
+		writeCoded(&b, k, u)
 		wrote = append(wrote, u)
 		prev = u
 	}
@@ -116,24 +106,70 @@ func GetPaths(req *Request, field string) []string {
 	for v != "" {
 		var item string
 		item, v, _ = strings.Cut(v, ",")
-		item = strings.TrimSpace(item)
-		if bar := strings.IndexByte(item, '|'); bar >= 0 {
-			k, err := strconv.Atoi(item[:bar])
-			if err != nil || k < 2 || k > len(prev) {
-				continue
-			}
-			item = prev[:k] + item[bar+1:]
+		if p, ok := decodeItem(prev, strings.TrimSpace(item)); ok {
+			out = append(out, p)
+			prev = p
 		}
-		if !listable(item) {
-			continue
-		}
-		out = append(out, item)
-		prev = item
 	}
 	if len(out) == 0 {
 		return nil
 	}
 	return out
+}
+
+// frontCode returns the k u is written with after prev in a front-coded
+// list: the length of their common prefix when "<k>|" is shorter than the
+// k bytes it stands for (k ≥ 3), else 0, and u is written whole.
+func frontCode(prev, u string) int {
+	if k := commonPrefix(prev, u); k >= 3 {
+		return k
+	}
+	return 0
+}
+
+// codedLen is the length of u's item written with k.
+func codedLen(k int, u string) int {
+	if k == 0 {
+		return len(u)
+	}
+	return digits(int64(k)) + 1 + len(u) - k
+}
+
+// writeCoded writes u's item written with k.
+func writeCoded(b *strings.Builder, k int, u string) {
+	if k == 0 {
+		b.WriteString(u)
+		return
+	}
+	b.WriteString(strconv.Itoa(k))
+	b.WriteByte('|')
+	b.WriteString(u[k:])
+}
+
+// decodeItem decodes one front-coded item after the previous decoded path.
+// It reports false for an item whose path is not listable, or whose k is
+// below 2 or beyond prev's length.
+func decodeItem(prev, item string) (string, bool) {
+	if bar := strings.IndexByte(item, '|'); bar >= 0 {
+		k, err := strconv.Atoi(item[:bar])
+		if err != nil || k < 2 || k > len(prev) {
+			return "", false
+		}
+		item = prev[:k] + item[bar+1:]
+	}
+	return item, Listable(item)
+}
+
+// digits returns the length of n's decimal rendering.
+func digits(n int64) int {
+	d := 1
+	if n < 0 {
+		d, n = 2, -n
+	}
+	for ; n >= 10; n /= 10 {
+		d++
+	}
+	return d
 }
 
 // commonPrefix returns the length of the longest common prefix of a and b.

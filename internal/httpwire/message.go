@@ -183,9 +183,10 @@ func (h Header) WantsClose() bool {
 // "trailers" per RFC 2616 is accepted too).
 func (r *Request) AcceptsChunkedTrailer() bool {
 	te := r.Header.Get("TE")
-	for _, part := range strings.Split(te, ",") {
-		p := strings.ToLower(strings.TrimSpace(part))
-		if p == "chunked" || p == "trailers" {
+	for te != "" {
+		var part string
+		part, te, _ = strings.Cut(te, ",")
+		if p := strings.TrimSpace(part); strings.EqualFold(p, "chunked") || strings.EqualFold(p, "trailers") {
 			return true
 		}
 	}

@@ -276,7 +276,7 @@ func TestDeltaBase304NeverReachesAClient(t *testing.T) {
 				t.Fatalf("priming fetch: %d %q", r.Status, r.Body)
 			}
 			// Queues the prefetch when prefetching is on.
-			p.applyElement("www.base.test", core.Element{URL: "/page.html", LastModified: 5000}, 10_000, false)
+			p.applyElement("www.base.test", core.Element{URL: "/page.html", LastModified: 5000}, 10_000, viaVolume)
 
 			results := make(chan *httpwire.Response, 2)
 			drained := make(chan int, 1)

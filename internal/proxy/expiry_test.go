@@ -48,7 +48,7 @@ func offlineProxy(t *testing.T) (*Proxy, *httpwire.Response) {
 
 // list returns the paths h lists on expHost's next request for self.
 func list(h *hostTable, self string, now, until int64) []string {
-	_, _, listed, _, _ := h.take(expHost, self, now, until)
+	listed := h.take(expHost, self, now, until).listed
 	return listedPaths(listed)
 }
 
@@ -110,7 +110,8 @@ func TestExpiryIndexWindow(t *testing.T) {
 // proxy.expiry_index_expired, which /.piggy/stats serves.
 func TestExpiryIndexDropsExpired(t *testing.T) {
 	h := indexOf(t, map[string]int64{"/gone": 990, "/now": 1000, "/soon": 1010})
-	_, _, listed, _, expired := h.take(expHost, "/self", 1000, 1200)
+	o := h.take(expHost, "/self", 1000, 1200)
+	listed, expired := o.listed, o.expired
 	if paths := listedPaths(listed); !reflect.DeepEqual(paths, []string{"/soon"}) || expired != 2 {
 		t.Fatalf("listed %v, %d expired, want [/soon] and 2", paths, expired)
 	}
@@ -139,7 +140,8 @@ func TestExpiryIndexDropsExpired(t *testing.T) {
 func TestExpiryIndexSkipsSelfAndHits(t *testing.T) {
 	h := indexOf(t, map[string]int64{"/self": 1010, "/hit": 1020, "/other": 1030})
 	h.add(expHost, "/hit")
-	_, hits, listed, _, _ := h.take(expHost, "/self", 1000, 1200)
+	o := h.take(expHost, "/self", 1000, 1200)
+	hits, listed := o.hits, o.listed
 	if paths := listedPaths(listed); !reflect.DeepEqual(hits, []string{"/hit"}) || !reflect.DeepEqual(paths, []string{"/other"}) {
 		t.Fatalf("hits %v, listed %v, want [/hit] and [/other]", hits, paths)
 	}
@@ -176,11 +178,11 @@ func TestExpiryIndexUseful(t *testing.T) {
 	h.note(expHost, "/plain", 2000, false)
 	h.add(expHost, "/ahead")
 	h.add(expHost, "/plain")
-	if _, _, _, useful, _ := h.take(expHost, "/self", 1000, 1100); useful != 1 {
+	if useful := h.take(expHost, "/self", 1000, 1100).useful; useful != 1 {
 		t.Errorf("useful %d, want 1", useful)
 	}
 	h.add(expHost, "/ahead")
-	if _, _, _, useful, _ := h.take(expHost, "/self", 1000, 1100); useful != 0 {
+	if useful := h.take(expHost, "/self", 1000, 1100).useful; useful != 0 {
 		t.Errorf("useful %d on the second report, want 0", useful)
 	}
 }
@@ -243,7 +245,7 @@ func TestExpiryIndexInvalidationDrops(t *testing.T) {
 	p, resp := offlineProxy(t)
 	p.admit(expHost+"/a", resp, 10_000, math.MaxInt64, false)
 	p.admit(expHost+"/b", resp, 10_000, math.MaxInt64, false)
-	p.applyElement(expHost, core.Element{URL: "/a", Size: 1, LastModified: 5000}, 10_000, false)
+	p.applyElement(expHost, core.Element{URL: "/a", Size: 1, LastModified: 5000}, 10_000, viaVolume)
 	if listed := list(p.hosts, "/self", 10_500, 10_650); !reflect.DeepEqual(listed, []string{"/b"}) {
 		t.Errorf("listed %v, want [/b]", listed)
 	}
@@ -508,7 +510,7 @@ func TestExpiryIndexConcurrent(t *testing.T) {
 		p.applyValidations(expHost, answers, sent, nHits, tick())
 	})
 	run(func(i int) {
-		p.applyElement(expHost, core.Element{URL: path(i * 3), Size: 1, LastModified: 1000 + int64(i%2)*4000}, tick(), false)
+		p.applyElement(expHost, core.Element{URL: path(i * 3), Size: 1, LastModified: 1000 + int64(i%2)*4000}, tick(), viaVolume)
 	})
 	run(func(i int) { p.lookup(expHost+path(i*5), expHost, path(i*5), tick()) })
 	wg.Wait()

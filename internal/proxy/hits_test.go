@@ -3,6 +3,8 @@ package proxy
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -59,18 +61,57 @@ func TestProxyReportsCacheHits(t *testing.T) {
 	}
 
 	// A path holding a comma cannot ride in a list: its fresh hit is
-	// taken for the next report but left out of it, and not counted.
+	// taken for the next report but left out of it, not counted as
+	// reported, and counted as dropped.
 	tb.store.Put(server.Resource{URL: "/a/p,q.html", Size: 100, LastModified: 1000})
 	tb.get(t, "www.site.com/a/p,q.html") // miss
 	if r := tb.get(t, "www.site.com/a/p,q.html"); r.Header.Get("X-Cache") != "HIT" {
 		t.Fatalf("X-Cache %q, want HIT", r.Header.Get("X-Cache"))
 	}
+	dropped := tb.proxy.Stats().HitsDropped
 	tb.get(t, "www.site.com/a/big.pdf") // miss: its report is empty
 	if n := tb.proxy.Stats().HitsReported; n != 2 {
 		t.Errorf("HitsReported = %d after an unlistable hit, want 2", n)
 	}
 	if n := tb.origin.Stats().HitReports; n != 2 {
 		t.Errorf("origin HitReports = %d after an unlistable hit, want 2", n)
+	}
+	if n := tb.proxy.Stats().HitsDropped - dropped; n != 1 {
+		t.Errorf("proxy.hits_dropped moved by %d on an unlistable hit, want 1", n)
+	}
+}
+
+// TestHitsPastHeaderBudgetGoBack: hits the 2,048-B Piggy-Hits budget
+// leaves out return to the pending report, ahead of newer hits, and ride
+// on the next request; a hit no list can carry is dropped and counted.
+func TestHitsPastHeaderBudgetGoBack(t *testing.T) {
+	p := New(Config{Clock: func() int64 { return 0 }, Resolve: func(string) (string, error) { return "", nil }})
+	t.Cleanup(p.Close)
+	long := func(i int) string { return fmt.Sprintf("/%02d/%s", i, strings.Repeat("x", 600)) }
+	for i := 0; i < 5; i++ {
+		p.hosts.add("h", long(i))
+	}
+	p.hosts.add("h", "/a,b")
+	send := func() []string {
+		req, sent, _ := p.originRequest(upstreamState{host: "h", path: "/self"}, false, 0)
+		if got := httpwire.GetPaths(req, httpwire.FieldPiggyHits); !slices.Equal(got, sent) {
+			t.Fatalf("sent %d hits, the header carries %d", len(sent), len(got))
+		}
+		return sent
+	}
+	// Three ~605-B paths fit the budget, newest first; the comma is dropped.
+	if sent := send(); !slices.Equal(sent, []string{long(4), long(3), long(2)}) {
+		t.Fatalf("first request reported %d hits, want the three newest", len(sent))
+	}
+	if n := p.Stats().HitsDropped; n != 1 {
+		t.Errorf("HitsDropped = %d, want 1 (the unlistable hit)", n)
+	}
+	p.hosts.add("h", "/new")
+	if sent := send(); !slices.Equal(sent, []string{"/new", long(1), long(0)}) {
+		t.Errorf("second request reported %q..., want the new hit, then the two left out", sent[:1])
+	}
+	if s := p.Stats(); s.HitsReported != 6 || s.HitsDropped != 1 {
+		t.Errorf("HitsReported %d, HitsDropped %d, want 6 and 1", s.HitsReported, s.HitsDropped)
 	}
 }
 
@@ -197,7 +238,7 @@ func TestHitReportAnswerLeavesRPVUntouched(t *testing.T) {
 	if sb.proxy.Stats().HitValidations != 1 {
 		t.Fatal("no answer applied")
 	}
-	if rpv, _, _, _, _ := sb.proxy.hosts.take("www.site.com", "", sb.now.Load(), 0); len(rpv) != 0 {
+	if rpv := sb.proxy.hosts.take("www.site.com", "", sb.now.Load(), 0).rpv; len(rpv) != 0 {
 		t.Errorf("RPV list %v after an answer, want empty", rpv)
 	}
 }
@@ -258,6 +299,9 @@ func TestAnswerForOtherListsIgnored(t *testing.T) {
 			now.Store(10_000)
 			origin := server.New(st, nil, now.Load)
 			addr := startOrigin(t, httpwire.HandlerFunc(func(ctx context.Context, req *httpwire.Request) *httpwire.Response {
+				// No change list: P-Valid2 is the only channel that
+				// can name A's new version.
+				req.Header.Del(httpwire.FieldPiggySince)
 				if reorder && req.Header.Has(httpwire.FieldPiggyHits) {
 					// SetPaths writes last first: the decoded list goes
 					// back on the wire reversed.

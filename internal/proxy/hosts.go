@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"piggyback/internal/core"
+	"piggyback/internal/httpwire"
 )
 
 // maxPendingHits bounds the cache-hit paths buffered per host between
@@ -35,10 +36,11 @@ const hostStripes = 16
 
 // hostTable is the striped per-host table of what the proxy tells an
 // origin host on its next request: the RPV list that paces its
-// piggybacks, the cache hits to report, and the cached entries about to
-// expire, to ask about. It is the paper's RPV hash table keyed on the
-// server (§2.2), with the hit report and the validation list beside each
-// list, so one request reads all three under one stripe lock.
+// piggybacks, the cache hits to report, the cached entries about to
+// expire, to ask about, and the token of the last change list. It is the
+// paper's RPV hash table keyed on the server (§2.2), with the hit report,
+// the validation list and the token beside each list, so one request
+// reads all four under one stripe lock.
 type hostTable struct {
 	stripes [hostStripes]hostStripe
 	// rpvTimeout is the lifetime of an RPV entry, in seconds.
@@ -53,15 +55,17 @@ type hostStripe struct {
 }
 
 // hostRecord is one host's entry: its RPV list (nil when the last request
-// found no live entry), the pending hits, and the expiry index — a
-// min-heap on expiry plus the live expiry of each indexed path. A heap
-// item whose expiry is no longer its path's live one is superseded and is
-// skipped when popped.
+// found no live entry), the pending hits, the expiry index — a min-heap on
+// expiry plus the live expiry of each indexed path — and the token of the
+// host's last change list ("" before the first). A heap item whose expiry
+// is no longer its path's live one is superseded and is skipped when
+// popped.
 type hostRecord struct {
-	rpv  *core.RPVList
-	hits []string
-	live map[string]liveExpiry
-	heap expiryHeap
+	rpv   *core.RPVList
+	hits  []string
+	live  map[string]liveExpiry
+	heap  expiryHeap
+	since string
 }
 
 // liveExpiry is the live state of one indexed path.
@@ -112,6 +116,15 @@ func (h *hostTable) noteVolume(host string, id core.VolumeID, now int64) {
 		hr.rpv = core.NewRPVList(h.rpvTimeout)
 	}
 	hr.rpv.Note(id, now)
+}
+
+// noteSince keeps token as host's change-list token. The last answer wins:
+// an older token overwriting a newer one only has changes sent again.
+func (h *hostTable) noteSince(host, token string) {
+	st := h.stripe(host)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.record(host).since = token
 }
 
 // add buffers one cache-hit path for host. It reports false when the
@@ -174,54 +187,69 @@ type listing struct {
 	liveExpiry
 }
 
-// take drains what host's next request carries, in one critical section:
-// the live volume ids of its RPV list (the filter's rpv attribute), the
-// buffered hit paths, and the up to maxListed indexed paths whose
-// expiry falls soonest in (now, until], in path order, so that front coding
-// shares their prefixes. self (the request's own path) and the hit paths
-// are not listed: the request answers them anyway. A listed path leaves the
-// index until an answer refreshes it or putBack returns it; a path found
-// already expired leaves it for good, and its next read validates. useful
-// counts the drained hits on paths whose expiry the answer to a listing
-// gave; expired counts the paths that left unlisted.
-func (h *hostTable) take(host, self string, now, until int64) (rpv []core.VolumeID, hits []string, listed []listing, useful, expired int) {
+// owed is what take drains for one request to a host: the live volume ids
+// of its RPV list (the filter's rpv attribute), the buffered hit paths,
+// the paths to list, and the change-list token (httpwire.NoToken when
+// there is none). useful counts the drained hits on paths whose expiry the
+// answer to a listing gave; expired counts the paths that left the index
+// unlisted.
+type owed struct {
+	rpv             []core.VolumeID
+	hits            []string
+	listed          []listing
+	since           string
+	useful, expired int
+}
+
+// take drains what host's next request carries, in one critical section.
+// It lists the up to maxListed indexed paths whose expiry falls soonest in
+// (now, until], in path order, so that front coding shares their prefixes.
+// self (the request's own path) and the hit paths are not listed: the
+// request answers them anyway. A listed path leaves the index until an
+// answer refreshes it or putBack returns it; a path found already expired
+// leaves it for good, and its next read validates.
+func (h *hostTable) take(host, self string, now, until int64) (o owed) {
+	o.since = httpwire.NoToken
 	st := h.stripe(host)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	hr := st.m[host]
 	if hr == nil {
-		return nil, nil, nil, 0, 0
+		return o
+	}
+	if hr.since != "" {
+		o.since = hr.since
 	}
 	if hr.rpv != nil {
-		if rpv = hr.rpv.Snapshot(now); rpv == nil {
+		if o.rpv = hr.rpv.Snapshot(now); o.rpv == nil {
 			hr.rpv = nil
 		}
 	}
-	hits, hr.hits = hr.hits, nil
-	for _, path := range hits {
+	o.hits, hr.hits = hr.hits, nil
+	for _, path := range o.hits {
 		if e, ok := hr.live[path]; ok && e.ahead {
-			useful++
+			o.useful++
 			e.ahead = false
 			hr.live[path] = e
 		}
 	}
 	var skipped []expiryItem
-	for len(hr.heap) > 0 && len(listed) < maxListed && hr.heap[0].expires <= until {
+	for len(hr.heap) > 0 && len(o.listed) < maxListed && hr.heap[0].expires <= until {
 		it := heap.Pop(&hr.heap).(expiryItem)
 		e, ok := hr.live[it.path]
 		if !ok || e.expires != it.expires {
 			continue // superseded
 		}
-		if it.path == self || slices.Contains(hits, it.path) {
+		if it.path == self || slices.Contains(o.hits, it.path) {
 			skipped = append(skipped, it)
 			continue
 		}
 		delete(hr.live, it.path)
 		h.indexed.Add(-1)
 		if it.expires > now {
-			listed = append(listed, listing{it.path, e})
+			o.listed = append(o.listed, listing{it.path, e})
 		} else {
-			expired++
+			o.expired++
 		}
 	}
 	for _, it := range skipped {
@@ -229,8 +257,45 @@ func (h *hostTable) take(host, self string, now, until int64) (rpv []core.Volume
 	}
 	hr.compact()
 	st.release(host, hr)
-	slices.SortFunc(listed, func(a, b listing) int { return strings.Compare(a.path, b.path) })
-	return rpv, hits, listed, useful, expired
+	slices.SortFunc(o.listed, func(a, b listing) int { return strings.Compare(a.path, b.path) })
+	return o
+}
+
+// putBackHits returns to host's pending report the drained hits the
+// request did not carry (wrote is what SetPaths wrote, in wire order: hits
+// last first), ahead of any hit buffered since: what the header budget
+// left out is reported by a later request. It reports how many it dropped
+// instead: the hits no list can carry (httpwire.Listable), and those past
+// maxPendingHits.
+func (h *hostTable) putBackHits(host string, hits, wrote []string) (dropped int) {
+	if len(wrote) == len(hits) {
+		return 0
+	}
+	var back []string
+	for i := len(hits) - 1; i >= 0; i-- {
+		switch {
+		case len(wrote) > 0 && wrote[0] == hits[i]:
+			wrote = wrote[1:]
+		case httpwire.Listable(hits[i]):
+			back = append(back, hits[i])
+		default:
+			dropped++
+		}
+	}
+	if len(back) == 0 {
+		return dropped
+	}
+	slices.Reverse(back)
+	st := h.stripe(host)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	hr := st.record(host)
+	if room := maxPendingHits - len(hr.hits); len(back) > room {
+		dropped += len(back) - max(room, 0)
+		back = back[len(back)-max(room, 0):]
+	}
+	hr.hits = append(back, hr.hits...)
+	return dropped
 }
 
 // putBack returns to host's expiry index, with the live state take found,
@@ -270,10 +335,10 @@ func (h *hostTable) putBack(host string, listed []listing, wrote []string) (refu
 }
 
 // release deletes host's entry once it holds nothing: no pending hit, no
-// indexed path, and no RPV list — take drops a list it finds without a
-// live entry. Caller holds st.mu.
+// indexed path, no RPV list — take drops a list it finds without a live
+// entry — and no token. Caller holds st.mu.
 func (st *hostStripe) release(host string, hr *hostRecord) {
-	if hr.rpv == nil && len(hr.hits) == 0 && len(hr.live) == 0 {
+	if hr.rpv == nil && len(hr.hits) == 0 && len(hr.live) == 0 && hr.since == "" {
 		delete(st.m, host)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"piggyback/internal/core"
+	"piggyback/internal/httpwire"
 )
 
 // TestHostTableConcurrentNoteAndTake: piggybacks noting volumes, hits and
@@ -24,7 +25,7 @@ func TestHostTableConcurrentNoteAndTake(t *testing.T) {
 				h.noteVolume(host, core.VolumeID(j%10), now)
 				h.add(host, "/hit")
 				h.note(host, "/x", now+10, false)
-				if rpv, _, _, _, _ := h.take(host, "/self", now, now+20); len(rpv) == 0 {
+				if rpv := h.take(host, "/self", now, now+20).rpv; len(rpv) == 0 {
 					t.Errorf("%s at %d: empty RPV snapshot right after a note", host, now)
 				}
 			}
@@ -46,16 +47,32 @@ func TestHostTableConcurrentNoteAndTake(t *testing.T) {
 func TestHostTableReleasesExpiredRPV(t *testing.T) {
 	h := newHostTable(10)
 	h.noteVolume(expHost, 1, 100)
-	if rpv, _, _, _, _ := h.take(expHost, "/self", 105, 105); len(rpv) != 1 || rpv[0] != 1 {
+	if rpv := h.take(expHost, "/self", 105, 105).rpv; len(rpv) != 1 || rpv[0] != 1 {
 		t.Fatalf("rpv %v at 105, want [1]", rpv)
 	}
 	if h.stripe(expHost).m[expHost] == nil {
 		t.Fatal("record with a live RPV entry released")
 	}
-	if rpv, _, _, _, _ := h.take(expHost, "/self", 500, 500); rpv != nil {
+	if rpv := h.take(expHost, "/self", 500, 500).rpv; rpv != nil {
 		t.Fatalf("rpv %v at 500, want none", rpv)
 	}
 	if hr := h.stripe(expHost).m[expHost]; hr != nil {
 		t.Errorf("record kept after its RPV entry expired: %+v", hr)
+	}
+}
+
+// TestHostTokenOutlivesEmptyRecord: a host's change-list token stays when
+// its record holds nothing else — take releases records that hold
+// nothing — and take hands it out each time.
+func TestHostTokenOutlivesEmptyRecord(t *testing.T) {
+	h := newHostTable(60)
+	if got := h.take(expHost, "/self", 100, 100).since; got != httpwire.NoToken {
+		t.Fatalf("since = %q before any token, want %q", got, httpwire.NoToken)
+	}
+	h.noteSince(expHost, "e.5")
+	for i := 0; i < 2; i++ {
+		if got := h.take(expHost, "/self", 100, 100).since; got != "e.5" {
+			t.Fatalf("take %d: since = %q, want e.5", i, got)
+		}
 	}
 }

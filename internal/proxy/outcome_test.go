@@ -104,7 +104,7 @@ func (sb *seamBed) requests() []string {
 // invalidate applies a piggyback element naming version lm of seamPath, as
 // a P-Volume trailer or an answer to a hit report would.
 func (sb *seamBed) invalidate(lm int64) {
-	sb.proxy.applyElement("www.site.com", core.Element{URL: seamPath, Size: 16384, LastModified: lm}, sb.now.Load(), false)
+	sb.proxy.applyElement("www.site.com", core.Element{URL: seamPath, Size: 16384, LastModified: lm}, sb.now.Load(), viaVolume)
 }
 
 // statsMoved returns after − before, field by field.

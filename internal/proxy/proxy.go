@@ -42,7 +42,9 @@ type Config struct {
 	// URLs of that server about to expire (Piggy-Validate, piggyback cache
 	// validation), and applies the server's answer — each listed
 	// resource's current version, in a P-Valid2 trailer — as it applies a
-	// piggybacked volume's elements.
+	// piggybacked volume's elements. It also echoes the token of its last
+	// change list from that server (Piggy-Since) and applies the changes
+	// listed since (P-Changes, piggyback server invalidation).
 	BaseFilter core.Filter
 	// RPVTimeout is how long a volume stays on a server's RPV list
 	// (§2.2); zero means Delta (its upper bound). It is also how long a
@@ -109,9 +111,9 @@ type Stats struct {
 	// PiggybacksReceived counts P-Volume trailers processed.
 	PiggybacksReceived int
 	PiggybackElements  int
-	// Refreshes are cached entries freshened by a piggyback element or
-	// a hit-report answer; Invalidations are cached entries found stale
-	// by one (§4 cache coherency).
+	// Refreshes are cached entries freshened by a piggyback element, an
+	// answer or a change list; Invalidations are cached entries found
+	// stale by one (§4 cache coherency).
 	Refreshes     int
 	Invalidations int
 	// Prefetches counts speculative fetches issued; UsefulPrefetches
@@ -119,8 +121,10 @@ type Stats struct {
 	Prefetches       int
 	UsefulPrefetches int
 	// HitsReported counts cache-hit URLs piggybacked upstream (§5);
-	// HitsDropped counts fresh hits not buffered for reporting because
-	// the per-host pending bound was full.
+	// HitsDropped counts fresh hits never reported: not buffered because
+	// the per-host pending bound was full, or taken for a report that
+	// could not carry them (a path no list can hold, or one the header
+	// budget left out with no room left to put it back).
 	HitsReported int
 	HitsDropped  int
 	// HitValidations counts the elements of the origin's answers to those
@@ -219,11 +223,14 @@ type proxyCounters struct {
 	piggybackElements  *obs.Counter
 	refreshes          *obs.Counter
 	invalidations      *obs.Counter
-	prefetches         *obs.Counter
-	usefulPrefetches   *obs.Counter
-	hitsReported       *obs.Counter
-	hitsDropped        *obs.Counter
-	hitValidations     *obs.Counter
+	// invalidationsVia splits invalidations by the channel that named the
+	// newer version; answers to hits and to listed paths share one.
+	invalidationsVia [viaChanges + 1]*obs.Counter
+	prefetches       *obs.Counter
+	usefulPrefetches *obs.Counter
+	hitsReported     *obs.Counter
+	hitsDropped      *obs.Counter
+	hitValidations   *obs.Counter
 	// expiryListed counts cached URLs listed in Piggy-Validate;
 	// expiryUseful the answers to them that refreshed an entry later
 	// reported as a fresh hit; expiryIndexFull the keys left out of the
@@ -244,6 +251,8 @@ type proxyCounters struct {
 	singleflightShared *obs.Counter
 	upstreamErrors     *obs.Counter
 	staleServes        *obs.Counter
+	// changeBreaks counts the change lists that were breaks.
+	changeBreaks *obs.Counter
 }
 
 // New returns a Proxy for cfg.
@@ -298,7 +307,15 @@ func New(cfg Config) *Proxy {
 			singleflightShared: reg.Counter("proxy.singleflight_shared"),
 			upstreamErrors:     reg.Counter("proxy.upstream_errors"),
 			staleServes:        reg.Counter("proxy.stale_serves"),
+			changeBreaks:       reg.Counter("proxy.change_breaks"),
 		},
+	}
+	answered := reg.Counter("proxy.invalidations.answer")
+	p.c.invalidationsVia = [...]*obs.Counter{
+		viaVolume:     reg.Counter("proxy.invalidations.volume"),
+		viaHitAnswer:  answered,
+		viaListAnswer: answered,
+		viaChanges:    reg.Counter("proxy.invalidations.changes"),
 	}
 	p.mesh = newMesh(cfg, reg)
 	p.origin.client.MaxInflightPerConn = originInflight
@@ -597,6 +614,9 @@ func (p *Proxy) fetch(ctx context.Context, st upstreamState, now int64) *httpwir
 		if len(sent) > 0 {
 			p.applyValidations(st.host, httpwire.ExtractAnswers(resp, oreq, len(sent)), sent, nHits, now)
 		}
+		if token, changes, brk, ok := httpwire.ExtractChanges(resp); ok {
+			p.applyChanges(st.host, token, changes, brk, now)
+		}
 		if out != nil {
 			out.Header.Set("X-Cache", "MISS")
 			return out
@@ -606,14 +626,15 @@ func (p *Proxy) fetch(ctx context.Context, st upstreamState, now int64) *httpwir
 
 // originRequest builds the GET for st: If-Modified-Since (and A-IM when
 // deltas are on) when cond, the filter with this host's RPV list, and —
-// unless the filter is disabled — the hit reports pending for the host and
-// the validation list: the up to maxListed of its cached paths expiring
-// soonest within the next Δ/4, in path order. It drains both, puts back the
-// listed paths the header budget leaves out, and returns the paths it sent,
-// as an answer indexes them — the reported hits, then the listed paths,
-// each in wire order — and how many of them are hits. A prefetch sends the
-// filter disabled, so it sets off no speculative cascade, and sends no
-// reports or list: those wait for the host's next demand request.
+// unless the filter is disabled — the hit reports pending for the host, the
+// validation list: the up to maxListed of its cached paths expiring soonest
+// within the next Δ/4, in path order, and the host's change-list token. It
+// drains the reports and the list, puts back the hits and listed paths the
+// header budget leaves out, and returns the paths it sent, as an answer
+// indexes them — the reported hits, then the listed paths, each in wire
+// order — and how many of them are hits. A prefetch sends the filter
+// disabled, so it sets off no speculative cascade, and sends no reports,
+// list or token: those wait for the host's next demand request.
 func (p *Proxy) originRequest(st upstreamState, cond bool, now int64) (*httpwire.Request, []string, int) {
 	oreq := httpwire.NewRequest("GET", st.path)
 	oreq.Header.Set("Host", st.host)
@@ -625,25 +646,30 @@ func (p *Proxy) originRequest(st upstreamState, cond bool, now int64) (*httpwire
 		return oreq, nil, 0
 	}
 	// Nothing is buffered or indexed while the filter is disabled.
-	rpv, hits, listed, useful, expired := p.hosts.take(st.host, st.path, now, now+p.cfg.Delta/4)
+	o := p.hosts.take(st.host, st.path, now, now+p.cfg.Delta/4)
 	filter := p.cfg.BaseFilter
-	filter.RPV = rpv
+	filter.RPV = o.rpv
 	httpwire.SetFilter(oreq, filter)
-	p.c.expiryUseful.Add(int64(useful))
-	p.c.expiryIndexExpired.Add(int64(expired))
-	sent := httpwire.SetPaths(oreq, httpwire.FieldPiggyHits, hits)
+	if filter.Disabled {
+		return oreq, nil, 0
+	}
+	oreq.Header.Set(httpwire.FieldPiggySince, o.since)
+	p.c.expiryUseful.Add(int64(o.useful))
+	p.c.expiryIndexExpired.Add(int64(o.expired))
+	sent := httpwire.SetPaths(oreq, httpwire.FieldPiggyHits, o.hits)
 	nHits := len(sent)
 	p.c.hitsReported.Add(int64(nHits))
-	if len(listed) > 0 {
+	p.c.hitsDropped.Add(int64(p.hosts.putBackHits(st.host, o.hits, sent)))
+	if len(o.listed) > 0 {
 		// SetPaths writes the last path first: reversed, the list goes
 		// out in path order.
-		paths := make([]string, len(listed))
-		for i, l := range listed {
-			paths[len(listed)-1-i] = l.path
+		paths := make([]string, len(o.listed))
+		for i, l := range o.listed {
+			paths[len(o.listed)-1-i] = l.path
 		}
 		wrote := httpwire.SetPaths(oreq, httpwire.FieldPiggyValidate, paths)
 		p.c.expiryListed.Add(int64(len(wrote)))
-		p.c.expiryIndexFull.Add(int64(p.hosts.putBack(st.host, listed, wrote)))
+		p.c.expiryIndexFull.Add(int64(p.hosts.putBack(st.host, o.listed, wrote)))
 		sent = append(sent, wrote...)
 	}
 	p.c.listBytes.Add(int64(len(oreq.Header.Get(httpwire.FieldPiggyHits)) + len(oreq.Header.Get(httpwire.FieldPiggyValidate))))
@@ -865,7 +891,7 @@ func (p *Proxy) processPiggyback(host string, m core.Message, now int64) {
 	p.c.piggybackElements.Add(int64(len(m.Elements)))
 	p.hosts.noteVolume(host, m.Volume, now)
 	for _, el := range m.Elements {
-		p.applyElement(host, el, now, false)
+		p.applyElement(host, el, now, viaVolume)
 	}
 }
 
@@ -881,23 +907,53 @@ func (p *Proxy) processPiggyback(host string, m core.Message, now int64) {
 // re-propagated to mesh peers.
 func (p *Proxy) applyValidations(host string, answers []httpwire.Answer, sent []string, nHits int, now int64) {
 	for _, a := range answers {
-		listed := a.I >= nHits
-		if !listed {
+		via := viaListAnswer
+		if a.I < nHits {
 			p.c.hitValidations.Inc()
+			via = viaHitAnswer
 		}
-		p.applyElement(host, core.Element{URL: sent[a.I], Size: a.Size, LastModified: a.LastModified}, now, listed)
+		p.applyElement(host, core.Element{URL: sent[a.I], Size: a.Size, LastModified: a.LastModified}, now, via)
 	}
 }
 
-// applyElement is the per-element step of a piggyback or an answer: feed
-// the freshness estimator, freshen or invalidate the cached copy (and its
-// expiry index entry), pin it for replacement, and queue a prefetch when
-// the copy is gone or only a delta base. An element answering a listed path queues no prefetch:
-// nobody read that entry recently, so fetching its new version would be
-// speculation without evidence. An element with no Last-Modified carries
-// no version — applied, it would freshen any copy, since no cached
-// Last-Modified is older — and is skipped.
-func (p *Proxy) applyElement(host string, el core.Element, now int64, listed bool) {
+// applyChanges applies the origin's change list (P-Changes, piggyback
+// server invalidation): each element is the current version of a resource
+// modified since the token the request carried, read by the server while
+// answering a request sent at now, so it is applied as an answer's element
+// is. Then token becomes the host's: the last answer wins, and an older
+// token overwriting a newer one only has changes sent again, which apply
+// as no-ops. A change list is not re-propagated to mesh peers.
+func (p *Proxy) applyChanges(host, token string, changes []core.Element, brk bool, now int64) {
+	if brk {
+		p.c.changeBreaks.Inc()
+	}
+	for _, el := range changes {
+		p.applyElement(host, el, now, viaChanges)
+	}
+	p.hosts.noteSince(host, token)
+}
+
+// channel is how an element reached the proxy.
+type channel int
+
+const (
+	viaVolume     channel = iota // a piggybacked volume's element (P-Volume)
+	viaHitAnswer                 // the answer to a reported hit (P-Valid2)
+	viaListAnswer                // the answer to a listed path (P-Valid2)
+	viaChanges                   // the change list (P-Changes)
+)
+
+// applyElement is the per-element step of a piggyback, an answer or a
+// change list: feed the freshness estimator, freshen or invalidate the
+// cached copy (and its expiry index entry), pin it for replacement, and
+// queue a prefetch when the copy is gone or only a delta base. Only a
+// volume's element or the answer to a reported hit queues a prefetch: nobody
+// read a listed path's entry recently, nor a changed resource's, so
+// fetching its new version would be speculation without evidence. An
+// element with no Last-Modified carries no version — applied, it would
+// freshen any copy, since no cached Last-Modified is older — and is
+// skipped.
+func (p *Proxy) applyElement(host string, el core.Element, now int64, via channel) {
 	if el.LastModified <= 0 {
 		return
 	}
@@ -917,23 +973,25 @@ func (p *Proxy) applyElement(host string, el core.Element, now int64, listed boo
 		p.fresh.Observe(key, el.LastModified)
 	}
 	expires := now + p.delta(key)
+	speculate := p.cfg.Prefetch && (via == viaVolume || via == viaHitAnswer)
 	switch p.cache.ApplyPiggyback(key, el.LastModified, expires, now+p.cfg.RPVTimeout, now) {
 	case cache.PiggybackInvalidated:
 		// Outdated copy: kept as the delta base of its refetch, or deleted
 		// when deltas are off; a fresh copy could be prefetched (§2.1).
 		p.c.invalidations.Inc()
+		p.c.invalidationsVia[via].Inc()
 		if !p.cfg.DeltaEncoding {
 			p.cache.Delete(key)
 		}
 		p.hosts.drop(elHost, elPath)
-		if p.cfg.Prefetch && !listed {
+		if speculate {
 			p.queue.Push(FetchItem{Host: elHost, URL: elPath, Size: el.Size})
 		}
 	case cache.PiggybackRefreshed:
 		p.c.refreshes.Inc()
-		p.noteExpiry(elHost, elPath, expires, listed)
+		p.noteExpiry(elHost, elPath, expires, via == viaListAnswer)
 	case cache.PiggybackMiss:
-		if p.cfg.Prefetch && !listed {
+		if speculate {
 			p.queue.Push(FetchItem{Host: elHost, URL: elPath, Size: el.Size})
 		}
 	}

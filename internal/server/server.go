@@ -9,6 +9,9 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand/v2"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -73,24 +76,46 @@ func (r *Resource) body(version int64) []byte {
 	return out
 }
 
-// Store is a concurrent resource table.
+// changeLogSize is how many changes the change log remembers: a proxy
+// whose token is older than that gets a break.
+const changeLogSize = 4096
+
+// Store is a concurrent resource table, with a change log that answers a
+// proxy's Piggy-Since token (piggyback server invalidation).
 type Store struct {
 	mu  sync.RWMutex
 	res map[string]*Resource
+	// log is a ring of the URLs changed: the change numbered n is at
+	// log[n%changeLogSize], and seq numbers the latest, so the ring holds
+	// changes seq-changeLogSize+1 through seq. epoch is fixed when the
+	// store starts, so a token from another store (an origin before its
+	// restart) is a break; head is the rendered token of seq.
+	log   []string
+	seq   uint64
+	epoch string
+	head  string
 }
 
 // NewStore returns an empty store.
-func NewStore() *Store { return &Store{res: make(map[string]*Resource)} }
+func NewStore() *Store {
+	s := &Store{res: make(map[string]*Resource), log: make([]string, changeLogSize),
+		epoch: strconv.FormatUint(uint64(rand.Uint32()), 36)}
+	s.head = s.token(0)
+	return s
+}
 
-// Put inserts or replaces a resource.
+// Put inserts or replaces a resource. A replacement is a change.
 func (s *Store) Put(r Resource) {
 	if r.ContentType == "" {
 		r.ContentType = trace.ContentType(r.URL)
 	}
 	r.lmDate = httpwire.FormatHTTPDate(r.LastModified)
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.res[r.URL]; ok {
+		s.logChange(r.URL)
+	}
 	s.res[r.URL] = &r
-	s.mu.Unlock()
 }
 
 // Get returns a copy of the resource, taken under the read lock: Modify
@@ -130,7 +155,65 @@ func (s *Store) Modify(url string, lastModified, newSize int64) bool {
 	if newSize > 0 {
 		r.Size = newSize
 	}
+	s.logChange(url)
 	return true
+}
+
+// logChange appends url to the change log. Caller holds s.mu for writing.
+func (s *Store) logChange(url string) {
+	s.seq++
+	s.log[s.seq%changeLogSize] = url
+	s.head = s.token(s.seq)
+}
+
+// token renders the token covering the changes through seq.
+func (s *Store) token(seq uint64) string {
+	return s.epoch + "." + strconv.FormatUint(seq, 10)
+}
+
+// Changes answers a proxy's Piggy-Since value sent on a request for self:
+// the resources changed after it that the store still holds, each once,
+// with its current version, and the token covering them. self is left
+// out, since the response to its request carries its version. The list follows the log and stops at
+// httpwire.MaxChanges elements or httpwire.MaxChangeBytes, and then the
+// token covers only the changes before the one that did not fit, so the
+// next answer starts there and nothing is lost. A resource whose path
+// cannot be listed (httpwire.Listable) is passed over; a proxy's copy of it
+// lives out its Δ as before. token is empty when nothing changed after
+// since. brk reports a break — since is httpwire.NoToken, malformed, of
+// another epoch, or older than the log — answered with the current token
+// and no elements.
+func (s *Store) Changes(since, self string) (els []core.Element, token string, brk bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	epoch, n, _ := strings.Cut(since, ".")
+	from, err := strconv.ParseUint(n, 10, 64)
+	if epoch != s.epoch || err != nil || from > s.seq || s.seq-from > changeLogSize {
+		return nil, s.head, true
+	}
+	if from == s.seq {
+		return nil, "", false
+	}
+	used := 0
+	for at := from + 1; at <= s.seq; at++ {
+		url := s.log[at%changeLogSize]
+		r, ok := s.res[url]
+		if !ok || url == self || r.LastModified <= 0 || !strings.HasPrefix(url, "/") || !httpwire.Listable(url) ||
+			slices.ContainsFunc(els, func(e core.Element) bool { return e.URL == url }) {
+			continue
+		}
+		el := core.Element{URL: url, Size: r.Size, LastModified: r.LastModified}
+		cost := httpwire.ChangeCost(el)
+		if cost > httpwire.MaxChangeBytes {
+			continue // fits in no list
+		}
+		if len(els) == httpwire.MaxChanges || used+cost > httpwire.MaxChangeBytes {
+			return els, s.token(at - 1), false
+		}
+		used += cost
+		els = append(els, el)
+	}
+	return els, s.head, false
 }
 
 // Len returns the number of resources.
@@ -165,6 +248,11 @@ type serverCounters struct {
 	answerBytes     *obs.Counter
 	deltasSent      *obs.Counter
 	deltaBytesSaved *obs.Counter
+	// changesSent counts the elements of P-Changes lists, changeBytes
+	// their value bytes, changeBreaks the lists that were breaks.
+	changesSent  *obs.Counter
+	changeBytes  *obs.Counter
+	changeBreaks *obs.Counter
 }
 
 // Stats counts server-side protocol activity.
@@ -208,6 +296,9 @@ func New(store *Store, vols core.Provider, clock func() int64) *Server {
 			answerBytes:     reg.Counter("server.answer_bytes"),
 			deltasSent:      reg.Counter("server.deltas_sent"),
 			deltaBytesSaved: reg.Counter("server.delta_bytes_saved"),
+			changesSent:     reg.Counter("server.changes_sent"),
+			changeBytes:     reg.Counter("server.change_bytes"),
+			changeBreaks:    reg.Counter("server.change_breaks"),
 		}}
 }
 
@@ -401,5 +492,25 @@ func (s *Server) ServeWire(_ context.Context, req *httpwire.Request) *httpwire.R
 		httpwire.AttachAnswers(resp, req, answers)
 		s.c.answerBytes.Add(int64(len(resp.Trailer.Get(httpwire.FieldPValid))))
 	}
+	if since := req.Header.Get(httpwire.FieldPiggySince); answer && since != "" {
+		s.attachChanges(resp, since, req.Path)
+	}
 	return resp
+}
+
+// attachChanges answers a cooperating proxy's Piggy-Since token with the
+// resources changed since it (piggyback server invalidation), in a
+// P-Changes trailer beside P-Valid2. Nothing new since the token attaches
+// nothing.
+func (s *Server) attachChanges(resp *httpwire.Response, since, path string) {
+	els, token, brk := s.store.Changes(since, path)
+	if token == "" {
+		return
+	}
+	httpwire.AttachChanges(resp, token, els, brk)
+	s.c.changesSent.Add(int64(len(els)))
+	s.c.changeBytes.Add(int64(len(resp.Trailer.Get(httpwire.FieldPChanges))))
+	if brk {
+		s.c.changeBreaks.Inc()
+	}
 }
