@@ -197,11 +197,8 @@ func runE2E(l *lab) {
 		fmt.Sprintf("%d (%d)", pb.DeltaUpdates, pb.DeltaBytesSaved))
 	tbl.AddRow("cache hits reported", pa.HitsReported, pb.HitsReported)
 	tbl.AddRow("hit reports answered", pa.HitValidations, pb.HitValidations)
-	expiry := func(px *proxy.Proxy) string {
-		snap := px.Obs().Snapshot()
-		return fmt.Sprintf("%d (%d)", snap.Counter("proxy.expiry_validations"), snap.Counter("proxy.expiry_validations_useful"))
-	}
-	tbl.AddRow("expiry validations (useful)", expiry(proxies[0]), expiry(proxies[1]))
+	heard := func(px *proxy.Proxy) int64 { return px.Obs().Snapshot().Counter("proxy.watermark_hits") }
+	tbl.AddRow("served under the change-list watermark", heard(proxies[0]), heard(proxies[1]))
 	invalidations := func(px *proxy.Proxy) string {
 		snap := px.Obs().Snapshot()
 		return fmt.Sprintf("%d/%d/%d", snap.Counter("proxy.invalidations.volume"),

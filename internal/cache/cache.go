@@ -40,6 +40,12 @@ type Entry struct {
 	// information; cleared on the first client hit so useful prefetches
 	// can be counted (§4).
 	Prefetched bool
+	// Chain is the inserter's mark of the invalidation chain the body
+	// joined: the proxy stamps a copy with its origin host's change-list
+	// link, so a later read can tell whether every change list since has
+	// been applied to it. Zero marks none. Stores keep it in memory only:
+	// a copy read back from disk carries zero.
+	Chain uint64
 	// outdated marks a delta base: a copy a piggyback element or an answer
 	// named a newer version of. It is never served; it is kept only so the
 	// refetch can ask for the new version as a patch against it (§4, ref
@@ -172,6 +178,7 @@ func (c *Cache) Put(e Entry, now int64) (evicted []string) {
 		old.ContentType = e.ContentType
 		old.LastModifiedHTTP = e.LastModifiedHTTP
 		old.Prefetched = e.Prefetched
+		old.Chain = e.Chain
 		old.outdated = false
 		old.lastAccess = now
 		c.reprioritize(old, now)

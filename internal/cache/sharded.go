@@ -148,6 +148,8 @@ type View struct {
 	// of a speculatively fetched entry (the access clears the mark, so
 	// useful prefetches are counted once).
 	WasPrefetched bool
+	// Chain mirrors Entry.Chain.
+	Chain uint64
 	// Outdated marks the view of a delta base: a copy a piggyback element
 	// or an answer named a newer version of. It comes with ok == false —
 	// ok means servable — and is only ever a base to patch (§4, ref [23]).
@@ -181,6 +183,7 @@ func viewOf(e *Entry) View {
 		Expires:          e.Expires,
 		ContentType:      e.ContentType,
 		LastModifiedHTTP: e.LastModifiedHTTP,
+		Chain:            e.Chain,
 		Outdated:         e.outdated,
 	}
 }

@@ -55,8 +55,6 @@ type centerCounters struct {
 	originPiggyback *obs.Counter
 	// hitReports counts the Piggy-Hits URLs folded into the volumes.
 	hitReports *obs.Counter
-	// expiryDropped counts the Piggy-Validate URLs stripped unanswered.
-	expiryDropped *obs.Counter
 }
 
 // New returns a Center for cfg.
@@ -74,7 +72,6 @@ func New(cfg Config) *Center {
 			upstreamErrors:  reg.Counter("center.upstream_errors"),
 			originPiggyback: reg.Counter("center.origin_piggyback"),
 			hitReports:      reg.Counter("center.hit_reports"),
-			expiryDropped:   reg.Counter("center.expiry_validations_dropped"),
 		}}
 	ctr.client.Obs = obs.NewWireMetrics(reg, "wire.upstream")
 	return ctr
@@ -122,12 +119,6 @@ func (c *Center) ServeWire(ctx context.Context, req *httpwire.Request) *httpwire
 		}
 		c.c.hitReports.Add(int64(len(hits)))
 	}
-	// A Piggy-Validate list goes unanswered for the same reason: the
-	// center's Last-Modified values are only what it last relayed. The
-	// proxy validates those entries when they are next read, as without
-	// the list.
-	c.c.expiryDropped.Add(int64(len(httpwire.GetPaths(req, httpwire.FieldPiggyValidate))))
-
 	// Forward upstream with the piggybacking headers stripped — the
 	// origin server need not know the protocol exists.
 	oreq := httpwire.NewRequest(req.Method, path)

@@ -21,12 +21,14 @@ const (
 	// "<token>;<item>,<item>,…", each item "<path> <lm> <size>": a resource
 	// modified after the request's token, with its current Last-Modified
 	// and size, its path front-coded against the previous item's as in a
-	// path list (see hits.go). The token covers exactly the changes listed
-	// (the list may be empty). An origin with nothing new since the
-	// request's token attaches nothing, and the proxy's token stands. A
-	// value that is a token alone, with no semicolon, is a break: the
-	// origin could not serve the request's token, and the new one starts
-	// afresh.
+	// path list (see hits.go). The token covers exactly the changes listed.
+	// A list that ends in a comma is complete: it names every change after
+	// the request's token, up to the instant the origin answered, and "<token>;,"
+	// says nothing changed. A list without the closing comma was cut
+	// short by the cap, or comes from an origin that does not mark its
+	// lists; an older proxy parses both forms alike. A value that is a
+	// token alone, with no semicolon, is a break: the origin could not
+	// serve the request's token, and the new one starts afresh.
 	FieldPChanges = "P-Changes"
 	// NoToken is what a proxy holding no token for a host sends; an
 	// origin always answers it with a break.
@@ -41,25 +43,19 @@ const (
 
 // ChangeCost is the most one element adds to a change list: its item
 // uncoded, and the comma before it. An origin that keeps the sum within
-// MaxChangeBytes never writes a list longer than that.
+// MaxChangeBytes never writes a list longer than that, the closing comma of
+// a complete list included.
 func ChangeCost(el core.Element) int {
 	return 1 + len(el.URL) + 1 + digits(el.LastModified) + 1 + digits(el.Size)
 }
 
-// AttachChanges adds token and els to the response's trailer as a
-// P-Changes value, or token alone for a break. It sorts els by path, so
-// that front coding shares their prefixes.
-func AttachChanges(resp *Response, token string, els []core.Element, brk bool) {
-	if resp.Trailer == nil {
-		resp.Trailer = make(Header)
-	}
-	if brk {
-		resp.Trailer.Set(FieldPChanges, token)
-		return
-	}
+// ChangesValue renders token and els as a P-Changes list, closed by a comma
+// when complete. It sorts els by path, so that front coding shares their
+// prefixes. A break is the token alone and needs no rendering.
+func ChangesValue(token string, els []core.Element, complete bool) string {
 	slices.SortFunc(els, func(a, b core.Element) int { return strings.Compare(a.URL, b.URL) })
 	var b strings.Builder
-	b.Grow(len(token) + 1 + 32*len(els))
+	b.Grow(len(token) + 2 + 32*len(els))
 	b.WriteString(token)
 	b.WriteByte(';')
 	var num [20]byte
@@ -75,49 +71,61 @@ func AttachChanges(resp *Response, token string, els []core.Element, brk bool) {
 		b.Write(strconv.AppendInt(num[:0], el.Size, 10))
 		prev = el.URL
 	}
-	resp.Trailer.Set(FieldPChanges, b.String())
+	if complete {
+		b.WriteByte(',')
+	}
+	return b.String()
+}
+
+// AttachChanges sets value as the response's P-Changes trailer.
+func AttachChanges(resp *Response, value string) {
+	if resp.Trailer == nil {
+		resp.Trailer = make(Header)
+	}
+	resp.Trailer.Set(FieldPChanges, value)
 }
 
 // ExtractChanges parses the response's P-Changes trailer into the new
 // token and the elements it covers; brk reports a break, which covers
-// none. ok is false when the field is absent or malformed — a token
-// longer than 64 bytes or
-// holding a space, comma, semicolon or control byte, a list longer than
-// MaxChangeBytes or of more than MaxChanges items, or an item that does
-// not decode to a server-relative path, a positive Last-Modified and a
-// size — and then the whole value is ignored: the bytes come from the
-// origin, and a list that is not the origin's must not move the token.
-func ExtractChanges(resp *Response) (token string, els []core.Element, brk, ok bool) {
+// none, and complete a list closed by a comma. ok is false when the field
+// is absent or malformed — a token longer than 64 bytes or holding a space,
+// comma, semicolon or control byte, a list longer than MaxChangeBytes or of
+// more than MaxChanges items, or an item that does not decode to a
+// server-relative path, a positive Last-Modified and a size — and then the
+// whole value is ignored: the bytes come from the origin, and a list that
+// is not the origin's must not move the token.
+func ExtractChanges(resp *Response) (token string, els []core.Element, brk, complete, ok bool) {
 	if resp.Trailer == nil {
-		return "", nil, false, false
+		return "", nil, false, false, false
 	}
 	token, list, found := strings.Cut(resp.Trailer.Get(FieldPChanges), ";")
 	token = strings.TrimSpace(token)
 	if !validToken(token) || len(list) > MaxChangeBytes {
-		return "", nil, false, false
+		return "", nil, false, false, false
 	}
 	if !found {
-		return token, nil, true, true
+		return token, nil, true, false, true
 	}
+	list, complete = strings.CutSuffix(strings.TrimSpace(list), ",")
 	prev := ""
-	for strings.TrimSpace(list) != "" {
+	for more := list != ""; more; {
 		if len(els) == MaxChanges {
-			return "", nil, false, false
+			return "", nil, false, false, false
 		}
 		var item string
-		item, list, _ = strings.Cut(list, ",")
+		item, list, more = strings.Cut(list, ",")
 		coded, rest, _ := strings.Cut(strings.TrimSpace(item), " ")
 		lmField, sizeField, _ := strings.Cut(rest, " ")
 		path, okPath := decodeItem(prev, coded)
 		lm, errLM := strconv.ParseInt(lmField, 10, 64)
 		size, errSize := strconv.ParseInt(sizeField, 10, 64)
 		if !okPath || path[0] != '/' || errLM != nil || lm <= 0 || errSize != nil {
-			return "", nil, false, false
+			return "", nil, false, false, false
 		}
 		els = append(els, core.Element{URL: path, LastModified: lm, Size: size})
 		prev = path
 	}
-	return token, els, false, true
+	return token, els, false, complete, true
 }
 
 // validToken reports whether s can be a token: 1 to maxTokenBytes printable

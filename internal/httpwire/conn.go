@@ -169,6 +169,9 @@ func (s *Server) serveConn(base context.Context, conn net.Conn) {
 	out := getVec()
 	defer putVec(out)
 	pending := 0
+	// Every request on the connection comes from the same peer: render its
+	// address once.
+	remote := conn.RemoteAddr().String()
 	flush := func() error {
 		if pending == 0 {
 			return nil
@@ -216,7 +219,7 @@ func (s *Server) serveConn(base context.Context, conn net.Conn) {
 			}
 			return
 		}
-		req.RemoteAddr = conn.RemoteAddr().String()
+		req.RemoteAddr = remote
 		start := time.Now()
 		resp := s.Handler.ServeWire(ctx, req)
 		if resp == nil {

@@ -159,27 +159,33 @@ func FuzzReadResponse(f *testing.F) {
 // FuzzExtractChanges reads its input as a P-Changes value. ExtractChanges
 // never panics; what it accepts is a valid token and at most MaxChanges
 // elements, each a listable server-relative path with a positive
-// Last-Modified; and, re-attached, it decodes to the same token and
-// elements (in path order) whenever the re-encoded list fits the cap.
+// Last-Modified, and a break is neither complete nor a list; and,
+// re-rendered, it decodes to the same token, elements (in path order) and
+// completeness whenever the re-encoded list fits the cap.
 func FuzzExtractChanges(f *testing.F) {
 	f.Add("k3.42;/s/img-0001.gif 866268400 512,3|page-0001.html 866268401 2048,15|2.html 866268402 4096")
+	f.Add("k3.42;/s/img-0001.gif 866268400 512,3|page-0001.html 866268401 2048,15|2.html 866268402 4096,")
 	f.Add("k3.50")
 	f.Add("k3.51;")
+	f.Add("k3.51;,")
+	f.Add("k3.51; , ")
 	f.Add(" t ; /a 1 2 , /b 3 4 ")
 	f.Add("t;/a 1 2,2|b 3 4,99|c 5 6")
 	f.Add("t;/a 1 2,")
+	f.Add("t;/a 1 2,,")
+	f.Add("t;,/a 1 2")
 	f.Add("t;other.host/a 1 2")
 	f.Add("t;/a -1 2,/b 1 -2")
 	f.Add("a;b;/c 1 2")
 	f.Fuzz(func(t *testing.T, v string) {
 		resp := NewResponse(200)
 		resp.Trailer = Header{FieldPChanges: v}
-		token, els, brk, ok := ExtractChanges(resp)
+		token, els, brk, complete, ok := ExtractChanges(resp)
 		if !ok {
 			return
 		}
-		if !validToken(token) || len(els) > MaxChanges || brk && len(els) > 0 {
-			t.Fatalf("ExtractChanges(%q) = %q, %d elements, break %v", v, token, len(els), brk)
+		if !validToken(token) || len(els) > MaxChanges || brk && (len(els) > 0 || complete) {
+			t.Fatalf("ExtractChanges(%q) = %q, %d elements, break %v, complete %v", v, token, len(els), brk, complete)
 		}
 		for _, el := range els {
 			if !Listable(el.URL) || el.URL[0] != '/' || el.LastModified <= 0 {
@@ -187,17 +193,21 @@ func FuzzExtractChanges(f *testing.F) {
 			}
 		}
 		again := NewResponse(200)
-		AttachChanges(again, token, slices.Clone(els), brk)
+		if brk {
+			AttachChanges(again, token)
+		} else {
+			AttachChanges(again, ChangesValue(token, slices.Clone(els), complete))
+		}
 		_, list, _ := strings.Cut(again.Trailer.Get(FieldPChanges), ";")
 		if len(list) > MaxChangeBytes {
 			return
 		}
-		token2, els2, brk2, ok2 := ExtractChanges(again)
+		token2, els2, brk2, complete2, ok2 := ExtractChanges(again)
 		sorted := slices.Clone(els)
 		slices.SortStableFunc(sorted, func(a, b core.Element) int { return strings.Compare(a.URL, b.URL) })
 		slices.SortStableFunc(els2, func(a, b core.Element) int { return strings.Compare(a.URL, b.URL) })
-		if !ok2 || token2 != token || brk2 != brk || !reflect.DeepEqual(sorted, els2) && len(els) > 0 {
-			t.Fatalf("re-attached %q as %q: %q %v %v %v, want %q %v %v", v, again.Trailer.Get(FieldPChanges), token2, els2, brk2, ok2, token, sorted, brk)
+		if !ok2 || token2 != token || brk2 != brk || complete2 != complete || !reflect.DeepEqual(sorted, els2) && len(els) > 0 {
+			t.Fatalf("re-rendered %q as %q: %q %v %v %v %v, want %q %v %v %v", v, again.Trailer.Get(FieldPChanges), token2, els2, brk2, complete2, ok2, token, sorted, brk, complete)
 		}
 	})
 }

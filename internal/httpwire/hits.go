@@ -17,9 +17,9 @@ import (
 //     cooperating server (or volume center) feeds them back into its volume
 //     maintenance.
 //   - Piggy-Validate (piggyback cache validation, Krishnamurthy & Wills,
-//     USITS '97): cached resources whose freshness runs out soon. A
-//     cooperating server answers each one it holds with its current version,
-//     as it answers Piggy-Hits, but does not count it as an access.
+//     USITS '97): cached resources whose freshness runs out soon, sent by
+//     proxies that predate the change-list watermark (changes.go). A
+//     current server leaves it unanswered; a volume center strips it.
 //
 // The list is front-coded: items are comma-separated, and each is either a
 // plain path or "<k>|<suffix>", the first k bytes (k ≥ 2) of the previous
@@ -31,8 +31,8 @@ import (
 const (
 	// FieldPiggyHits is the request header carrying cache-satisfied URLs.
 	FieldPiggyHits = "Piggy-Hits"
-	// FieldPiggyValidate is the request header carrying cached URLs about
-	// to expire.
+	// FieldPiggyValidate is the request header in which older proxies
+	// list cached URLs about to expire.
 	FieldPiggyValidate = "Piggy-Validate"
 )
 

@@ -21,7 +21,10 @@ const (
 	// of the request's two list values in hex, then the current
 	// Last-Modified and size of each listed resource the server holds, by
 	// its index i in the decoded Piggy-Hits list followed by the decoded
-	// Piggy-Validate list — once, at its first index, in index order.
+	// Piggy-Validate list — once, at its first index, in index order. A
+	// current server answers only the Piggy-Hits paths; the list older
+	// proxies send in Piggy-Validate still counts in the digest and the
+	// indexes, so their answers still bind.
 	// Servers that answered in P-Volume's element form used the name
 	// P-Valid; the new name keeps either form from reaching a proxy that
 	// reads only the other.

@@ -294,8 +294,8 @@ func TestWireBudgets(t *testing.T) {
 		writes float64
 		exact  bool // writes/op must equal writes, not just stay below it
 	}{
-		{"WireFreshHit", BenchmarkWireFreshHit, 26, 1, true},
-		{"WireMiss", BenchmarkWireMiss, 78, 1, false},
+		{"WireFreshHit", BenchmarkWireFreshHit, 23, 1, true},
+		{"WireMiss", BenchmarkWireMiss, 75, 1, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := testing.Benchmark(tc.bench)

@@ -21,8 +21,10 @@ const changeHost = "www.site.com"
 // real origin with no volume engine: a change list is the only channel
 // that can name a newer version unasked. The origin records each request's
 // Piggy-Since value and each P-Changes value it sends; volume, when set,
-// is attached to the next response as a P-Volume message, and oldOrigin
-// makes it one that knows nothing of change lists.
+// is attached to the next response as a P-Volume message. oldOrigin makes
+// it one that knows nothing of change lists, and unmarked one that lists
+// changes but never marks a list complete, and attaches nothing when
+// nothing changed (the first version of change lists).
 type changeBed struct {
 	now    atomic.Int64
 	store  *server.Store
@@ -34,6 +36,7 @@ type changeBed struct {
 	sent      []string
 	volume    *core.Message
 	oldOrigin bool
+	unmarked  bool
 }
 
 func newChangeBed(t *testing.T, cfg Config, paths ...string) *changeBed {
@@ -52,6 +55,13 @@ func newChangeBed(t *testing.T, cfg Config, paths ...string) *changeBed {
 			req.Header.Del(httpwire.FieldPiggySince)
 		}
 		resp := cb.origin.ServeWire(ctx, req)
+		if v := resp.Trailer.Get(httpwire.FieldPChanges); cb.unmarked && v != "" {
+			if v = strings.TrimSuffix(v, ","); strings.HasSuffix(v, ";") {
+				resp.Trailer.Del(httpwire.FieldPChanges)
+			} else {
+				resp.Trailer.Set(httpwire.FieldPChanges, v)
+			}
+		}
 		if v := resp.Trailer.Get(httpwire.FieldPChanges); v != "" {
 			cb.sent = append(cb.sent, v)
 		}
@@ -151,7 +161,7 @@ func TestChangeListNeverExtendsPastDelta(t *testing.T) {
 	if v, ok := cb.proxy.cache.PeekView(key); !ok || v.LastModified != 5000 || v.Expires != 10_010+600 {
 		t.Fatalf("fetched copy: servable %v, Last-Modified %d, expires %d", ok, v.LastModified, v.Expires)
 	}
-	cb.proxy.hosts.noteSince(changeHost, old)
+	cb.proxy.hosts.noteSince(changeHost, old, 0)
 	cb.now.Add(90)
 	before := cb.proxy.Stats()
 	cb.get("/a/o2.html") // the old token: the list names page.html at 5000
@@ -166,7 +176,7 @@ func TestChangeListNeverExtendsPastDelta(t *testing.T) {
 // token returns the proxy's current token for changeHost.
 func (cb *changeBed) token(t *testing.T) string {
 	t.Helper()
-	since := cb.proxy.hosts.take(changeHost, "", 0, 0).since
+	since := cb.proxy.hosts.take(changeHost, 0).since
 	if since == httpwire.NoToken {
 		t.Fatal("the proxy holds no token")
 	}
@@ -175,8 +185,11 @@ func (cb *changeBed) token(t *testing.T) string {
 
 // TestChangeListMixedVersions: an origin that predates change lists sends
 // no token, so the proxy keeps sending "-" and its copies live out their Δ
-// as before; a proxy that predates them sends no Piggy-Since, and the
-// origin attaches nothing.
+// as before; neither it, nor one that stops sending lists, nor one that
+// never marks a list complete yields a watermark hit. A proxy that
+// predates change lists sends no Piggy-Since, and the origin attaches
+// nothing; the Piggy-Validate list it sends is not answered, while the
+// answers to its hits still carry the digest of both its lists.
 func TestChangeListMixedVersions(t *testing.T) {
 	t.Run("old origin", func(t *testing.T) {
 		cb := newChangeBed(t, Config{Delta: 600}, "/a/page.html", "/a/other.html")
@@ -191,31 +204,66 @@ func TestChangeListMixedVersions(t *testing.T) {
 		if since := cb.sinceSent(); len(since) != 2 || since[0] != httpwire.NoToken || since[1] != httpwire.NoToken {
 			t.Errorf("Piggy-Since sent %q, want %q on every request", since, httpwire.NoToken)
 		}
-		if n := counters(t, cb.proxy, "proxy.change_breaks")["proxy.change_breaks"]; n != 0 {
-			t.Errorf("proxy.change_breaks = %d, want 0", n)
+		cb.now.Add(601) // past other.html's expiry
+		if r := cb.get("/a/other.html"); r.Header.Get("X-Cache") != "MISS" {
+			t.Errorf("expired copy: X-Cache %q, want a validation (MISS)", r.Header.Get("X-Cache"))
+		}
+		if n := counters(t, cb.proxy, "proxy.change_breaks", "proxy.watermark_hits"); n["proxy.change_breaks"] != 0 || n["proxy.watermark_hits"] != 0 {
+			t.Errorf("counters %v, want no break and no watermark hit", n)
 		}
 	})
+	for _, stop := range []string{"origin stops sending lists", "origin marks no list complete"} {
+		t.Run(stop, func(t *testing.T) {
+			cb := newChangeBed(t, Config{Delta: 600}, "/a/page.html", "/a/o1.html", "/a/o2.html", "/a/o3.html")
+			cb.unmarked = stop == "origin marks no list complete"
+			cb.get("/a/page.html") // a break
+			cb.get("/a/o1.html")   // nothing new: complete, unless unmarked
+			cb.now.Add(300)
+			cb.store.Modify("/a/page.html", 5000, 0)
+			cb.get("/a/o2.html") // lists page.html: complete, unless unmarked
+			cb.oldOrigin = !cb.unmarked
+			cb.now.Add(10)
+			cb.get("/a/o3.html") // no list at all, or none marked complete
+			cb.now.Store(10_605) // o1's copy expired at 10_600
+			if r := cb.get("/a/o1.html"); r.Header.Get("X-Cache") != "MISS" {
+				t.Errorf("expired copy: X-Cache %q, want a validation (MISS)", r.Header.Get("X-Cache"))
+			}
+			if n := counters(t, cb.proxy, "proxy.watermark_hits")["proxy.watermark_hits"]; n != 0 {
+				t.Errorf("proxy.watermark_hits = %d, want 0", n)
+			}
+		})
+	}
 	t.Run("old proxy", func(t *testing.T) {
 		st := server.NewStore()
 		st.Put(server.Resource{URL: "/a/page.html", Size: 100, LastModified: 1000})
+		st.Put(server.Resource{URL: "/a/hit.gif", Size: 50, LastModified: 1500})
+		st.Put(server.Resource{URL: "/a/due.html", Size: 70, LastModified: 900})
 		origin := server.New(st, nil, func() int64 { return 10_000 })
 		req := httpwire.NewRequest("GET", "/a/page.html")
 		httpwire.SetFilter(req, core.Filter{MaxPiggy: 10})
+		httpwire.SetPaths(req, httpwire.FieldPiggyHits, []string{"/a/hit.gif"})
+		httpwire.SetPaths(req, httpwire.FieldPiggyValidate, []string{"/a/due.html"})
 		st.Modify("/a/page.html", 5000, 0)
-		if v := origin.ServeWire(context.Background(), req).Trailer.Get(httpwire.FieldPChanges); v != "" {
+		resp := origin.ServeWire(context.Background(), req)
+		if v := resp.Trailer.Get(httpwire.FieldPChanges); v != "" {
 			t.Errorf("P-Changes %q attached for a request without Piggy-Since", v)
+		}
+		want := []httpwire.Answer{{I: 0, LastModified: 1500, Size: 50}}
+		if got := httpwire.ExtractAnswers(resp, req, 2); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("answers %+v to an old proxy's lists, want %+v: the hit alone, under the digest of both", got, want)
 		}
 	})
 }
 
 // TestChangeListCountersExact: a known sequence of modifications moves the
-// per-channel invalidation counters and the change-list counters on both
-// sides' /.piggy/stats by exactly what crossed the wire.
+// per-channel invalidation counters, the change-list counters on both
+// sides' /.piggy/stats and the watermark's hits by exactly what crossed
+// the wire.
 func TestChangeListCountersExact(t *testing.T) {
-	paths := []string{"/a/A.html", "/a/B.html", "/a/C.html", "/a/D.html", "/a/E.html", "/a/F.html"}
+	paths := []string{"/a/A.html", "/a/B.html", "/a/C.html", "/a/D.html", "/a/E.html", "/a/F.html", "/a/G.html"}
 	cb := newChangeBed(t, Config{Delta: 600, DeltaEncoding: true}, paths...)
 	cb.get("/a/A.html") // break
-	cb.get("/a/B.html") // nothing changed: no list
+	cb.get("/a/B.html") // nothing changed: a complete, empty list
 	cb.get("/a/C.html")
 	cb.store.Modify("/a/A.html", 5000, 0)
 	cb.store.Modify("/a/B.html", 5000, 0)
@@ -227,6 +275,16 @@ func TestChangeListCountersExact(t *testing.T) {
 	cb.store.Modify("/a/D.html", 5000, 0)
 	cb.volume = &core.Message{Volume: 1, Elements: []core.Element{{URL: "/a/D.html", Size: 16384, LastModified: 5000}}}
 	cb.get("/a/F.html") // the volume invalidates D; the list names D again
+	cb.now.Store(10_650)
+	cb.get("/a/G.html") // nothing changed: the watermark moves to 10_650
+	cb.now.Store(10_700)
+	// Past their own expiry (10_610), E and F are kept fresh by the
+	// watermark; A is a delta base, refetched.
+	for path, want := range map[string]string{"/a/E.html": "HIT", "/a/F.html": "HIT", "/a/A.html": "MISS"} {
+		if r := cb.get(path); r.Header.Get("X-Cache") != want {
+			t.Errorf("%s at 10_700: X-Cache %q, want %s", path, r.Header.Get("X-Cache"), want)
+		}
+	}
 
 	changeBytes := int64(0)
 	for _, v := range cb.sent {
@@ -238,8 +296,10 @@ func TestChangeListCountersExact(t *testing.T) {
 		"proxy.invalidations.answer":  1,
 		"proxy.invalidations.volume":  1,
 		"proxy.change_breaks":         1,
+		"proxy.watermark_hits":        2,
+		"proxy.validations":           0,
 	}
-	for name, got := range counters(t, cb.proxy, "proxy.invalidations", "proxy.invalidations.changes", "proxy.invalidations.answer", "proxy.invalidations.volume", "proxy.change_breaks") {
+	for name, got := range counters(t, cb.proxy, "proxy.invalidations", "proxy.invalidations.changes", "proxy.invalidations.answer", "proxy.invalidations.volume", "proxy.change_breaks", "proxy.watermark_hits", "proxy.validations") {
 		if got != want[name] {
 			t.Errorf("%s = %d, want %d", name, got, want[name])
 		}
@@ -250,8 +310,10 @@ func TestChangeListCountersExact(t *testing.T) {
 			t.Errorf("%s = %d, want %d", name, got, want[name])
 		}
 	}
-	if len(cb.sent) != 4 {
-		t.Errorf("P-Changes sent %q, want the break and three lists", cb.sent)
+	// The break, two empty lists, three lists naming changes, the empty
+	// list that moved the watermark, and the answer to A's refetch.
+	if len(cb.sent) != 8 {
+		t.Errorf("P-Changes sent %q, want 8 values", cb.sent)
 	}
 }
 
@@ -281,7 +343,7 @@ func TestChangeListQueuesNoPrefetch(t *testing.T) {
 // updates while the origin changes underneath them (run under -race). Every
 // response is a 200; the token the proxy ends with is one its origin
 // issued; and once the origin stops changing, one exchange catches the
-// token up, so the next attaches nothing.
+// token up, so the next lists nothing.
 func TestChangeListTokenRace(t *testing.T) {
 	const n = 24
 	var paths []string
@@ -317,7 +379,7 @@ func TestChangeListTokenRace(t *testing.T) {
 		t.Fatal("no change was listed while the clients ran: the race was not run")
 	}
 	token := cb.token(t)
-	if _, _, brk := cb.store.Changes(token, ""); brk {
+	if _, _, brk := cb.store.Changes(token, "", 0); brk {
 		t.Errorf("the proxy's token %q is not one its origin can serve", token)
 	}
 	cb.mu.Lock()
@@ -327,7 +389,7 @@ func TestChangeListTokenRace(t *testing.T) {
 	cb.get("/r/after.html")
 	cb.mu.Lock()
 	defer cb.mu.Unlock()
-	if len(cb.sent) > 1 || len(cb.sent) == 1 && strings.Count(cb.sent[0], ";") != 1 {
-		t.Errorf("after the changes stopped, the origin sent %q: want at most one list, then nothing", cb.sent)
+	if len(cb.sent) != 2 || strings.Count(cb.sent[0], ";") != 1 || !strings.HasSuffix(cb.sent[1], ";,") {
+		t.Errorf("after the changes stopped, the origin sent %q: want a list, then one saying nothing changed", cb.sent)
 	}
 }

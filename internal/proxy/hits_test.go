@@ -121,13 +121,13 @@ func TestProxyHitReportingOffWhenFilterDisabled(t *testing.T) {
 	st.Put(server.Resource{URL: "/a/y.gif", Size: 50, LastModified: 1500})
 	now := int64(10_000)
 	origin := server.New(st, core.NewDirVolumes(core.DirConfig{Level: 1, MTF: true}), func() int64 { return now })
-	var withHits, withList atomic.Int32
+	var withHits, withSince atomic.Int32
 	addr := startOrigin(t, httpwire.HandlerFunc(func(ctx context.Context, req *httpwire.Request) *httpwire.Response {
 		if req.Header.Has(httpwire.FieldPiggyHits) {
 			withHits.Add(1)
 		}
-		if req.Header.Has(httpwire.FieldPiggyValidate) {
-			withList.Add(1)
+		if req.Header.Has(httpwire.FieldPiggySince) {
+			withSince.Add(1)
 		}
 		return origin.ServeWire(ctx, req)
 	}))
@@ -144,13 +144,13 @@ func TestProxyHitReportingOffWhenFilterDisabled(t *testing.T) {
 	if r := proxyGet(p, "www.site.com/a/x.html"); r.Header.Get("X-Cache") != "HIT" {
 		t.Fatalf("X-Cache %q, want HIT", r.Header.Get("X-Cache"))
 	}
-	now += 490 // x.html expires within Δ/4: an enabled filter would list it
+	now += 490
 	proxyGet(p, "www.site.com/a/y.gif")
 	if n := withHits.Load(); n != 0 {
 		t.Errorf("%d upstream requests carried Piggy-Hits with the filter disabled", n)
 	}
-	if n, k := withList.Load(), p.hosts.indexed.Load(); n != 0 || k != 0 {
-		t.Errorf("%d upstream requests carried Piggy-Validate, %d keys indexed, with the filter disabled", n, k)
+	if v, _ := p.cache.PeekView("www.site.com/a/y.gif"); withSince.Load() != 0 || v.Chain != 0 {
+		t.Errorf("%d upstream requests carried Piggy-Since, a copy joined chain %d, with the filter disabled", withSince.Load(), v.Chain)
 	}
 	if s := p.Stats(); s.HitsReported != 0 || s.HitValidations != 0 {
 		t.Errorf("HitsReported %d, HitValidations %d, want 0 and 0", s.HitsReported, s.HitValidations)
@@ -238,7 +238,7 @@ func TestHitReportAnswerLeavesRPVUntouched(t *testing.T) {
 	if sb.proxy.Stats().HitValidations != 1 {
 		t.Fatal("no answer applied")
 	}
-	if rpv := sb.proxy.hosts.take("www.site.com", "", sb.now.Load(), 0).rpv; len(rpv) != 0 {
+	if rpv := sb.proxy.hosts.take("www.site.com", sb.now.Load()).rpv; len(rpv) != 0 {
 		t.Errorf("RPV list %v after an answer, want empty", rpv)
 	}
 }

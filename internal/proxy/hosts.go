@@ -1,9 +1,7 @@
 package proxy
 
 import (
-	"container/heap"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -17,17 +15,10 @@ import (
 // than silently discarded.
 const maxPendingHits = 32
 
-// maxListed bounds the cached paths one upstream request asks the origin to
-// validate (Piggy-Validate: piggyback cache validation, Krishnamurthy &
-// Wills, USITS '97). An answer renews a whole list at one instant, so the
-// list comes due again together; the bound has to drain such a cohort
-// before its paths expire unlisted.
-const maxListed = 64
-
-// maxIndexed caps the keys held in the expiry indexes of all hosts
-// together. Past it, a newly cached key is not indexed
-// (proxy.expiry_index_full); its next read after expiry validates it.
-const maxIndexed = 1 << 16
+// maxNamed is how many of the changes recent lists named a host's record
+// keeps at least, for the bodies in flight while those lists were applied
+// (see current). It keeps at most twice as many, trimming in bulk.
+const maxNamed = 1024
 
 // hostStripes is the number of lock stripes in hostTable (power of two).
 // Hosts in different stripes never contend, so hit reporting stays off the
@@ -35,18 +26,18 @@ const maxIndexed = 1 << 16
 const hostStripes = 16
 
 // hostTable is the striped per-host table of what the proxy tells an
-// origin host on its next request: the RPV list that paces its
-// piggybacks, the cache hits to report, the cached entries about to
-// expire, to ask about, and the token of the last change list. It is the
-// paper's RPV hash table keyed on the server (§2.2), with the hit report,
-// the validation list and the token beside each list, so one request
-// reads all four under one stripe lock.
+// origin host on its next request, and what it last heard from it: the RPV
+// list that paces its piggybacks, the cache hits to report, and the token
+// and watermark of its change lists. It is the paper's RPV hash table keyed
+// on the server (§2.2), with the hit report and the change-list state
+// beside each list, so one request reads all of them under one stripe lock.
 type hostTable struct {
 	stripes [hostStripes]hostStripe
 	// rpvTimeout is the lifetime of an RPV entry, in seconds.
 	rpvTimeout int64
-	// indexed counts the live keys of every host's expiry index.
-	indexed atomic.Int64
+	// links numbers the links of every host's invalidation chain: each
+	// change list that named a change, and each break, applied.
+	links atomic.Uint64
 }
 
 type hostStripe struct {
@@ -55,25 +46,30 @@ type hostStripe struct {
 }
 
 // hostRecord is one host's entry: its RPV list (nil when the last request
-// found no live entry), the pending hits, the expiry index — a min-heap on
-// expiry plus the live expiry of each indexed path — and the token of the
-// host's last change list ("" before the first). A heap item whose expiry
-// is no longer its path's live one is superseded and is skipped when
-// popped.
+// found no live entry), the pending hits, and the state of its change
+// lists. since is the token of the last one ("" before the first); heard
+// is the send time of the request whose complete list set since, and 0
+// when a capped list or a break set it: every change the origin made
+// before heard has been applied to every covered copy (see lookup). link
+// is the last link of the host's chain, broke the link of its last break;
+// named holds the changes the lists on the latest links named, oldest
+// first, and those on links up to floor are no longer all there.
 type hostRecord struct {
 	rpv   *core.RPVList
 	hits  []string
-	live  map[string]liveExpiry
-	heap  expiryHeap
 	since string
+	heard int64
+	link  uint64
+	broke uint64
+	named []namedChange
+	floor uint64
 }
 
-// liveExpiry is the live state of one indexed path.
-type liveExpiry struct {
-	expires int64
-	// ahead is set when that expiry came from the answer to a listing of
-	// the path, and cleared by the first hit report naming it.
-	ahead bool
+// namedChange is a change a list on link named: path's version lm.
+type namedChange struct {
+	link uint64
+	path string
+	lm   int64
 }
 
 // newHostTable returns a table whose RPV entries live rpvTimeout seconds.
@@ -99,7 +95,7 @@ func (h *hostTable) stripe(host string) *hostStripe {
 func (st *hostStripe) record(host string) *hostRecord {
 	hr := st.m[host]
 	if hr == nil {
-		hr = &hostRecord{live: make(map[string]liveExpiry)}
+		hr = &hostRecord{}
 		st.m[host] = hr
 	}
 	return hr
@@ -118,13 +114,97 @@ func (h *hostTable) noteVolume(host string, id core.VolumeID, now int64) {
 	hr.rpv.Note(id, now)
 }
 
-// noteSince keeps token as host's change-list token. The last answer wins:
-// an older token overwriting a newer one only has changes sent again.
-func (h *hostTable) noteSince(host, token string) {
+// noteSince keeps token as host's change-list token, and heard as its
+// watermark: the send time of the request a complete list answered, or 0.
+// The last answer wins, and the two move together: an older answer landing
+// last sets both back, which only has changes sent again.
+func (h *hostTable) noteSince(host, token string, heard int64) {
 	st := h.stripe(host)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.record(host).since = token
+	hr := st.record(host)
+	hr.since, hr.heard = token, heard
+}
+
+// unheard drops host's watermark, keeping its token: an answer to the
+// token came back without a change list.
+func (h *hostTable) unheard(host string) {
+	st := h.stripe(host)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if hr := st.m[host]; hr != nil {
+		hr.heard = 0
+	}
+}
+
+// chain adds a link to host's chain before a change list naming changes,
+// or a break, is applied, and keeps the changes the list names: a body in
+// flight meanwhile checks them (current). A break also uncovers every copy
+// admitted before it.
+func (h *hostTable) chain(host string, changes []core.Element, brk bool) {
+	st := h.stripe(host)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	hr := st.record(host)
+	hr.link = h.links.Add(1)
+	if brk {
+		hr.broke = hr.link
+	}
+	for _, el := range changes {
+		hr.named = append(hr.named, namedChange{hr.link, el.URL, el.LastModified})
+	}
+	if len(hr.named) > 2*maxNamed {
+		over := len(hr.named) - maxNamed
+		hr.floor = hr.named[over-1].link
+		hr.named = slices.Delete(hr.named, 0, over)
+	}
+}
+
+// current reports whether version lm of host's path, fetched by a request
+// sent when link was the host's last, missed no change applied to the host
+// while it was in flight: no break came since, and no change list named a
+// newer version of path — such a list found no copy to make a delta base
+// of. Zero never does.
+func (h *hostTable) current(host, path string, lm int64, link uint64) bool {
+	if link == 0 {
+		return false
+	}
+	st := h.stripe(host)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	hr := st.m[host]
+	if hr == nil || hr.broke > link || hr.floor > link {
+		return false
+	}
+	for i := len(hr.named) - 1; i >= 0 && hr.named[i].link > link; i-- {
+		if hr.named[i].path == path && hr.named[i].lm > lm {
+			return false
+		}
+	}
+	return true
+}
+
+// lastLink returns host's last link, 0 when it has none.
+func (h *hostTable) lastLink(host string) uint64 {
+	st := h.stripe(host)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if hr := st.m[host]; hr != nil {
+		return hr.link
+	}
+	return 0
+}
+
+// covers reports whether host's watermark keeps a copy admitted on link
+// fresh at the read whose freshness interval reaches back to after: the
+// host heard a complete list on a request sent after that, and the copy
+// was admitted on a link no break has followed.
+func (h *hostTable) covers(host string, link uint64, after int64) bool {
+	st := h.stripe(host)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	hr := st.m[host]
+	return hr != nil && hr.heard > after && hr.heard > 0 && link >= hr.broke
 }
 
 // add buffers one cache-hit path for host. It reports false when the
@@ -141,74 +221,19 @@ func (h *hostTable) add(host, path string) bool {
 	return true
 }
 
-// note records the expiry the cache just gave host's path; ahead says the
-// answer to a listing gave it. It reports false when the path was not
-// indexed because the index is at maxIndexed keys.
-func (h *hostTable) note(host, path string, expires int64, ahead bool) bool {
-	st := h.stripe(host)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	hr := st.record(host)
-	cur, ok := hr.live[path]
-	if !ok && h.indexed.Add(1) > maxIndexed {
-		h.indexed.Add(-1)
-		st.release(host, hr)
-		return false
-	}
-	hr.live[path] = liveExpiry{expires: expires, ahead: ahead}
-	if !ok || cur.expires != expires {
-		heap.Push(&hr.heap, expiryItem{path: path, expires: expires})
-		hr.compact()
-	}
-	return true
-}
-
-// drop removes host's path from the expiry index: its cached copy is gone.
-func (h *hostTable) drop(host, path string) {
-	st := h.stripe(host)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	hr := st.m[host]
-	if hr == nil {
-		return
-	}
-	if _, ok := hr.live[path]; ok {
-		delete(hr.live, path)
-		h.indexed.Add(-1)
-		hr.compact()
-	}
-	st.release(host, hr)
-}
-
-// listing is one path take removed from host's expiry index to list, with
-// the live state putBack restores when the request cannot carry it.
-type listing struct {
-	path string
-	liveExpiry
-}
-
 // owed is what take drains for one request to a host: the live volume ids
-// of its RPV list (the filter's rpv attribute), the buffered hit paths,
-// the paths to list, and the change-list token (httpwire.NoToken when
-// there is none). useful counts the drained hits on paths whose expiry the
-// answer to a listing gave; expired counts the paths that left the index
-// unlisted.
+// of its RPV list (the filter's rpv attribute), the buffered hit paths, the
+// change-list token (httpwire.NoToken when there is none), and the host's
+// last link, on which the response's body is admitted.
 type owed struct {
-	rpv             []core.VolumeID
-	hits            []string
-	listed          []listing
-	since           string
-	useful, expired int
+	rpv   []core.VolumeID
+	hits  []string
+	since string
+	link  uint64
 }
 
 // take drains what host's next request carries, in one critical section.
-// It lists the up to maxListed indexed paths whose expiry falls soonest in
-// (now, until], in path order, so that front coding shares their prefixes.
-// self (the request's own path) and the hit paths are not listed: the
-// request answers them anyway. A listed path leaves the index until an
-// answer refreshes it or putBack returns it; a path found already expired
-// leaves it for good, and its next read validates.
-func (h *hostTable) take(host, self string, now, until int64) (o owed) {
+func (h *hostTable) take(host string, now int64) (o owed) {
 	o.since = httpwire.NoToken
 	st := h.stripe(host)
 	st.mu.Lock()
@@ -220,44 +245,14 @@ func (h *hostTable) take(host, self string, now, until int64) (o owed) {
 	if hr.since != "" {
 		o.since = hr.since
 	}
+	o.link = hr.link
 	if hr.rpv != nil {
 		if o.rpv = hr.rpv.Snapshot(now); o.rpv == nil {
 			hr.rpv = nil
 		}
 	}
 	o.hits, hr.hits = hr.hits, nil
-	for _, path := range o.hits {
-		if e, ok := hr.live[path]; ok && e.ahead {
-			o.useful++
-			e.ahead = false
-			hr.live[path] = e
-		}
-	}
-	var skipped []expiryItem
-	for len(hr.heap) > 0 && len(o.listed) < maxListed && hr.heap[0].expires <= until {
-		it := heap.Pop(&hr.heap).(expiryItem)
-		e, ok := hr.live[it.path]
-		if !ok || e.expires != it.expires {
-			continue // superseded
-		}
-		if it.path == self || slices.Contains(o.hits, it.path) {
-			skipped = append(skipped, it)
-			continue
-		}
-		delete(hr.live, it.path)
-		h.indexed.Add(-1)
-		if it.expires > now {
-			o.listed = append(o.listed, listing{it.path, e})
-		} else {
-			o.expired++
-		}
-	}
-	for _, it := range skipped {
-		heap.Push(&hr.heap, it)
-	}
-	hr.compact()
 	st.release(host, hr)
-	slices.SortFunc(o.listed, func(a, b listing) int { return strings.Compare(a.path, b.path) })
 	return o
 }
 
@@ -298,81 +293,12 @@ func (h *hostTable) putBackHits(host string, hits, wrote []string) (dropped int)
 	return dropped
 }
 
-// putBack returns to host's expiry index, with the live state take found,
-// each listed path missing from wrote (the paths the request carries, in
-// the same order): what the header budget left out is listed by a later
-// request, not lost. A path SetPaths cannot write at all (one holding a
-// comma, say) goes back as well, and leaves once it has expired. A path
-// some step indexed anew meanwhile keeps that step's expiry. It reports
-// how many paths the maxIndexed cap refused.
-func (h *hostTable) putBack(host string, listed []listing, wrote []string) (refused int) {
-	if len(wrote) == len(listed) {
-		return 0
-	}
-	st := h.stripe(host)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	hr := st.record(host)
-	for _, l := range listed {
-		if len(wrote) > 0 && wrote[0] == l.path {
-			wrote = wrote[1:]
-			continue
-		}
-		if _, ok := hr.live[l.path]; ok {
-			continue
-		}
-		if h.indexed.Add(1) > maxIndexed {
-			h.indexed.Add(-1)
-			refused++
-			continue
-		}
-		hr.live[l.path] = l.liveExpiry
-		heap.Push(&hr.heap, expiryItem{path: l.path, expires: l.expires})
-	}
-	hr.compact()
-	st.release(host, hr)
-	return refused
-}
-
 // release deletes host's entry once it holds nothing: no pending hit, no
-// indexed path, no RPV list — take drops a list it finds without a live
-// entry — and no token. Caller holds st.mu.
+// RPV list — take drops a list it finds without a live entry — no token
+// and no link: a record on which a copy may have been admitted is kept, so
+// its breaks are never forgotten. Caller holds st.mu.
 func (st *hostStripe) release(host string, hr *hostRecord) {
-	if hr.rpv == nil && len(hr.hits) == 0 && len(hr.live) == 0 && hr.since == "" {
+	if hr.rpv == nil && len(hr.hits) == 0 && hr.since == "" && hr.link == 0 {
 		delete(st.m, host)
 	}
-}
-
-// compact rebuilds the heap from the live paths once superseded items
-// outnumber them, so the heap never holds more than twice the live keys.
-func (hr *hostRecord) compact() {
-	if len(hr.heap) <= 2*len(hr.live) {
-		return
-	}
-	h := make(expiryHeap, 0, len(hr.live))
-	for path, e := range hr.live {
-		h = append(h, expiryItem{path: path, expires: e.expires})
-	}
-	heap.Init(&h)
-	hr.heap = h
-}
-
-// expiryItem is one heap item: path was indexed to expire at expires.
-type expiryItem struct {
-	path    string
-	expires int64
-}
-
-// expiryHeap is a min-heap on expiry.
-type expiryHeap []expiryItem
-
-func (h expiryHeap) Len() int           { return len(h) }
-func (h expiryHeap) Less(i, j int) bool { return h[i].expires < h[j].expires }
-func (h expiryHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *expiryHeap) Push(x any)        { *h = append(*h, x.(expiryItem)) }
-func (h *expiryHeap) Pop() any {
-	old := *h
-	it := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return it
 }

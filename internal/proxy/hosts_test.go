@@ -8,12 +8,17 @@ import (
 	"piggyback/internal/httpwire"
 )
 
+const expHost = "www.site.com"
+
 // TestHostTableConcurrentNoteAndTake: piggybacks noting volumes, hits and
-// expiries race with the requests that drain them across three hosts; the
-// table ends with at most one record per host, and -race sees no
+// change lists race with the requests that drain them across three hosts;
+// the table ends with at most one record per host, and -race sees no
 // unsynchronised access.
 func TestHostTableConcurrentNoteAndTake(t *testing.T) {
-	h := newHostTable(60)
+	// RPV entries outlive the run: each goroutine keeps its own clock, and
+	// a take at a later time must not expire the note another goroutine
+	// is about to check (TestHostTableReleasesExpiredRPV covers expiry).
+	h := newHostTable(1000)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -24,8 +29,9 @@ func TestHostTableConcurrentNoteAndTake(t *testing.T) {
 				now := int64(j)
 				h.noteVolume(host, core.VolumeID(j%10), now)
 				h.add(host, "/hit")
-				h.note(host, "/x", now+10, false)
-				if rpv := h.take(host, "/self", now, now+20).rpv; len(rpv) == 0 {
+				h.chain(host, []core.Element{{URL: "/x"}}, j%50 == 0)
+				h.noteSince(host, "e.1", now)
+				if rpv := h.take(host, now).rpv; len(rpv) == 0 {
 					t.Errorf("%s at %d: empty RPV snapshot right after a note", host, now)
 				}
 			}
@@ -47,13 +53,13 @@ func TestHostTableConcurrentNoteAndTake(t *testing.T) {
 func TestHostTableReleasesExpiredRPV(t *testing.T) {
 	h := newHostTable(10)
 	h.noteVolume(expHost, 1, 100)
-	if rpv := h.take(expHost, "/self", 105, 105).rpv; len(rpv) != 1 || rpv[0] != 1 {
+	if rpv := h.take(expHost, 105).rpv; len(rpv) != 1 || rpv[0] != 1 {
 		t.Fatalf("rpv %v at 105, want [1]", rpv)
 	}
 	if h.stripe(expHost).m[expHost] == nil {
 		t.Fatal("record with a live RPV entry released")
 	}
-	if rpv := h.take(expHost, "/self", 500, 500).rpv; rpv != nil {
+	if rpv := h.take(expHost, 500).rpv; rpv != nil {
 		t.Fatalf("rpv %v at 500, want none", rpv)
 	}
 	if hr := h.stripe(expHost).m[expHost]; hr != nil {
@@ -66,12 +72,12 @@ func TestHostTableReleasesExpiredRPV(t *testing.T) {
 // nothing — and take hands it out each time.
 func TestHostTokenOutlivesEmptyRecord(t *testing.T) {
 	h := newHostTable(60)
-	if got := h.take(expHost, "/self", 100, 100).since; got != httpwire.NoToken {
+	if got := h.take(expHost, 100).since; got != httpwire.NoToken {
 		t.Fatalf("since = %q before any token, want %q", got, httpwire.NoToken)
 	}
-	h.noteSince(expHost, "e.5")
+	h.noteSince(expHost, "e.5", 0)
 	for i := 0; i < 2; i++ {
-		if got := h.take(expHost, "/self", 100, 100).since; got != "e.5" {
+		if got := h.take(expHost, 100).since; got != "e.5" {
 			t.Fatalf("take %d: since = %q, want e.5", i, got)
 		}
 	}

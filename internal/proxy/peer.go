@@ -157,7 +157,7 @@ func (p *Proxy) forwardToPeer(ctx context.Context, owner string, st upstreamStat
 	if err != nil {
 		notAfter = now
 	}
-	out := p.admit(st.key, resp, now, notAfter, false)
+	out := p.admit(st, resp, now, notAfter, 0)
 	out.Header.Set("X-Cache", "PEER")
 	m.c.serves.Inc()
 	return out

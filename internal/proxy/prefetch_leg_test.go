@@ -260,21 +260,21 @@ func TestCloseReleasesPrefetchConnection(t *testing.T) {
 }
 
 // TestPrefetchLeavesReportsForDemand sends a prefetch between two client
-// misses to one host while a fresh hit is pending and a cached path is due
-// for listing: the prefetch carries neither Piggy-Hits nor Piggy-Validate,
-// and the next client miss carries both.
+// misses to one host while a fresh hit is pending: the prefetch carries
+// neither Piggy-Hits nor Piggy-Since, and the next client miss carries both.
 func TestPrefetchLeavesReportsForDemand(t *testing.T) {
 	const host = "www.r.test"
 	type sent struct {
-		prefetch       bool
-		hits, validate []string
+		prefetch bool
+		hits     []string
+		since    string
 	}
 	var mu sync.Mutex
 	var got []sent
 	origin := startOrigin(t, httpwire.HandlerFunc(func(_ context.Context, req *httpwire.Request) *httpwire.Response {
 		mu.Lock()
 		got = append(got, sent{isPrefetch(req),
-			httpwire.GetPaths(req, httpwire.FieldPiggyHits), httpwire.GetPaths(req, httpwire.FieldPiggyValidate)})
+			httpwire.GetPaths(req, httpwire.FieldPiggyHits), req.Header.Get(httpwire.FieldPiggySince)})
 		mu.Unlock()
 		return okResponse("body of " + req.Path)
 	}))
@@ -293,8 +293,6 @@ func TestPrefetchLeavesReportsForDemand(t *testing.T) {
 			t.Fatalf("%s: X-Cache %q, want MISS", path, resp.Header.Get("X-Cache"))
 		}
 	}
-	// Both expire at 10_600, within Δ/4 of 10_500: /due.html is due for
-	// listing, and /hit.html, hit now, is reported instead.
 	now.Store(10_500)
 	if resp := proxyGet(p, host+"/hit.html"); resp.Header.Get("X-Cache") != "HIT" {
 		t.Fatalf("/hit.html: X-Cache %q, want HIT", resp.Header.Get("X-Cache"))
@@ -313,10 +311,10 @@ func TestPrefetchLeavesReportsForDemand(t *testing.T) {
 	if len(got) != 4 {
 		t.Fatalf("origin saw %d requests, want 4", len(got))
 	}
-	if pf := got[2]; !pf.prefetch || len(pf.hits) != 0 || len(pf.validate) != 0 {
-		t.Errorf("prefetch request: %+v, want one with piggybacking disabled that reports and lists nothing", pf)
+	if pf := got[2]; !pf.prefetch || len(pf.hits) != 0 || pf.since != "" {
+		t.Errorf("prefetch request: %+v, want one with piggybacking disabled that reports nothing and sends no token", pf)
 	}
-	if d := got[3]; d.prefetch || !reflect.DeepEqual(d.hits, []string{"/hit.html"}) || !reflect.DeepEqual(d.validate, []string{"/due.html"}) {
-		t.Errorf("client miss after the prefetch: %+v, want hits [/hit.html] and validate [/due.html]", d)
+	if d := got[3]; d.prefetch || !reflect.DeepEqual(d.hits, []string{"/hit.html"}) || d.since != httpwire.NoToken {
+		t.Errorf("client miss after the prefetch: %+v, want hits [/hit.html] and Piggy-Since %q", d, httpwire.NoToken)
 	}
 }

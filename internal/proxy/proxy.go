@@ -38,13 +38,14 @@ type Config struct {
 	// BaseFilter is attached to upstream requests (the per-server RPV
 	// list is added per request). Unless it is disabled, the proxy also
 	// reports the URLs it served from cache since its last upstream
-	// request to a server on the next one (Piggy-Hits, §5), lists cached
-	// URLs of that server about to expire (Piggy-Validate, piggyback cache
-	// validation), and applies the server's answer — each listed
-	// resource's current version, in a P-Valid2 trailer — as it applies a
-	// piggybacked volume's elements. It also echoes the token of its last
-	// change list from that server (Piggy-Since) and applies the changes
-	// listed since (P-Changes, piggyback server invalidation).
+	// request to a server on the next one (Piggy-Hits, §5) and applies the
+	// server's answer — each reported resource's current version, in a
+	// P-Valid2 trailer — as it applies a piggybacked volume's elements. It
+	// also echoes the token of its last change list from that server
+	// (Piggy-Since) and applies the changes listed since (P-Changes,
+	// piggyback server invalidation); while those lists arrive complete,
+	// they keep its copies of that server's resources fresh past their
+	// own expiry (see lookup).
 	BaseFilter core.Filter
 	// RPVTimeout is how long a volume stays on a server's RPV list
 	// (§2.2); zero means Delta (its upper bound). It is also how long a
@@ -128,8 +129,7 @@ type Stats struct {
 	HitsReported int
 	HitsDropped  int
 	// HitValidations counts the elements of the origin's answers to those
-	// reports (P-Valid2 trailers) applied to the cache; answers to listed
-	// URLs (Piggy-Validate) are not counted here.
+	// reports (P-Valid2 trailers) applied to the cache.
 	HitValidations int
 	// DeltaUpdates counts 226 delta responses applied; DeltaBytesSaved
 	// the body bytes they avoided transferring (§4, ref [23]).
@@ -185,9 +185,10 @@ type Proxy struct {
 	// fresh hits on different shards proceed in parallel), or whatever
 	// Config.Store supplied (e.g. a tiered RAM+disk store).
 	cache cache.Store
-	// hosts stripes the same way what each origin host is owed: its RPV
-	// list (§2.2), pending hit report (§5) and expiry index (piggyback
-	// cache validation).
+	// hosts stripes the same way what each origin host is owed and what it
+	// last said: its RPV list (§2.2), pending hit report (§5), and the
+	// token and watermark of its change lists (piggyback server
+	// invalidation).
 	hosts *hostTable
 
 	// flights de-duplicates concurrent fetches of one key — client
@@ -224,26 +225,17 @@ type proxyCounters struct {
 	refreshes          *obs.Counter
 	invalidations      *obs.Counter
 	// invalidationsVia splits invalidations by the channel that named the
-	// newer version; answers to hits and to listed paths share one.
+	// newer version.
 	invalidationsVia [viaChanges + 1]*obs.Counter
 	prefetches       *obs.Counter
 	usefulPrefetches *obs.Counter
 	hitsReported     *obs.Counter
 	hitsDropped      *obs.Counter
 	hitValidations   *obs.Counter
-	// expiryListed counts cached URLs listed in Piggy-Validate;
-	// expiryUseful the answers to them that refreshed an entry later
-	// reported as a fresh hit; expiryIndexFull the keys left out of the
-	// expiry index at its cap; expiryIndexExpired the keys that left it
-	// unlisted, found already expired; listBytes the Piggy-Hits and
-	// Piggy-Validate value bytes sent.
-	expiryListed       *obs.Counter
-	expiryUseful       *obs.Counter
-	expiryIndexFull    *obs.Counter
-	expiryIndexExpired *obs.Counter
-	listBytes          *obs.Counter
-	deltaUpdates       *obs.Counter
-	deltaBytesSaved    *obs.Counter
+	// listBytes counts the Piggy-Hits value bytes sent.
+	listBytes       *obs.Counter
+	deltaUpdates    *obs.Counter
+	deltaBytesSaved *obs.Counter
 	// deltaBaseRefetches counts fetches of a key whose copy was
 	// invalidated, sent conditional on that copy as a delta base; the share
 	// of them deltaUpdates patched says whether bases earn their memory.
@@ -251,8 +243,11 @@ type proxyCounters struct {
 	singleflightShared *obs.Counter
 	upstreamErrors     *obs.Counter
 	staleServes        *obs.Counter
-	// changeBreaks counts the change lists that were breaks.
-	changeBreaks *obs.Counter
+	// changeBreaks counts the change lists that were breaks;
+	// watermarkHits the fresh hits on copies past their own expiry, served
+	// under their host's change-list watermark.
+	changeBreaks  *obs.Counter
+	watermarkHits *obs.Counter
 }
 
 // New returns a Proxy for cfg.
@@ -296,10 +291,6 @@ func New(cfg Config) *Proxy {
 			hitsReported:       reg.Counter("proxy.hits_reported"),
 			hitsDropped:        reg.Counter("proxy.hits_dropped"),
 			hitValidations:     reg.Counter("proxy.hit_validations"),
-			expiryListed:       reg.Counter("proxy.expiry_validations"),
-			expiryUseful:       reg.Counter("proxy.expiry_validations_useful"),
-			expiryIndexFull:    reg.Counter("proxy.expiry_index_full"),
-			expiryIndexExpired: reg.Counter("proxy.expiry_index_expired"),
 			listBytes:          reg.Counter("proxy.list_bytes"),
 			deltaUpdates:       reg.Counter("proxy.delta_updates"),
 			deltaBytesSaved:    reg.Counter("proxy.delta_bytes_saved"),
@@ -308,14 +299,13 @@ func New(cfg Config) *Proxy {
 			upstreamErrors:     reg.Counter("proxy.upstream_errors"),
 			staleServes:        reg.Counter("proxy.stale_serves"),
 			changeBreaks:       reg.Counter("proxy.change_breaks"),
+			watermarkHits:      reg.Counter("proxy.watermark_hits"),
 		},
 	}
-	answered := reg.Counter("proxy.invalidations.answer")
 	p.c.invalidationsVia = [...]*obs.Counter{
-		viaVolume:     reg.Counter("proxy.invalidations.volume"),
-		viaHitAnswer:  answered,
-		viaListAnswer: answered,
-		viaChanges:    reg.Counter("proxy.invalidations.changes"),
+		viaVolume:    reg.Counter("proxy.invalidations.volume"),
+		viaHitAnswer: reg.Counter("proxy.invalidations.answer"),
+		viaChanges:   reg.Counter("proxy.invalidations.changes"),
 	}
 	p.mesh = newMesh(cfg, reg)
 	p.origin.client.MaxInflightPerConn = originInflight
@@ -499,16 +489,25 @@ func (p *Proxy) fetchRouted(ctx context.Context, st upstreamState, now int64, fr
 }
 
 // lookup runs the cache-side half of a request. It returns a response for
-// a fresh hit, or the state the upstream exchange needs. The only lock it
-// takes is the shard lock inside cache.Lookup, which also copies out the
+// a fresh hit, or the state the upstream exchange needs. A fresh hit takes
+// only the shard lock inside cache.Lookup, which also copies out the
 // servable state and clears the prefetch mark atomically.
+//
+// A copy is fresh until its own expiry, and past it while its host's
+// change-list watermark keeps it (hostTable.covers): the origin's lists
+// since the copy was admitted have each been applied, the last of them
+// complete, on a request sent within the copy's Δ — so every change the
+// origin made to the resource more than Δ ago would have made the copy a
+// delta base. Only a copy admitted on a link of its host's chain (admit)
+// can be kept so: not one that came from a peer or from disk, nor one
+// admitted before a break.
 func (p *Proxy) lookup(key, host, path string, now int64) (upstreamState, *httpwire.Response) {
 	st := upstreamState{key: key, host: host, path: path}
 	v, hit := p.cache.Lookup(key, now)
 	if hit && v.WasPrefetched {
 		p.c.usefulPrefetches.Inc()
 	}
-	if hit && v.Fresh(now) {
+	if hit && (v.Fresh(now) || p.heardFresh(host, key, v, now)) {
 		p.c.freshHits.Inc()
 		if !p.cfg.BaseFilter.Disabled && !p.hosts.add(host, path) {
 			p.c.hitsDropped.Inc()
@@ -519,6 +518,16 @@ func (p *Proxy) lookup(key, host, path string, now int64) (upstreamState, *httpw
 	}
 	st.v, st.hit = v, hit
 	return st, nil
+}
+
+// heardFresh reports whether v, past its own expiry, is kept fresh by its
+// host's change-list watermark, and counts it.
+func (p *Proxy) heardFresh(host, key string, v cache.View, now int64) bool {
+	if v.Chain == 0 || !p.hosts.covers(host, v.Chain, now-p.delta(key)) {
+		return false
+	}
+	p.c.watermarkHits.Inc()
+	return true
 }
 
 // joinFlight waits on an existing flight for key and returns its shared
@@ -559,8 +568,8 @@ func (p *Proxy) finishFlight(key string, out *httpwire.Response) {
 
 // fetch is the miss path, for a client miss and a prefetch alike: ask the
 // origin — conditionally when a stale copy (§2.1) or a delta base exists —
-// act on the outcome, then on the piggyback and the answer to the hit
-// report and validation list that rode along. A prefetch (§4) is the same
+// act on the outcome, then on the piggyback, the answer to the hit report
+// and the change list that rode along. A prefetch (§4) is the same
 // request sent early, on the speculative leg. Only a delta that does not
 // apply, or a 304 to a base, leaves out nil; it costs one more pass,
 // unconditional, which cannot end that way.
@@ -573,7 +582,7 @@ func (p *Proxy) fetch(ctx context.Context, st upstreamState, now int64) *httpwir
 		if cond && st.v.Outdated {
 			p.c.deltaBaseRefetches.Inc()
 		}
-		oreq, sent, nHits := p.originRequest(st, cond, now)
+		oreq, sent, link := p.originRequest(st, cond, now)
 		resp, err := p.askOrigin(ctx, l, st.host, oreq)
 		if err != nil {
 			return p.degrade(st, now, err)
@@ -581,10 +590,10 @@ func (p *Proxy) fetch(ctx context.Context, st upstreamState, now int64) *httpwir
 		var out *httpwire.Response
 		switch {
 		case resp.Status == 200:
-			out = p.fetched(st, resp, now)
+			out = p.fetched(st, resp, now, link)
 		case resp.Status == 226 && cond:
 			if p.patch(st.key, st.v.Body, st.v.ContentType, resp) {
-				out = p.fetched(st, resp, now)
+				out = p.fetched(st, resp, now, link)
 			}
 		case resp.Status == 304 && cond && st.hit:
 			out = p.notModified(st, now)
@@ -612,10 +621,15 @@ func (p *Proxy) fetch(ctx context.Context, st upstreamState, now int64) *httpwir
 			}
 		}
 		if len(sent) > 0 {
-			p.applyValidations(st.host, httpwire.ExtractAnswers(resp, oreq, len(sent)), sent, nHits, now)
+			p.applyValidations(st.host, httpwire.ExtractAnswers(resp, oreq, len(sent)), sent, now)
 		}
-		if token, changes, brk, ok := httpwire.ExtractChanges(resp); ok {
-			p.applyChanges(st.host, token, changes, brk, now)
+		// Last: a change the origin made after reading anything above
+		// undoes what that did.
+		if token, changes, brk, complete, ok := httpwire.ExtractChanges(resp); ok {
+			p.applyChanges(st.host, token, changes, brk, complete, now)
+		} else if oreq.Header.Has(httpwire.FieldPiggySince) {
+			// No answer to the token: the origin vouches for nothing now.
+			p.hosts.unheard(st.host)
 		}
 		if out != nil {
 			out.Header.Set("X-Cache", "MISS")
@@ -626,16 +640,14 @@ func (p *Proxy) fetch(ctx context.Context, st upstreamState, now int64) *httpwir
 
 // originRequest builds the GET for st: If-Modified-Since (and A-IM when
 // deltas are on) when cond, the filter with this host's RPV list, and —
-// unless the filter is disabled — the hit reports pending for the host, the
-// validation list: the up to maxListed of its cached paths expiring soonest
-// within the next Δ/4, in path order, and the host's change-list token. It
-// drains the reports and the list, puts back the hits and listed paths the
-// header budget leaves out, and returns the paths it sent, as an answer
-// indexes them — the reported hits, then the listed paths, each in wire
-// order — and how many of them are hits. A prefetch sends the filter
-// disabled, so it sets off no speculative cascade, and sends no reports,
-// list or token: those wait for the host's next demand request.
-func (p *Proxy) originRequest(st upstreamState, cond bool, now int64) (*httpwire.Request, []string, int) {
+// unless the filter is disabled — the hit reports pending for the host and
+// its change-list token. It drains the reports, puts back the hits the
+// header budget leaves out, and returns the paths it sent, in wire order,
+// as an answer indexes them, and the host's last link, on which the
+// response's body is admitted. A prefetch sends the filter disabled, so it
+// sets off no speculative cascade, and sends no reports or token: those
+// wait for the host's next demand request.
+func (p *Proxy) originRequest(st upstreamState, cond bool, now int64) (*httpwire.Request, []string, uint64) {
 	oreq := httpwire.NewRequest("GET", st.path)
 	oreq.Header.Set("Host", st.host)
 	if cond {
@@ -643,10 +655,10 @@ func (p *Proxy) originRequest(st upstreamState, cond bool, now int64) (*httpwire
 	}
 	if st.speculative {
 		httpwire.SetFilter(oreq, core.Filter{Disabled: true})
-		return oreq, nil, 0
+		return oreq, nil, p.hosts.lastLink(st.host)
 	}
-	// Nothing is buffered or indexed while the filter is disabled.
-	o := p.hosts.take(st.host, st.path, now, now+p.cfg.Delta/4)
+	// Nothing is buffered while the filter is disabled.
+	o := p.hosts.take(st.host, now)
 	filter := p.cfg.BaseFilter
 	filter.RPV = o.rpv
 	httpwire.SetFilter(oreq, filter)
@@ -654,26 +666,11 @@ func (p *Proxy) originRequest(st upstreamState, cond bool, now int64) (*httpwire
 		return oreq, nil, 0
 	}
 	oreq.Header.Set(httpwire.FieldPiggySince, o.since)
-	p.c.expiryUseful.Add(int64(o.useful))
-	p.c.expiryIndexExpired.Add(int64(o.expired))
 	sent := httpwire.SetPaths(oreq, httpwire.FieldPiggyHits, o.hits)
-	nHits := len(sent)
-	p.c.hitsReported.Add(int64(nHits))
+	p.c.hitsReported.Add(int64(len(sent)))
 	p.c.hitsDropped.Add(int64(p.hosts.putBackHits(st.host, o.hits, sent)))
-	if len(o.listed) > 0 {
-		// SetPaths writes the last path first: reversed, the list goes
-		// out in path order.
-		paths := make([]string, len(o.listed))
-		for i, l := range o.listed {
-			paths[len(o.listed)-1-i] = l.path
-		}
-		wrote := httpwire.SetPaths(oreq, httpwire.FieldPiggyValidate, paths)
-		p.c.expiryListed.Add(int64(len(wrote)))
-		p.c.expiryIndexFull.Add(int64(p.hosts.putBack(st.host, o.listed, wrote)))
-		sent = append(sent, wrote...)
-	}
-	p.c.listBytes.Add(int64(len(oreq.Header.Get(httpwire.FieldPiggyHits)) + len(oreq.Header.Get(httpwire.FieldPiggyValidate))))
-	return oreq, sent, nHits
+	p.c.listBytes.Add(int64(len(oreq.Header.Get(httpwire.FieldPiggyHits))))
+	return oreq, sent, o.link
 }
 
 // condition makes req conditional on the cached version lm — lmDate is its
@@ -705,9 +702,10 @@ func (p *Proxy) askOrigin(ctx context.Context, l leg, host string, req *httpwire
 }
 
 // fetched is the 200 outcome (a patched 226 included): a body for a cold
-// key or one with a delta base, or a new version for a stale copy. A
-// prefetched body is admitted marked Prefetched.
-func (p *Proxy) fetched(st upstreamState, resp *httpwire.Response, now int64) *httpwire.Response {
+// key or one with a delta base, or a new version for a stale copy, sent
+// when link was its host's last. A prefetched body is admitted marked
+// Prefetched.
+func (p *Proxy) fetched(st upstreamState, resp *httpwire.Response, now int64, link uint64) *httpwire.Response {
 	switch {
 	case st.hit:
 		p.c.validations.Inc()
@@ -716,20 +714,17 @@ func (p *Proxy) fetched(st upstreamState, resp *httpwire.Response, now int64) *h
 	default:
 		p.c.missFetches.Inc()
 	}
-	return p.admit(st.key, resp, now, math.MaxInt64, st.speculative)
+	return p.admit(st, resp, now, math.MaxInt64, link)
 }
 
 // notModified is the 304 outcome. It serves the validated copy, not
 // whatever the cache holds now — a concurrent fetch may have replaced the
 // entry since lookup, or an eviction or invalidation removed it, and then
-// there is nothing to index.
+// there is nothing to freshen.
 func (p *Proxy) notModified(st upstreamState, now int64) *httpwire.Response {
 	p.c.validations.Inc()
 	p.c.notModified.Inc()
-	expires := now + p.delta(st.key)
-	if p.cache.Freshen(st.key, expires) {
-		p.noteExpiry(st.host, st.path, expires, false)
-	}
+	p.cache.Freshen(st.key, now+p.delta(st.key))
 	return serveCopy(st.v.Body, st.v.LastModified, st.v.LastModifiedHTTP, st.v.ContentType)
 }
 
@@ -758,60 +753,43 @@ func (p *Proxy) patch(key string, cachedBody []byte, cachedCT string, resp *http
 	return true
 }
 
-// admit is the only way a body enters the cache: resp's body becomes key's
-// current version, with the Last-Modified and Content-Type resp carries,
-// expiring Δ from now but no later than notAfter, and a copy to serve
-// comes back. Every admitted version feeds the freshness estimator, and
-// every version the store keeps feeds the expiry index, whichever leg it
-// arrived on.
-func (p *Proxy) admit(key string, resp *httpwire.Response, now, notAfter int64, prefetched bool) *httpwire.Response {
+// admit is the only way a body enters the cache: resp's body becomes st's
+// key's current version, with the Last-Modified and Content-Type resp
+// carries, expiring Δ from now but no later than notAfter, and a copy to
+// serve comes back. Every admitted version feeds the freshness estimator,
+// whichever leg it arrived on. link is the host's last link when the
+// request was sent (0 for a peer's copy): the copy joins the host's chain,
+// and its watermark can keep it fresh, only if no change list applied
+// while the body was in flight named a newer version of the resource —
+// that list found no copy to take the change — and no break came. A list
+// that names one between the check and the insert leaves that undecided,
+// and the copy is dropped.
+func (p *Proxy) admit(st upstreamState, resp *httpwire.Response, now, notAfter int64, link uint64) *httpwire.Response {
 	lm, _ := resp.LastModified()
 	lmDate := resp.Header.Get("Last-Modified")
 	ct := resp.Header.Get("Content-Type")
 	if p.fresh != nil {
-		p.fresh.Observe(key, lm)
+		p.fresh.Observe(st.key, lm)
 	}
-	expires := min(now+p.delta(key), notAfter)
-	evicted := p.cache.Put(cache.Entry{
-		URL:              key,
+	if !p.hosts.current(st.host, st.path, lm, link) {
+		link = 0
+	}
+	p.cache.Put(cache.Entry{
+		URL:              st.key,
 		Size:             int64(len(resp.Body)),
 		LastModified:     lm,
 		LastModifiedHTTP: lmDate,
-		Expires:          expires,
+		Expires:          min(now+p.delta(st.key), notAfter),
 		FetchedAt:        now,
 		Body:             resp.Body,
 		ContentType:      ct,
-		Prefetched:       prefetched,
+		Prefetched:       st.speculative,
+		Chain:            link,
 	}, now)
-	// Put refuses a body larger than a shard: no request lists that key.
-	if i := strings.IndexByte(key, '/'); i >= 0 && p.cache.Contains(key) {
-		p.noteExpiry(key[:i], key[i:], expires, false)
+	if link != 0 && !p.hosts.current(st.host, st.path, lm, link) {
+		p.cache.Delete(st.key)
 	}
-	p.forgetEvicted(evicted)
 	return serveCopy(resp.Body, lm, lmDate, ct)
-}
-
-// noteExpiry feeds host's expiry index with the expiry a step just gave
-// the cached path; ahead says the answer to a listing gave it. Nothing is
-// indexed while the filter is disabled: no request would list it.
-func (p *Proxy) noteExpiry(host, path string, expires int64, ahead bool) {
-	if !p.cfg.BaseFilter.Disabled && !p.hosts.note(host, path, expires, ahead) {
-		p.c.expiryIndexFull.Inc()
-	}
-}
-
-// forgetEvicted drops the keys an insert evicted from their hosts' expiry
-// indexes, so no request lists a copy the proxy no longer holds. A key the
-// tiered store demoted to disk is dropped too; its next read validates it.
-func (p *Proxy) forgetEvicted(evicted []string) {
-	if p.cfg.BaseFilter.Disabled {
-		return
-	}
-	for _, key := range evicted {
-		if i := strings.IndexByte(key, '/'); i >= 0 {
-			p.hosts.drop(key[:i], key[i:])
-		}
-	}
 }
 
 // passThrough relays a status the proxy neither caches nor interprets.
@@ -895,24 +873,18 @@ func (p *Proxy) processPiggyback(host string, m core.Message, now int64) {
 	}
 }
 
-// applyValidations applies the origin's answer to a hit report and a
-// validation list (P-Valid2): each answer is the current version of the
-// resource at its index in sent — the paths the request sent, its nHits
-// reported hits first, then the paths it listed (disjoint from the hits) —
-// read by the server while answering a request sent at now, so an entry it
-// freshens expires at most Δ past that read — the staleness bound of a
-// volume's elements. ExtractAnswers has already checked that every index
-// is in sent and that the answer's digest is that of the lists sent. An
-// answer names no volume, so it notes no RPV entry, and it is not
-// re-propagated to mesh peers.
-func (p *Proxy) applyValidations(host string, answers []httpwire.Answer, sent []string, nHits int, now int64) {
+// applyValidations applies the origin's answer to a hit report (P-Valid2):
+// each answer is the current version of the resource at its index in sent
+// — the paths the request reported — read by the server while answering a
+// request sent at now, so an entry it freshens expires at most Δ past that
+// read — the staleness bound of a volume's elements. ExtractAnswers has
+// already checked that every index is in sent and that the answer's digest
+// is that of the list sent. An answer names no volume, so it notes no RPV
+// entry, and it is not re-propagated to mesh peers.
+func (p *Proxy) applyValidations(host string, answers []httpwire.Answer, sent []string, now int64) {
+	p.c.hitValidations.Add(int64(len(answers)))
 	for _, a := range answers {
-		via := viaListAnswer
-		if a.I < nHits {
-			p.c.hitValidations.Inc()
-			via = viaHitAnswer
-		}
-		p.applyElement(host, core.Element{URL: sent[a.I], Size: a.Size, LastModified: a.LastModified}, now, via)
+		p.applyElement(host, core.Element{URL: sent[a.I], Size: a.Size, LastModified: a.LastModified}, now, viaHitAnswer)
 	}
 }
 
@@ -920,39 +892,47 @@ func (p *Proxy) applyValidations(host string, answers []httpwire.Answer, sent []
 // server invalidation): each element is the current version of a resource
 // modified since the token the request carried, read by the server while
 // answering a request sent at now, so it is applied as an answer's element
-// is. Then token becomes the host's: the last answer wins, and an older
-// token overwriting a newer one only has changes sent again, which apply
-// as no-ops. A change list is not re-propagated to mesh peers.
-func (p *Proxy) applyChanges(host, token string, changes []core.Element, brk bool, now int64) {
+// is. A list that names changes, and a break, first add a link to the
+// host's chain, so that a body in flight meanwhile that the list names, or
+// any after a break, is not covered (admit).
+// Then token becomes the host's, with now as its watermark when the list is
+// complete: the last answer wins, and an older token overwriting a newer
+// one only has changes sent again, which apply as no-ops. A change list is
+// not re-propagated to mesh peers.
+func (p *Proxy) applyChanges(host, token string, changes []core.Element, brk, complete bool, now int64) {
 	if brk {
 		p.c.changeBreaks.Inc()
+	}
+	if brk || len(changes) > 0 {
+		p.hosts.chain(host, changes, brk)
 	}
 	for _, el := range changes {
 		p.applyElement(host, el, now, viaChanges)
 	}
-	p.hosts.noteSince(host, token)
+	heard := int64(0)
+	if complete {
+		heard = now
+	}
+	p.hosts.noteSince(host, token, heard)
 }
 
 // channel is how an element reached the proxy.
 type channel int
 
 const (
-	viaVolume     channel = iota // a piggybacked volume's element (P-Volume)
-	viaHitAnswer                 // the answer to a reported hit (P-Valid2)
-	viaListAnswer                // the answer to a listed path (P-Valid2)
-	viaChanges                   // the change list (P-Changes)
+	viaVolume    channel = iota // a piggybacked volume's element (P-Volume)
+	viaHitAnswer                // the answer to a reported hit (P-Valid2)
+	viaChanges                  // the change list (P-Changes)
 )
 
 // applyElement is the per-element step of a piggyback, an answer or a
 // change list: feed the freshness estimator, freshen or invalidate the
-// cached copy (and its expiry index entry), pin it for replacement, and
-// queue a prefetch when the copy is gone or only a delta base. Only a
-// volume's element or the answer to a reported hit queues a prefetch: nobody
-// read a listed path's entry recently, nor a changed resource's, so
-// fetching its new version would be speculation without evidence. An
-// element with no Last-Modified carries no version — applied, it would
-// freshen any copy, since no cached Last-Modified is older — and is
-// skipped.
+// cached copy, pin it for replacement, and queue a prefetch when the copy
+// is gone or only a delta base. A change list's element queues no
+// prefetch: nobody read a changed resource's copy recently, so fetching its
+// new version would be speculation without evidence. An element with no
+// Last-Modified carries no version — applied, it would freshen any copy,
+// since no cached Last-Modified is older — and is skipped.
 func (p *Proxy) applyElement(host string, el core.Element, now int64, via channel) {
 	if el.LastModified <= 0 {
 		return
@@ -972,9 +952,8 @@ func (p *Proxy) applyElement(host string, el core.Element, now int64, via channe
 	if p.fresh != nil {
 		p.fresh.Observe(key, el.LastModified)
 	}
-	expires := now + p.delta(key)
-	speculate := p.cfg.Prefetch && (via == viaVolume || via == viaHitAnswer)
-	switch p.cache.ApplyPiggyback(key, el.LastModified, expires, now+p.cfg.RPVTimeout, now) {
+	speculate := p.cfg.Prefetch && via != viaChanges
+	switch p.cache.ApplyPiggyback(key, el.LastModified, now+p.delta(key), now+p.cfg.RPVTimeout, now) {
 	case cache.PiggybackInvalidated:
 		// Outdated copy: kept as the delta base of its refetch, or deleted
 		// when deltas are off; a fresh copy could be prefetched (§2.1).
@@ -983,13 +962,11 @@ func (p *Proxy) applyElement(host string, el core.Element, now int64, via channe
 		if !p.cfg.DeltaEncoding {
 			p.cache.Delete(key)
 		}
-		p.hosts.drop(elHost, elPath)
 		if speculate {
 			p.queue.Push(FetchItem{Host: elHost, URL: elPath, Size: el.Size})
 		}
 	case cache.PiggybackRefreshed:
 		p.c.refreshes.Inc()
-		p.noteExpiry(elHost, elPath, expires, via == viaListAnswer)
 	case cache.PiggybackMiss:
 		if speculate {
 			p.queue.Push(FetchItem{Host: elHost, URL: elPath, Size: el.Size})

@@ -19,21 +19,19 @@ func sinceRequest(path, token string) *httpwire.Request {
 }
 
 // exchange sends sinceRequest(path, token) to s and returns the change
-// list it answers with; ok is false when it attaches none.
-func exchange(t *testing.T, s *Server, path, token string) (next string, els []core.Element, brk, ok bool) {
+// list it answers with; complete is false for a list the cap cut short and
+// for a break. Every answer carries one.
+func exchange(t *testing.T, s *Server, path, token string) (next string, els []core.Element, brk, complete bool) {
 	t.Helper()
 	resp := s.ServeWire(context.Background(), sinceRequest(path, token))
 	if resp.Status != 200 {
 		t.Fatalf("GET %s: status %d", path, resp.Status)
 	}
-	if resp.Trailer.Get(httpwire.FieldPChanges) == "" {
-		return "", nil, false, false
-	}
-	next, els, brk, ok = httpwire.ExtractChanges(resp)
+	next, els, brk, complete, ok := httpwire.ExtractChanges(resp)
 	if !ok {
-		t.Fatalf("malformed P-Changes %q", resp.Trailer.Get(httpwire.FieldPChanges))
+		t.Fatalf("missing or malformed P-Changes %q", resp.Trailer.Get(httpwire.FieldPChanges))
 	}
-	return next, els, brk, true
+	return next, els, brk, complete
 }
 
 // urls returns the elements' URLs.
@@ -48,34 +46,34 @@ func urls(els []core.Element) []string {
 // TestChangeLogAnswersSince: the first token is a break; each later
 // exchange lists what changed since the token it carries, once per URL,
 // with its current version, leaving out the requested resource, and a
-// token covering them; nothing new attaches nothing, and the server's
-// counters move by exactly what went out.
+// token covering them; nothing new is a complete, empty list under the
+// same token, and the server's counters move by exactly what went out.
 func TestChangeLogAnswersSince(t *testing.T) {
 	s, st := testServer(2000)
-	t0, els, brk, ok := exchange(t, s, "/a/x.html", httpwire.NoToken)
-	if !ok || !brk || len(els) != 0 {
-		t.Fatalf("first exchange: ok %v break %v elements %v, want a break", ok, brk, els)
+	t0, els, brk, complete := exchange(t, s, "/a/x.html", httpwire.NoToken)
+	if !brk || complete || len(els) != 0 {
+		t.Fatalf("first exchange: break %v complete %v elements %v, want a break", brk, complete, els)
 	}
-	if _, _, _, ok := exchange(t, s, "/a/x.html", t0); ok {
-		t.Fatal("nothing changed, yet a change list was attached")
+	if next, els, brk, complete := exchange(t, s, "/a/x.html", t0); next != t0 || len(els) != 0 || brk || !complete {
+		t.Fatalf("nothing changed: token %q elements %v break %v complete %v, want a complete, empty list under %q", next, els, brk, complete, t0)
 	}
 
 	st.Modify("/a/y.gif", 3000, 60)
 	st.Modify("/b/z.html", 3100, 0)
 	st.Modify("/a/y.gif", 3200, 0) // a second change of one URL is listed once
 	st.Modify("/a/x.html", 3300, 0)
-	t1, els, brk, ok := exchange(t, s, "/a/x.html", t0)
+	t1, els, brk, complete := exchange(t, s, "/a/x.html", t0)
 	want := []core.Element{{URL: "/a/y.gif", Size: 60, LastModified: 3200}, {URL: "/b/z.html", Size: 70, LastModified: 3100}}
-	if !ok || brk || fmt.Sprint(els) != fmt.Sprint(want) || t1 == t0 {
-		t.Fatalf("got ok %v break %v token %q elements %v, want %v under a new token", ok, brk, t1, els, want)
+	if !complete || brk || fmt.Sprint(els) != fmt.Sprint(want) || t1 == t0 {
+		t.Fatalf("got complete %v break %v token %q elements %v, want %v under a new token", complete, brk, t1, els, want)
 	}
 	// The old token again: the same changes, and x.html, which another
 	// request did not carry.
 	if _, els, _, _ := exchange(t, s, "/a/y.gif", t0); strings.Join(urls(els), " ") != "/a/x.html /b/z.html" {
 		t.Errorf("replayed token listed %v, want [/a/x.html /b/z.html]", urls(els))
 	}
-	if _, _, _, ok := exchange(t, s, "/a/x.html", t1); ok {
-		t.Error("the new token covers every change, yet a list was attached")
+	if next, els, _, _ := exchange(t, s, "/a/x.html", t1); next != t1 || len(els) != 0 {
+		t.Errorf("the new token covers every change, yet %v was listed under %q", els, next)
 	}
 
 	snap := s.Obs().Snapshot()
@@ -94,16 +92,16 @@ func TestChangeLogBreaks(t *testing.T) {
 	epoch, _, _ := strings.Cut(head, ".")
 
 	other := NewStore()
-	_, otherHead, _ := other.Changes(httpwire.NoToken, "")
+	otherHead, _, _ := other.Changes(httpwire.NoToken, "", 0)
 	for name, token := range map[string]string{
 		"restarted origin": otherHead,
 		"future":           epoch + ".5",
 		"malformed":        epoch + ".x",
 		"no epoch":         "0",
 	} {
-		next, els, brk, ok := exchange(t, s, "/a/x.html", token)
-		if !ok || !brk || len(els) != 0 || next != head {
-			t.Errorf("%s token %q: ok %v break %v elements %v token %q, want a break to %q", name, token, ok, brk, els, next, head)
+		next, els, brk, _ := exchange(t, s, "/a/x.html", token)
+		if !brk || len(els) != 0 || next != head {
+			t.Errorf("%s token %q: break %v elements %v token %q, want a break to %q", name, token, brk, els, next, head)
 		}
 	}
 
@@ -160,22 +158,24 @@ func TestChangeLogCapContinues(t *testing.T) {
 	}
 	seen := map[string]int{}
 	lists := 0
-	for {
-		next, els, brk, ok := exchange(t, s, "/self.html", token)
-		if !ok {
-			break
-		}
+	for complete := false; !complete; lists++ {
+		var next string
+		var els []core.Element
+		var brk bool
+		next, els, brk, complete = exchange(t, s, "/self.html", token)
 		if brk || len(els) > httpwire.MaxChanges || next == token {
 			t.Fatalf("list %d: break %v, %d elements, token %q after %q", lists, brk, len(els), next, token)
+		}
+		if !complete && len(els) != httpwire.MaxChanges {
+			t.Errorf("list %d: cut short at %d elements, below the cap", lists, len(els))
 		}
 		for _, e := range els {
 			seen[e.URL]++
 		}
 		token = next
-		lists++
 	}
 	if lists != 3 || len(seen) != n {
-		t.Fatalf("%d lists carried %d distinct URLs, want 3 carrying %d", lists, len(seen), n)
+		t.Fatalf("%d lists carried %d distinct URLs, want 3 carrying %d, the last complete", lists, len(seen), n)
 	}
 	for url, k := range seen {
 		if k != 1 {
@@ -192,18 +192,16 @@ func TestChangeLogCapContinues(t *testing.T) {
 		st.Modify(url, 6000, 0)
 	}
 	total := 0
-	for lists = 0; ; lists++ {
+	lists = 0
+	for complete := false; !complete; lists++ {
 		resp := s.ServeWire(context.Background(), sinceRequest("/self.html", token))
 		v := resp.Trailer.Get(httpwire.FieldPChanges)
-		if v == "" {
-			break
-		}
-		next, els, _, _ := httpwire.ExtractChanges(resp)
+		next, els, _, c, _ := httpwire.ExtractChanges(resp)
 		if len(v) > len(next)+1+httpwire.MaxChangeBytes {
 			t.Errorf("list %d: %d bytes, cap %d", lists, len(v), httpwire.MaxChangeBytes)
 		}
 		total += len(els)
-		token = next
+		token, complete = next, c
 	}
 	if lists < 2 || total != 20 {
 		t.Errorf("byte cap: %d lists carried %d elements, want 20 in more than one", lists, total)
@@ -211,17 +209,73 @@ func TestChangeLogCapContinues(t *testing.T) {
 }
 
 // TestChangeLogPutReplaceAndRemove: a Put that replaces a resource is a
-// change, a first Put is not, and a changed resource removed since is not
-// listed.
+// change, a first Put is not, and a removal is one no list can carry: the
+// answer to a token before it is a break, since a proxy's copy of the
+// removed resource must not stay covered. A resource removed and put back
+// is listed at its new version.
 func TestChangeLogPutReplaceAndRemove(t *testing.T) {
 	s, st := testServer(2000)
 	token, _, _, _ := exchange(t, s, "/a/x.html", httpwire.NoToken)
 	st.Put(Resource{URL: "/a/new.html", Size: 10, LastModified: 2500})
 	st.Put(Resource{URL: "/a/y.gif", Size: 80, LastModified: 2600})
+	token, els, _, complete := exchange(t, s, "/a/x.html", token)
+	if want := []core.Element{{URL: "/a/y.gif", Size: 80, LastModified: 2600}}; fmt.Sprint(els) != fmt.Sprint(want) || !complete {
+		t.Errorf("listed %v (complete %v), want %v", els, complete, want)
+	}
 	st.Modify("/b/z.html", 2700, 0)
 	st.Remove("/b/z.html")
-	_, els, _, _ := exchange(t, s, "/a/x.html", token)
-	if want := []core.Element{{URL: "/a/y.gif", Size: 80, LastModified: 2600}}; fmt.Sprint(els) != fmt.Sprint(want) {
-		t.Errorf("listed %v, want %v", els, want)
+	if next, els, brk, _ := exchange(t, s, "/a/x.html", token); !brk || len(els) != 0 || next == token {
+		t.Errorf("after a removal: break %v, elements %v, token %q; want a break to a new token", brk, els, next)
 	}
+	token, _, _, _ = exchange(t, s, "/a/x.html", httpwire.NoToken)
+	st.Remove("/a/y.gif")
+	st.Put(Resource{URL: "/a/y.gif", Size: 90, LastModified: 2800})
+	if _, els, brk, _ := exchange(t, s, "/a/x.html", token); brk || fmt.Sprint(els) != fmt.Sprint([]core.Element{{URL: "/a/y.gif", Size: 90, LastModified: 2800}}) {
+		t.Errorf("removed and put back: break %v, elements %v; want y.gif at 2800", brk, els)
+	}
+}
+
+// TestChangeLogListsSelfChangedWhileServed: a change to the requested
+// resource made after the server read the version it serves — here by the
+// volume engine's Observe, between the read and the list — is listed: the
+// token covers it, and a proxy that admitted the old body must hear of it.
+// A self unchanged since the read is left out.
+func TestChangeLogListsSelfChangedWhileServed(t *testing.T) {
+	st := NewStore()
+	st.Put(Resource{URL: "/a/x.html", Size: 100, LastModified: 1000})
+	vols := &modifyOnObserve{st: st, url: "/a/x.html", lm: 5000}
+	s := New(st, vols, func() int64 { return 2000 })
+	token, _, _, _ := exchange(t, s, "/a/x.html", httpwire.NoToken)
+	vols.armed = true
+	resp := s.ServeWire(context.Background(), sinceRequest("/a/x.html", token))
+	if lm, _ := resp.LastModified(); lm != 1000 {
+		t.Fatalf("served Last-Modified %d, want the version read before Observe, 1000", lm)
+	}
+	next, els, brk, complete, _ := httpwire.ExtractChanges(resp)
+	if want := []core.Element{{URL: "/a/x.html", Size: 100, LastModified: 5000}}; brk || !complete || fmt.Sprint(els) != fmt.Sprint(want) {
+		t.Fatalf("list %v (break %v, complete %v), want %v", els, brk, complete, want)
+	}
+	if _, els, _, _ := exchange(t, s, "/a/x.html", next); len(els) != 0 {
+		t.Errorf("self unchanged since the read listed %v", els)
+	}
+}
+
+// modifyOnObserve is a volume engine whose Observe, once armed, modifies
+// url to version lm, once: a change that lands while a request is served.
+type modifyOnObserve struct {
+	st    *Store
+	url   string
+	lm    int64
+	armed bool
+}
+
+func (m *modifyOnObserve) Observe(a core.Access) {
+	if m.armed {
+		m.armed = false
+		m.st.Modify(m.url, m.lm, 0)
+	}
+}
+
+func (m *modifyOnObserve) Piggyback(string, int64, core.Filter) (core.Message, bool) {
+	return core.Message{}, false
 }

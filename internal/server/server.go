@@ -89,18 +89,20 @@ type Store struct {
 	// log[n%changeLogSize], and seq numbers the latest, so the ring holds
 	// changes seq-changeLogSize+1 through seq. epoch is fixed when the
 	// store starts, so a token from another store (an origin before its
-	// restart) is a break; head is the rendered token of seq.
+	// restart) is a break; head is the rendered token of seq, and quiet
+	// the complete, empty list under it: nothing changed since head.
 	log   []string
 	seq   uint64
 	epoch string
 	head  string
+	quiet string
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
 	s := &Store{res: make(map[string]*Resource), log: make([]string, changeLogSize),
 		epoch: strconv.FormatUint(uint64(rand.Uint32()), 36)}
-	s.head = s.token(0)
+	s.setHead()
 	return s
 }
 
@@ -130,7 +132,7 @@ func (s *Store) Get(url string) (Resource, bool) {
 	return *r, true
 }
 
-// Remove deletes a resource.
+// Remove deletes a resource. A removal is a change.
 func (s *Store) Remove(url string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -138,6 +140,7 @@ func (s *Store) Remove(url string) bool {
 		return false
 	}
 	delete(s.res, url)
+	s.logChange(url)
 	return true
 }
 
@@ -163,7 +166,15 @@ func (s *Store) Modify(url string, lastModified, newSize int64) bool {
 func (s *Store) logChange(url string) {
 	s.seq++
 	s.log[s.seq%changeLogSize] = url
+	s.setHead()
+}
+
+// setHead renders the token of seq and the list saying nothing changed
+// since it, once per change, so that a static origin answers every
+// Piggy-Since without rendering anything.
+func (s *Store) setHead() {
 	s.head = s.token(s.seq)
+	s.quiet = httpwire.ChangesValue(s.head, nil, true)
 }
 
 // token renders the token covering the changes through seq.
@@ -171,49 +182,55 @@ func (s *Store) token(seq uint64) string {
 	return s.epoch + "." + strconv.FormatUint(seq, 10)
 }
 
-// Changes answers a proxy's Piggy-Since value sent on a request for self:
-// the resources changed after it that the store still holds, each once,
-// with its current version, and the token covering them. self is left
-// out, since the response to its request carries its version. The list follows the log and stops at
-// httpwire.MaxChanges elements or httpwire.MaxChangeBytes, and then the
+// Changes renders the P-Changes value answering a proxy's Piggy-Since
+// token sent on a request for self, whose response carries self's version
+// served: the resources changed after the token, each once, with its
+// current version, and the token covering them. self is left out unless it
+// changed again after served was read. The list follows the log and stops
+// at httpwire.MaxChanges elements or httpwire.MaxChangeBytes, and then the
 // token covers only the changes before the one that did not fit, so the
-// next answer starts there and nothing is lost. A resource whose path
-// cannot be listed (httpwire.Listable) is passed over; a proxy's copy of it
-// lives out its Δ as before. token is empty when nothing changed after
-// since. brk reports a break — since is httpwire.NoToken, malformed, of
-// another epoch, or older than the log — answered with the current token
-// and no elements.
-func (s *Store) Changes(since, self string) (els []core.Element, token string, brk bool) {
+// next answer starts there and nothing is lost; a list that reaches the
+// head is complete, and says so. n counts the elements. brk reports a
+// break, answered with the current token alone: since is httpwire.NoToken,
+// malformed, of another epoch, or older than the log — or it precedes a
+// change no list can carry (a removed resource, a path that is not
+// httpwire.Listable, a version that is not positive), since a proxy's
+// copy of that resource must not stay covered.
+func (s *Store) Changes(since, self string, served int64) (value string, n int, brk bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	epoch, n, _ := strings.Cut(since, ".")
-	from, err := strconv.ParseUint(n, 10, 64)
+	epoch, num, _ := strings.Cut(since, ".")
+	from, err := strconv.ParseUint(num, 10, 64)
 	if epoch != s.epoch || err != nil || from > s.seq || s.seq-from > changeLogSize {
-		return nil, s.head, true
+		return s.head, 0, true
 	}
 	if from == s.seq {
-		return nil, "", false
+		return s.quiet, 0, false
 	}
+	var els []core.Element
 	used := 0
 	for at := from + 1; at <= s.seq; at++ {
 		url := s.log[at%changeLogSize]
 		r, ok := s.res[url]
-		if !ok || url == self || r.LastModified <= 0 || !strings.HasPrefix(url, "/") || !httpwire.Listable(url) ||
+		if ok && url == self && r.LastModified == served ||
 			slices.ContainsFunc(els, func(e core.Element) bool { return e.URL == url }) {
 			continue
+		}
+		if !ok || r.LastModified <= 0 || !strings.HasPrefix(url, "/") || !httpwire.Listable(url) {
+			return s.head, 0, true
 		}
 		el := core.Element{URL: url, Size: r.Size, LastModified: r.LastModified}
 		cost := httpwire.ChangeCost(el)
 		if cost > httpwire.MaxChangeBytes {
-			continue // fits in no list
+			return s.head, 0, true
 		}
 		if len(els) == httpwire.MaxChanges || used+cost > httpwire.MaxChangeBytes {
-			return els, s.token(at - 1), false
+			return httpwire.ChangesValue(s.token(at-1), els, false), len(els), false
 		}
 		used += cost
 		els = append(els, el)
 	}
-	return els, s.head, false
+	return httpwire.ChangesValue(s.head, els, true), len(els), false
 }
 
 // Len returns the number of resources.
@@ -244,7 +261,6 @@ type serverCounters struct {
 	piggybackBytes  *obs.Counter
 	hitReports      *obs.Counter
 	hitValidations  *obs.Counter
-	expiryAnswers   *obs.Counter
 	answerBytes     *obs.Counter
 	deltasSent      *obs.Counter
 	deltaBytesSaved *obs.Counter
@@ -268,9 +284,7 @@ type Stats struct {
 	HitReports int
 	// HitValidations counts the reported resources answered in P-Valid2
 	// trailers: each distinct reported URL the store holds, once per
-	// response, for a proxy whose filter is enabled. (The listed URLs of a
-	// Piggy-Validate answered beside them count in the obs registry's
-	// server.expiry_validations.)
+	// response, for a proxy whose filter is enabled.
 	HitValidations int
 	// DeltasSent counts 226 delta responses; DeltaBytesSaved the body
 	// bytes they avoided transferring (§4, ref [23]).
@@ -292,7 +306,6 @@ func New(store *Store, vols core.Provider, clock func() int64) *Server {
 			piggybackBytes:  reg.Counter("server.piggyback_bytes"),
 			hitReports:      reg.Counter("server.hit_reports"),
 			hitValidations:  reg.Counter("server.hit_validations"),
-			expiryAnswers:   reg.Counter("server.expiry_validations"),
 			answerBytes:     reg.Counter("server.answer_bytes"),
 			deltasSent:      reg.Counter("server.deltas_sent"),
 			deltaBytesSaved: reg.Counter("server.delta_bytes_saved"),
@@ -381,7 +394,7 @@ func (s *Server) ServeWire(_ context.Context, req *httpwire.Request) *httpwire.R
 	}
 
 	// Piggybacks go only to cooperating proxies: ones that sent a filter
-	// and accept chunked trailers (§2.3). Hit reports and validation lists
+	// and accept chunked trailers (§2.3). Hit reports and change-list tokens
 	// are answered when that filter is enabled.
 	filter, hasFilter := httpwire.GetFilter(req)
 	trailers := hasFilter && req.AcceptsChunkedTrailer()
@@ -396,15 +409,15 @@ func (s *Server) ServeWire(_ context.Context, req *httpwire.Request) *httpwire.R
 	}
 	// Piggy-Hits: accesses the proxy satisfied from its cache count toward
 	// volume popularity too (§5 future work), and a cooperating proxy is
-	// told the current version of each one it reported, by its index.
+	// told the current version of each one it reported, by its index. A
+	// Piggy-Validate list an older proxy sends is not answered: its copies
+	// are validated when next read.
 	hits := httpwire.GetPaths(req, httpwire.FieldPiggyHits)
-	var listed []string
 	var answers []httpwire.Answer
 	var answered map[string]bool
 	if answer {
-		listed = httpwire.GetPaths(req, httpwire.FieldPiggyValidate)
-		answered = make(map[string]bool, len(hits)+len(listed))
-		answers = make([]httpwire.Answer, 0, len(hits)+len(listed))
+		answered = make(map[string]bool, len(hits))
+		answers = make([]httpwire.Answer, 0, len(hits))
 	}
 	for i, h := range hits {
 		r, ok := s.store.Get(h)
@@ -422,23 +435,6 @@ func (s *Server) ServeWire(_ context.Context, req *httpwire.Request) *httpwire.R
 	}
 	s.c.hitReports.Add(int64(len(hits)))
 	s.c.hitValidations.Add(int64(len(answers)))
-	// Piggy-Validate (piggyback cache validation): cached copies the proxy
-	// holds that are about to expire. Each one the store holds is answered
-	// like a reported hit, indexed after the hits, but it is not an access —
-	// nobody read it — so it does not reorder the volumes.
-	if answer {
-		answeredHits := len(answers)
-		for j, u := range listed {
-			if answered[u] {
-				continue
-			}
-			if r, ok := s.store.Get(u); ok {
-				answered[u] = true
-				answers = append(answers, httpwire.Answer{I: len(hits) + j, LastModified: r.LastModified, Size: r.Size})
-			}
-		}
-		s.c.expiryAnswers.Add(int64(len(answers) - answeredHits))
-	}
 
 	var resp *httpwire.Response
 	ims, hasIMS := req.IfModifiedSince()
@@ -493,23 +489,21 @@ func (s *Server) ServeWire(_ context.Context, req *httpwire.Request) *httpwire.R
 		s.c.answerBytes.Add(int64(len(resp.Trailer.Get(httpwire.FieldPValid))))
 	}
 	if since := req.Header.Get(httpwire.FieldPiggySince); answer && since != "" {
-		s.attachChanges(resp, since, req.Path)
+		s.attachChanges(resp, since, req.Path, res.LastModified)
 	}
 	return resp
 }
 
 // attachChanges answers a cooperating proxy's Piggy-Since token with the
 // resources changed since it (piggyback server invalidation), in a
-// P-Changes trailer beside P-Valid2. Nothing new since the token attaches
-// nothing.
-func (s *Server) attachChanges(resp *httpwire.Response, since, path string) {
-	els, token, brk := s.store.Changes(since, path)
-	if token == "" {
-		return
-	}
-	httpwire.AttachChanges(resp, token, els, brk)
-	s.c.changesSent.Add(int64(len(els)))
-	s.c.changeBytes.Add(int64(len(resp.Trailer.Get(httpwire.FieldPChanges))))
+// P-Changes trailer beside P-Valid2, even when nothing changed: only an
+// explicit, complete list lets the proxy keep its copies fresh. served is
+// the version of path the response carries.
+func (s *Server) attachChanges(resp *httpwire.Response, since, path string, served int64) {
+	value, n, brk := s.store.Changes(since, path, served)
+	httpwire.AttachChanges(resp, value)
+	s.c.changesSent.Add(int64(n))
+	s.c.changeBytes.Add(int64(len(value)))
 	if brk {
 		s.c.changeBreaks.Inc()
 	}

@@ -202,20 +202,22 @@ func DirPrefix(url string, level int) string {
 		return "/"
 	}
 	// Walk path segments; the last segment is the file and is excluded.
-	segs := strings.Split(strings.TrimPrefix(path, "/"), "/")
-	if len(segs) > 0 {
-		segs = segs[:len(segs)-1] // drop file component
+	// path[:end] is the prefix kept.
+	end := 0
+	for n := 0; n < level; n++ {
+		i := strings.IndexByte(path[end+1:], '/')
+		if i < 0 {
+			break
+		}
+		end += 1 + i
 	}
-	if level < len(segs) {
-		segs = segs[:level]
-	}
-	if len(segs) == 0 {
+	if end == 0 {
 		if host != "" {
 			return host
 		}
 		return "/"
 	}
-	return host + "/" + strings.Join(segs, "/")
+	return host + path[:end]
 }
 
 // PathDepth returns the number of directory levels in the URL's path (the
